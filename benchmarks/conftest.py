@@ -7,7 +7,7 @@ that running::
     pytest benchmarks/ --benchmark-only -s
 
 reproduces the paper's evaluation output next to the timing statistics.
-EXPERIMENTS.md records a reference run.
+``repro headline`` prints the paper-versus-measured reductions they rest on.
 """
 
 from __future__ import annotations

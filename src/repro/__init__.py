@@ -22,100 +22,56 @@ Quickstart::
     print(f"test time without reuse: {baseline.makespan} cycles")
     print(f"test time with 6 processors: {reuse.makespan} cycles")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+See PAPER.md for the paper's abstract; ``repro headline`` prints the
+paper-versus-measured record of its quoted reductions.
+
+The names below are imported on first use (PEP 562), so importing the
+package — which every ``repro`` CLI process does — loads only the modules a
+caller actually touches.
 """
 
-# Defined before the subpackage imports: repro.runner.cache version-stamps
-# its on-disk records and imports ``__version__`` while this module is still
-# initialising.
 __version__ = "1.1.0"
 
-from repro.errors import (
-    BenchmarkFormatError,
-    BenchmarkValidationError,
-    CharacterizationError,
-    ConfigurationError,
-    PlacementError,
-    PowerBudgetError,
-    ReproError,
-    ResourceError,
-    RoutingError,
-    ScheduleValidationError,
-    SchedulingError,
-    TopologyError,
-    UnknownBenchmarkError,
-)
-from repro.itc02 import available_benchmarks, load_benchmark, parse_soc_file
-from repro.cores import CoreUnderTest, build_cores, design_wrapper
-from repro.noc import Network, NocConfig
-from repro.processors import leon_processor, plasma_processor
-from repro.schedule import (
-    FastestCompletionScheduler,
-    GreedyScheduler,
-    PowerConstraint,
-    ScheduleResult,
-    TestPlanner,
-    validate_schedule,
-)
-from repro.runner import (
-    SweepOutcome,
-    SweepRunner,
-    SweepSpec,
-    load_sweeps,
-    save_sweeps,
-)
-from repro.system import (
-    PAPER_SYSTEMS,
-    SocSystem,
-    SystemBuilder,
-    build_paper_system,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # errors
-    "ReproError",
-    "BenchmarkFormatError",
-    "BenchmarkValidationError",
-    "UnknownBenchmarkError",
-    "TopologyError",
-    "RoutingError",
-    "PlacementError",
-    "CharacterizationError",
-    "ResourceError",
-    "SchedulingError",
-    "PowerBudgetError",
-    "ScheduleValidationError",
-    "ConfigurationError",
-    # benchmarks
-    "available_benchmarks",
-    "load_benchmark",
-    "parse_soc_file",
-    # cores / NoC / processors
-    "CoreUnderTest",
-    "build_cores",
-    "design_wrapper",
-    "Network",
-    "NocConfig",
-    "leon_processor",
-    "plasma_processor",
-    # planning
-    "GreedyScheduler",
-    "FastestCompletionScheduler",
-    "PowerConstraint",
-    "ScheduleResult",
-    "TestPlanner",
-    "validate_schedule",
-    # sweeps
-    "SweepSpec",
-    "SweepRunner",
-    "SweepOutcome",
-    "save_sweeps",
-    "load_sweeps",
-    # systems
-    "SocSystem",
-    "SystemBuilder",
-    "PAPER_SYSTEMS",
-    "build_paper_system",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.errors": (
+            "ReproError",
+            "BenchmarkFormatError",
+            "BenchmarkValidationError",
+            "UnknownBenchmarkError",
+            "TopologyError",
+            "RoutingError",
+            "PlacementError",
+            "CharacterizationError",
+            "ResourceError",
+            "SchedulingError",
+            "PowerBudgetError",
+            "ScheduleValidationError",
+            "ConfigurationError",
+        ),
+        "repro.itc02": ("available_benchmarks", "load_benchmark", "parse_soc_file"),
+        "repro.cores": ("CoreUnderTest", "build_cores", "design_wrapper"),
+        "repro.noc": ("Network", "NocConfig"),
+        "repro.processors": ("leon_processor", "plasma_processor"),
+        "repro.schedule": (
+            "GreedyScheduler",
+            "FastestCompletionScheduler",
+            "PowerConstraint",
+            "ScheduleResult",
+            "TestPlanner",
+            "validate_schedule",
+        ),
+        "repro.runner": (
+            "SweepSpec",
+            "SweepRunner",
+            "SweepOutcome",
+            "save_sweeps",
+            "load_sweeps",
+        ),
+        "repro.system": ("SocSystem", "SystemBuilder", "PAPER_SYSTEMS", "build_paper_system"),
+    },
+)
+__all__.append("__version__")

@@ -9,61 +9,44 @@
   results (the JSON documents the sweep engine writes).
 * :mod:`repro.analysis.history` — cross-run queries over a sqlite sweep
   store (scheduler win-rates, makespan over time).
+
+The names below are imported on first use (PEP 562), so a caller that
+needs one report loads only its module.
 """
 
-from repro.analysis.metrics import (
-    ScheduleMetrics,
-    compare_schedules,
-    compute_metrics,
-    reduction_table,
-)
-from repro.analysis.bounds import (
-    MakespanBounds,
-    bound_report,
-    makespan_lower_bounds,
-    schedule_efficiency,
-)
-from repro.analysis.gantt import gantt_chart
-from repro.analysis.report import schedule_report, sweep_table
-from repro.analysis.export import schedule_to_rows, schedule_to_json, sweep_to_csv
-from repro.analysis.sweeps import (
-    load_sweep_records,
-    records_table,
-    stored_sweep_summary,
-)
-from repro.analysis.history import (
-    TrajectoryRow,
-    WinRateRow,
-    history_report,
-    makespan_trajectory,
-    scheduler_win_rates,
-    trajectory_table,
-    win_rate_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MakespanBounds",
-    "bound_report",
-    "makespan_lower_bounds",
-    "schedule_efficiency",
-    "ScheduleMetrics",
-    "compute_metrics",
-    "compare_schedules",
-    "reduction_table",
-    "gantt_chart",
-    "schedule_report",
-    "sweep_table",
-    "schedule_to_rows",
-    "schedule_to_json",
-    "sweep_to_csv",
-    "load_sweep_records",
-    "records_table",
-    "stored_sweep_summary",
-    "TrajectoryRow",
-    "WinRateRow",
-    "history_report",
-    "makespan_trajectory",
-    "scheduler_win_rates",
-    "trajectory_table",
-    "win_rate_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.bounds": (
+            "MakespanBounds",
+            "bound_report",
+            "makespan_lower_bounds",
+            "schedule_efficiency",
+        ),
+        "repro.analysis.metrics": (
+            "ScheduleMetrics",
+            "compute_metrics",
+            "compare_schedules",
+            "reduction_table",
+        ),
+        "repro.analysis.gantt": ("gantt_chart",),
+        "repro.analysis.report": ("schedule_report", "sweep_table"),
+        "repro.analysis.export": ("schedule_to_rows", "schedule_to_json", "sweep_to_csv"),
+        "repro.analysis.sweeps": (
+            "load_sweep_records",
+            "records_table",
+            "stored_sweep_summary",
+        ),
+        "repro.analysis.history": (
+            "TrajectoryRow",
+            "WinRateRow",
+            "history_report",
+            "makespan_trajectory",
+            "scheduler_win_rates",
+            "trajectory_table",
+            "win_rate_table",
+        ),
+    },
+)

@@ -66,24 +66,14 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.bounds import bound_report
-from repro.analysis.export import schedule_to_json, sweep_to_csv
-from repro.analysis.gantt import gantt_chart
-from repro.analysis.report import schedule_report, sweep_table
-from repro.analysis.history import history_report
+from repro.analysis.report import sweep_table
 from repro.analysis.sweeps import records_table, stored_sweep_summary
 from repro.errors import ConfigurationError, ReproError, ResultStoreError
 from repro.experiments.figure1 import (
     PAPER_POWER_SERIES,
     PAPER_PROCESSOR_COUNTS,
     panel_from_outcomes,
-    run_panel,
 )
-from repro.experiments.headline import run_headline_claims
-from repro.itc02.library import available_benchmarks, export_benchmarks, load_benchmark
-from repro.devtools.profile import PROFILE_SORT_KEYS
-from repro.noc.characterization import characterize_noc
-from repro.runner.atomic import atomic_write_text
 from repro.runner.backends import (
     BACKEND_FACTORIES,
     RemoteDispatchBackend,
@@ -91,8 +81,8 @@ from repro.runner.backends import (
     make_backend,
 )
 from repro.runner.db import SweepDatabase
-from repro.runner.dispatch import LAUNCHERS, beat_heartbeat
 from repro.runner.engine import SweepRunner
+from repro.runner.launch import LAUNCHERS, beat_heartbeat
 from repro.runner.spec import (
     SCHEDULER_FACTORIES,
     SHARD_STRATEGIES,
@@ -100,13 +90,20 @@ from repro.runner.spec import (
     power_series_label,
 )
 from repro.runner.store import load_sweeps, save_stored_sweeps, save_sweeps
-from repro.schedule.planner import TestPlanner
-from repro.serve.http import create_server
-from repro.schedule.variants import FastestCompletionScheduler
 from repro.system.presets import PAPER_SYSTEMS, build_paper_system
+
+# Imports used by one subcommand live in its handler, so every other
+# command skips them and what they pull in (http.server, cProfile, ...).
+
+#: ``repro profile --sort`` choices, the keys of
+#: :data:`repro.devtools.profile.PROFILE_SORT_KEYS`; spelled out so building
+#: the parser does not import the profiler (a test pins the two together).
+_PROFILE_SORTS = ("calls", "cumulative", "tottime")
 
 
 def _cmd_benchmarks(_: argparse.Namespace) -> int:
+    from repro.itc02.library import available_benchmarks, load_benchmark
+
     for name in available_benchmarks():
         print(load_benchmark(name).summary())
     return 0
@@ -123,6 +120,13 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.analysis.bounds import bound_report
+    from repro.analysis.export import schedule_to_json
+    from repro.analysis.gantt import gantt_chart
+    from repro.analysis.report import schedule_report
+    from repro.schedule.planner import TestPlanner
+    from repro.schedule.variants import FastestCompletionScheduler
+
     system = build_paper_system(args.system)
     scheduler = FastestCompletionScheduler() if args.lookahead else None
     planner = TestPlanner(system, scheduler=scheduler)
@@ -144,6 +148,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.noc.characterization import characterize_noc
+
     system = build_paper_system(args.system)
     print(system.describe())
     print()
@@ -157,6 +163,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
+    from repro.analysis.export import sweep_to_csv
+    from repro.experiments.figure1 import run_panel
+
     systems = args.systems or sorted(PAPER_SYSTEMS)
     for name in systems:
         panel = run_panel(name)
@@ -169,6 +178,8 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_headline(_: argparse.Namespace) -> int:
+    from repro.experiments.headline import run_headline_claims
+
     print("Paper headline claims vs. reproduction:")
     for claim in run_headline_claims():
         print("  " + claim.row())
@@ -828,6 +839,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_history(args: argparse.Namespace) -> int:
+    from repro.analysis.history import history_report
+
     path = Path(args.database)
     preexisting = path.exists()
     if not preexisting and not args.import_json:
@@ -862,6 +875,8 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve.http import create_server
+
     dispatch_hosts = None
     if args.dispatch_hosts:
         dispatch_hosts = [
@@ -898,6 +913,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_soc(args: argparse.Namespace) -> int:
+    from repro.itc02.library import export_benchmarks
+
     written = export_benchmarks(args.directory)
     for path in written:
         print(f"wrote {path}")
@@ -925,6 +942,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.devtools import profile_specs
+    from repro.runner.atomic import atomic_write_text
 
     specs = _build_sweep_specs(args)
     report = profile_specs(
@@ -1520,7 +1538,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--sort",
-        choices=sorted(PROFILE_SORT_KEYS),
+        choices=_PROFILE_SORTS,
         default="cumulative",
         help="hotspot ranking (default: cumulative)",
     )

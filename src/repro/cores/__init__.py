@@ -13,17 +13,14 @@ module, and :mod:`repro.cores.power` fills in synthetic power values when a
 benchmark does not carry any.
 """
 
-from repro.cores.core import CoreUnderTest, build_cores
-from repro.cores.testset import TestSet
-from repro.cores.wrapper import WrapperDesign, design_wrapper
-from repro.cores.power import PowerModel, assign_power
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoreUnderTest",
-    "build_cores",
-    "TestSet",
-    "WrapperDesign",
-    "design_wrapper",
-    "PowerModel",
-    "assign_power",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.cores.core": ("CoreUnderTest", "build_cores"),
+        "repro.cores.testset": ("TestSet",),
+        "repro.cores.wrapper": ("WrapperDesign", "design_wrapper"),
+        "repro.cores.power": ("PowerModel", "assign_power"),
+    },
+)

@@ -2,42 +2,34 @@
 invariant checker (see :mod:`repro.devtools.framework` for the rule
 machinery and :mod:`repro.devtools.rules` for the shipped rules) and the
 ``repro profile`` cProfile harness for the planning hot path
-(:mod:`repro.devtools.profile`)."""
+(:mod:`repro.devtools.profile`).
 
-from .framework import (
-    Finding,
-    Linter,
-    LintReport,
-    LintRule,
-    ModuleSource,
-    PARSE_ERROR_RULE_ID,
-    ProjectLintRule,
-    Suppressions,
-    parse_suppressions,
-)
-from .profile import (
-    PROFILE_SORT_KEYS,
-    HotSpot,
-    ProfileReport,
-    profile_specs,
-)
-from .rules import KNOWN_API_STATUSES, RULES, get_rules
+The names below are imported on first use (PEP 562), so the fault
+injector (:mod:`repro.devtools.chaos`) loads neither the AST analyzer nor
+the profiler."""
 
-__all__ = [
-    "HotSpot",
-    "PROFILE_SORT_KEYS",
-    "ProfileReport",
-    "profile_specs",
-    "Finding",
-    "Linter",
-    "LintReport",
-    "LintRule",
-    "ModuleSource",
-    "PARSE_ERROR_RULE_ID",
-    "ProjectLintRule",
-    "Suppressions",
-    "parse_suppressions",
-    "KNOWN_API_STATUSES",
-    "RULES",
-    "get_rules",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.devtools.profile": (
+            "HotSpot",
+            "PROFILE_SORT_KEYS",
+            "ProfileReport",
+            "profile_specs",
+        ),
+        "repro.devtools.framework": (
+            "Finding",
+            "Linter",
+            "LintReport",
+            "LintRule",
+            "ModuleSource",
+            "PARSE_ERROR_RULE_ID",
+            "ProjectLintRule",
+            "Suppressions",
+            "parse_suppressions",
+        ),
+        "repro.devtools.rules": ("KNOWN_API_STATUSES", "RULES", "get_rules"),
+    },
+)

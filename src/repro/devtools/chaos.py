@@ -150,7 +150,7 @@ def active_faults() -> tuple[Fault, ...]:
     raw = os.environ.get(CHAOS_ENV)
     if not raw:
         return ()
-    from repro.runner.dispatch import ATTEMPT_ENV, SHARD_ENV
+    from repro.runner.launch import ATTEMPT_ENV, SHARD_ENV
 
     shard = _coordinate(SHARD_ENV)
     attempt = _coordinate(ATTEMPT_ENV)

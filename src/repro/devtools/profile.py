@@ -14,15 +14,16 @@ a process pool would only show the parent waiting on its workers.
 
 from __future__ import annotations
 
-import cProfile
-import pstats
 from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import SweepSpec
+
+if TYPE_CHECKING:  # the profiler is imported by profile_specs, which runs it
+    import pstats
 
 #: Sort orders a report can be built with (name → pstats stat tuple index).
 PROFILE_SORT_KEYS: dict[str, int] = {
@@ -178,6 +179,9 @@ def profile_specs(
     spec_list: Sequence[SweepSpec] = [specs] if isinstance(specs, SweepSpec) else list(specs)
     if not spec_list:
         raise ConfigurationError("nothing to profile: no sweep specs given")
+
+    import cProfile
+    import pstats
 
     runner = SweepRunner(jobs=1, characterize=characterize, packet_count=packet_count)
     profiler = cProfile.Profile()

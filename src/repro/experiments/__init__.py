@@ -1,6 +1,6 @@
 """Experiment drivers reproducing the paper's evaluation.
 
-Every exhibit of the paper maps to one driver here (see DESIGN.md §3):
+Every exhibit of the paper maps to one driver here:
 
 * :mod:`repro.experiments.figure1` — the six panels of Figure 1 (test time vs
   number of reused processors, with and without the 50 % power limit),
@@ -24,39 +24,33 @@ backend (process pool, orchestrated shard workers).  The spec factories
 separately so any backend can execute an experiment grid — e.g. dumped via
 ``SweepSpec.to_dict`` and orchestrated shard-wise with
 ``repro orchestrate --spec-json``.
+
+The names below are imported on first use (PEP 562): the ``repro sweep``
+CLI reads the Figure 1 grid constants without loading the ablation
+drivers.
 """
 
-from repro.experiments.figure1 import (
-    PAPER_PROCESSOR_COUNTS,
-    Figure1Panel,
-    figure1_spec,
-    run_figure1,
-    run_panel,
-)
-from repro.experiments.headline import HeadlineClaim, run_headline_claims
-from repro.experiments.ablation import (
-    flit_width_spec,
-    pattern_penalty_spec,
-    run_external_interface_sweep,
-    run_flit_width_sweep,
-    run_pattern_penalty_sweep,
-    run_scheduler_comparison,
-    scheduler_comparison_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PAPER_PROCESSOR_COUNTS",
-    "Figure1Panel",
-    "figure1_spec",
-    "run_figure1",
-    "run_panel",
-    "HeadlineClaim",
-    "run_headline_claims",
-    "scheduler_comparison_spec",
-    "run_scheduler_comparison",
-    "pattern_penalty_spec",
-    "run_pattern_penalty_sweep",
-    "run_external_interface_sweep",
-    "flit_width_spec",
-    "run_flit_width_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.figure1": (
+            "PAPER_PROCESSOR_COUNTS",
+            "Figure1Panel",
+            "figure1_spec",
+            "run_figure1",
+            "run_panel",
+        ),
+        "repro.experiments.headline": ("HeadlineClaim", "run_headline_claims"),
+        "repro.experiments.ablation": (
+            "scheduler_comparison_spec",
+            "run_scheduler_comparison",
+            "pattern_penalty_spec",
+            "run_pattern_penalty_sweep",
+            "run_external_interface_sweep",
+            "flit_width_spec",
+            "run_flit_width_sweep",
+        ),
+    },
+)

@@ -11,8 +11,8 @@ Section 3 quotes three headline numbers:
 
 :func:`run_headline_claims` recomputes each of them by running the relevant
 Figure 1 panel specs through the shared sweep runner and reports
-paper-vs-measured side by side.  EXPERIMENTS.md records the outcome of a
-reference run.
+paper-vs-measured side by side; ``repro headline`` prints them, and the
+``paper_gap_pp`` row of ``perfbench/METRICS.md`` tracks their mean gap.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ class HeadlineClaim:
     """One textual claim of the paper and its reproduced counterpart.
 
     Attributes:
-        claim_id: identifier used in DESIGN.md / EXPERIMENTS.md (T1, T2, T3).
+        claim_id: the claim's identifier (T1, T2, T3), as ``repro headline``
+            prints it.
         description: what the paper claims.
         system: the system the claim refers to.
         series: which power series of Figure 1 the claim refers to.

@@ -13,25 +13,19 @@ from that benchmark set:
   circuits used by the paper,
 * a deterministic synthetic generator (:mod:`repro.itc02.synth`) used to
   reconstruct the two large industrial benchmarks whose original files are not
-  redistributable (see DESIGN.md §4),
+  redistributable,
 * structural validation (:mod:`repro.itc02.validate`).
 """
 
-from repro.itc02.model import Module, ScanChain, SocBenchmark
-from repro.itc02.parser import parse_soc, parse_soc_file
-from repro.itc02.writer import write_soc, write_soc_file
-from repro.itc02.library import available_benchmarks, load_benchmark
-from repro.itc02.validate import validate_benchmark
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Module",
-    "ScanChain",
-    "SocBenchmark",
-    "parse_soc",
-    "parse_soc_file",
-    "write_soc",
-    "write_soc_file",
-    "available_benchmarks",
-    "load_benchmark",
-    "validate_benchmark",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.itc02.model": ("Module", "ScanChain", "SocBenchmark"),
+        "repro.itc02.parser": ("parse_soc", "parse_soc_file"),
+        "repro.itc02.writer": ("write_soc", "write_soc_file"),
+        "repro.itc02.library": ("available_benchmarks", "load_benchmark"),
+        "repro.itc02.validate": ("validate_benchmark",),
+    },
+)

@@ -8,7 +8,7 @@ Three benchmarks are available, matching Section 3 of the paper:
   commonly used by the power-constrained ITC'02 follow-up literature.
 * ``p22810`` and ``p93791`` — Philips industrial benchmarks whose original
   files are not redistributable.  They are reconstructed deterministically by
-  :mod:`repro.itc02.synth` (see DESIGN.md §4 for the substitution rationale).
+  :mod:`repro.itc02.synth`.
 
 Use :func:`load_benchmark` to obtain a benchmark by name and
 :func:`available_benchmarks` to list the names.  Loading is cached: the same

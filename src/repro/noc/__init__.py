@@ -17,31 +17,23 @@ This subpackage models exactly the NoC aspects the paper's tool consumes:
   (:mod:`repro.noc.simulator`).
 """
 
-from repro.noc.topology import GridTopology, NodeCoordinate
-from repro.noc.routing import XYRouting
-from repro.noc.links import Link, path_links, local_port
-from repro.noc.packet import Packet
-from repro.noc.timing import NocTimingModel
-from repro.noc.power import NocPowerModel
-from repro.noc.network import NocConfig, Network
-from repro.noc.simulator import CircuitSwitchedSimulator, TransferRequest, TransferRecord
-from repro.noc.characterization import NocCharacterization, characterize_noc
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NocCharacterization",
-    "characterize_noc",
-    "GridTopology",
-    "NodeCoordinate",
-    "XYRouting",
-    "Link",
-    "path_links",
-    "local_port",
-    "Packet",
-    "NocTimingModel",
-    "NocPowerModel",
-    "NocConfig",
-    "Network",
-    "CircuitSwitchedSimulator",
-    "TransferRequest",
-    "TransferRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.noc.topology": ("GridTopology", "NodeCoordinate"),
+        "repro.noc.routing": ("XYRouting",),
+        "repro.noc.links": ("Link", "path_links", "local_port"),
+        "repro.noc.packet": ("Packet",),
+        "repro.noc.timing": ("NocTimingModel",),
+        "repro.noc.power": ("NocPowerModel",),
+        "repro.noc.network": ("NocConfig", "Network"),
+        "repro.noc.simulator": (
+            "CircuitSwitchedSimulator",
+            "TransferRequest",
+            "TransferRecord",
+        ),
+        "repro.noc.characterization": ("NocCharacterization", "characterize_noc"),
+    },
+)

@@ -17,27 +17,19 @@ two characterisations used in the paper's experiments, and
 :mod:`repro.processors.applications` models the software test applications.
 """
 
-from repro.processors.applications import (
-    BistApplication,
-    DecompressionApplication,
-    TestApplication,
-)
-from repro.processors.model import EmbeddedProcessor, ProcessorKind
-from repro.processors.leon import leon_processor
-from repro.processors.plasma import plasma_processor
-from repro.processors.characterization import (
-    ProcessorCharacterization,
-    characterize,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TestApplication",
-    "BistApplication",
-    "DecompressionApplication",
-    "EmbeddedProcessor",
-    "ProcessorKind",
-    "leon_processor",
-    "plasma_processor",
-    "ProcessorCharacterization",
-    "characterize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.processors.applications": (
+            "BistApplication",
+            "DecompressionApplication",
+            "TestApplication",
+        ),
+        "repro.processors.model": ("EmbeddedProcessor", "ProcessorKind"),
+        "repro.processors.leon": ("leon_processor",),
+        "repro.processors.plasma": ("plasma_processor",),
+        "repro.processors.characterization": ("ProcessorCharacterization", "characterize"),
+    },
+)

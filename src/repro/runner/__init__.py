@@ -31,93 +31,61 @@ Quickstart::
     outcomes = SweepRunner(jobs=4, characterize=True).run(spec)
     for outcome in outcomes:
         print(outcome.point.label, outcome.makespan)
+
+The names below are imported on first use (PEP 562): importing one runner
+module, such as :mod:`repro.runner.db`, does not load the others.
 """
 
-from repro.runner.atomic import atomic_write_text
-from repro.runner.backends import (
-    BACKEND_FACTORIES,
-    ExecutionBackend,
-    OrchestrationReport,
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardWorkerBackend,
-    WorkerOutcome,
-    WorkerPlan,
-    make_backend,
-)
-from repro.runner.cache import (
-    CacheStats,
-    CharacterizationCache,
-    SystemCache,
-    build_point_system,
-    content_key,
-)
-from repro.runner.db import DB_SCHEMA_VERSION, MergeReport, RunInfo, SweepDatabase
-from repro.runner.engine import (
-    StoreRunReport,
-    SweepOutcome,
-    SweepRunner,
-    execute_point,
-)
-from repro.runner.spec import (
-    SCHEDULER_FACTORIES,
-    SweepPoint,
-    SweepSpec,
-    canonical_scheduler_name,
-    make_scheduler,
-    power_series_label,
-    scheduler_spec_name,
-)
-from repro.runner.store import (
-    SCHEMA_VERSION,
-    StoredSweep,
-    dump_stored_sweeps,
-    dump_sweep,
-    dump_sweeps,
-    load_sweeps,
-    save_stored_sweeps,
-    save_sweeps,
-    sweeps_document,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "atomic_write_text",
-    "BACKEND_FACTORIES",
-    "ExecutionBackend",
-    "OrchestrationReport",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ShardWorkerBackend",
-    "WorkerOutcome",
-    "WorkerPlan",
-    "make_backend",
-    "CacheStats",
-    "CharacterizationCache",
-    "SystemCache",
-    "build_point_system",
-    "content_key",
-    "DB_SCHEMA_VERSION",
-    "MergeReport",
-    "RunInfo",
-    "SweepDatabase",
-    "StoreRunReport",
-    "SweepOutcome",
-    "SweepRunner",
-    "execute_point",
-    "SCHEDULER_FACTORIES",
-    "SweepPoint",
-    "SweepSpec",
-    "canonical_scheduler_name",
-    "make_scheduler",
-    "power_series_label",
-    "scheduler_spec_name",
-    "SCHEMA_VERSION",
-    "StoredSweep",
-    "dump_stored_sweeps",
-    "dump_sweep",
-    "dump_sweeps",
-    "load_sweeps",
-    "save_stored_sweeps",
-    "save_sweeps",
-    "sweeps_document",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.runner.atomic": ("atomic_write_text",),
+        "repro.runner.backends": (
+            "BACKEND_FACTORIES",
+            "ExecutionBackend",
+            "OrchestrationReport",
+            "ProcessPoolBackend",
+            "SerialBackend",
+            "ShardWorkerBackend",
+            "WorkerOutcome",
+            "WorkerPlan",
+            "make_backend",
+        ),
+        "repro.runner.cache": (
+            "CacheStats",
+            "CharacterizationCache",
+            "SystemCache",
+            "build_point_system",
+            "content_key",
+        ),
+        "repro.runner.db": ("DB_SCHEMA_VERSION", "MergeReport", "RunInfo", "SweepDatabase"),
+        "repro.runner.engine": (
+            "StoreRunReport",
+            "SweepOutcome",
+            "SweepRunner",
+            "execute_point",
+        ),
+        "repro.runner.spec": (
+            "SCHEDULER_FACTORIES",
+            "SweepPoint",
+            "SweepSpec",
+            "canonical_scheduler_name",
+            "make_scheduler",
+            "power_series_label",
+            "scheduler_spec_name",
+        ),
+        "repro.runner.store": (
+            "SCHEMA_VERSION",
+            "StoredSweep",
+            "dump_stored_sweeps",
+            "dump_sweep",
+            "dump_sweeps",
+            "load_sweeps",
+            "save_stored_sweeps",
+            "save_sweeps",
+            "sweeps_document",
+        ),
+    },
+)

@@ -45,7 +45,6 @@ executor) are new :class:`ExecutionBackend` subclasses registered in
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -57,28 +56,16 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
 from repro.runner.cache import SystemCache
-from repro.runner.dispatch import (
-    AttemptRecord,
-    DispatchPolicy,
-    Launcher,
-    ShardOutcome,
-    WorkerState,
-    WorkerSupervisor,
-    beat_heartbeat,
-    failure_detail,
-    log_tail,
-    make_launcher,
-)
+from repro.runner.launch import Launcher, beat_heartbeat, make_launcher
 from repro.runner.spec import SHARD_STRATEGIES, SweepPoint, SweepSpec, make_scheduler
 from repro.schedule.planner import TestPlanner
 from repro.schedule.result import ScheduleResult
 
-if TYPE_CHECKING:  # imported lazily at runtime (db imports the store layer)
+# Imported lazily at runtime: db imports the store layer, and the dispatch
+# supervisor (with subprocess) is only needed by a process that orchestrates.
+if TYPE_CHECKING:
     from repro.runner.db import MergeReport, SweepDatabase
-
-# Kept under its historical private name; the implementation lives with the
-# rest of the failure-reporting helpers in the dispatch layer.
-_log_tail = log_tail
+    from repro.runner.dispatch import AttemptRecord, ShardOutcome, WorkerState
 
 
 def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
@@ -170,7 +157,7 @@ class WorkerOutcome:
     store_path: Path
     log_path: Path
     returncode: int
-    state: WorkerState = WorkerState.FINISHED
+    state: WorkerState
     attempts: tuple[AttemptRecord, ...] = ()
 
     @property
@@ -350,6 +337,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 flit_width=point.flit_width,
                 pattern_penalty=point.pattern_penalty,
             )
+        import multiprocessing
+
         workers = min(self.jobs, len(points))
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(system_cache,)
@@ -393,7 +382,7 @@ class ShardWorkerBackend(ExecutionBackend):
             before it is declared ``Lost`` and killed.
         hosts: host-pool slot names to schedule attempts on (``None``:
             synthetic ``local/<i>`` slots, one per worker).
-        launcher: launcher name from :data:`~repro.runner.dispatch.LAUNCHERS`
+        launcher: launcher name from :data:`~repro.runner.launch.LAUNCHERS`
             or a launcher callable; maps ``(host, argv, env)`` to the
             spawned command (default ``"local"``).
         cost_sizing: size shards by measured per-point planning cost from
@@ -429,6 +418,8 @@ class ShardWorkerBackend(ExecutionBackend):
         cost_sizing: bool = False,
         checkpoint_every: int | None = None,
     ) -> None:
+        from repro.runner.dispatch import DispatchPolicy
+
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
         if strategy not in SHARD_STRATEGIES:
@@ -646,6 +637,7 @@ class ShardWorkerBackend(ExecutionBackend):
                 validation (conflicting records, foreign spec keys).
         """
         from repro.runner.db import SweepDatabase
+        from repro.runner.dispatch import failure_detail
 
         if workdir is None:
             workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-"))
@@ -726,6 +718,8 @@ class ShardWorkerBackend(ExecutionBackend):
 
     def _dispatch(self, plans: Sequence[WorkerPlan]) -> list[ShardOutcome]:
         """Run the planned workers under the fault-tolerant supervisor."""
+        from repro.runner.dispatch import WorkerSupervisor
+
         supervisor = WorkerSupervisor(
             plans,
             hosts=self._dispatch_hosts(),

@@ -49,7 +49,10 @@ Remote dispatch plugs in through *launchers*: a launcher maps ``(host,
 argv, env)`` to the command actually spawned.  :data:`LAUNCHERS` ships
 ``local`` (plain subprocess — tests, CI) and ``ssh`` (BatchMode ssh with
 the dispatch environment inlined; assumes the workdir is on a shared
-filesystem, like the shard stores the merge step reads).
+filesystem, like the shard stores the merge step reads).  The launchers
+and the heartbeat environment live in :mod:`repro.runner.launch` (and are
+re-exported here), so workers and the CLI parser use them without
+importing this module.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ import contextlib
 import enum
 import os
 import random
-import shlex
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -67,6 +69,17 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
+from repro.runner.launch import (
+    ATTEMPT_ENV,
+    HEARTBEAT_ENV,
+    LAUNCHERS,
+    SHARD_ENV,
+    Launcher,
+    beat_heartbeat,
+    local_launcher,
+    make_launcher,
+    ssh_launcher,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime (backends imports this module)
     from repro.runner.backends import WorkerPlan
@@ -84,35 +97,11 @@ __all__ = [
     "WORKER_TRANSITIONS",
     "beat_heartbeat",
     "failure_detail",
+    "local_launcher",
     "log_tail",
     "make_launcher",
+    "ssh_launcher",
 ]
-
-#: Environment variable naming the heartbeat file a worker must touch.
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_FILE"
-#: Environment variable carrying the worker's shard index (also read by the
-#: fault-injection harness, :mod:`repro.devtools.chaos`).
-SHARD_ENV = "REPRO_DISPATCH_SHARD"
-#: Environment variable carrying the attempt number (1-based).
-ATTEMPT_ENV = "REPRO_DISPATCH_ATTEMPT"
-
-
-def beat_heartbeat() -> None:
-    """Touch the heartbeat file named by ``REPRO_HEARTBEAT_FILE``, if set.
-
-    Called from the worker entry point (startup beat) and after every
-    planned point (:func:`repro.runner.backends.execute_point`), so the
-    beat tracks *progress*: a hung planner stops beating and the
-    supervisor's staleness check catches it.  A no-op outside dispatched
-    workers; a failed touch is deliberately ignored — losing a beat must
-    never fail the sweep itself (the worst case is a spurious ``Lost``
-    and a resumed retry).
-    """
-    raw = os.environ.get(HEARTBEAT_ENV)
-    if not raw:
-        return
-    with contextlib.suppress(OSError):
-        Path(raw).touch()
 
 
 class WorkerState(enum.Enum):
@@ -170,50 +159,6 @@ WORKER_TRANSITIONS: dict[WorkerState, frozenset[WorkerState]] = {
     WorkerState.TIMED_OUT: frozenset(),
     WorkerState.LOST: frozenset(),
 }
-
-
-#: A launcher maps ``(host, argv, dispatch_env)`` to the command to spawn.
-Launcher = Callable[[str, Sequence[str], Mapping[str, str]], "list[str]"]
-
-
-def local_launcher(host: str, argv: Sequence[str], env: Mapping[str, str]) -> list[str]:
-    """Run the worker as a plain local subprocess (``env`` rides via Popen)."""
-    return list(argv)
-
-
-def ssh_launcher(host: str, argv: Sequence[str], env: Mapping[str, str]) -> list[str]:
-    """Wrap the worker command for non-interactive ssh to ``host``.
-
-    The dispatch environment (heartbeat path, shard/attempt markers) is
-    inlined with ``env K=V ...`` because ssh does not forward arbitrary
-    variables.  Remote dispatch assumes the workdir lives on a filesystem
-    shared with the orchestrator — the same assumption the merge step
-    already makes about the shard stores.
-    """
-    remote = list(argv)
-    if env:
-        remote = ["env", *(f"{key}={value}" for key, value in sorted(env.items())), *remote]
-    command = " ".join(shlex.quote(token) for token in remote)
-    return ["ssh", "-o", "BatchMode=yes", host, command]
-
-
-#: Pluggable launch strategies, keyed by name (``--launcher``).
-LAUNCHERS: dict[str, Launcher] = {
-    "local": local_launcher,
-    "ssh": ssh_launcher,
-}
-
-
-def make_launcher(name: str) -> Launcher:
-    """Resolve a launcher by registry name.
-
-    Raises:
-        ConfigurationError: for an unknown launcher name.
-    """
-    if name not in LAUNCHERS:
-        known = ", ".join(sorted(LAUNCHERS))
-        raise ConfigurationError(f"unknown launcher {name!r}; known launchers: {known}")
-    return LAUNCHERS[name]
 
 
 @dataclass(frozen=True)

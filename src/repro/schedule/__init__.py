@@ -22,30 +22,19 @@ system test takes.
   point.
 """
 
-from repro.schedule.job import TestJob, build_job
-from repro.schedule.power import PowerConstraint, PowerTracker
-from repro.schedule.pathalloc import LinkAllocator
-from repro.schedule.priority import distance_priority, priority_order
-from repro.schedule.result import Assignment, ScheduleResult, validate_schedule
-from repro.schedule.greedy import GreedyScheduler
-from repro.schedule.variants import FastestCompletionScheduler
-from repro.schedule.baseline import external_only_schedule
-from repro.schedule.planner import PlanRequest, TestPlanner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TestJob",
-    "build_job",
-    "PowerConstraint",
-    "PowerTracker",
-    "LinkAllocator",
-    "distance_priority",
-    "priority_order",
-    "Assignment",
-    "ScheduleResult",
-    "validate_schedule",
-    "GreedyScheduler",
-    "FastestCompletionScheduler",
-    "external_only_schedule",
-    "PlanRequest",
-    "TestPlanner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedule.job": ("TestJob", "build_job"),
+        "repro.schedule.power": ("PowerConstraint", "PowerTracker"),
+        "repro.schedule.pathalloc": ("LinkAllocator",),
+        "repro.schedule.priority": ("distance_priority", "priority_order"),
+        "repro.schedule.result": ("Assignment", "ScheduleResult", "validate_schedule"),
+        "repro.schedule.greedy": ("GreedyScheduler",),
+        "repro.schedule.variants": ("FastestCompletionScheduler",),
+        "repro.schedule.baseline": ("external_only_schedule",),
+        "repro.schedule.planner": ("PlanRequest", "TestPlanner"),
+    },
+)

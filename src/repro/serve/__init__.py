@@ -8,26 +8,20 @@ which delegates every planning/storage decision to the existing library.
 wire format and ``docs/architecture.md`` for where this layer sits.
 """
 
-from repro.serve.cache import TTLCache
-from repro.serve.http import (
-    ROUTES,
-    PlanningRequestHandler,
-    PlanningServer,
-    Route,
-    create_server,
-)
-from repro.serve.jobs import JOB_STATES, SweepJob, SweepJobQueue
-from repro.serve.service import PlanningService
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JOB_STATES",
-    "ROUTES",
-    "PlanningRequestHandler",
-    "PlanningServer",
-    "PlanningService",
-    "Route",
-    "SweepJob",
-    "SweepJobQueue",
-    "TTLCache",
-    "create_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.cache": ("TTLCache",),
+        "repro.serve.http": (
+            "ROUTES",
+            "PlanningRequestHandler",
+            "PlanningServer",
+            "Route",
+            "create_server",
+        ),
+        "repro.serve.jobs": ("JOB_STATES", "SweepJob", "SweepJobQueue"),
+        "repro.serve.service": ("PlanningService",),
+    },
+)

@@ -170,7 +170,7 @@ class SweepJobQueue:
         dispatch_hosts: host list offered to jobs that ask for the remote
             backend (default: ``None`` — such jobs are rejected with 400).
         dispatch_launcher: launcher name for remote jobs (a
-            :data:`~repro.runner.dispatch.LAUNCHERS` key; default ``None``
+            :data:`~repro.runner.launch.LAUNCHERS` key; default ``None``
             keeps the remote backend's ssh default).
         max_queue: jobs allowed to wait in the queue; a submission beyond
             that fails with 503 + ``Retry-After`` (0 = unbounded).

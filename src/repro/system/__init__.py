@@ -13,17 +13,17 @@ builds exactly those systems:
   (d695/p22810/p93791 x Leon/Plasma), with the grid sizes from Section 3.
 """
 
-from repro.system.builder import SocSystem, SystemBuilder
-from repro.system.placement import PlacementStrategy, spread_placement, row_major_placement
-from repro.system.presets import PAPER_SYSTEMS, PaperSystemSpec, build_paper_system
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SocSystem",
-    "SystemBuilder",
-    "PlacementStrategy",
-    "spread_placement",
-    "row_major_placement",
-    "PAPER_SYSTEMS",
-    "PaperSystemSpec",
-    "build_paper_system",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.system.builder": ("SocSystem", "SystemBuilder"),
+        "repro.system.placement": (
+            "PlacementStrategy",
+            "spread_placement",
+            "row_major_placement",
+        ),
+        "repro.system.presets": ("PAPER_SYSTEMS", "PaperSystemSpec", "build_paper_system"),
+    },
+)

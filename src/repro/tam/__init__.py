@@ -17,16 +17,13 @@ interfaces, and :mod:`repro.tam.pool` the availability bookkeeping used by the
 schedulers.
 """
 
-from repro.tam.ports import IoPort, PortDirection, pair_external_interfaces
-from repro.tam.interfaces import InterfaceKind, TestInterface
-from repro.tam.pool import InterfaceState, ResourcePool
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IoPort",
-    "PortDirection",
-    "pair_external_interfaces",
-    "InterfaceKind",
-    "TestInterface",
-    "InterfaceState",
-    "ResourcePool",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.tam.ports": ("IoPort", "PortDirection", "pair_external_interfaces"),
+        "repro.tam.interfaces": ("InterfaceKind", "TestInterface"),
+        "repro.tam.pool": ("InterfaceState", "ResourcePool"),
+    },
+)

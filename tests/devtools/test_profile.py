@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.devtools import PROFILE_SORT_KEYS, profile_specs
 from repro.errors import ConfigurationError
 from repro.runner.spec import SweepSpec
@@ -81,6 +81,11 @@ class TestProfileSpecs:
 
     def test_sort_keys_cover_cli_choices(self):
         assert set(PROFILE_SORT_KEYS) == {"cumulative", "tottime", "calls"}
+        # The parser spells the choices out (it must not import the
+        # profiler); they must stay the registry's keys.
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        sort = next(a for a in commands.choices["profile"]._actions if a.dest == "sort")
+        assert list(sort.choices) == sorted(PROFILE_SORT_KEYS)
 
 
 class TestProfileCli:
