@@ -1,13 +1,15 @@
 """Orchestration benchmark: shard-worker fan-out vs an in-process stored run.
 
-Times the d695 Figure 1 grid twice: executed in-process through
+Times the d695 Figure 1 grid executed in-process through
 ``SweepRunner.run_stored`` (the single-host baseline) and orchestrated over
 3 local ``repro sweep --shard-index`` subprocess workers through
-``SweepRunner.orchestrate`` (spawn + monitor + history-carrying merge).  The
-gap is the orchestration overhead a distributed run pays on top of the
-planning work itself — dominated by interpreter start-up per worker, so it
-amortises as grids grow.  Both paths are asserted to produce identical
-current records, pinning the byte-identity invariant inside the benchmark.
+``SweepRunner.orchestrate`` (spawn + monitor + history-carrying merge), then
+a two-system batch (d695_leon + d695_plasma) orchestrated in one dispatch
+round on the same 3 workers.  The gap to the baseline is the orchestration
+overhead a distributed run pays on top of the planning work itself —
+dominated by interpreter start-up per worker, which a batch pays once, not
+once per grid.  Every path is asserted to produce the serial run's current
+records, pinning the byte-identity invariant inside the benchmark.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ def test_orchestrate_baseline_stored_run(benchmark, tmp_path):
     assert report.executed_count == spec.point_count
 
 
-def test_orchestrate_shard_workers(benchmark, tmp_path):
-    """The same grid fanned out over 3 local shard workers and merged."""
-    spec = figure1_spec("d695_leon")
+def orchestrate_rounds(benchmark, tmp_path, specs):
+    """Benchmark orchestrating ``specs`` over the shard workers; returns the
+    last round's report and the merged store's records per spec."""
     backend = ShardWorkerBackend(workers=WORKER_COUNT)
     fresh = count()
 
@@ -52,18 +54,38 @@ def test_orchestrate_shard_workers(benchmark, tmp_path):
         round_index = next(fresh)
         with SweepDatabase(tmp_path / f"merged-{round_index}.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
-                spec, db, workdir=tmp_path / f"work-{round_index}"
+                specs, db, workdir=tmp_path / f"work-{round_index}"
             )
-            return report, db.records(spec.content_key())
+            return report, [db.records(key) for key in report.spec_keys]
 
     report, merged_records = benchmark.pedantic(run_orchestrated, rounds=3, iterations=1)
+    assert len(report.workers) == WORKER_COUNT
+    assert report.record_count == sum(spec.point_count for spec in specs)
+    assert report.run_count == WORKER_COUNT * len(specs)
+    # The orchestrated store must hold exactly the serial run's records.
+    serial = SweepRunner(jobs=1)
+    assert merged_records == [
+        [outcome.record() for outcome in serial.run(spec)] for spec in specs
+    ]
+    return report
+
+
+def test_orchestrate_shard_workers(benchmark, tmp_path):
+    """The d695_leon grid fanned out over 3 local shard workers and merged."""
+    report = orchestrate_rounds(benchmark, tmp_path, [figure1_spec("d695_leon")])
     emit(
         "Orchestration benchmark: 3 shard workers",
         f"{report.record_count} records, {report.run_count} shard runs merged "
         f"({len(report.workers)} workers)",
     )
-    assert report.record_count == spec.point_count
-    assert report.run_count == WORKER_COUNT
-    # The orchestrated store must hold exactly the serial run's records.
-    serial = [outcome.record() for outcome in SweepRunner(jobs=1).run(spec)]
-    assert merged_records == serial
+
+
+def test_orchestrate_two_system_batch(benchmark, tmp_path):
+    """d695_leon + d695_plasma in one dispatch round on the same 3 workers."""
+    specs = [figure1_spec("d695_leon"), figure1_spec("d695_plasma")]
+    report = orchestrate_rounds(benchmark, tmp_path, specs)
+    emit(
+        "Orchestration benchmark: 2-system batch on 3 shard workers",
+        f"{report.record_count} records, {report.run_count} shard runs merged "
+        f"({len(report.workers)} workers, one dispatch round)",
+    )

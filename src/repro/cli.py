@@ -27,9 +27,10 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   jobs), chunked commits (``--checkpoint``, so a killed worker's completed
   points survive for ``--resume``) and grids taken straight from a spec
   file (``--spec-json``, how orchestration workers are driven).
-* ``orchestrate [SYSTEM...]`` — the multi-host flow: fan each grid out
-  over N ``repro sweep`` subprocess workers (``--workers``), each writing
-  its own sqlite store, supervise them through per-worker heartbeat files
+* ``orchestrate [SYSTEM...]`` — the multi-host flow: fan every grid out
+  in one dispatch round over N ``repro sweep`` subprocess workers
+  (``--workers``), each running its shard of every grid into its own
+  sqlite store, supervise them through per-worker heartbeat files
   and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
@@ -258,26 +259,43 @@ _SWEEP_RUN_OPTIONS: tuple[tuple[str, str], ...] = (
 )
 
 
-def _parse_point_indices(raw: str) -> tuple[int, ...]:
-    """Parse a ``--points`` comma-separated index list.
+def _parse_point_groups(raw: str, spec_count: int) -> list[tuple[int, ...]]:
+    """Parse ``--points`` into one grid-index list per spec.
+
+    A single comma list (no ``;``) names the same indices of every spec.
+    The batch form carries one comma list per spec, ``;``-separated in
+    spec-file order (``0,2;1``); a list there may be empty, for a worker
+    that holds none of that grid's points.
 
     Raises:
-        ConfigurationError: for an empty list or a non-integer token.
+        ConfigurationError: for a non-integer token, an empty single list,
+            or a batch form whose list count differs from ``spec_count``.
     """
-    indices = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            indices.append(int(token))
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"--points takes comma-separated grid indices, got {token!r}"
-            ) from exc
-    if not indices:
-        raise ConfigurationError("--points names no grid indices")
-    return tuple(sorted(set(indices)))
+    lists = raw.split(";")
+    if len(lists) > 1 and len(lists) != spec_count:
+        raise ConfigurationError(
+            f"--points carries {len(lists)} ';'-separated list(s) for "
+            f"{spec_count} sweep spec(s); give one list per spec"
+        )
+    groups = []
+    for text in lists:
+        indices = []
+        for token in text.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            try:
+                indices.append(int(token))
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"--points takes comma-separated grid indices, got {token!r}"
+                ) from exc
+        groups.append(tuple(sorted(set(indices))))
+    if len(groups) == 1:
+        if not groups[0]:
+            raise ConfigurationError("--points names no grid indices")
+        return groups * spec_count
+    return groups
 
 
 def _worker_exit(code: int) -> int:
@@ -463,15 +481,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--shard-index/--shard-count need --store: shard results must land "
             "in a sqlite store so `repro merge` can fold the shards together"
         )
-    point_indices = (
-        _parse_point_indices(args.points) if args.points is not None else None
-    )
-    if point_indices is not None and not args.store:
+    if args.points is not None and not args.store:
         raise ConfigurationError(
             "--points needs --store: point-sliced results must land in a "
             "sqlite store so the dispatcher can merge and resume them"
         )
-    if point_indices is not None and args.shard_count is not None:
+    if args.points is not None and args.shard_count is not None:
         raise ConfigurationError(
             "--points and --shard-index/--shard-count are two ways to slice "
             "the grid; pass one"
@@ -524,7 +539,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"--backend {args.backend} partitions the grid itself; drop "
                 "--shard-index/--shard-count (they configure a single worker)"
             )
-        if point_indices is not None:
+        if args.points is not None:
             raise ConfigurationError(
                 f"--backend {args.backend} partitions the grid itself; drop "
                 "--points (it slices the grid for a single worker)"
@@ -564,8 +579,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Computed before executing anything so an out-of-range shard index
     # (or point index) fails fast instead of after the first grid ran.
-    if point_indices is not None:
-        planned_points = sum(len(spec.points_at(point_indices)) for spec in specs)
+    point_groups = (
+        _parse_point_groups(args.points, len(specs)) if args.points is not None else None
+    )
+    if point_groups is not None:
+        planned_points = sum(
+            len(spec.points_at(group)) for spec, group in zip(specs, point_groups) if group
+        )
     elif args.shard_count is not None:
         planned_points = sum(
             len(spec.shard(args.shard_index, args.shard_count, strategy=args.shard_strategy))
@@ -575,7 +595,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         planned_points = sum(spec.point_count for spec in specs)
 
     if args.store:
-        _run_sweeps_stored(args, runner, specs)
+        _run_sweeps_stored(args, runner, specs, point_groups)
     else:
         _run_sweeps_plain(args, runner, specs)
 
@@ -622,24 +642,25 @@ def _run_sweeps_plain(
 
 
 def _run_sweeps_stored(
-    args: argparse.Namespace, runner: SweepRunner, specs: Sequence[SweepSpec]
+    args: argparse.Namespace,
+    runner: SweepRunner,
+    specs: Sequence[SweepSpec],
+    point_groups: Sequence[Sequence[int]] | None,
 ) -> None:
-    """Execute every spec (or one slice of it) against the sqlite store."""
+    """Execute every spec (or one slice of it) against the sqlite store.
+
+    ``point_groups`` (from ``--points``) names each spec's slice.
+    """
     sharded = args.shard_count is not None
-    point_indices = (
-        _parse_point_indices(args.points)
-        if getattr(args, "points", None) is not None
-        else None
-    )
     executed = skipped = 0
     # A sweep run is a genuine writer entry point: this process owns the
     # (shard) store for the duration of the run.
     with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
         reports = []
-        for spec in specs:
-            if point_indices is not None:
+        for position, spec in enumerate(specs):
+            if point_groups is not None:
                 report = runner.run_points(
-                    spec, db, point_indices, resume=args.resume
+                    spec, db, point_groups[position], resume=args.resume
                 )
             elif sharded:
                 report = runner.run_shard(
@@ -666,7 +687,11 @@ def _run_sweeps_stored(
         f"store {args.store}: {executed} executed, {skipped} skipped "
         f"across {len(specs)} sweep(s)"
         + (f" [shard {args.shard_index}/{args.shard_count}]" if sharded else "")
-        + (f" [points {len(point_indices)}]" if point_indices is not None else "")
+        + (
+            f" [points {sum(len(group) for group in point_groups)}]"
+            if point_groups is not None
+            else ""
+        )
         + (" [resume]" if args.resume else "")
     )
 
@@ -674,53 +699,47 @@ def _run_sweeps_stored(
 def _run_sweeps_orchestrated(
     args: argparse.Namespace, runner: SweepRunner, specs: Sequence[SweepSpec]
 ) -> None:
-    """Orchestrate every spec over shard workers into the sqlite store.
+    """Orchestrate every spec in one dispatch round into the sqlite store.
 
-    The shard stores are merged with history carried, so the target store
+    The same shard workers run their shard of every spec, and the shard
+    stores are merged once with history carried, so the target store
     records one run per shard per grid; the merged export stays
     byte-identical to a serial full run's.
     """
-    workdir = getattr(args, "workdir", None)
-    records = runs = 0
     # The orchestration target store: this process is its one writer while
     # the shard workers write only their own per-shard stores.
     with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
-        reports = []
-        for spec in specs:
-            report = runner.orchestrate(spec, db, resume=args.resume, workdir=workdir)
-            reports.append(report)
-            records += report.record_count
-            runs += report.run_count
+        report = runner.orchestrate(
+            specs, db, resume=args.resume, workdir=getattr(args, "workdir", None)
+        )
+        for spec, spec_key in zip(report.specs, report.spec_keys):
+            print(records_table(db.records(spec_key), title=f"Sweep: {_sweep_title(spec)}"))
+            print()
+        for worker in report.workers:
+            retries = worker.retries
             print(
-                records_table(
-                    db.records(report.spec_key), title=f"Sweep: {_sweep_title(spec)}"
+                f"  worker {worker.shard_index}/{worker.shard_count}: "
+                f"{worker.store_path} [exit {worker.returncode}]"
+                + (
+                    f" [{retries} retr{'y' if retries == 1 else 'ies'}]"
+                    if retries
+                    else ""
                 )
             )
-            for worker in report.workers:
-                retries = worker.retries
-                print(
-                    f"  worker {worker.shard_index}/{worker.shard_count}: "
-                    f"{worker.store_path} [exit {worker.returncode}]"
-                    + (
-                        f" [{retries} retr{'y' if retries == 1 else 'ies'}]"
-                        if retries
-                        else ""
-                    )
-                )
-                for attempt in worker.attempts:
-                    print(f"    attempt {attempt.attempt}: {attempt.describe()}")
-            print()
+            for attempt in worker.attempts:
+                print(f"    attempt {attempt.attempt}: {attempt.describe()}")
+        print()
         if args.out:
             written = save_stored_sweeps(
-                args.out, [db.stored_sweep(report.spec_key) for report in reports]
+                args.out, [db.stored_sweep(spec_key) for spec_key in report.spec_keys]
             )
             print(f"wrote {written}")
-    carried = sum(r.runs_carried for report in reports for r in report.merge_reports)
+    carried = sum(merge.runs_carried for merge in report.merge_reports)
     print(
-        f"store {args.store}: {records} records, {runs} run(s) across "
-        f"{len(specs)} sweep(s) orchestrated on {runner.backend.worker_count} "
-        f"shard worker(s) ({carried} shard run(s) carried; workdir "
-        f"{reports[-1].workdir})"
+        f"store {args.store}: {report.record_count} records, {report.run_count} "
+        f"run(s) across {len(specs)} sweep(s) orchestrated on "
+        f"{runner.backend.worker_count} shard worker(s) ({carried} shard run(s) "
+        f"carried; workdir {report.workdir})"
     )
 
 
@@ -1175,7 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I,J,...",
         help="run only these 0-based grid point indices (needs --store; how "
-        "cost-sized dispatch drives its workers)",
+        "cost-sized dispatch drives its workers); with several specs, one "
+        "comma list per spec separated by ';' (I,J;K)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -1217,10 +1237,11 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate = subparsers.add_parser(
         "orchestrate",
         help="fan a sweep grid out over local shard workers and merge the results",
-        description="Run each grid as N detached `repro sweep --shard-index` "
-        "subprocess workers (one sqlite store per shard), monitor them, and "
-        "auto-merge the shard stores into OUT_DB with per-shard run history "
-        "carried.  The merged store's --export-json document is "
+        description="Run every grid in one round of N detached `repro sweep "
+        "--shard-index` subprocess workers (each runs its shard of every grid "
+        "into its own sqlite store), monitor them, and auto-merge the shard "
+        "stores into OUT_DB with per-shard run history carried.  The merged "
+        "store's --export-json document is "
         "byte-identical to a serial full run's — the local stand-in for "
         "SSH/CI fan-out.",
     )
@@ -1236,8 +1257,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard workers per grid (default: 3, or one per host with "
-        "--hosts/--hosts-file)",
+        help="shard workers shared by every grid of the run (default: 3, or "
+        "one per host with --hosts/--hosts-file)",
     )
     orchestrate.add_argument(
         "--resume",

@@ -13,7 +13,8 @@ anywhere via :meth:`SweepRunner.run_shard` into its own store, and
 :meth:`SweepDatabase.merge` folds the shard stores back into one database
 record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
 (backend ``shard-workers``) automates that dispatch-monitor-merge cycle
-locally, with a worker-command hook for remote fan-out.  The paper's
+for a whole batch of grids in one round of workers, with a worker-command
+hook for remote fan-out.  The paper's
 experiment drivers
 (:mod:`repro.experiments`) and the ``repro sweep`` CLI are thin layers over
 this package.

@@ -11,11 +11,12 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     the points, workers seeded with the parent's warm system cache, so a
     pool run is byte-for-byte identical to a serial one.
 :class:`ShardWorkerBackend`
-    The local stand-in for SSH/CI fan-out: partitions a grid with
+    The local stand-in for SSH/CI fan-out: partitions a batch of grids with
     :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`, spawns one
     detached ``repro sweep --shard-index i --shard-count n --store``
-    subprocess per shard (each writing its own
-    :class:`~repro.runner.db.SweepDatabase`), supervises them through the
+    subprocess per shard (each running its shard of every grid of the
+    batch into its own :class:`~repro.runner.db.SweepDatabase`), so a
+    batch is one dispatch round on N workers; it supervises them through the
     fault-tolerant dispatch layer (:mod:`repro.runner.dispatch`: worker
     state machine, heartbeats, retry/requeue with resume), and folds the
     shard stores into the target store with
@@ -44,6 +45,7 @@ executor) are new :class:`ExecutionBackend` subclasses registered in
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -109,14 +111,28 @@ def _pool_worker(point: SweepPoint) -> ScheduleResult:
     return execute_point(point, _WORKER_SYSTEM_CACHE)
 
 
+def batch_dirname(specs: Sequence[SweepSpec]) -> str:
+    """The workdir subdirectory name of an orchestrated batch of specs.
+
+    A hash of the batch's spec keys, in batch order.  A one-spec batch keeps
+    the spec's own ``content_key()[:12]``, so single-grid workdirs written
+    before batching still resume.
+    """
+    keys = [spec.content_key() for spec in specs]
+    if len(keys) == 1:
+        return keys[0][:12]
+    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class WorkerPlan:
     """One planned shard worker (what :class:`ShardWorkerBackend` will spawn).
 
     Attributes:
-        shard_index: which shard of the grid this worker executes.
-        shard_count: total number of shards the grid is split into.
-        spec_path: JSON file holding the sweep spec (``SweepSpec.to_dict``).
+        shard_index: which shard of every grid this worker executes.
+        shard_count: total number of shards each grid is split into.
+        spec_path: JSON file holding the batch's spec list
+            (``SweepSpec.to_dict`` per spec, in batch order).
         store_path: sqlite store the worker writes its shard into.
         log_path: file capturing the worker's stdout/stderr.
         argv: the default local command line.  A ``worker_command`` hook
@@ -125,8 +141,6 @@ class WorkerPlan:
             fan-out.
         heartbeat_path: file the worker touches to prove progress (the
             supervisor's liveness signal; defaults next to the log file).
-        point_indices: explicit grid indices this worker executes when the
-            grid was cost-sized (``None`` for equal index/count shards).
     """
 
     shard_index: int
@@ -136,7 +150,6 @@ class WorkerPlan:
     log_path: Path
     argv: tuple[str, ...]
     heartbeat_path: Path | None = None
-    point_indices: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -168,21 +181,24 @@ class WorkerOutcome:
 
 @dataclass(frozen=True)
 class OrchestrationReport:
-    """The outcome of one orchestrated grid run.
+    """The outcome of one orchestrated batch of grids (one dispatch round).
 
     Attributes:
-        spec: the grid that was orchestrated.
-        spec_key: the spec's content key in the target store.
-        workers: every shard worker, in shard order.
+        specs: the grids that were orchestrated, in batch order.
+        spec_keys: their content keys in the target store, in batch order.
+        workers: every shard worker, in shard order; each one ran its shard
+            of every grid of the batch.
         merge_reports: one merge report per shard store, in shard order.
-        record_count: current records the target store holds for the spec.
-        run_count: runs the target store holds for the spec — with history
-            carried, the sum of the shard stores' run counts.
-        workdir: directory holding the shard stores, spec file and logs.
+        record_count: current records the target store holds for the
+            batch's grids.
+        run_count: runs the target store holds for the batch's grids — with
+            history carried, the sum of the shard stores' run counts.
+        workdir: directory holding the batch's subdirectory of shard
+            stores, spec file and logs.
     """
 
-    spec: SweepSpec
-    spec_key: str
+    specs: tuple[SweepSpec, ...]
+    spec_keys: tuple[str, ...]
     workers: tuple[WorkerOutcome, ...]
     merge_reports: tuple["MergeReport", ...]
     record_count: int
@@ -240,7 +256,7 @@ class ExecutionBackend:
 
     def orchestrate(
         self,
-        spec: SweepSpec,
+        specs: Sequence[SweepSpec],
         store: "SweepDatabase",
         *,
         resume: bool = False,
@@ -249,7 +265,7 @@ class ExecutionBackend:
         cache_dir: str | Path | None = None,
         workdir: str | Path | None = None,
     ) -> OrchestrationReport:
-        """Run the whole grid of ``spec`` into ``store`` via dispatched workers.
+        """Run every grid of ``specs`` into ``store`` via dispatched workers.
 
         Raises:
             ConfigurationError: when the backend cannot orchestrate
@@ -347,19 +363,21 @@ class ProcessPoolBackend(ExecutionBackend):
 
 
 class ShardWorkerBackend(ExecutionBackend):
-    """Orchestrate a grid as detached per-shard subprocess workers.
+    """Orchestrate a batch of grids as detached per-shard subprocess workers.
 
     Each worker is an independent ``repro sweep --spec-json ...
-    --shard-index i --shard-count n --store`` process writing its own sqlite
-    store; the backend monitors them and merges the shard stores into the
-    target with history carried, so the merged store's export is
-    byte-identical to a serial run's while ``repro history`` still sees one
-    run per shard.  Locally this proves out the multi-host flow; pointing
+    --shard-index i --shard-count n --store`` process that runs its shard of
+    every grid in the batch's spec file into its own sqlite store, so a
+    batch of any size is one dispatch round on ``workers`` processes.  The
+    backend monitors them and merges the shard stores into the target with
+    history carried, so the merged store's export is byte-identical to a
+    serial run's while ``repro history`` still sees one run per shard per
+    grid.  Locally this proves out the multi-host flow; pointing
     ``worker_command`` at a remote dispatcher turns it into real fan-out
     without touching the engine.
 
     Args:
-        workers: number of shards (and worker processes) per grid.
+        workers: number of shards (and worker processes) per batch.
         strategy: shard partition strategy (see :meth:`SweepSpec.shard
             <repro.runner.spec.SweepSpec.shard>`).
         worker_command: optional hook mapping a :class:`WorkerPlan` to the
@@ -391,6 +409,10 @@ class ShardWorkerBackend(ExecutionBackend):
         checkpoint_every: forwarded to workers as ``--checkpoint``: commit
             every N points so a killed attempt leaves its completed work
             resumable (``None`` keeps single-transaction shard commits).
+
+    The timeout, poll interval and retry settings live only in
+    :attr:`policy`, the :class:`~repro.runner.dispatch.DispatchPolicy` the
+    supervisor reads.
 
     Raises:
         ConfigurationError: for a non-positive worker count, an unknown
@@ -435,8 +457,6 @@ class ShardWorkerBackend(ExecutionBackend):
         self.strategy = strategy
         self.worker_command = worker_command
         self.python = python or sys.executable
-        self.timeout = timeout
-        self.poll_interval = poll_interval
         # Validates max_retries/retry_backoff/heartbeat_timeout eagerly, so
         # a bad flag fails at construction rather than mid-orchestration.
         self.policy = DispatchPolicy(
@@ -453,7 +473,7 @@ class ShardWorkerBackend(ExecutionBackend):
 
     @property
     def worker_count(self) -> int:
-        """Number of shard workers spawned per grid."""
+        """Number of shard workers spawned per batch."""
         return self.workers
 
     # ------------------------------------------------------------------
@@ -461,39 +481,42 @@ class ShardWorkerBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def plan_workers(
         self,
-        spec: SweepSpec,
+        specs: Sequence[SweepSpec],
         workdir: Path,
         *,
         resume: bool = False,
         characterize: bool = False,
         packet_count: int = 200,
         cache_dir: str | Path | None = None,
-        point_groups: Sequence[Sequence[int]] | None = None,
+        point_groups: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> list[WorkerPlan]:
-        """Lay out the shard workers for ``spec`` under ``workdir``.
+        """Lay out the shard workers for the batch ``specs`` under ``workdir``.
 
-        Writes the spec as JSON once (workers rebuild it with
+        Writes the batch as one JSON spec list (workers rebuild it with
         ``repro sweep --spec-json``, so arbitrary grids orchestrate — not
         just the ones expressible through grid flags) and plans one worker
-        per shard, each with its own store, log and heartbeat file.
-        Everything lands in a per-grid subdirectory (keyed by the spec's
-        content hash), so one ``workdir`` serves any number of orchestrated
-        grids without their shard stores colliding.
+        per shard, each running its shard of every spec into its own store,
+        with its own log and heartbeat file.  Everything lands in a
+        per-batch subdirectory (see :func:`batch_dirname`), so one
+        ``workdir`` serves any number of orchestrated batches without their
+        shard stores colliding.
 
-        ``point_groups`` (one index set per worker, from cost-based sizing)
-        switches the worker command line from ``--shard-index/--shard-count``
-        to an explicit ``--points`` list; the groups must be a disjoint
-        cover of the grid, which keeps the merged result byte-identical to
-        any other partition.
+        ``point_groups`` (per worker, one index set per spec, from
+        cost-based sizing) switches the worker command line from
+        ``--shard-index/--shard-count`` to an explicit ``--points`` list,
+        one comma list per spec joined by ``;``.  Each spec's groups must
+        be a disjoint cover of its grid, which keeps the merged result
+        byte-identical to any other partition.
         """
-        workdir = workdir / spec.content_key()[:12]
+        workdir = workdir / batch_dirname(specs)
         workdir.mkdir(parents=True, exist_ok=True)
         spec_path = workdir / "spec.json"
         # Atomic: a worker (or a resumed orchestration) must never read a
         # torn spec file.
         atomic_write_text(
             spec_path,
-            json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n",
+            json.dumps([spec.to_dict() for spec in specs], indent=2, sort_keys=True)
+            + "\n",
         )
         if point_groups is not None and len(point_groups) != self.workers:
             raise ConfigurationError(
@@ -513,10 +536,9 @@ class ShardWorkerBackend(ExecutionBackend):
                 "--store",
                 str(store_path),
             ]
-            indices: tuple[int, ...] | None = None
             if point_groups is not None:
-                indices = tuple(sorted(point_groups[index]))
-                argv.extend(["--points", ",".join(str(i) for i in indices)])
+                per_spec = (",".join(map(str, group)) for group in point_groups[index])
+                argv.extend(["--points", ";".join(per_spec)])
             else:
                 argv.extend(
                     [
@@ -547,54 +569,75 @@ class ShardWorkerBackend(ExecutionBackend):
                     log_path=workdir / f"shard-{index}.log",
                     argv=tuple(argv),
                     heartbeat_path=workdir / f"shard-{index}.heartbeat",
-                    point_indices=indices,
                 )
             )
         return plans
 
     def plan_point_groups(
-        self, spec: SweepSpec, store: "SweepDatabase"
-    ) -> list[tuple[int, ...]] | None:
-        """Cost-balanced index groups for ``spec``, one per worker.
+        self, specs: Sequence[SweepSpec], store: "SweepDatabase"
+    ) -> list[tuple[tuple[int, ...], ...]] | None:
+        """Cost-balanced index groups for the batch: per worker, one per spec.
 
-        Reads the measured mean per-point planning cost from the target
-        store (``SweepDatabase.point_cost_rows``, fed by earlier serial or
-        orchestrated runs of the grid) and packs points onto workers with
-        the greedy longest-processing-time heuristic: points sorted by
-        descending cost, each assigned to the currently lightest worker.
-        Points without a measurement get the mean of the measured costs.
-        Deterministic throughout (stable sort keys, index tie-breaks).
+        Reads each spec's measured mean per-point planning cost from the
+        target store (``SweepDatabase.point_cost_rows``, fed by earlier
+        serial or orchestrated runs of the grid) and packs points onto
+        workers with the greedy longest-processing-time heuristic: points
+        sorted by descending cost, each assigned to the currently lightest
+        worker.  Worker loads carry over from one spec to the next, so the
+        whole batch is balanced, not each grid on its own.  Points without
+        a measurement get the mean of their grid's measured costs.  A spec
+        with no measurements, or with fewer points than workers, keeps its
+        equal :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`
+        slices.  Deterministic throughout (stable sort keys, index
+        tie-breaks).
 
-        Returns ``None`` — meaning "fall back to equal sharding" — when the
-        store holds no measurements for this grid or the grid has fewer
-        points than workers (equal sharding already handles the empty-shard
-        case).
+        Returns ``None`` — meaning "shard every spec equally" — when no spec
+        of the batch has usable measurements.
         """
-        costs = store.point_cost_rows(spec.content_key())
-        if not costs:
-            return None
-        points = spec.points()
-        if len(points) < self.workers:
-            return None
-        mean_cost = sum(costs.values()) / len(costs)
-        weighted = sorted(
-            ((costs.get(point.index, mean_cost), point.index) for point in points),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
         loads = [0.0] * self.workers
-        groups: list[list[int]] = [[] for _ in range(self.workers)]
-        for cost, index in weighted:
-            lightest = min(range(self.workers), key=lambda w: (loads[w], w))
-            loads[lightest] += cost
-            groups[lightest].append(index)
-        return [tuple(sorted(group)) for group in groups]
+        per_spec: list[list[tuple[int, ...]]] = []
+        measured = False
+        for spec in specs:
+            costs = store.point_cost_rows(spec.content_key())
+            points = spec.points()
+            if not costs or len(points) < self.workers:
+                per_spec.append(
+                    [
+                        tuple(
+                            point.index
+                            for point in spec.shard(
+                                worker, self.workers, strategy=self.strategy
+                            )
+                        )
+                        for worker in range(self.workers)
+                    ]
+                )
+                continue
+            measured = True
+            mean_cost = sum(costs.values()) / len(costs)
+            weighted = sorted(
+                ((costs.get(point.index, mean_cost), point.index) for point in points),
+                key=lambda pair: (-pair[0], pair[1]),
+            )
+            groups: list[list[int]] = [[] for _ in range(self.workers)]
+            for cost, index in weighted:
+                lightest = min(range(self.workers), key=lambda w: (loads[w], w))
+                loads[lightest] += cost
+                groups[lightest].append(index)
+            per_spec.append([tuple(sorted(group)) for group in groups])
+        if not measured:
+            return None
+        return [
+            tuple(spec_groups[worker] for spec_groups in per_spec)
+            for worker in range(self.workers)
+        ]
 
     # ------------------------------------------------------------------
     # Orchestration.
     # ------------------------------------------------------------------
     def orchestrate(
         self,
-        spec: SweepSpec,
+        specs: Sequence[SweepSpec],
         store: "SweepDatabase",
         *,
         resume: bool = False,
@@ -603,12 +646,15 @@ class ShardWorkerBackend(ExecutionBackend):
         cache_dir: str | Path | None = None,
         workdir: str | Path | None = None,
     ) -> OrchestrationReport:
-        """Fan the grid out over shard workers and merge the results.
+        """Fan a batch of grids out over the shard workers and merge the results.
 
-        The shard stores are merged with ``carry_history=True``: every
+        The whole batch is one dispatch round: ``workers`` processes in
+        total, each running its shard of every spec, then one merge.  The
+        shard stores are merged with ``carry_history=True``: every
         shard-side run lands in the target (run ids remapped), so the
         target's run count grows by the sum of the shard run counts while
-        its exported document stays byte-identical to a serial full run's.
+        its exported document stays byte-identical to a serial full run's
+        of the same specs in the same order.
 
         Workers run under the fault-tolerant supervisor
         (:class:`~repro.runner.dispatch.WorkerSupervisor`): failed, hung or
@@ -618,7 +664,8 @@ class ShardWorkerBackend(ExecutionBackend):
         and merges are idempotent.
 
         Args:
-            spec: the grid to orchestrate.
+            specs: the grids to orchestrate (a single grid is a one-element
+                sequence).
             store: target store the merged shard results land in.
             resume: forward ``--resume`` to the workers (effective when the
                 shard stores of an earlier run persist under ``workdir``).
@@ -630,6 +677,8 @@ class ShardWorkerBackend(ExecutionBackend):
                 in the raised error).
 
         Raises:
+            ConfigurationError: for an empty batch, or a bare spec where a
+                sequence of specs is expected.
             OrchestrationError: when a worker exhausts its attempts (exit
                 code, last heartbeat age and log tail are included) or an
                 attempt exceeds the timeout with no retries left.
@@ -639,15 +688,22 @@ class ShardWorkerBackend(ExecutionBackend):
         from repro.runner.db import SweepDatabase
         from repro.runner.dispatch import failure_detail
 
+        if isinstance(specs, SweepSpec):
+            raise ConfigurationError(
+                "orchestrate takes a sequence of specs; pass a single grid as [spec]"
+            )
+        specs = tuple(specs)
+        if not specs:
+            raise ConfigurationError("orchestrate needs at least one sweep spec")
         if workdir is None:
             workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-"))
         else:
             workdir = Path(workdir)
         point_groups = (
-            self.plan_point_groups(spec, store) if self.cost_sizing else None
+            self.plan_point_groups(specs, store) if self.cost_sizing else None
         )
         plans = self.plan_workers(
-            spec,
+            specs,
             workdir,
             resume=resume,
             characterize=characterize,
@@ -659,7 +715,7 @@ class ShardWorkerBackend(ExecutionBackend):
         failed = [outcome for outcome in shard_outcomes if not outcome.succeeded]
         if failed:
             details = "; ".join(
-                failure_detail(outcome, attempt_timeout=self.timeout)
+                failure_detail(outcome, attempt_timeout=self.policy.attempt_timeout)
                 for outcome in failed
             )
             raise OrchestrationError(
@@ -679,22 +735,25 @@ class ShardWorkerBackend(ExecutionBackend):
             for outcome in shard_outcomes
         ]
 
-        spec_key = store.ensure_sweep(spec)
+        # Registered in batch order before the merge, so the target lists
+        # the sweeps (and exports them) in the order a serial run would.
+        spec_keys = tuple(store.ensure_sweep(spec) for spec in specs)
         shard_stores = [SweepDatabase.open_reader(plan.store_path) for plan in plans]
         try:
             merge_reports = store.merge_all(
-                shard_stores, expect_spec_key=spec_key, carry_history=True
+                shard_stores, expect_spec_keys=frozenset(spec_keys), carry_history=True
             )
         finally:
             for shard in shard_stores:
                 shard.close()
+        distinct_keys = set(spec_keys)
         return OrchestrationReport(
-            spec=spec,
-            spec_key=spec_key,
+            specs=specs,
+            spec_keys=spec_keys,
             workers=tuple(outcomes),
             merge_reports=merge_reports,
-            record_count=store.record_count(spec_key),
-            run_count=store.run_count(spec_key),
+            record_count=sum(store.record_count(key) for key in distinct_keys),
+            run_count=sum(store.run_count(key) for key in distinct_keys),
             workdir=workdir,
         )
 

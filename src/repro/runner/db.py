@@ -73,7 +73,7 @@ import sqlite3
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from repro.errors import ResultStoreError
 from repro.runner.spec import SweepSpec
@@ -759,7 +759,7 @@ class SweepDatabase:
         self,
         other: "SweepDatabase",
         *,
-        expect_spec_key: str | None = None,
+        expect_spec_keys: Collection[str] | None = None,
         source: str | None = None,
         carry_history: bool = False,
     ) -> MergeReport:
@@ -807,8 +807,9 @@ class SweepDatabase:
 
         Args:
             other: the source store.
-            expect_spec_key: when set, every sweep of ``other`` must carry
-                this spec key — merging a shard of a different grid aborts.
+            expect_spec_keys: when set, every sweep of ``other`` must carry
+                one of these spec keys — merging a shard of a grid outside
+                the expected batch aborts.
             source: override for the runs-table source label (ignored with
                 ``carry_history``, which preserves the source runs' labels).
             carry_history: fold every source run (remapped) instead of only
@@ -819,7 +820,7 @@ class SweepDatabase:
                 record, or a source store that fails its integrity checks.
         """
         self._require_writable("merge into the store")
-        planned = self._plan_merge({}, other, expect_spec_key)
+        planned = self._plan_merge({}, other, expect_spec_keys)
         if carry_history:
             spec_keys = {sweep.spec_key for sweep, _, _ in planned}
             return self._commit_carry(planned, other, self._run_fingerprints(spec_keys))
@@ -831,7 +832,7 @@ class SweepDatabase:
         self,
         others: Sequence["SweepDatabase"],
         *,
-        expect_spec_key: str | None = None,
+        expect_spec_keys: Collection[str] | None = None,
         carry_history: bool = False,
     ) -> tuple[MergeReport, ...]:
         """Fold several stores in, validating ALL of them before writing.
@@ -850,7 +851,7 @@ class SweepDatabase:
         """
         self._require_writable("merge into the store")
         state: dict[str, dict[int, str]] = {}
-        plans = [self._plan_merge(state, other, expect_spec_key) for other in others]
+        plans = [self._plan_merge(state, other, expect_spec_keys) for other in others]
         if carry_history:
             spec_keys = {sweep.spec_key for planned in plans for sweep, _, _ in planned}
             fingerprints = self._run_fingerprints(spec_keys)
@@ -867,7 +868,7 @@ class SweepDatabase:
         self,
         state: dict[str, dict[int, str]],
         other: "SweepDatabase",
-        expect_spec_key: str | None,
+        expect_spec_keys: Collection[str] | None,
     ) -> list[tuple[StoredSweep, list[Mapping], int]]:
         """Validate one source against this store plus already-planned inserts.
 
@@ -878,11 +879,12 @@ class SweepDatabase:
         """
         planned: list[tuple[StoredSweep, list[Mapping], int]] = []
         for sweep in other.stored_sweeps():
-            if expect_spec_key is not None and sweep.spec_key != expect_spec_key:
+            if expect_spec_keys is not None and sweep.spec_key not in expect_spec_keys:
+                expected = ", ".join(sorted(f"{key[:12]}..." for key in expect_spec_keys))
                 raise ResultStoreError(
                     f"cannot merge {other.path}: sweep {sweep.spec.name!r} has "
-                    f"spec key {sweep.spec_key[:12]}..., expected "
-                    f"{expect_spec_key[:12]}... (a shard of a different grid)"
+                    f"spec key {sweep.spec_key[:12]}..., expected one of "
+                    f"{expected} (a shard of a different grid)"
                 )
             # Not setdefault: its default argument is evaluated eagerly, and
             # loading the target's current records must happen once per spec

@@ -341,15 +341,16 @@ class SweepRunner:
         set (``repro sweep --points``).  Points keep their global indices
         (``SweepSpec.points_at``), so any disjoint cover of the grid merges
         back byte-identical to a serial full run, exactly like the built-in
-        shard strategies.  The run lands with source ``points:<n>``.
+        shard strategies.  The run lands with source ``points:<n>``.  An
+        empty selection (a batch worker that holds none of this grid's
+        points) records an empty run, like an empty shard.
 
         Raises:
-            ConfigurationError: for an empty or out-of-range selection, or
-                when the configured backend cannot execute points
-                in-process.
+            ConfigurationError: for an out-of-range selection, or when the
+                configured backend cannot execute points in-process.
         """
         self._require_inline("run_points()")
-        points = spec.points_at(indices)
+        points = spec.points_at(indices) if indices else ()
         return self._run_into_store(
             spec,
             store,
@@ -361,26 +362,29 @@ class SweepRunner:
 
     def orchestrate(
         self,
-        spec: SweepSpec,
+        specs: Sequence[SweepSpec],
         store: "SweepDatabase",
         *,
         resume: bool = False,
         workdir: str | Path | None = None,
     ) -> OrchestrationReport:
-        """Run the whole grid of ``spec`` into ``store`` via the backend's workers.
+        """Run every grid of ``specs`` into ``store`` via the backend's workers.
 
-        The orchestration counterpart of :meth:`run_stored`: the backend
-        partitions the grid, dispatches one worker per shard (each into its
-        own store), and merges the shard stores into ``store`` with history
-        carried — the merged store exports byte-identical to a serial full
-        run, and its run count equals the sum of the shard run counts.  The
-        runner's characterisation settings (``characterize``,
+        The orchestration counterpart of :meth:`run_stored`: the whole batch
+        is one dispatch round — the backend partitions every grid, dispatches
+        one worker per shard (each running its shard of every grid into its
+        own store), and merges the shard stores into ``store`` once, with
+        history carried.  The merged store exports byte-identical to a
+        serial full run of the same specs, and its run count equals the sum
+        of the shard run counts.  A single grid is a one-element sequence.
+        The runner's characterisation settings (``characterize``,
         ``packet_count``, ``cache_dir``) are forwarded to the workers so an
         orchestrated run is configured exactly like an in-process one.
 
         Raises:
             ConfigurationError: when the configured backend cannot
-                orchestrate (only the shard-worker backend can).
+                orchestrate (only the shard-worker backend can), or for an
+                empty batch.
             OrchestrationError: when a worker fails or times out.
             ResultStoreError: when the shard stores fail merge validation.
         """
@@ -391,7 +395,7 @@ class SweepRunner:
                 "(repro orchestrate / --backend shard-workers)"
             )
         return self.backend.orchestrate(
-            spec,
+            specs,
             store,
             resume=resume,
             characterize=self.characterize,

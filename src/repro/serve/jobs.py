@@ -398,7 +398,7 @@ class SweepJobQueue:
             )
             if isinstance(runner.backend, ShardWorkerBackend):
                 report = runner.orchestrate(
-                    job.spec, store, resume=job.resume, workdir=self.workdir
+                    [job.spec], store, resume=job.resume, workdir=self.workdir
                 )
                 executed, skipped, run_id = report.record_count, 0, None
             else:

@@ -31,7 +31,7 @@ def serial_export(spec, tmp_path_factory):
     return save_sweeps(out, [(spec, SweepRunner(jobs=1).run(spec))]).read_bytes()
 
 
-def orchestrate_with_chaos(spec, tmp_path, monkeypatch, faults, **backend_kwargs):
+def orchestrate_with_chaos(specs, tmp_path, monkeypatch, faults, **backend_kwargs):
     monkeypatch.setenv(CHAOS_ENV, json.dumps(faults))
     backend = ShardWorkerBackend(
         workers=3,
@@ -42,10 +42,10 @@ def orchestrate_with_chaos(spec, tmp_path, monkeypatch, faults, **backend_kwargs
     )
     with SweepDatabase(tmp_path / "merged.db") as db:
         report = SweepRunner(backend=backend).orchestrate(
-            spec, db, workdir=tmp_path / "work"
+            specs, db, workdir=tmp_path / "work"
         )
         exported = db.export_document(tmp_path / "merged.json").read_bytes()
-        run_count = db.run_count(report.spec_key)
+        run_count = db.run_count()
     return report, exported, run_count
 
 
@@ -64,7 +64,7 @@ class TestCrashRequeue:
         """Kill worker 0 after one committed point; the retry resumes the
         shard store and the merged export matches serial byte for byte."""
         report, exported, run_count = orchestrate_with_chaos(
-            spec,
+            [spec],
             tmp_path,
             monkeypatch,
             [{"kind": "crash", "shard": 0, "attempt": 1, "after_points": 1}],
@@ -100,12 +100,49 @@ class TestCrashRequeue:
         )
         with SweepDatabase(tmp_path / "merged.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
-                spec, db, workdir=tmp_path / "work"
+                [spec], db, workdir=tmp_path / "work"
             )
             exported = db.export_document(tmp_path / "merged.json").read_bytes()
         assert exported == serial_export
         assert sum(w.retries for w in report.workers) == 2
         assert all(w.state is WorkerState.FINISHED for w in report.workers)
+
+
+class TestBatchCrashRequeue:
+    def test_crash_in_a_two_spec_batch_resumes_both_specs(
+        self, tmp_path, monkeypatch
+    ):
+        """Worker 0 of a d695_leon + d695_plasma batch commits one point of
+        the first grid, then crashes; its one retry resumes the shard of
+        both grids and the export still matches serial byte for byte."""
+        specs = [figure1_spec("d695_leon"), figure1_spec("d695_plasma")]
+        runner = SweepRunner(jobs=1)
+        serial = save_sweeps(
+            tmp_path / "serial.json", [(spec, runner.run(spec)) for spec in specs]
+        ).read_bytes()
+        report, exported, run_count = orchestrate_with_chaos(
+            specs,
+            tmp_path,
+            monkeypatch,
+            [{"kind": "crash", "shard": 0, "attempt": 1, "after_points": 2}],
+        )
+        assert exported == serial
+        crashed = report.workers[0]
+        assert [a.state for a in crashed.attempts] == [
+            WorkerState.FAILED,
+            WorkerState.FINISHED,
+        ]
+        assert sum(w.retries for w in report.workers) == 1
+        assert run_count == sum(shard_run_counts(report))
+        first, second = report.spec_keys
+        with SweepDatabase(crashed.store_path) as shard:
+            runs = shard.runs()
+            assert shard.record_count(first) == shard.record_count(second) == 3
+        # Attempt 1 committed point 0 (checkpoint 1) before the crash; the
+        # retry skipped it and executed the rest of both shards.
+        assert [r.executed_points for r in runs if r.spec_key == first] == [1, 1, 1]
+        assert sum(r.skipped_points for r in runs if r.spec_key == first) == 1
+        assert sum(r.executed_points for r in runs if r.spec_key == second) == 3
 
 
 class TestHangRequeue:
@@ -115,7 +152,7 @@ class TestHangRequeue:
         """A worker that stops beating mid-shard is declared Lost, killed,
         and its shard resumed on a fresh attempt."""
         report, exported, run_count = orchestrate_with_chaos(
-            spec,
+            [spec],
             tmp_path,
             monkeypatch,
             [{"kind": "hang", "shard": 1, "attempt": 1, "after_points": 1}],
@@ -137,7 +174,7 @@ class TestCorruptExitRequeue:
         resume run must execute zero points and the export stays identical
         (idempotent merge, no duplicated records)."""
         report, exported, _ = orchestrate_with_chaos(
-            spec,
+            [spec],
             tmp_path,
             monkeypatch,
             [{"kind": "corrupt-exit", "shard": 0, "attempt": 1, "exit_code": 41}],
@@ -161,7 +198,7 @@ class TestSlowStart:
         self, spec, tmp_path, monkeypatch, serial_export
     ):
         report, exported, _ = orchestrate_with_chaos(
-            spec,
+            [spec],
             tmp_path,
             monkeypatch,
             [{"kind": "slow-start", "shard": 2, "delay": 0.5}],
@@ -187,7 +224,7 @@ class TestExhaustedRetries:
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 70") as excinfo:
                 SweepRunner(backend=backend).orchestrate(
-                    spec, db, workdir=tmp_path / "work"
+                    [spec], db, workdir=tmp_path / "work"
                 )
             assert "2 attempt(s)" in str(excinfo.value)
             assert db.record_count() == 0  # failed orchestration merges nothing

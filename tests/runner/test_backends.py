@@ -1,6 +1,7 @@
 """Tests of the pluggable execution backends and the shard-worker orchestrator."""
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.runner.backends import (
     RemoteDispatchBackend,
     SerialBackend,
     ShardWorkerBackend,
+    batch_dirname,
     make_backend,
 )
 from repro.runner.db import SweepDatabase
@@ -27,6 +29,36 @@ def small_spec():
         processor_counts=(0, 2),
         power_limits=(("no power limit", None),),
     )
+
+
+@pytest.fixture(scope="module")
+def batch_specs():
+    """A two-system batch: the d695 Figure 1 grids of both processors."""
+    from repro.experiments.figure1 import figure1_spec
+
+    return [figure1_spec("d695_leon"), figure1_spec("d695_plasma")]
+
+
+@pytest.fixture(scope="module")
+def batch_serial_export(batch_specs, tmp_path_factory):
+    """The serial export of the batch, every spec run in batch order."""
+    runner = SweepRunner(jobs=1)
+    out = tmp_path_factory.mktemp("batch-serial") / "serial.json"
+    return save_sweeps(out, [(spec, runner.run(spec)) for spec in batch_specs]).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def orchestrated_batch(batch_specs, tmp_path_factory):
+    """The batch orchestrated over 3 shard workers: report, export and runs."""
+    root = tmp_path_factory.mktemp("batch")
+    backend = ShardWorkerBackend(workers=3)
+    with SweepDatabase(root / "merged.db") as db:
+        report = SweepRunner(backend=backend).orchestrate(
+            batch_specs, db, workdir=root / "work"
+        )
+        exported = db.export_document(root / "merged.json").read_bytes()
+        runs = db.runs()
+    return report, exported, runs
 
 
 class TestRegistry:
@@ -118,13 +150,13 @@ class TestCapabilityChecks:
         with SweepDatabase(tmp_path / "s.db") as db:
             for backend in (SerialBackend(), ProcessPoolBackend(jobs=2)):
                 with pytest.raises(ConfigurationError, match="orchestrate"):
-                    SweepRunner(backend=backend).orchestrate(small_spec, db)
+                    SweepRunner(backend=backend).orchestrate([small_spec], db)
 
 
 class TestWorkerPlanning:
     def test_plans_one_worker_per_shard(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=3, strategy="strided")
-        plans = backend.plan_workers(small_spec, tmp_path)
+        plans = backend.plan_workers([small_spec], tmp_path)
         assert [plan.shard_index for plan in plans] == [0, 1, 2]
         assert len({plan.store_path for plan in plans}) == 3
         for plan in plans:
@@ -139,7 +171,7 @@ class TestWorkerPlanning:
     def test_characterisation_settings_forwarded(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
         plans = backend.plan_workers(
-            small_spec,
+            [small_spec],
             tmp_path,
             characterize=True,
             packet_count=40,
@@ -169,9 +201,9 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=3)
         runner = SweepRunner(backend=backend)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            report = runner.orchestrate(spec, db, workdir=tmp_path / "work")
+            report = runner.orchestrate([spec], db, workdir=tmp_path / "work")
             exported = db.export_document(tmp_path / "merged.json")
-            assert db.run_count(report.spec_key) == report.run_count
+            assert db.run_count(report.spec_keys[0]) == report.run_count
         assert exported.read_bytes() == serial.read_bytes()
 
         assert [w.returncode for w in report.workers] == [0, 0, 0]
@@ -188,7 +220,7 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=4)
         with SweepDatabase(tmp_path / "merged.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
-                small_spec, db, workdir=tmp_path / "work"
+                [small_spec], db, workdir=tmp_path / "work"
             )
             assert report.record_count == small_spec.point_count == 2
             assert report.run_count == 4  # empty shards still record their run
@@ -209,7 +241,7 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=2, worker_command=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             SweepRunner(backend=backend).orchestrate(
-                small_spec, db, workdir=tmp_path / "work"
+                [small_spec], db, workdir=tmp_path / "work"
             )
         assert [plan.shard_index for plan in seen] == [0, 1]
         assert all(plan.argv[0] == sys.executable for plan in seen)
@@ -226,7 +258,7 @@ class TestShardWorkerOrchestration:
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 3"):
                 SweepRunner(backend=backend).orchestrate(
-                    small_spec, db, workdir=tmp_path / "work"
+                    [small_spec], db, workdir=tmp_path / "work"
                 )
             # The failed orchestration must not have merged anything.
             assert db.record_count() == 0
@@ -241,7 +273,7 @@ class TestShardWorkerOrchestration:
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="still running"):
                 SweepRunner(backend=backend).orchestrate(
-                    small_spec, db, workdir=tmp_path / "work"
+                    [small_spec], db, workdir=tmp_path / "work"
                 )
             assert db.record_count() == 0
 
@@ -251,7 +283,7 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=2)
         with SweepDatabase(tmp_path / "merged.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
-                small_spec, db, workdir=tmp_path / "work"
+                [small_spec], db, workdir=tmp_path / "work"
             )
             run_count = db.run_count()
             for worker in report.workers:
@@ -260,9 +292,57 @@ class TestShardWorkerOrchestration:
                 assert again.runs_carried == 0
                 assert again.inserted == 0
             assert db.run_count() == run_count
-            assert db.records(report.spec_key) == [
+            assert db.records(report.spec_keys[0]) == [
                 o.record() for o in SweepRunner(jobs=1).run(small_spec)
             ]
+
+
+class TestBatchOrchestration:
+    """A batch of grids is one dispatch round on the same N workers."""
+
+    def test_two_system_batch_byte_identical_to_serial(
+        self, orchestrated_batch, batch_serial_export
+    ):
+        _, exported, _ = orchestrated_batch
+        assert exported == batch_serial_export
+
+    def test_batch_makes_one_first_attempt_per_worker(self, orchestrated_batch):
+        """3 workers for 2 grids: 3 first attempts, not one round per grid."""
+        report, _, _ = orchestrated_batch
+        assert len(report.workers) == 3
+        attempts = [a.attempt for worker in report.workers for a in worker.attempts]
+        assert attempts == [1, 1, 1]
+
+    def test_batch_run_count_is_specs_times_workers(
+        self, orchestrated_batch, batch_specs
+    ):
+        report, _, runs = orchestrated_batch
+        assert report.spec_keys == tuple(spec.content_key() for spec in batch_specs)
+        assert report.record_count == sum(spec.point_count for spec in batch_specs)
+        assert report.run_count == len(runs) == 2 * 3
+        assert Counter(run.source for run in runs) == {
+            f"shard:{index}/3": 2 for index in range(3)
+        }
+        assert Counter(run.spec_key for run in runs) == {
+            key: 3 for key in report.spec_keys
+        }
+
+    def test_batch_workdir_is_keyed_by_its_spec_keys(self, batch_specs, orchestrated_batch):
+        """A one-spec batch keeps the single-grid subdirectory name, so older
+        workdirs still resume; a batch hashes its keys in batch order."""
+        report, _, _ = orchestrated_batch
+        first, second = batch_specs
+        assert batch_dirname([first]) == first.content_key()[:12]
+        assert batch_dirname(batch_specs) != batch_dirname([second, first])
+        assert report.workers[0].store_path.parent.name == batch_dirname(batch_specs)
+
+    def test_orchestrate_needs_a_sequence_of_specs(self, small_spec, tmp_path):
+        runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
+        with SweepDatabase(tmp_path / "s.db") as db:
+            with pytest.raises(ConfigurationError, match=r"\[spec\]"):
+                runner.orchestrate(small_spec, db)
+            with pytest.raises(ConfigurationError, match="at least one"):
+                runner.orchestrate([], db)
 
 
 class TestCostBasedSharding:
@@ -276,12 +356,12 @@ class TestCostBasedSharding:
         backend = ShardWorkerBackend(workers=2, cost_sizing=True)
         with SweepDatabase(tmp_path / "empty.db") as db:
             db.ensure_sweep(small_spec)
-            assert backend.plan_point_groups(small_spec, db) is None
+            assert backend.plan_point_groups([small_spec], db) is None
 
     def test_fewer_points_than_workers_falls_back(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=4, cost_sizing=True)
         with self.seeded_store(small_spec, tmp_path / "s.db", {0: 1.0}) as db:
-            assert backend.plan_point_groups(small_spec, db) is None
+            assert backend.plan_point_groups([small_spec], db) is None
 
     def test_lpt_balances_measured_costs(self, tmp_path):
         """One dominant point gets a worker to itself; the cheap points pack
@@ -295,22 +375,21 @@ class TestCostBasedSharding:
         costs = {0: 10.0, 1: 1.0, 2: 1.0}  # point 3 unmeasured -> mean 4.0
         backend = ShardWorkerBackend(workers=2, cost_sizing=True)
         with self.seeded_store(spec, tmp_path / "s.db", costs) as db:
-            groups = backend.plan_point_groups(spec, db)
-            again = backend.plan_point_groups(spec, db)
+            groups = backend.plan_point_groups([spec], db)
+            again = backend.plan_point_groups([spec], db)
         assert groups == again  # deterministic
-        assert groups == [(0,), (1, 2, 3)]
-        assert sorted(i for group in groups for i in group) == [0, 1, 2, 3]
+        assert groups == [((0,),), ((1, 2, 3),)]
+        assert sorted(i for (group,) in groups for i in group) == [0, 1, 2, 3]
 
     def test_point_groups_flow_into_worker_argv(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
         plans = backend.plan_workers(
-            small_spec, tmp_path, point_groups=[(1,), (0,)]
+            [small_spec], tmp_path, point_groups=[((1,),), ((0,),)]
         )
         for plan, expected in zip(plans, ("1", "0")):
             position = plan.argv.index("--points")
             assert plan.argv[position + 1] == expected
             assert "--shard-index" not in plan.argv
-        assert [plan.point_indices for plan in plans] == [(1,), (0,)]
 
     def test_cost_sized_orchestration_matches_serial(self, small_spec, tmp_path):
         """End to end: measure costs with a serial store-backed run, then
@@ -320,8 +399,61 @@ class TestCostBasedSharding:
             assert db.point_cost_rows(small_spec.content_key())
             backend = ShardWorkerBackend(workers=2, cost_sizing=True)
             report = SweepRunner(backend=backend).orchestrate(
-                small_spec, db, workdir=tmp_path / "work", resume=False
+                [small_spec], db, workdir=tmp_path / "work", resume=False
             )
             records = db.records(small_spec.content_key())
         assert report.record_count == small_spec.point_count
         assert records == [o.record() for o in SweepRunner(jobs=1).run(small_spec)]
+
+    def test_unmeasured_spec_of_a_batch_keeps_its_shard_slices(
+        self, small_spec, tmp_path
+    ):
+        """One measured and one unmeasured grid still plan one round: the
+        unmeasured grid contributes its equal ``spec.shard`` slices."""
+        measured = SweepSpec(
+            name="measured-grid",
+            systems=("d695_leon",),
+            processor_counts=(0, 2, 4),
+            power_limits=(("no power limit", None),),
+        )
+        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        with self.seeded_store(measured, tmp_path / "s.db", {0: 5.0, 1: 1.0}) as db:
+            groups = backend.plan_point_groups([measured, small_spec], db)
+        assert [worker[1] for worker in groups] == [
+            tuple(p.index for p in small_spec.shard(w, 2)) for w in range(2)
+        ]
+        assert sorted(i for worker in groups for i in worker[0]) == [0, 1, 2]
+
+    def test_cost_sized_batch_matches_serial(
+        self, batch_specs, batch_serial_export, tmp_path
+    ):
+        """Measured costs for both grids, then one cost-sized round: every
+        worker gets a ';'-joined --points list and the export matches serial."""
+        costs = {}
+        with SweepDatabase(tmp_path / "measured.db") as measured:
+            for spec in batch_specs:
+                SweepRunner(jobs=1).run_stored(spec, measured)
+                costs[spec] = measured.point_cost_rows(spec.content_key())
+        seen = []
+
+        def passthrough(plan):
+            seen.append(plan)
+            return plan.argv
+
+        backend = ShardWorkerBackend(
+            workers=3, cost_sizing=True, worker_command=passthrough
+        )
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            for spec in batch_specs:
+                db.record_run(
+                    db.ensure_sweep(spec), [], executed=0, skipped=0, point_costs=costs[spec]
+                )
+            report = SweepRunner(backend=backend).orchestrate(
+                batch_specs, db, workdir=tmp_path / "work"
+            )
+            exported = db.export_document(tmp_path / "merged.json").read_bytes()
+        assert exported == batch_serial_export
+        assert len(seen) == len(report.workers) == 3
+        for plan in seen:
+            assert "--shard-index" not in plan.argv
+            assert plan.argv[plan.argv.index("--points") + 1].count(";") == 1

@@ -318,7 +318,7 @@ class TestMerge:
             assert len(target.runs()) == runs_before
 
     def test_merge_mismatched_spec_key_rejected(self, spec, serial_records, tmp_path):
-        """With expect_spec_key, a shard of a different grid is refused."""
+        """With expect_spec_keys, a shard of a grid outside the batch is refused."""
         other_spec = SweepSpec(
             name="other-grid", systems=("d695_leon",), processor_counts=(0,)
         )
@@ -327,7 +327,7 @@ class TestMerge:
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(tmp_path / "shard.db") as shard:
                 with pytest.raises(ResultStoreError, match="different grid"):
-                    target.merge(shard, expect_spec_key=spec.content_key())
+                    target.merge(shard, expect_spec_keys={spec.content_key()})
             assert target.spec_keys() == []
 
     def test_merge_records_run_source(self, spec, serial_records, tmp_path):

@@ -896,6 +896,65 @@ class TestPointSelectionFlags:
         )
         assert "--store" in capsys.readouterr().err
 
+    def test_point_groups_batch_form(self):
+        """One comma list per spec, ';'-separated; a list may be empty."""
+        from repro.cli import _parse_point_groups
+
+        assert _parse_point_groups("0,2;1", 2) == [(0, 2), (1,)]
+        assert _parse_point_groups("2,0;", 2) == [(0, 2), ()]
+
+    def test_point_groups_single_list_keeps_its_meaning(self):
+        """Without ';' the list names the same indices of every spec."""
+        from repro.cli import _parse_point_groups
+
+        assert _parse_point_groups("2,0,2", 1) == [(0, 2)]
+        assert _parse_point_groups("0,2", 3) == [(0, 2)] * 3
+
+    def test_point_groups_count_must_match_the_specs(self):
+        from repro.cli import _parse_point_groups
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="one list per spec"):
+            _parse_point_groups("0,2;1", 3)
+        with pytest.raises(ConfigurationError, match="one list per spec"):
+            _parse_point_groups("0;1;2", 2)
+        with pytest.raises(ConfigurationError, match="no grid indices"):
+            _parse_point_groups(" , ", 2)
+
+    def test_point_groups_drive_a_spec_list(self, capsys, tmp_path):
+        """A worker of a batch runs each spec's own slice of its spec file."""
+        import json
+
+        from repro.runner.spec import SweepSpec
+
+        specs = [
+            SweepSpec(
+                name=f"batch-{system}",
+                systems=(system,),
+                processor_counts=(0, 2),
+                power_limits=(("no power limit", None),),
+            )
+            for system in ("d695_leon", "d695_plasma")
+        ]
+        spec_file = tmp_path / "specs.json"
+        spec_file.write_text(json.dumps([spec.to_dict() for spec in specs]), encoding="utf-8")
+        base = [
+            "sweep",
+            "--spec-json",
+            str(spec_file),
+            "--no-characterize",
+            "--store",
+            str(tmp_path / "s.db"),
+        ]
+        assert main([*base, "--points", "1;"]) == 0
+        assert "1 executed, 0 skipped across 2 sweep(s) [points 1]" in capsys.readouterr().out
+        assert main([*base, "--points", "0;0,1"]) == 0
+        assert "3 executed, 0 skipped" in capsys.readouterr().out
+        assert main([*base, "--resume"]) == 0
+        assert "0 executed, 4 skipped" in capsys.readouterr().out
+        assert main([*base, "--points", "0;1;0"]) == 1
+        assert "one list per spec" in capsys.readouterr().err
+
 
 class TestRemoteDispatchFlags:
     def test_hosts_require_the_remote_backend(self, capsys, tmp_path):
