@@ -77,7 +77,7 @@ from repro.experiments.figure1 import (
 )
 from repro.runner.backends import (
     BACKEND_FACTORIES,
-    RemoteDispatchBackend,
+    REMOTE_BACKEND,
     ShardWorkerBackend,
     make_backend,
 )
@@ -496,19 +496,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--checkpoint commits completed points to the sqlite store in "
             "chunks; it needs --store"
         )
-    orchestrated = args.backend in (ShardWorkerBackend.name, RemoteDispatchBackend.name)
+    orchestrated = args.backend in (ShardWorkerBackend.name, REMOTE_BACKEND)
     hosts = _parse_host_list(args)
-    if hosts is not None and args.backend != RemoteDispatchBackend.name:
+    if hosts is not None and args.backend != REMOTE_BACKEND:
         raise ConfigurationError(
             "--hosts/--hosts-file configure the remote backend; add "
             "--backend remote"
         )
-    if args.launcher is not None and args.backend != RemoteDispatchBackend.name:
+    if args.launcher is not None and args.backend != REMOTE_BACKEND:
         raise ConfigurationError(
             "--launcher picks how the remote backend spawns workers; add "
             "--backend remote"
         )
-    if args.backend == RemoteDispatchBackend.name and hosts is None:
+    if args.backend == REMOTE_BACKEND and hosts is None:
         raise ConfigurationError(
             "--backend remote needs a host list "
             "(--hosts h1,h2,... or --hosts-file)"
@@ -534,6 +534,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"--backend {args.backend} needs --store: the shard workers' "
                 "results are merged into a sqlite store"
             )
+        if args.jobs != 1:
+            raise ConfigurationError(
+                f"the {args.backend} backend is sized with workers, not "
+                f"jobs={args.jobs}; use --workers (jobs configures the "
+                "in-process backends)"
+            )
         if args.shard_count is not None:
             raise ConfigurationError(
                 f"--backend {args.backend} partitions the grid itself; drop "
@@ -551,18 +557,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "survive in a persistent work directory"
             )
 
-    backend = None
-    if args.backend is not None:
-        backend = make_backend(
-            args.backend,
-            jobs=args.jobs,
+    if orchestrated:
+        backend = ShardWorkerBackend(
             workers=args.workers,
             strategy=args.shard_strategy,
             hosts=hosts,
             launcher=args.launcher,
+            checkpoint_every=args.checkpoint,
         )
-        if orchestrated and args.checkpoint is not None:
-            backend.checkpoint_every = args.checkpoint
+    elif args.backend is not None:
+        backend = make_backend(args.backend, jobs=args.jobs)
+    else:
+        backend = None
     runner = SweepRunner(
         jobs=args.jobs,
         backend=backend,
@@ -577,19 +583,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _run_sweeps_orchestrated(args, runner, specs)
         return 0
 
-    # Computed before executing anything so an out-of-range shard index
+    # Each spec's slice (--points, or the --shard-index shard's indices),
+    # resolved before executing anything so an out-of-range shard index
     # (or point index) fails fast instead of after the first grid ran.
-    point_groups = (
-        _parse_point_groups(args.points, len(specs)) if args.points is not None else None
-    )
+    if args.points is not None:
+        point_groups = _parse_point_groups(args.points, len(specs))
+    elif args.shard_count is not None:
+        shards = (
+            spec.shard(args.shard_index, args.shard_count, strategy=args.shard_strategy)
+            for spec in specs
+        )
+        point_groups = [tuple(point.index for point in shard) for shard in shards]
+    else:
+        point_groups = None
     if point_groups is not None:
         planned_points = sum(
             len(spec.points_at(group)) for spec, group in zip(specs, point_groups) if group
-        )
-    elif args.shard_count is not None:
-        planned_points = sum(
-            len(spec.shard(args.shard_index, args.shard_count, strategy=args.shard_strategy))
-            for spec in specs
         )
     else:
         planned_points = sum(spec.point_count for spec in specs)
@@ -649,9 +658,11 @@ def _run_sweeps_stored(
 ) -> None:
     """Execute every spec (or one slice of it) against the sqlite store.
 
-    ``point_groups`` (from ``--points``) names each spec's slice.
+    ``point_groups`` (from ``--points`` or the shard flags) names each
+    spec's slice.
     """
     sharded = args.shard_count is not None
+    source = f"shard:{args.shard_index}/{args.shard_count}" if sharded else None
     executed = skipped = 0
     # A sweep run is a genuine writer entry point: this process owns the
     # (shard) store for the duration of the run.
@@ -660,16 +671,7 @@ def _run_sweeps_stored(
         for position, spec in enumerate(specs):
             if point_groups is not None:
                 report = runner.run_points(
-                    spec, db, point_groups[position], resume=args.resume
-                )
-            elif sharded:
-                report = runner.run_shard(
-                    spec,
-                    db,
-                    shard_index=args.shard_index,
-                    shard_count=args.shard_count,
-                    strategy=args.shard_strategy,
-                    resume=args.resume,
+                    spec, db, point_groups[position], resume=args.resume, source=source
                 )
             else:
                 report = runner.run_stored(spec, db, resume=args.resume)
@@ -689,7 +691,7 @@ def _run_sweeps_stored(
         + (f" [shard {args.shard_index}/{args.shard_count}]" if sharded else "")
         + (
             f" [points {sum(len(group) for group in point_groups)}]"
-            if point_groups is not None
+            if args.points is not None
             else ""
         )
         + (" [resume]" if args.resume else "")
@@ -755,38 +757,23 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             "--launcher picks how remote workers are spawned; it needs a "
             "host list (--hosts h1,h2,... or --hosts-file)"
         )
-    cost_sizing = (
-        args.cost_shards if args.cost_shards is not None else hosts is not None
+    # Unset flags stay None: the backend derives them (host-pool defaults
+    # with hosts); only the local worker count differs from its default.
+    workers = args.workers
+    if workers is None and hosts is None:
+        workers = 3
+    backend = ShardWorkerBackend(
+        workers=workers,
+        strategy=args.shard_strategy,
+        timeout=args.worker_timeout,
+        max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
+        heartbeat_timeout=args.heartbeat_timeout,
+        hosts=hosts,
+        launcher=args.launcher,
+        cost_sizing=args.cost_shards,
+        checkpoint_every=args.checkpoint,
     )
-    max_retries = (
-        args.max_retries
-        if args.max_retries is not None
-        else (2 if hosts is not None else 0)
-    )
-    if hosts is not None:
-        backend = RemoteDispatchBackend(
-            hosts,
-            workers=args.workers,
-            strategy=args.shard_strategy,
-            timeout=args.worker_timeout,
-            max_retries=max_retries,
-            retry_backoff=args.retry_backoff,
-            heartbeat_timeout=args.heartbeat_timeout,
-            launcher=args.launcher if args.launcher is not None else "ssh",
-            cost_sizing=cost_sizing,
-            checkpoint_every=args.checkpoint if args.checkpoint is not None else 1,
-        )
-    else:
-        backend = ShardWorkerBackend(
-            workers=args.workers if args.workers is not None else 3,
-            strategy=args.shard_strategy,
-            timeout=args.worker_timeout,
-            max_retries=max_retries,
-            retry_backoff=args.retry_backoff,
-            heartbeat_timeout=args.heartbeat_timeout,
-            cost_sizing=cost_sizing,
-            checkpoint_every=args.checkpoint,
-        )
     runner = SweepRunner(
         backend=backend,
         cache_dir=args.cache_dir,

@@ -9,12 +9,12 @@ and persist the outcome as schema-versioned JSON with :func:`save_sweeps` /
 (crash-safe, accumulates across runs, and enables incremental re-runs via
 :meth:`SweepRunner.run_stored`).  Grids also execute sharded: each
 deterministic shard of the point order (:meth:`SweepSpec.shard`) runs
-anywhere via :meth:`SweepRunner.run_shard` into its own store, and
+anywhere via :meth:`SweepRunner.run_points` into its own store, and
 :meth:`SweepDatabase.merge` folds the shard stores back into one database
 record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
 (backend ``shard-workers``) automates that dispatch-monitor-merge cycle
-for a whole batch of grids in one round of workers, with a worker-command
-hook for remote fan-out.  The paper's
+for a whole batch of grids in one round of workers, with a launcher hook
+for remote fan-out.  The paper's
 experiment drivers
 (:mod:`repro.experiments`) and the ``repro sweep`` CLI are thin layers over
 this package.

@@ -11,7 +11,7 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     the points, workers seeded with the parent's warm system cache, so a
     pool run is byte-for-byte identical to a serial one.
 :class:`ShardWorkerBackend`
-    The local stand-in for SSH/CI fan-out: partitions a batch of grids with
+    Partitions a batch of grids with
     :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`, spawns one
     detached ``repro sweep --shard-index i --shard-count n --store``
     subprocess per shard (each running its shard of every grid of the
@@ -22,19 +22,17 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     shard stores into the target store with
     :meth:`SweepDatabase.merge_all <repro.runner.db.SweepDatabase.merge_all>`
     (``carry_history=True``, so per-shard run trajectories survive the
-    merge).  A ``worker_command`` hook rewrites the spawned command line,
-    which is where a custom dispatcher (a CI job submitter) slots in.
-:class:`RemoteDispatchBackend`
-    The shard-worker backend pointed at a real host pool (``--hosts``):
-    worker commands go through a pluggable *launcher* (``ssh`` by default,
-    plain subprocess for tests), shards are sized by measured per-point
-    cost from the history store when available, and retries requeue onto
-    surviving hosts.
+    merge).  Without hosts the workers are local subprocesses; given a host
+    pool (``hosts``, the ``remote`` backend name) it derives remote-leaning
+    defaults — one worker per host, the ``ssh`` launcher, retries,
+    cost-sized shards and per-point checkpoints.  The *launcher* hook maps
+    each worker's command line to the spawned command, which is where a
+    custom dispatcher (a CI job submitter) slots in.
 
 Backends differ in *capability*, not just speed: the first two execute
 arbitrary point sequences in-process (``supports_inline``) and therefore
-serve every ``SweepRunner`` entry point, while the shard-worker backends
-only orchestrate whole grids into a store (``supports_orchestration``) — the
+serve every ``SweepRunner`` entry point, while the shard-worker backend
+only orchestrates whole grids into a store (``supports_orchestration``) — the
 runner checks the capability at the call site and fails with a clear
 :class:`~repro.errors.ConfigurationError` instead of mis-executing.
 
@@ -53,7 +51,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
@@ -135,10 +133,10 @@ class WorkerPlan:
             (``SweepSpec.to_dict`` per spec, in batch order).
         store_path: sqlite store the worker writes its shard into.
         log_path: file capturing the worker's stdout/stderr.
-        argv: the default local command line.  A ``worker_command`` hook
-            receives this plan and may return a different command (e.g.
-            ``["ssh", host, *plan.argv]``) — the dispatch seam for remote
-            fan-out.
+        argv: the worker's ``repro sweep`` command line.  The backend's
+            launcher maps it, with the attempt's host and dispatch
+            environment, to the command actually spawned (e.g. ``ssh host
+            ...``) — the dispatch seam for remote fan-out.
         heartbeat_path: file the worker touches to prove progress (the
             supervisor's liveness signal; defaults next to the log file).
     """
@@ -215,7 +213,7 @@ class ExecutionBackend:
       sequence in-process and return results in point order; required by
       :meth:`SweepRunner.run <repro.runner.engine.SweepRunner.run>`,
       :meth:`run_stored <repro.runner.engine.SweepRunner.run_stored>` and
-      :meth:`run_shard <repro.runner.engine.SweepRunner.run_shard>`.
+      :meth:`run_points <repro.runner.engine.SweepRunner.run_points>`.
     * ``supports_orchestration`` — the backend can run a whole grid into a
       :class:`~repro.runner.db.SweepDatabase` on its own (dispatching
       workers, merging stores); required by :meth:`SweepRunner.orchestrate
@@ -362,6 +360,10 @@ class ProcessPoolBackend(ExecutionBackend):
             return pool.map(_pool_worker, points, chunksize=1)
 
 
+#: The ``--backend`` name of the shard-worker backend over a host pool.
+REMOTE_BACKEND = "remote"
+
+
 class ShardWorkerBackend(ExecutionBackend):
     """Orchestrate a batch of grids as detached per-shard subprocess workers.
 
@@ -372,52 +374,58 @@ class ShardWorkerBackend(ExecutionBackend):
     backend monitors them and merges the shard stores into the target with
     history carried, so the merged store's export is byte-identical to a
     serial run's while ``repro history`` still sees one run per shard per
-    grid.  Locally this proves out the multi-host flow; pointing
-    ``worker_command`` at a remote dispatcher turns it into real fan-out
-    without touching the engine.
+    grid.
+
+    Without ``hosts`` the workers run as local subprocesses.  Given a host
+    pool (the ``remote`` backend) the settings left at ``None`` are derived
+    for real fan-out: one worker per host, the ``ssh`` launcher, two
+    retries, cost-sized shards, and a checkpoint every point so a killed
+    host loses at most one point's work.  The workdir must then be
+    reachable by every host (a shared filesystem) — the same assumption the
+    merge step already makes about shard stores.
 
     Args:
-        workers: number of shards (and worker processes) per batch.
+        workers: number of shards (and worker processes) per batch
+            (default: 2, or one per host).
         strategy: shard partition strategy (see :meth:`SweepSpec.shard
             <repro.runner.spec.SweepSpec.shard>`).
-        worker_command: optional hook mapping a :class:`WorkerPlan` to the
-            command line actually spawned (default: the plan's local argv).
-        python: interpreter for the default local command
-            (default: ``sys.executable``).
         timeout: wall-clock budget per worker *attempt*; an attempt still
             running after this long is killed and marked ``TimedOut``
             (``None`` waits forever).
         poll_interval: seconds between liveness polls.
         max_retries: extra attempts a failed/timed-out/lost shard may get
-            before the orchestration fails (default 0: fail fast, the
-            historical behaviour).  Retries resume the partial shard store
-            instead of discarding it.
+            before the orchestration fails (default: 0, fail fast; 2 with
+            hosts).  Retries resume the partial shard store instead of
+            discarding it.
         retry_backoff: base delay before the first retry; doubles per
             further retry, with deterministic jitter
             (:meth:`DispatchPolicy.backoff_delay
             <repro.runner.dispatch.DispatchPolicy.backoff_delay>`).
         heartbeat_timeout: seconds after a worker's last observed heartbeat
             before it is declared ``Lost`` and killed.
-        hosts: host-pool slot names to schedule attempts on (``None``:
-            synthetic ``local/<i>`` slots, one per worker).
+        hosts: host-pool slot names to schedule attempts on; blank names are
+            dropped (``None``: synthetic ``local/<i>`` slots, one per
+            worker).
         launcher: launcher name from :data:`~repro.runner.launch.LAUNCHERS`
             or a launcher callable; maps ``(host, argv, env)`` to the
-            spawned command (default ``"local"``).
+            spawned command (default: ``"local"``, or ``"ssh"`` with hosts).
         cost_sizing: size shards by measured per-point planning cost from
             the target store (``point_costs``) instead of equal point
-            counts, when measurements exist (default off).
+            counts, when measurements exist (default: off, on with hosts).
         checkpoint_every: forwarded to workers as ``--checkpoint``: commit
             every N points so a killed attempt leaves its completed work
-            resumable (``None`` keeps single-transaction shard commits).
+            resumable (default: single-transaction shard commits, or every
+            point with hosts).
 
     The timeout, poll interval and retry settings live only in
     :attr:`policy`, the :class:`~repro.runner.dispatch.DispatchPolicy` the
     supervisor reads.
 
     Raises:
-        ConfigurationError: for a non-positive worker count, an unknown
-            shard strategy or launcher, a non-positive ``checkpoint_every``,
-            or invalid retry/heartbeat parameters.
+        ConfigurationError: for a host list without a host, a non-positive
+            worker count, an unknown shard strategy or launcher, a
+            non-positive ``checkpoint_every``, or invalid retry/heartbeat
+            parameters.
     """
 
     name = "shard-workers"
@@ -425,23 +433,38 @@ class ShardWorkerBackend(ExecutionBackend):
 
     def __init__(
         self,
-        workers: int = 2,
+        workers: int | None = None,
         *,
         strategy: str = "contiguous",
-        worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
-        python: str | None = None,
         timeout: float | None = None,
         poll_interval: float = 0.05,
-        max_retries: int = 0,
+        max_retries: int | None = None,
         retry_backoff: float = 0.5,
         heartbeat_timeout: float = 30.0,
         hosts: Sequence[str] | None = None,
-        launcher: str | Launcher = "local",
-        cost_sizing: bool = False,
+        launcher: str | Launcher | None = None,
+        cost_sizing: bool | None = None,
         checkpoint_every: int | None = None,
     ) -> None:
         from repro.runner.dispatch import DispatchPolicy
 
+        pool = hosts is not None
+        if pool:
+            hosts = [host.strip() for host in hosts if host and host.strip()]
+            if not hosts:
+                raise ConfigurationError(
+                    "the remote backend needs at least one host "
+                    "(--hosts h1,h2,... or --hosts-file)"
+                )
+            self.name = REMOTE_BACKEND
+        if workers is None:
+            workers = len(hosts) if pool else 2
+        if max_retries is None:
+            max_retries = 2 if pool else 0
+        if checkpoint_every is None and pool:
+            checkpoint_every = 1
+        if launcher is None:
+            launcher = "ssh" if pool else "local"
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
         if strategy not in SHARD_STRATEGIES:
@@ -455,8 +478,6 @@ class ShardWorkerBackend(ExecutionBackend):
             )
         self.workers = workers
         self.strategy = strategy
-        self.worker_command = worker_command
-        self.python = python or sys.executable
         # Validates max_retries/retry_backoff/heartbeat_timeout eagerly, so
         # a bad flag fails at construction rather than mid-orchestration.
         self.policy = DispatchPolicy(
@@ -466,9 +487,9 @@ class ShardWorkerBackend(ExecutionBackend):
             attempt_timeout=timeout,
             poll_interval=poll_interval,
         )
-        self.hosts = list(hosts) if hosts is not None else None
+        self.hosts = hosts
         self.launcher = launcher if callable(launcher) else make_launcher(launcher)
-        self.cost_sizing = cost_sizing
+        self.cost_sizing = pool if cost_sizing is None else cost_sizing
         self.checkpoint_every = checkpoint_every
 
     @property
@@ -527,7 +548,7 @@ class ShardWorkerBackend(ExecutionBackend):
         for index in range(self.workers):
             store_path = workdir / f"shard-{index}-of-{self.workers}.db"
             argv = [
-                self.python,
+                sys.executable,
                 "-m",
                 "repro.cli",
                 "sweep",
@@ -784,89 +805,20 @@ class ShardWorkerBackend(ExecutionBackend):
             hosts=self._dispatch_hosts(),
             policy=self.policy,
             launcher=self.launcher,
-            worker_command=self.worker_command,
             base_env=self._worker_env(),
         )
         return supervisor.run()
 
 
-class RemoteDispatchBackend(ShardWorkerBackend):
-    """Shard-worker orchestration over a real host pool.
-
-    Identical mechanics to :class:`ShardWorkerBackend` — per-shard stores,
-    heartbeats, retry/requeue, history-carrying merge — with remote-leaning
-    defaults: worker commands go through a launcher (``ssh`` by default;
-    ``local`` spawns plain subprocesses, which is how tests and CI exercise
-    the remote path without real hosts), concurrency follows the host list,
-    shards are cost-sized from the history store when measurements exist,
-    workers checkpoint every point so a killed host loses at most one
-    point's work, and failed shards retry twice by default.  The workdir
-    must be reachable by every host (a shared filesystem) — the same
-    assumption the merge step already makes about shard stores.
-
-    Args:
-        hosts: host names to dispatch onto (required, non-empty).
-        workers: shard count (default: one per host).
-        launcher: launcher registry name or callable (default ``"ssh"``).
-        max_retries / retry_backoff / heartbeat_timeout / cost_sizing /
-            checkpoint_every: as on :class:`ShardWorkerBackend`, with the
-            fault-tolerant defaults described above.
-
-    Raises:
-        ConfigurationError: for an empty host list (and everything the base
-            class rejects).
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        *,
-        workers: int | None = None,
-        strategy: str = "contiguous",
-        worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
-        python: str | None = None,
-        timeout: float | None = None,
-        poll_interval: float = 0.05,
-        max_retries: int = 2,
-        retry_backoff: float = 0.5,
-        heartbeat_timeout: float = 30.0,
-        launcher: str | Launcher = "ssh",
-        cost_sizing: bool = True,
-        checkpoint_every: int | None = 1,
-    ) -> None:
-        cleaned = [host.strip() for host in hosts if host and host.strip()]
-        if not cleaned:
-            raise ConfigurationError(
-                "the remote backend needs at least one host "
-                "(--hosts h1,h2,... or --hosts-file)"
-            )
-        super().__init__(
-            workers=workers if workers is not None else len(cleaned),
-            strategy=strategy,
-            worker_command=worker_command,
-            python=python,
-            timeout=timeout,
-            poll_interval=poll_interval,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            heartbeat_timeout=heartbeat_timeout,
-            hosts=cleaned,
-            launcher=launcher,
-            cost_sizing=cost_sizing,
-            checkpoint_every=checkpoint_every,
-        )
-
-
 #: Execution backends a runner can name, keyed by their canonical name.
 #: New execution scenarios register here (mirroring
-#: :data:`repro.runner.spec.SCHEDULER_FACTORIES` for schedulers).
+#: :data:`repro.runner.spec.SCHEDULER_FACTORIES` for schedulers).  The
+#: remote backend is the shard-worker backend over a host pool.
 BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
     ShardWorkerBackend.name: ShardWorkerBackend,
-    RemoteDispatchBackend.name: RemoteDispatchBackend,
+    REMOTE_BACKEND: ShardWorkerBackend,
 }
 
 
@@ -874,19 +826,17 @@ def make_backend(
     name: str,
     *,
     jobs: int | None = 1,
-    workers: int | None = 2,
+    workers: int | None = None,
     strategy: str = "contiguous",
-    worker_command: Callable[[WorkerPlan], Sequence[str]] | None = None,
     hosts: Sequence[str] | None = None,
     launcher: str | Launcher | None = None,
 ) -> ExecutionBackend:
     """Instantiate the execution backend called ``name``.
 
     ``jobs`` configures the pool backend; ``workers``/``strategy``/
-    ``worker_command`` the shard-worker backends; ``hosts``/``launcher``
-    the remote backend (``workers=None`` there defaults to one shard per
-    host).  Parameters that do not apply to the named backend are checked,
-    not silently dropped.
+    ``hosts``/``launcher`` the shard-worker backend, where ``None`` derives
+    the setting (see :class:`ShardWorkerBackend`).  Parameters that do not
+    apply to the named backend are checked, not silently dropped.
 
     Raises:
         ConfigurationError: for an unknown backend name, hosts given to a
@@ -898,7 +848,7 @@ def make_backend(
     if name not in BACKEND_FACTORIES:
         known = ", ".join(sorted(BACKEND_FACTORIES))
         raise ConfigurationError(f"unknown backend {name!r}; known backends: {known}")
-    if hosts is not None and name != RemoteDispatchBackend.name:
+    if hosts is not None and name != REMOTE_BACKEND:
         raise ConfigurationError(
             f"hosts only apply to the remote backend, not {name!r} "
             "(--backend remote)"
@@ -917,21 +867,8 @@ def make_backend(
             f"the {name} backend is sized with workers, not jobs={jobs}; "
             "use --workers (jobs configures the in-process backends)"
         )
-    if name == RemoteDispatchBackend.name:
-        if hosts is None:
-            raise ConfigurationError(
-                "the remote backend needs at least one host "
-                "(--hosts h1,h2,... or --hosts-file)"
-            )
-        return RemoteDispatchBackend(
-            hosts,
-            workers=workers,
-            strategy=strategy,
-            worker_command=worker_command,
-            launcher=launcher if launcher is not None else "ssh",
-        )
+    if name == REMOTE_BACKEND and hosts is None:
+        hosts = ()  # an empty pool, which the constructor rejects
     return ShardWorkerBackend(
-        workers=workers if workers is not None else 2,
-        strategy=strategy,
-        worker_command=worker_command,
+        workers=workers, strategy=strategy, hosts=hosts, launcher=launcher
     )

@@ -12,7 +12,7 @@ sqlite (:meth:`SweepDatabase.win_rate_rows` /
 millions of records without loading record JSON into Python.
 
 Stores also compose: :meth:`SweepDatabase.merge` folds the per-shard stores
-written by :meth:`repro.runner.engine.SweepRunner.run_shard` back into one
+written by :meth:`repro.runner.engine.SweepRunner.run_points` back into one
 database — idempotent for identical overlaps, refusing conflicting records —
 such that an N-shard run merges into a store byte-identical (via
 :meth:`export_document`) to a serial full run's.  With ``carry_history=True``
@@ -797,8 +797,8 @@ class SweepDatabase:
         and without history.
 
         This is the reduce step of sharded execution: merging the shard
-        stores written by :meth:`SweepRunner.run_shard
-        <repro.runner.engine.SweepRunner.run_shard>` for every shard of a
+        stores written by :meth:`SweepRunner.run_points
+        <repro.runner.engine.SweepRunner.run_points>` for every shard of a
         grid yields a store whose :meth:`export_document` output is
         byte-identical to a serial full run's.
 

@@ -65,7 +65,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
@@ -177,7 +177,7 @@ class DispatchPolicy:
         heartbeat_timeout: seconds after the last observed heartbeat before
             a worker is declared ``Lost`` and killed.  Staleness only
             applies once a first beat was seen — a command that never beats
-            (e.g. a custom ``worker_command``) is governed solely by
+            (e.g. a custom launcher's) is governed solely by
             ``attempt_timeout``.
         attempt_timeout: wall-clock budget per attempt; an attempt still
             running after this long is killed and marked ``TimedOut``
@@ -432,8 +432,6 @@ class WorkerSupervisor:
         policy: retry/heartbeat/scheduling parameters.
         launcher: maps ``(host, argv, dispatch_env)`` to the spawned
             command (default: plain local subprocess).
-        worker_command: optional hook replacing a plan's argv outright (the
-            historical dispatch seam; when set, the hook owns resume flags).
         base_env: environment for spawned workers (default: a copy of this
             process's, with the dispatch variables layered on top).
 
@@ -448,7 +446,6 @@ class WorkerSupervisor:
         hosts: Sequence[str],
         policy: DispatchPolicy | None = None,
         launcher: Launcher = local_launcher,
-        worker_command: Callable[["WorkerPlan"], Sequence[str]] | None = None,
         base_env: Mapping[str, str] | None = None,
     ) -> None:
         if not plans:
@@ -459,7 +456,6 @@ class WorkerSupervisor:
         self.hosts = list(hosts)
         self.policy = policy if policy is not None else DispatchPolicy()
         self.launcher = launcher
-        self.worker_command = worker_command
         self.base_env = dict(base_env) if base_env is not None else os.environ.copy()
         self._tasks: dict[int, _Task] = {}
 
@@ -602,8 +598,6 @@ class WorkerSupervisor:
         return attempt
 
     def _attempt_argv(self, plan: "WorkerPlan", number: int) -> list[str]:
-        if self.worker_command is not None:
-            return list(self.worker_command(plan))
         argv = list(plan.argv)
         if number > 1 and "--resume" not in argv:
             # Retries resume the partial shard store the previous attempt

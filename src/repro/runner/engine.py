@@ -11,9 +11,9 @@ workers (:class:`~repro.runner.backends.ShardWorkerBackend`, via
 :meth:`SweepRunner.orchestrate`).  The output order is the spec's point
 order on every backend.
 
-Grids can also be executed in pieces: :meth:`SweepRunner.run_shard` runs one
-deterministic shard of the point order (``SweepSpec.shard``) into its own
-sqlite store, and :meth:`repro.runner.db.SweepDatabase.merge` folds the shard
+Grids can also be executed in pieces: :meth:`SweepRunner.run_points` runs one
+slice of the point order (a ``SweepSpec.shard`` or any index subset) into its
+own sqlite store, and :meth:`repro.runner.db.SweepDatabase.merge` folds the shard
 stores back into a single database record-identical to a full single-host
 run — the building block of distributed sweeps, and what
 :meth:`SweepRunner.orchestrate` automates end to end.
@@ -112,13 +112,11 @@ class StoreRunReport:
         spec_key: the spec's content key in the store.
         records: every record the store now holds for the spec, in point
             order — freshly executed points merged with previously stored
-            ones (for a shard run, the shard's points only).
+            ones (for a sliced run, the slice's points only).
         executed_indices: point indices executed by this run.
         skipped_indices: point indices skipped because the store already
             held their records (always empty without ``resume``).
         run_id: the store's id for this run (the history time axis).
-        shard: ``(shard_index, shard_count)`` for a :meth:`SweepRunner.run_shard`
-            invocation, ``None`` for a full-grid run.
     """
 
     spec: SweepSpec
@@ -127,7 +125,6 @@ class StoreRunReport:
     executed_indices: tuple[int, ...]
     skipped_indices: tuple[int, ...]
     run_id: int
-    shard: tuple[int, int] | None = None
 
     @property
     def executed_count(self) -> int:
@@ -279,50 +276,7 @@ class SweepRunner:
         """
         self._require_inline("run_stored()")
         return self._run_into_store(
-            spec, store, spec.points(), resume=resume, source=source, shard=None
-        )
-
-    def run_shard(
-        self,
-        spec: SweepSpec,
-        store: "SweepDatabase",
-        *,
-        shard_index: int,
-        shard_count: int,
-        strategy: str = "contiguous",
-        resume: bool = False,
-    ) -> StoreRunReport:
-        """Execute one shard of ``spec`` into ``store`` (typically its own file).
-
-        The shard is ``spec.shard(shard_index, shard_count, strategy=...)`` —
-        a deterministic slice of the grid's point order that keeps every
-        point's global index.  Each shard can therefore run on a different
-        host into its own :class:`~repro.runner.db.SweepDatabase`, and
-        folding the shard stores back together with
-        :meth:`SweepDatabase.merge <repro.runner.db.SweepDatabase.merge>`
-        yields a store record-identical to a single-host
-        :meth:`run_stored` of the full grid (the exported schema-v1
-        document is byte-for-byte the same).
-
-        ``resume`` behaves as in :meth:`run_stored`, restricted to the
-        shard's points.  The run lands with source ``shard:<index>/<count>``
-        so the store's history records which shard produced it.
-
-        Raises:
-            ConfigurationError: for an invalid shard index/count/strategy
-                (see :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`),
-                or when the configured backend cannot execute points
-                in-process (e.g. the shard-worker backend).
-        """
-        self._require_inline("run_shard()")
-        points = spec.shard(shard_index, shard_count, strategy=strategy)
-        return self._run_into_store(
-            spec,
-            store,
-            points,
-            resume=resume,
-            source=f"shard:{shard_index}/{shard_count}",
-            shard=(shard_index, shard_count),
+            spec, store, spec.points(), resume=resume, source=source
         )
 
     def run_points(
@@ -332,18 +286,29 @@ class SweepRunner:
         indices: Sequence[int],
         *,
         resume: bool = False,
+        source: str | None = None,
     ) -> StoreRunReport:
-        """Execute an arbitrary index subset of ``spec`` into ``store``.
+        """Execute an index subset of ``spec`` into ``store`` (typically its own file).
 
-        The free-form counterpart of :meth:`run_shard` for partitions that
-        are not equal slices — cost-based dispatch sizes its shards by
-        measured per-point planning cost and hands each worker its index
-        set (``repro sweep --points``).  Points keep their global indices
-        (``SweepSpec.points_at``), so any disjoint cover of the grid merges
-        back byte-identical to a serial full run, exactly like the built-in
-        shard strategies.  The run lands with source ``points:<n>``.  An
-        empty selection (a batch worker that holds none of this grid's
-        points) records an empty run, like an empty shard.
+        The slice may be one of the equal shards of
+        :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`
+        (``repro sweep --shard-index``) or any other index set — cost-based
+        dispatch sizes its shards by measured per-point planning cost and
+        hands each worker its indices (``repro sweep --points``).  Points
+        keep their global indices (``SweepSpec.points_at``), so each slice
+        can run on a different host into its own
+        :class:`~repro.runner.db.SweepDatabase`, and folding the stores of
+        any disjoint cover of the grid back together with
+        :meth:`SweepDatabase.merge <repro.runner.db.SweepDatabase.merge>`
+        yields a store record-identical to a single-host :meth:`run_stored`
+        of the full grid (the exported document is byte-for-byte the same).
+        An empty selection (a shard or batch worker that holds none of this
+        grid's points) records an empty run.
+
+        ``resume`` behaves as in :meth:`run_stored`, restricted to the
+        slice's points.  ``source`` labels the run as on :meth:`run_stored`
+        (default ``points:<n>``; ``repro sweep --shard-index`` passes
+        ``shard:<index>/<count>``).
 
         Raises:
             ConfigurationError: for an out-of-range selection, or when the
@@ -356,8 +321,7 @@ class SweepRunner:
             store,
             points,
             resume=resume,
-            source=f"points:{len(points)}",
-            shard=None,
+            source=source if source is not None else f"points:{len(points)}",
         )
 
     def orchestrate(
@@ -412,7 +376,6 @@ class SweepRunner:
         *,
         resume: bool,
         source: str,
-        shard: tuple[int, int] | None,
     ) -> StoreRunReport:
         """Execute ``points`` of ``spec`` against ``store`` and commit one run."""
         spec_key = store.ensure_sweep(spec)
@@ -456,7 +419,6 @@ class SweepRunner:
                 sorted(existing.intersection(point.index for point in points))
             ),
             run_id=run_id,
-            shard=shard,
         )
 
     def _reusable_indices(self, store: "SweepDatabase", spec_key: str) -> frozenset[int]:

@@ -279,7 +279,7 @@ class SweepSpec:
 
         Splits :meth:`points` into ``count`` disjoint shards whose union is
         the full grid.  Every point keeps its global ``index``, so records
-        executed shard-by-shard (:meth:`~repro.runner.engine.SweepRunner.run_shard`)
+        executed shard-by-shard (:meth:`~repro.runner.engine.SweepRunner.run_points`)
         land in a store exactly where a full run would have put them, and
         merged shard stores (:meth:`~repro.runner.db.SweepDatabase.merge`)
         are record-identical to a single-host run.  ``count`` may exceed the

@@ -48,8 +48,8 @@ from typing import Callable, Sequence
 
 from repro.errors import ApiError, ConfigurationError, ReproError
 from repro.runner.backends import (
-    BACKEND_FACTORIES,
-    RemoteDispatchBackend,
+    REMOTE_BACKEND,
+    ExecutionBackend,
     ShardWorkerBackend,
     make_backend,
 )
@@ -90,7 +90,8 @@ class SweepJob:
             continues the sequence instead of re-issuing taken ids.
         spec: the submitted grid.
         spec_key: the spec's content key (how the store indexes it).
-        backend: execution backend name (a :data:`BACKEND_FACTORIES` key).
+        backend: execution backend name (a
+            :data:`~repro.runner.backends.BACKEND_FACTORIES` key).
         pool_jobs: worker processes for the pool backend (1 otherwise).
         resume: whether points already stored are skipped instead of re-run.
         status: one of :data:`JOB_STATES`.
@@ -252,28 +253,26 @@ class SweepJobQueue:
 
         Args:
             spec: the grid to execute.
-            backend: execution backend name (any :data:`BACKEND_FACTORIES`
-                key; the shard-worker backend orchestrates, the others run
-                in-process on the worker thread).
-            jobs: worker processes for the pool backend (ignored otherwise).
+            backend: execution backend name (any
+                :data:`~repro.runner.backends.BACKEND_FACTORIES` key; the
+                shard-worker and remote backends orchestrate, the others
+                run in-process on the worker thread).
+            jobs: worker processes for the pool backend; every other
+                backend takes only 1.
             resume: skip points the store already holds compatible records
                 for (see :meth:`SweepRunner.run_stored
                 <repro.runner.engine.SweepRunner.run_stored>`).
 
         Raises:
             ApiError: for an unknown backend name (400), the remote
-                backend without configured dispatch hosts (400), a full
-                queue (503 with ``Retry-After``), or a queue that is
-                shutting down (503).
+                backend without configured dispatch hosts (400), a
+                ``jobs`` value the backend cannot use (400), a full queue
+                (503 with ``Retry-After``), or a queue that is shutting
+                down (503).
         """
-        if backend not in BACKEND_FACTORIES:
-            known = ", ".join(sorted(BACKEND_FACTORIES))
-            raise ApiError(f"unknown backend {backend!r}; known backends: {known}")
-        if backend == RemoteDispatchBackend.name and not self.dispatch_hosts:
-            raise ApiError(
-                "the remote backend needs a host list; start the daemon "
-                "with --dispatch-hosts"
-            )
+        # Built once here only to validate, so a job the worker thread
+        # could never run is refused before anything is queued or persisted.
+        self._make_backend(backend, jobs)
         with self._lock:
             if self._closed:
                 raise ApiError("the job queue is shutting down", status=503)
@@ -376,6 +375,31 @@ class SweepJobQueue:
         with SweepDatabase(self.store_path) as db:
             db.upsert_job(snapshot, spec_json=spec_json)
 
+    def _make_backend(self, name: str, jobs: int) -> ExecutionBackend:
+        """The execution backend a job named ``name`` with ``jobs`` runs on.
+
+        Remote jobs dispatch onto the daemon's ``--dispatch-hosts`` through
+        its ``--dispatch-launcher``.
+
+        Raises:
+            ApiError: (400) for an unknown backend name, the remote backend
+                without configured dispatch hosts, or a ``jobs`` value the
+                backend cannot use.
+        """
+        if name != REMOTE_BACKEND:
+            hosts = launcher = None
+        elif self.dispatch_hosts:
+            hosts, launcher = self.dispatch_hosts, self.dispatch_launcher
+        else:
+            raise ApiError(
+                "the remote backend needs a host list; start the daemon "
+                "with --dispatch-hosts"
+            )
+        try:
+            return make_backend(name, jobs=jobs, hosts=hosts, launcher=launcher)
+        except ConfigurationError as error:
+            raise ApiError(str(error)) from error
+
     def _execute(self, job: SweepJob, store: SweepDatabase) -> None:
         """Run one job against the writer connection and record its outcome."""
         with self._lock:
@@ -383,13 +407,8 @@ class SweepJobQueue:
             job.started_at = _utcnow()
             self._persist(job, store)
         try:
-            remote = job.backend == RemoteDispatchBackend.name
-            hosts = self.dispatch_hosts if remote else None
-            launcher = self.dispatch_launcher if remote else None
             runner = SweepRunner(
-                backend=make_backend(
-                    job.backend, jobs=job.pool_jobs, hosts=hosts, launcher=launcher
-                ),
+                backend=self._make_backend(job.backend, job.pool_jobs),
                 cache_dir=self.cache_dir,
                 characterize=self.characterize,
                 packet_count=self.packet_count,

@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.backends import (
     BACKEND_FACTORIES,
     ProcessPoolBackend,
-    RemoteDispatchBackend,
     SerialBackend,
     ShardWorkerBackend,
     batch_dirname,
@@ -17,8 +16,10 @@ from repro.runner.backends import (
 )
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
+from repro.runner.launch import local_launcher, ssh_launcher
 from repro.runner.spec import SweepSpec
 from repro.runner.store import dump_sweep, save_sweeps
+from repro.serve.jobs import SweepJobQueue
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,8 @@ class TestRegistry:
         assert isinstance(make_backend("pool", jobs=3), ProcessPoolBackend)
         assert isinstance(make_backend("shard-workers", workers=4), ShardWorkerBackend)
         remote = make_backend("remote", hosts=["h1", "h2"], launcher="local")
-        assert isinstance(remote, RemoteDispatchBackend)
+        assert isinstance(remote, ShardWorkerBackend)
+        assert remote.name == "remote"
         assert remote.worker_count == 2
 
     def test_unknown_backend_rejected(self):
@@ -81,7 +83,7 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="at least one host"):
             make_backend("remote")
         with pytest.raises(ConfigurationError, match="at least one host"):
-            RemoteDispatchBackend(["  ", ""])
+            ShardWorkerBackend(hosts=["  ", ""])
         with pytest.raises(ConfigurationError, match="remote backend"):
             make_backend("serial", hosts=["h1"])
 
@@ -102,6 +104,122 @@ class TestRegistry:
             ShardWorkerBackend(workers=0)
         with pytest.raises(ConfigurationError, match="strategy"):
             ShardWorkerBackend(workers=2, strategy="random")
+
+
+#: The host pool every host-pool test dispatches onto.
+POOL_HOSTS = ["h1", "h2", "h3"]
+
+#: What a host pool derives for each setting left unset.
+POOL_DEFAULTS = {
+    "workers": 3,
+    "launcher": ssh_launcher,
+    "max_retries": 2,
+    "cost_sizing": True,
+    "checkpoint_every": 1,
+}
+
+
+def resolved_settings(backend):
+    """The settings a host pool derives, as the backend resolved them."""
+    return {
+        "workers": backend.workers,
+        "launcher": backend.launcher,
+        "max_retries": backend.policy.max_retries,
+        "cost_sizing": backend.cost_sizing,
+        "checkpoint_every": backend.checkpoint_every,
+    }
+
+
+def serve_remote_backend(tmp_path, **queue_options):
+    """The backend a ``"backend": "remote"`` serve job runs on."""
+    queue = SweepJobQueue(tmp_path / "jobs.db", dispatch_hosts=POOL_HOSTS, **queue_options)
+    try:
+        return queue._make_backend("remote", 1)
+    finally:
+        queue.close()
+
+
+class TestHostPoolDefaults:
+    """One place derives the host-pool defaults, whichever path builds it."""
+
+    @pytest.mark.parametrize(
+        "build, overrides",
+        [
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS),
+                {},
+                id="constructor",
+            ),
+            pytest.param(
+                lambda tmp_path: make_backend("remote", hosts=POOL_HOSTS),
+                {},
+                id="make_backend",
+            ),
+            pytest.param(serve_remote_backend, {}, id="serve"),
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(workers=5, hosts=POOL_HOSTS),
+                {"workers": 5},
+                id="constructor-workers",
+            ),
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, launcher="local"),
+                {"launcher": local_launcher},
+                id="constructor-launcher",
+            ),
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, max_retries=0),
+                {"max_retries": 0},
+                id="constructor-max_retries",
+            ),
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, cost_sizing=False),
+                {"cost_sizing": False},
+                id="constructor-cost_sizing",
+            ),
+            pytest.param(
+                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, checkpoint_every=4),
+                {"checkpoint_every": 4},
+                id="constructor-checkpoint_every",
+            ),
+            pytest.param(
+                lambda tmp_path: make_backend("remote", workers=1, hosts=POOL_HOSTS),
+                {"workers": 1},
+                id="make_backend-workers",
+            ),
+            pytest.param(
+                lambda tmp_path: make_backend("remote", hosts=POOL_HOSTS, launcher="local"),
+                {"launcher": local_launcher},
+                id="make_backend-launcher",
+            ),
+            pytest.param(
+                lambda tmp_path: serve_remote_backend(tmp_path, dispatch_launcher="local"),
+                {"launcher": local_launcher},
+                id="serve-launcher",
+            ),
+        ],
+    )
+    def test_resolved_settings(self, build, overrides, tmp_path):
+        backend = build(tmp_path)
+        assert backend.name == "remote"
+        assert backend.hosts == POOL_HOSTS
+        assert resolved_settings(backend) == {**POOL_DEFAULTS, **overrides}
+
+    def test_host_names_are_cleaned(self):
+        backend = ShardWorkerBackend(hosts=[" h1 ", "", "h2"])
+        assert backend.hosts == ["h1", "h2"]
+        assert backend.workers == 2
+
+    def test_without_hosts_the_local_defaults_stay(self):
+        backend = ShardWorkerBackend()
+        assert backend.name == "shard-workers"
+        assert backend.hosts is None
+        assert resolved_settings(backend) == {
+            "workers": 2,
+            "launcher": local_launcher,
+            "max_retries": 0,
+            "cost_sizing": False,
+            "checkpoint_every": None,
+        }
 
 
 class TestRunnerBackendSelection:
@@ -144,7 +262,7 @@ class TestCapabilityChecks:
             with pytest.raises(ConfigurationError, match="in-process"):
                 runner.run_stored(small_spec, db)
             with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_shard(small_spec, db, shard_index=0, shard_count=2)
+                runner.run_points(small_spec, db, [0], source="shard:0/2")
 
     def test_inline_backends_cannot_orchestrate(self, small_spec, tmp_path):
         with SweepDatabase(tmp_path / "s.db") as db:
@@ -228,33 +346,35 @@ class TestShardWorkerOrchestration:
         serial = [o.record() for o in SweepRunner(jobs=1).run(small_spec)]
         assert records == serial
 
-    def test_worker_command_hook_sees_every_plan(self, small_spec, tmp_path):
-        """The dispatch seam: the hook receives each plan (with the default
-        argv) and decides the spawned command — here a pass-through, in real
-        deployments an ssh/CI wrapper."""
+    def test_launcher_hook_sees_every_worker(self, small_spec, tmp_path):
+        """The dispatch seam: the launcher receives each worker's host and
+        default argv and decides the spawned command — here a pass-through,
+        in real deployments an ssh/CI wrapper."""
         seen = []
 
-        def passthrough(plan):
-            seen.append(plan)
-            return plan.argv
+        def passthrough(host, argv, env):
+            seen.append((host, argv))
+            return list(argv)
 
-        backend = ShardWorkerBackend(workers=2, worker_command=passthrough)
+        backend = ShardWorkerBackend(workers=2, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             SweepRunner(backend=backend).orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
-        assert [plan.shard_index for plan in seen] == [0, 1]
-        assert all(plan.argv[0] == sys.executable for plan in seen)
+        shards = sorted(argv[argv.index("--shard-index") + 1] for _, argv in seen)
+        assert shards == ["0", "1"]
+        assert sorted(host for host, _ in seen) == ["local/0", "local/1"]
+        assert all(argv[0] == sys.executable for _, argv in seen)
 
     def test_failing_worker_raises_with_log_tail(self, small_spec, tmp_path):
-        def broken(plan):
+        def broken(host, argv, env):
             return [
                 sys.executable,
                 "-c",
                 "import sys; print('shard exploded'); sys.exit(3)",
             ]
 
-        backend = ShardWorkerBackend(workers=2, worker_command=broken)
+        backend = ShardWorkerBackend(workers=2, launcher=broken)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 3"):
                 SweepRunner(backend=backend).orchestrate(
@@ -266,10 +386,10 @@ class TestShardWorkerOrchestration:
         assert "shard exploded" in log_path.read_text()
 
     def test_hung_worker_killed_after_timeout(self, small_spec, tmp_path):
-        def hang(plan):
+        def hang(host, argv, env):
             return [sys.executable, "-c", "import time; time.sleep(60)"]
 
-        backend = ShardWorkerBackend(workers=2, worker_command=hang, timeout=0.3)
+        backend = ShardWorkerBackend(workers=2, launcher=hang, timeout=0.3)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="still running"):
                 SweepRunner(backend=backend).orchestrate(
@@ -436,13 +556,11 @@ class TestCostBasedSharding:
                 costs[spec] = measured.point_cost_rows(spec.content_key())
         seen = []
 
-        def passthrough(plan):
-            seen.append(plan)
-            return plan.argv
+        def passthrough(host, argv, env):
+            seen.append(argv)
+            return list(argv)
 
-        backend = ShardWorkerBackend(
-            workers=3, cost_sizing=True, worker_command=passthrough
-        )
+        backend = ShardWorkerBackend(workers=3, cost_sizing=True, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             for spec in batch_specs:
                 db.record_run(
@@ -454,6 +572,6 @@ class TestCostBasedSharding:
             exported = db.export_document(tmp_path / "merged.json").read_bytes()
         assert exported == batch_serial_export
         assert len(seen) == len(report.workers) == 3
-        for plan in seen:
-            assert "--shard-index" not in plan.argv
-            assert plan.argv[plan.argv.index("--points") + 1].count(";") == 1
+        for argv in seen:
+            assert "--shard-index" not in argv
+            assert argv[argv.index("--points") + 1].count(";") == 1

@@ -27,6 +27,16 @@ def serial_records(spec):
     return [outcome.record() for outcome in SweepRunner(jobs=1).run(spec)]
 
 
+def shard_store(spec, path, index, count, *, resume=False):
+    """Run shard ``index`` of ``count`` into ``path`` as ``repro sweep --shard-index`` does."""
+    indices = [point.index for point in spec.shard(index, count)]
+    with SweepDatabase(path) as db:
+        SweepRunner(jobs=1).run_points(
+            spec, db, indices, resume=resume, source=f"shard:{index}/{count}"
+        )
+    return path
+
+
 class TestRoundtrip:
     def test_records_round_trip(self, spec, serial_records, tmp_path):
         with SweepDatabase(tmp_path / "sweeps.db") as db:
@@ -233,12 +243,6 @@ class TestMigration:
 
 
 class TestMerge:
-    @staticmethod
-    def _shard_store(spec, path, index, count):
-        with SweepDatabase(path) as db:
-            SweepRunner(jobs=1).run_shard(spec, db, shard_index=index, shard_count=count)
-        return path
-
     def test_merged_shards_export_byte_identical_to_serial_run(self, tmp_path):
         """The PR's acceptance criterion on the d695 grid: a 3-shard run,
         merged, exports a schema-v1 document byte-identical to the document
@@ -251,7 +255,7 @@ class TestMerge:
         )
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for index in range(3):
-                path = self._shard_store(spec, tmp_path / f"shard-{index}.db", index, 3)
+                path = shard_store(spec, tmp_path / f"shard-{index}.db", index, 3)
                 with SweepDatabase(path) as shard:
                     report = merged.merge(shard)
                 assert report.identical == 0
@@ -477,17 +481,13 @@ class TestCarryHistoryMerge:
                 assert merged.run_count() == sequential.run_count() == 3
 
     def test_run_count_equals_sum_of_shard_run_counts(self, spec, tmp_path):
-        """Through the real run_shard path: the merged store's run count is
+        """Through the real sliced-run path: the merged store's run count is
         the sum of the shard stores' (including a resumed shard's 2 runs)."""
         paths = []
         for index in range(3):
-            path = tmp_path / f"real-shard-{index}.db"
-            with SweepDatabase(path) as db:
-                SweepRunner(jobs=1).run_shard(spec, db, shard_index=index, shard_count=3)
-                if index == 0:  # a resumed re-run adds a second run row
-                    SweepRunner(jobs=1).run_shard(
-                        spec, db, shard_index=index, shard_count=3, resume=True
-                    )
+            path = shard_store(spec, tmp_path / f"real-shard-{index}.db", index, 3)
+            if index == 0:  # a resumed re-run adds a second run row
+                shard_store(spec, path, index, 3, resume=True)
             paths.append(path)
         with SweepDatabase(tmp_path / "merged.db") as merged:
             shard_runs = 0

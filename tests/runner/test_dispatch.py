@@ -1,5 +1,5 @@
 """Tests of the fault-tolerant dispatch layer (state machine, heartbeats,
-retry/requeue, launchers) underneath the shard-worker backends."""
+retry/requeue, launchers) underneath the shard-worker backend."""
 
 import os
 import sys
@@ -234,12 +234,11 @@ class TestSupervisor:
             WorkerSupervisor([make_plan(tmp_path)], hosts=[])
 
     def test_successful_worker_finishes_with_one_attempt(self, tmp_path):
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command("print('done')"))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command("print('done')"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -260,12 +259,11 @@ class TestSupervisor:
                 marker.touch()
                 raise SystemExit(3)
         """
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(max_retries=2, **FAST),
-            worker_command=lambda p: python_command(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -280,13 +278,12 @@ class TestSupervisor:
         assert "=== attempt 2 on local/0 ===" in log
 
     def test_exhausted_retries_label_the_orphaned_store(self, tmp_path):
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command("raise SystemExit(7)"))
         plan.store_path.write_bytes(b"partial shard bytes")
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(max_retries=1, **FAST),
-            worker_command=lambda p: python_command("raise SystemExit(7)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FAILED
@@ -300,12 +297,11 @@ class TestSupervisor:
         assert "attempts:" in text
 
     def test_hung_worker_times_out(self, tmp_path):
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command("import time; time.sleep(60)"))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(attempt_timeout=0.3, **FAST),
-            worker_command=lambda p: python_command("import time; time.sleep(60)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.TIMED_OUT
@@ -317,12 +313,11 @@ class TestSupervisor:
             pathlib.Path(os.environ[{HEARTBEAT_ENV!r}]).touch()
             time.sleep(60)
         """
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.3, **FAST),
-            worker_command=lambda p: python_command(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.LOST
@@ -331,13 +326,12 @@ class TestSupervisor:
 
     def test_worker_that_never_beats_is_not_declared_lost(self, tmp_path):
         """Staleness needs an observed beat: a command that never beats
-        (custom worker_command) is governed by the attempt timeout only."""
-        plan = make_plan(tmp_path)
+        (here: not a repro worker) is governed by the attempt timeout only."""
+        plan = make_plan(tmp_path, argv=python_command("import time; time.sleep(0.4)"))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.05, **FAST),
-            worker_command=lambda p: python_command("import time; time.sleep(0.4)"),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -347,30 +341,24 @@ class TestSupervisor:
         other slot."""
         bad_marker = tmp_path / "bad-ran"
         body = f"""
-            import os, pathlib, sys
-            if os.environ["WORKER_HOST_SLOT"] == "bad":
+            import pathlib, sys
+            if "WORKER_HOST_SLOT" == "bad":
                 pathlib.Path({str(bad_marker)!r}).touch()
                 raise SystemExit(9)
             sys.stdout.write("ok")
         """
 
         def launcher(host, argv, env):
-            return [argv[0], "-c", argv[2].replace("WORKER_HOST_SLOT_VALUE", host)]
+            # The launcher is the one place that knows the host: it bakes
+            # the slot name into the worker command.
+            return [argv[0], "-c", argv[2].replace("WORKER_HOST_SLOT", host)]
 
-        def command(plan):
-            return python_command(
-                body.replace(
-                    'os.environ["WORKER_HOST_SLOT"]', '"WORKER_HOST_SLOT_VALUE"'
-                )
-            )
-
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["bad", "good"],
             policy=DispatchPolicy(max_retries=3, host_quarantine_after=1, **FAST),
             launcher=launcher,
-            worker_command=command,
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -387,12 +375,11 @@ class TestSupervisor:
                 encoding="utf-8",
             )
         """
-        plan = make_plan(tmp_path, index=0, count=1)
+        plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
@@ -403,12 +390,11 @@ class TestSupervisor:
             import os, pathlib
             pathlib.Path(os.environ[{HEARTBEAT_ENV!r}]).touch()
         """
-        plan = make_plan(tmp_path)
+        plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
             hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
-            worker_command=lambda p: python_command(body),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED

@@ -26,6 +26,18 @@ def serial_outcomes(d695_spec):
     return SweepRunner(jobs=1).run(d695_spec)
 
 
+def shard_run(spec, db, *, shard_index, shard_count, strategy="contiguous", resume=False):
+    """Run one shard of ``spec`` into ``db`` as ``repro sweep --shard-index`` does."""
+    shard = spec.shard(shard_index, shard_count, strategy=strategy)
+    return SweepRunner(jobs=1).run_points(
+        spec,
+        db,
+        [point.index for point in shard],
+        resume=resume,
+        source=f"shard:{shard_index}/{shard_count}",
+    )
+
+
 class TestSerialExecution:
     def test_outcomes_in_point_order(self, d695_spec, serial_outcomes):
         assert [o.point for o in serial_outcomes] == list(d695_spec.points())
@@ -142,13 +154,10 @@ class TestShardExecution:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shard.db") as db:
-            report = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=0, shard_count=3
-            )
+            report = shard_run(d695_spec, db, shard_index=0, shard_count=3)
             expected = tuple(p.index for p in d695_spec.shard(0, 3))
             assert report.executed_indices == expected
             assert report.skipped_indices == ()
-            assert report.shard == (0, 3)
             assert tuple(r["index"] for r in report.records) == expected
             (run,) = db.runs()
             assert run.source == "shard:0/3"
@@ -164,9 +173,7 @@ class TestShardExecution:
         for index in range(3):
             path = tmp_path / f"shard-{index}.db"
             with SweepDatabase(path) as db:
-                SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=index, shard_count=3
-                )
+                shard_run(d695_spec, db, shard_index=index, shard_count=3)
             shard_paths.append(path)
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for path in shard_paths:
@@ -184,7 +191,7 @@ class TestShardExecution:
             for index in range(2):
                 path = tmp_path / f"shard-{index}.db"
                 with SweepDatabase(path) as db:
-                    SweepRunner(jobs=1).run_shard(
+                    shard_run(
                         d695_spec, db, shard_index=index, shard_count=2, strategy="strided"
                     )
                 with SweepDatabase(path) as shard:
@@ -196,12 +203,8 @@ class TestShardExecution:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shard.db") as db:
-            first = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3, resume=True
-            )
-            again = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3, resume=True
-            )
+            first = shard_run(d695_spec, db, shard_index=1, shard_count=3, resume=True)
+            again = shard_run(d695_spec, db, shard_index=1, shard_count=3, resume=True)
             assert first.executed_count == len(d695_spec.shard(1, 3))
             assert again.executed_count == 0
             assert again.skipped_indices == first.executed_indices
@@ -212,9 +215,7 @@ class TestShardExecution:
 
         with SweepDatabase(tmp_path / "shard.db") as db:
             with pytest.raises(ConfigurationError, match="out of range"):
-                SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=3, shard_count=3
-                )
+                shard_run(d695_spec, db, shard_index=3, shard_count=3)
 
     def test_empty_shards_run_merge_and_export_end_to_end(
         self, d695_spec, serial_outcomes, tmp_path
@@ -230,9 +231,7 @@ class TestShardExecution:
         for index in range(10):
             path = tmp_path / f"shard-{index}.db"
             with SweepDatabase(path) as db:
-                report = SweepRunner(jobs=1).run_shard(
-                    d695_spec, db, shard_index=index, shard_count=10
-                )
+                report = shard_run(d695_spec, db, shard_index=index, shard_count=10)
                 if index >= d695_spec.point_count:
                     assert report.executed_count == 0
                     assert report.records == ()
@@ -255,10 +254,8 @@ class TestShardReportsOnSharedStore:
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shared.db") as db:
-            SweepRunner(jobs=1).run_shard(d695_spec, db, shard_index=0, shard_count=3)
-            second = SweepRunner(jobs=1).run_shard(
-                d695_spec, db, shard_index=1, shard_count=3
-            )
+            shard_run(d695_spec, db, shard_index=0, shard_count=3)
+            second = shard_run(d695_spec, db, shard_index=1, shard_count=3)
             expected = tuple(p.index for p in d695_spec.shard(1, 3))
             assert tuple(r["index"] for r in second.records) == expected
             # ...while the store itself accumulates both shards.

@@ -125,6 +125,22 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "quantum" in str(excinfo.value)
 
+    @pytest.mark.parametrize("backend, jobs", [("serial", 4), ("shard-workers", 3)])
+    def test_jobs_the_backend_cannot_use_rejected_at_submit(
+        self, queue_factory, tmp_path, backend, jobs
+    ):
+        """A jobs value the backend cannot use is a client error at submit
+        time, not a job that fails in the background: nothing is queued or
+        persisted."""
+        queue = queue_factory()
+        with pytest.raises(ApiError) as excinfo:
+            queue.submit(small_spec(), backend=backend, jobs=jobs)
+        assert excinfo.value.status == 400
+        assert f"jobs={jobs}" in str(excinfo.value)
+        assert queue.jobs() == []
+        with SweepDatabase(tmp_path / "jobs.db") as db:
+            assert db.job_rows() == []
+
     def test_unknown_job_id_is_404(self, queue_factory):
         queue = queue_factory()
         with pytest.raises(ApiError) as excinfo:
