@@ -16,8 +16,8 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   tables (all six panels by default).
 * ``headline`` — recompute the paper's quoted reduction percentages.
 * ``sweep [SYSTEM...]`` — run an arbitrary experiment grid (reuse levels ×
-  power limits × schedulers) through the sweep engine on a selectable
-  execution backend (``--backend serial|pool|shard-workers``, ``--jobs``),
+  power limits × schedulers) through the sweep engine on an in-process
+  execution backend (``--backend serial|pool``, ``--jobs``),
   with build/characterisation caching (``--cache-dir``), a schema-versioned
   JSON result store (``--out``, re-printable via ``--load``), a durable
   sqlite store with incremental re-runs (``--store``, ``--resume``),
@@ -27,10 +27,11 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   jobs), chunked commits (``--checkpoint``, so a killed worker's completed
   points survive for ``--resume``) and grids taken straight from a spec
   file (``--spec-json``, how orchestration workers are driven).
-* ``orchestrate [SYSTEM...]`` — the multi-host flow: fan every grid out
-  in one dispatch round over N ``repro sweep`` subprocess workers
-  (``--workers``), each running its shard of every grid into its own
-  sqlite store, supervise them through per-worker heartbeat files
+* ``orchestrate [SYSTEM...]`` — the multi-host flow, and the one command
+  that fans grids out over shard workers: send every grid out in one
+  dispatch round over N ``repro sweep`` subprocess workers
+  (``--workers``, ``--workdir``), each running its shard of every grid
+  into its own sqlite store, supervise them through per-worker heartbeat files
   and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
@@ -75,12 +76,7 @@ from repro.experiments.figure1 import (
     PAPER_PROCESSOR_COUNTS,
     panel_from_outcomes,
 )
-from repro.runner.backends import (
-    BACKEND_FACTORIES,
-    REMOTE_BACKEND,
-    ShardWorkerBackend,
-    make_backend,
-)
+from repro.runner.backends import ShardWorkerBackend
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.launch import LAUNCHERS, beat_heartbeat
@@ -100,6 +96,10 @@ from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 #: :data:`repro.devtools.profile.PROFILE_SORT_KEYS`; spelled out so building
 #: the parser does not import the profiler (a test pins the two together).
 _PROFILE_SORTS = ("calls", "cumulative", "tottime")
+
+#: ``repro sweep --backend`` choices: the backends that plan in-process.
+#: The shard-worker backends are reached through ``repro orchestrate``.
+_SWEEP_BACKENDS = ("pool", "serial")
 
 
 def _cmd_benchmarks(_: argparse.Namespace) -> int:
@@ -243,7 +243,6 @@ _SWEEP_RUN_OPTIONS: tuple[tuple[str, str], ...] = (
     ("spec_json", "--spec-json"),
     ("jobs", "--jobs"),
     ("backend", "--backend"),
-    ("workers", "--workers"),
     ("cache_dir", "--cache-dir"),
     ("out", "--out"),
     ("packets", "--packets"),
@@ -253,7 +252,6 @@ _SWEEP_RUN_OPTIONS: tuple[tuple[str, str], ...] = (
     ("shard_index", "--shard-index"),
     ("shard_count", "--shard-count"),
     ("shard_strategy", "--shard-strategy"),
-    ("workdir", "--workdir"),
     ("points", "--points"),
     ("checkpoint", "--checkpoint"),
 )
@@ -496,92 +494,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--checkpoint commits completed points to the sqlite store in "
             "chunks; it needs --store"
         )
-    orchestrated = args.backend in (ShardWorkerBackend.name, REMOTE_BACKEND)
-    hosts = _parse_host_list(args)
-    if hosts is not None and args.backend != REMOTE_BACKEND:
-        raise ConfigurationError(
-            "--hosts/--hosts-file configure the remote backend; add "
-            "--backend remote"
-        )
-    if args.launcher is not None and args.backend != REMOTE_BACKEND:
-        raise ConfigurationError(
-            "--launcher picks how the remote backend spawns workers; add "
-            "--backend remote"
-        )
-    if args.backend == REMOTE_BACKEND and hosts is None:
-        raise ConfigurationError(
-            "--backend remote needs a host list "
-            "(--hosts h1,h2,... or --hosts-file)"
-        )
-    if args.shard_strategy != "contiguous" and args.shard_count is None and not orchestrated:
-        raise ConfigurationError(
-            "--shard-strategy needs --shard-index/--shard-count (or the "
-            "shard-workers backend, which partitions the grid itself)"
-        )
-    if args.workers is not None and not orchestrated:
-        raise ConfigurationError(
-            "--workers configures the shard-workers backend; add "
-            "--backend shard-workers (or use `repro orchestrate`)"
-        )
-    if args.workdir is not None and not orchestrated:
-        raise ConfigurationError(
-            "--workdir holds the shard-workers backend's shard stores and "
-            "logs; add --backend shard-workers (or use `repro orchestrate`)"
-        )
-    if orchestrated:
-        if not args.store:
-            raise ConfigurationError(
-                f"--backend {args.backend} needs --store: the shard workers' "
-                "results are merged into a sqlite store"
-            )
-        if args.jobs != 1:
-            raise ConfigurationError(
-                f"the {args.backend} backend is sized with workers, not "
-                f"jobs={args.jobs}; use --workers (jobs configures the "
-                "in-process backends)"
-            )
-        if args.shard_count is not None:
-            raise ConfigurationError(
-                f"--backend {args.backend} partitions the grid itself; drop "
-                "--shard-index/--shard-count (they configure a single worker)"
-            )
-        if args.points is not None:
-            raise ConfigurationError(
-                f"--backend {args.backend} partitions the grid itself; drop "
-                "--points (it slices the grid for a single worker)"
-            )
-        if args.resume and args.workdir is None:
-            raise ConfigurationError(
-                f"--resume with the {args.backend} backend needs --workdir: "
-                "workers resume from their previous shard stores, which only "
-                "survive in a persistent work directory"
-            )
-
-    if orchestrated:
-        backend = ShardWorkerBackend(
-            workers=args.workers,
-            strategy=args.shard_strategy,
-            hosts=hosts,
-            launcher=args.launcher,
-            checkpoint_every=args.checkpoint,
-        )
-    elif args.backend is not None:
-        backend = make_backend(args.backend, jobs=args.jobs)
-    else:
-        backend = None
+    if args.shard_strategy != "contiguous" and args.shard_count is None:
+        raise ConfigurationError("--shard-strategy needs --shard-index/--shard-count")
     runner = SweepRunner(
         jobs=args.jobs,
-        backend=backend,
+        backend=args.backend,
         cache_dir=args.cache_dir,
         characterize=not args.no_characterize,
         packet_count=args.packets,
         checkpoint_every=args.checkpoint,
     )
     specs = _build_sweep_specs(args)
-
-    if orchestrated:
-        _run_sweeps_orchestrated(args, runner, specs)
-        return 0
 
     # Each spec's slice (--points, or the --shard-index shard's indices),
     # resolved before executing anything so an out-of-range shard index
@@ -698,53 +621,6 @@ def _run_sweeps_stored(
     )
 
 
-def _run_sweeps_orchestrated(
-    args: argparse.Namespace, runner: SweepRunner, specs: Sequence[SweepSpec]
-) -> None:
-    """Orchestrate every spec in one dispatch round into the sqlite store.
-
-    The same shard workers run their shard of every spec, and the shard
-    stores are merged once with history carried, so the target store
-    records one run per shard per grid; the merged export stays
-    byte-identical to a serial full run's.
-    """
-    # The orchestration target store: this process is its one writer while
-    # the shard workers write only their own per-shard stores.
-    with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
-        report = runner.orchestrate(
-            specs, db, resume=args.resume, workdir=getattr(args, "workdir", None)
-        )
-        for spec, spec_key in zip(report.specs, report.spec_keys):
-            print(records_table(db.records(spec_key), title=f"Sweep: {_sweep_title(spec)}"))
-            print()
-        for worker in report.workers:
-            retries = worker.retries
-            print(
-                f"  worker {worker.shard_index}/{worker.shard_count}: "
-                f"{worker.store_path} [exit {worker.returncode}]"
-                + (
-                    f" [{retries} retr{'y' if retries == 1 else 'ies'}]"
-                    if retries
-                    else ""
-                )
-            )
-            for attempt in worker.attempts:
-                print(f"    attempt {attempt.attempt}: {attempt.describe()}")
-        print()
-        if args.out:
-            written = save_stored_sweeps(
-                args.out, [db.stored_sweep(spec_key) for spec_key in report.spec_keys]
-            )
-            print(f"wrote {written}")
-    carried = sum(merge.runs_carried for merge in report.merge_reports)
-    print(
-        f"store {args.store}: {report.record_count} records, {report.run_count} "
-        f"run(s) across {len(specs)} sweep(s) orchestrated on "
-        f"{runner.backend.worker_count} shard worker(s) ({carried} shard run(s) "
-        f"carried; workdir {report.workdir})"
-    )
-
-
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
     if args.resume and args.workdir is None:
         raise ConfigurationError(
@@ -781,7 +657,34 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         packet_count=args.packets,
     )
     specs = _build_sweep_specs(args)
-    _run_sweeps_orchestrated(args, runner, specs)
+    # The orchestration target store: this process is its one writer while
+    # the shard workers write only their own per-shard stores.
+    with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
+        report = runner.orchestrate(specs, db, resume=args.resume, workdir=args.workdir)
+        for spec, spec_key in zip(report.specs, report.spec_keys):
+            print(records_table(db.records(spec_key), title=f"Sweep: {_sweep_title(spec)}"))
+            print()
+        for worker in report.workers:
+            retries = worker.retries
+            print(
+                f"  worker {worker.shard_index}/{worker.shard_count}: "
+                f"{worker.store_path} [exit {worker.returncode}]"
+                + (
+                    f" [{retries} retr{'y' if retries == 1 else 'ies'}]"
+                    if retries
+                    else ""
+                )
+            )
+            for attempt in worker.attempts:
+                print(f"    attempt {attempt.attempt}: {attempt.describe()}")
+        print()
+    carried = sum(merge.runs_carried for merge in report.merge_reports)
+    print(
+        f"store {args.store}: {report.record_count} records, {report.run_count} "
+        f"run(s) across {len(specs)} sweep(s) orchestrated on "
+        f"{backend.worker_count} shard worker(s) ({carried} shard run(s) "
+        f"carried; workdir {report.workdir})"
+    )
     if args.export_json:
         with SweepDatabase.open_reader(args.store) as db:
             written = db.export_document(args.export_json)
@@ -1041,14 +944,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         default="contiguous",
         help="shard partition strategy (default: contiguous)",
     )
-    parser.add_argument(
-        "--workdir",
-        default=None,
-        metavar="DIR",
-        help="shard-worker orchestration only: directory for the shard "
-        "stores, spec file and worker logs (default: a fresh temporary "
-        "directory)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1126,18 +1021,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--backend",
-        choices=sorted(BACKEND_FACTORIES),
+        choices=_SWEEP_BACKENDS,
         default=None,
-        help="execution backend (default: serial, or pool when --jobs > 1); "
-        "shard-workers fans the grid out over local subprocess workers "
-        "and needs --store",
-    )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard workers for --backend shard-workers (default: 2)",
+        help="in-process execution backend (default: serial, or pool when "
+        "--jobs > 1); `repro orchestrate` fans a grid out over shard workers",
     )
     sweep.add_argument(
         "--out", default=None, help="write results as schema-versioned JSON to this file"
@@ -1193,26 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
         "killed run loses at most N points' work (default: one commit per "
         "run)",
     )
-    sweep.add_argument(
-        "--hosts",
-        default=None,
-        metavar="H1,H2,...",
-        help="host list for --backend remote",
-    )
-    sweep.add_argument(
-        "--hosts-file",
-        default=None,
-        metavar="FILE",
-        help="file naming one host per line for --backend remote "
-        "(blank lines and # comments are skipped)",
-    )
-    sweep.add_argument(
-        "--launcher",
-        choices=sorted(LAUNCHERS),
-        default=None,
-        help="how --backend remote spawns workers (default: ssh; local "
-        "spawns plain subprocesses, for tests and CI)",
-    )
     sweep.set_defaults(
         handler=_cmd_sweep,
         _sweep_run_defaults={
@@ -1233,6 +1100,13 @@ def build_parser() -> argparse.ArgumentParser:
         "SSH/CI fan-out.",
     )
     _add_grid_arguments(orchestrate)
+    orchestrate.add_argument(
+        "--workdir",
+        default=None,
+        metavar="DIR",
+        help="directory for the shard stores, spec file and worker logs "
+        "(default: a fresh temporary directory)",
+    )
     orchestrate.add_argument(
         "--store",
         required=True,
@@ -1328,7 +1202,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="export the merged store as a schema-v1 JSON result document",
     )
-    orchestrate.set_defaults(handler=_cmd_orchestrate, out=None)
+    orchestrate.set_defaults(handler=_cmd_orchestrate)
 
     merge = subparsers.add_parser(
         "merge",

@@ -12,12 +12,12 @@ deterministic shard of the point order (:meth:`SweepSpec.shard`) runs
 anywhere via :meth:`SweepRunner.run_points` into its own store, and
 :meth:`SweepDatabase.merge` folds the shard stores back into one database
 record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
-(backend ``shard-workers``) automates that dispatch-monitor-merge cycle
-for a whole batch of grids in one round of workers, with a launcher hook
-for remote fan-out.  The paper's
-experiment drivers
-(:mod:`repro.experiments`) and the ``repro sweep`` CLI are thin layers over
-this package.
+(backend ``shard-workers``; ``repro orchestrate`` on the command line)
+automates that dispatch-monitor-merge cycle for a whole batch of grids in
+one round of workers, with a launcher hook for remote fan-out.  The
+paper's experiment drivers (:mod:`repro.experiments`) and the
+``repro sweep``/``repro orchestrate`` CLI are thin layers over this
+package.
 
 Quickstart::
 

@@ -220,7 +220,7 @@ class ExecutionBackend:
       <repro.runner.engine.SweepRunner.orchestrate>`.
     """
 
-    #: Canonical backend name (the ``--backend`` value).
+    #: Canonical backend name (its :data:`BACKEND_FACTORIES` key).
     name = "abstract"
     supports_inline = False
     supports_orchestration = False
@@ -360,7 +360,7 @@ class ProcessPoolBackend(ExecutionBackend):
             return pool.map(_pool_worker, points, chunksize=1)
 
 
-#: The ``--backend`` name of the shard-worker backend over a host pool.
+#: The registered name of the shard-worker backend over a host pool.
 REMOTE_BACKEND = "remote"
 
 
@@ -826,17 +826,16 @@ def make_backend(
     name: str,
     *,
     jobs: int | None = 1,
-    workers: int | None = None,
-    strategy: str = "contiguous",
     hosts: Sequence[str] | None = None,
     launcher: str | Launcher | None = None,
 ) -> ExecutionBackend:
     """Instantiate the execution backend called ``name``.
 
-    ``jobs`` configures the pool backend; ``workers``/``strategy``/
-    ``hosts``/``launcher`` the shard-worker backend, where ``None`` derives
-    the setting (see :class:`ShardWorkerBackend`).  Parameters that do not
-    apply to the named backend are checked, not silently dropped.
+    ``jobs`` configures the pool backend; ``hosts``/``launcher`` the
+    shard-worker backend, which derives every other setting (see
+    :class:`ShardWorkerBackend`; build one directly to override them).
+    Parameters that do not apply to the named backend are checked, not
+    silently dropped.
 
     Raises:
         ConfigurationError: for an unknown backend name, hosts given to a
@@ -849,10 +848,7 @@ def make_backend(
         known = ", ".join(sorted(BACKEND_FACTORIES))
         raise ConfigurationError(f"unknown backend {name!r}; known backends: {known}")
     if hosts is not None and name != REMOTE_BACKEND:
-        raise ConfigurationError(
-            f"hosts only apply to the remote backend, not {name!r} "
-            "(--backend remote)"
-        )
+        raise ConfigurationError(f"hosts only apply to the remote backend, not {name!r}")
     if name == SerialBackend.name:
         if jobs is not None and jobs != 1:
             raise ConfigurationError(
@@ -869,6 +865,4 @@ def make_backend(
         )
     if name == REMOTE_BACKEND and hosts is None:
         hosts = ()  # an empty pool, which the constructor rejects
-    return ShardWorkerBackend(
-        workers=workers, strategy=strategy, hosts=hosts, launcher=launcher
-    )
+    return ShardWorkerBackend(hosts=hosts, launcher=launcher)

@@ -356,7 +356,7 @@ class SweepRunner:
             raise ConfigurationError(
                 f"backend {self.backend.name!r} cannot orchestrate a grid "
                 "into a store; pick the shard-workers backend "
-                "(repro orchestrate / --backend shard-workers)"
+                "(repro orchestrate)"
             )
         return self.backend.orchestrate(
             specs,

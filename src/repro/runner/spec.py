@@ -22,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.schedule.greedy import EventDrivenScheduler, GreedyScheduler
+from repro.schedule.power import require_positive_finite
 from repro.schedule.priority import distance_priority
 from repro.schedule.variants import FastestCompletionScheduler
 from repro.system.presets import PAPER_SYSTEMS
@@ -234,8 +235,8 @@ class SweepSpec:
         for label, fraction in self.power_limits:
             if not label:
                 raise ConfigurationError("power series labels must not be empty")
-            if fraction is not None and fraction <= 0:
-                raise ConfigurationError("power limit fractions must be positive")
+            if fraction is not None:
+                require_positive_finite(fraction, "power limit fractions")
         if not self.schedulers:
             raise ConfigurationError("sweep needs at least one scheduler")
         if not self.flit_widths:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.schedule.greedy import EventDrivenScheduler, GreedyScheduler
-from repro.schedule.power import PowerConstraint
+from repro.schedule.power import PowerConstraint, require_positive_finite
 from repro.schedule.result import ScheduleResult, validate_schedule
 from repro.system.builder import SocSystem
 
@@ -47,8 +47,8 @@ class PlanRequest:
     def __post_init__(self) -> None:
         if self.reused_processors is not None and self.reused_processors < 0:
             raise ConfigurationError("reused_processors must be non-negative")
-        if self.power_limit_fraction is not None and self.power_limit_fraction <= 0:
-            raise ConfigurationError("power_limit_fraction must be positive")
+        if self.power_limit_fraction is not None:
+            require_positive_finite(self.power_limit_fraction, "power_limit_fraction")
 
 
 class TestPlanner:

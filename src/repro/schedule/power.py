@@ -12,9 +12,26 @@ busting the ceiling?".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, PowerBudgetError
+
+
+def require_positive_finite(value: float, what: str) -> None:
+    """Check that ``value`` is a positive, finite number.
+
+    The one check behind every power limit and power-limit fraction: a
+    non-finite value (``inf``, ``nan``; JSON's ``1e999`` parses to ``inf``)
+    would otherwise pass a plain ``> 0`` test and reach exports as
+    non-standard JSON (``Infinity``/``NaN``) or fail deep in the planner.
+
+    Raises:
+        ConfigurationError: for a value that is not finite or not positive;
+            the message names ``what``.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{what} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,8 +49,8 @@ class PowerConstraint:
     description: str = "unconstrained"
 
     def __post_init__(self) -> None:
-        if self.limit is not None and self.limit <= 0:
-            raise ConfigurationError("power limit must be positive when set")
+        if self.limit is not None:
+            require_positive_finite(self.limit, "power limit")
 
     @classmethod
     def unconstrained(cls) -> "PowerConstraint":
@@ -47,8 +64,7 @@ class PowerConstraint:
         ``fraction`` is expressed as a ratio (0.5 for the paper's "50 % power
         limit").
         """
-        if not 0 < fraction:
-            raise ConfigurationError("power fraction must be positive")
+        require_positive_finite(fraction, "power fraction")
         if total_core_power <= 0:
             raise ConfigurationError(
                 "total core power must be positive to derive a fractional limit"

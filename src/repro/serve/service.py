@@ -43,6 +43,7 @@ from repro.runner.spec import (
     power_series_label,
 )
 from repro.schedule.planner import TestPlanner
+from repro.schedule.power import require_positive_finite
 from repro.serve.cache import TTLCache
 from repro.serve.jobs import SweepJobQueue
 from repro.system.presets import PAPER_SYSTEMS
@@ -260,8 +261,13 @@ class PlanningService:
         fraction = _require_type(
             payload, "power_limit_fraction", (int, float), "a number or null (= unlimited)"
         )
-        if isinstance(fraction, bool) or (fraction is not None and fraction <= 0):
+        if isinstance(fraction, bool):
             raise ApiError("field 'power_limit_fraction' must be a positive number")
+        if fraction is not None:
+            try:
+                require_positive_finite(fraction, "field 'power_limit_fraction'")
+            except ConfigurationError as exc:
+                raise ApiError(str(exc)) from exc
         flit_width = payload.get("flit_width", 32)
         if isinstance(flit_width, bool) or not isinstance(flit_width, int) or flit_width <= 0:
             raise ApiError("field 'flit_width' must be a positive integer")

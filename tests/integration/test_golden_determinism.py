@@ -67,10 +67,10 @@ def test_shard_workers_with_disk_cache_match_golden(tmp_path, capsys):
     workers sharing one cache directory merge into a store whose export is
     byte-identical to the serial run's."""
     out = tmp_path / "merged.json"
-    run_sweep(
+    argv = [
+        "orchestrate",
         "d695_leon",
-        "--backend",
-        "shard-workers",
+        "--no-characterize",
         "--workers",
         "2",
         "--store",
@@ -79,8 +79,9 @@ def test_shard_workers_with_disk_cache_match_golden(tmp_path, capsys):
         str(tmp_path / "workdir"),
         "--cache-dir",
         str(tmp_path / "cache"),
-        "--out",
+        "--export-json",
         str(out),
-    )
+    ]
+    assert main(argv) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / "d695_serial.json").read_bytes()

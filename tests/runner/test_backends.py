@@ -69,7 +69,10 @@ class TestRegistry:
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("pool", jobs=3), ProcessPoolBackend)
-        assert isinstance(make_backend("shard-workers", workers=4), ShardWorkerBackend)
+        shard_workers = make_backend("shard-workers")
+        assert isinstance(shard_workers, ShardWorkerBackend)
+        assert shard_workers.worker_count == 2
+        assert ShardWorkerBackend(workers=4).worker_count == 4
         remote = make_backend("remote", hosts=["h1", "h2"], launcher="local")
         assert isinstance(remote, ShardWorkerBackend)
         assert remote.name == "remote"
@@ -162,6 +165,11 @@ class TestHostPoolDefaults:
                 id="constructor-workers",
             ),
             pytest.param(
+                lambda tmp_path: ShardWorkerBackend(workers=1, hosts=POOL_HOSTS),
+                {"workers": 1},
+                id="constructor-fewer-workers",
+            ),
+            pytest.param(
                 lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, launcher="local"),
                 {"launcher": local_launcher},
                 id="constructor-launcher",
@@ -180,11 +188,6 @@ class TestHostPoolDefaults:
                 lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, checkpoint_every=4),
                 {"checkpoint_every": 4},
                 id="constructor-checkpoint_every",
-            ),
-            pytest.param(
-                lambda tmp_path: make_backend("remote", workers=1, hosts=POOL_HOSTS),
-                {"workers": 1},
-                id="make_backend-workers",
             ),
             pytest.param(
                 lambda tmp_path: make_backend("remote", hosts=POOL_HOSTS, launcher="local"),

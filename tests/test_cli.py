@@ -471,33 +471,31 @@ class TestBackendSelection:
         assert main(["sweep", "d695_leon", "--backend", "serial", "--jobs", "4"]) == 1
         assert "pool" in capsys.readouterr().err
 
-    def test_shard_workers_backend_requires_store(self, capsys):
-        assert main(["sweep", "d695_leon", "--backend", "shard-workers"]) == 1
-        assert "--store" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            ["--backend", "shard-workers"],
+            ["--backend", "remote"],
+            ["--workers", "2"],
+            ["--hosts", "h1"],
+            ["--hosts-file", "F"],
+            ["--launcher", "local"],
+            ["--workdir", "D"],
+        ],
+        ids=lambda retired: "-".join(retired).lstrip("-"),
+    )
+    def test_retired_orchestration_options_are_parse_errors(self, capsys, tmp_path, retired):
+        """Shard-worker fan-out is `repro orchestrate`'s alone; sweep's old
+        spellings of it are argparse errors, not silently different runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "d695_leon", "--store", str(tmp_path / "s.db"), *retired])
+        assert excinfo.value.code == 2
+        assert retired[0] in capsys.readouterr().err
 
-    def test_shard_workers_backend_rejects_shard_flags(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--backend",
-                    "shard-workers",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--shard-index",
-                    "0",
-                    "--shard-count",
-                    "2",
-                ]
-            )
-            == 1
-        )
-        assert "partitions the grid itself" in capsys.readouterr().err
-
-    def test_workers_flag_requires_shard_workers_backend(self, capsys):
-        assert main(["sweep", "d695_leon", "--workers", "3"]) == 1
-        assert "shard-workers" in capsys.readouterr().err
+    def test_sweep_backends_plan_in_process(self):
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        backend = next(a for a in commands.choices["sweep"]._actions if a.dest == "backend")
+        assert backend.choices == ("pool", "serial")
 
     def test_shard_strategy_requires_shard_flags(self, capsys):
         assert main(["sweep", "d695_leon", "--shard-strategy", "strided"]) == 1
@@ -700,71 +698,6 @@ class TestOrchestrateCommand:
         )
         assert "--workdir" in capsys.readouterr().err
 
-    def test_sweep_shard_workers_resume_requires_workdir(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--backend",
-                    "shard-workers",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--resume",
-                ]
-            )
-            == 1
-        )
-        assert "--workdir" in capsys.readouterr().err
-
-    def test_sweep_workdir_requires_shard_workers_backend(self, capsys, tmp_path):
-        assert main(["sweep", "d695_leon", "--workdir", str(tmp_path)]) == 1
-        assert "shard-workers" in capsys.readouterr().err
-
-    def test_sweep_shard_workers_rejects_jobs(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--backend",
-                    "shard-workers",
-                    "--jobs",
-                    "8",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                ]
-            )
-            == 1
-        )
-        assert "--workers" in capsys.readouterr().err
-
-    def test_sweep_shard_workers_backend_orchestrates(self, capsys, tmp_path):
-        """The same orchestration through `repro sweep --backend shard-workers`."""
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--counts",
-                    "0,2",
-                    "--power-limits",
-                    "none",
-                    "--no-characterize",
-                    "--backend",
-                    "shard-workers",
-                    "--workers",
-                    "2",
-                    "--store",
-                    str(tmp_path / "sw.db"),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "orchestrated on 2 shard worker(s)" in out
-        assert "2 records" in out
-
 
 class TestMergeConflictCleanup:
     def test_conflicting_merge_leaves_no_stray_output(self, capsys, tmp_path):
@@ -878,17 +811,6 @@ class TestPointSelectionFlags:
         assert main(self.run_args(tmp_path, "--points", "0,x")) == 1
         assert "grid indices" in capsys.readouterr().err
 
-    def test_points_rejects_orchestrated_backends(self, capsys, tmp_path):
-        assert (
-            main(
-                self.run_args(
-                    tmp_path, "--points", "0", "--backend", "shard-workers"
-                )
-            )
-            == 1
-        )
-        assert "--points" in capsys.readouterr().err
-
     def test_checkpoint_requires_store(self, capsys):
         assert (
             main(["sweep", "d695_leon", "--no-characterize", "--checkpoint", "2"])
@@ -957,40 +879,6 @@ class TestPointSelectionFlags:
 
 
 class TestRemoteDispatchFlags:
-    def test_hosts_require_the_remote_backend(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--no-characterize",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--hosts",
-                    "h1,h2",
-                ]
-            )
-            == 1
-        )
-        assert "remote" in capsys.readouterr().err
-
-    def test_remote_backend_requires_hosts(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--no-characterize",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--backend",
-                    "remote",
-                ]
-            )
-            == 1
-        )
-        assert "host" in capsys.readouterr().err
-
     def test_orchestrate_rejects_both_host_sources(self, capsys, tmp_path):
         hosts_file = tmp_path / "hosts.txt"
         hosts_file.write_text("h1\n", encoding="utf-8")
