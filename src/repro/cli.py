@@ -917,11 +917,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """Flags describing *how* to run a grid, shared by ``sweep`` and
-    ``orchestrate`` — the spec flags plus characterisation, caching and
-    sharding knobs."""
-    _add_spec_arguments(parser)
+def _add_characterization_arguments(parser: argparse.ArgumentParser) -> None:
+    """The NoC characterisation flags of every grid-running command
+    (``sweep``/``orchestrate``/``profile``)."""
     parser.add_argument(
         "--packets",
         type=int,
@@ -933,6 +931,14 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip the per-SoC NoC characterisation step",
     )
+
+
+def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags describing *how* to run a grid, shared by ``sweep`` and
+    ``orchestrate`` — the spec flags plus characterisation, caching and
+    sharding knobs."""
+    _add_spec_arguments(parser)
+    _add_characterization_arguments(parser)
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -1406,18 +1412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "planning time, this command shows where it goes.",
     )
     _add_spec_arguments(profile)
-    profile.add_argument(
-        "--packets",
-        type=int,
-        default=200,
-        help="random packets for the NoC characterisation campaign",
-    )
-    profile.add_argument(
-        "--no-characterize",
-        action="store_true",
-        help="skip the per-SoC NoC characterisation step so the report "
-        "shows only the planning hot path",
-    )
+    _add_characterization_arguments(profile)
     profile.add_argument(
         "--sort",
         choices=_PROFILE_SORTS,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.errors import ConfigurationError
 from repro.itc02.model import Module
@@ -125,8 +125,15 @@ class WrapperDesign:
         return sum(chain.scan_out_length for chain in self.chains)
 
 
+@lru_cache(maxsize=1024)
 def design_wrapper(module: Module, width: int) -> WrapperDesign:
     """Design a test wrapper for ``module`` with at most ``width`` chains.
+
+    The design is a pure function of the frozen module and the width, so it
+    is memoised: every system build of a process shares one immutable design
+    per (module, width), and self-test modules that repeat across processors
+    are wrapped once.  ``design_wrapper.__wrapped__`` is the unmemoised
+    function.
 
     Args:
         module: the ITC'02 module to wrap.

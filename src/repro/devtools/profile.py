@@ -1,12 +1,21 @@
-"""``repro profile`` — cProfile harness for the planning hot path.
+"""``repro profile`` — cProfile harness for a sweep grid.
 
-The sweep engine's cost is dominated by per-point planning (wrapper/job
-arithmetic, XY routing, link reservation scans); this module runs one or
-more sweep specs serially under :mod:`cProfile` and condenses the collected
-statistics into a :class:`ProfileReport` — the top functions by the chosen
-sort key, renderable as text or JSON.  It is the profiling companion of
-``benchmarks/bench_plan_point.py``: the benchmark tells you *how fast* a
-point plans, the profiler tells you *where the time goes*.
+This module runs one or more sweep specs serially under :mod:`cProfile`
+and condenses the collected statistics into a :class:`ProfileReport` — the
+top functions by the chosen sort key, renderable as text or JSON.
+
+The profile covers per-point planning and the per-process setup that
+precedes it, not the interpreter start and import.  Measured without the
+profiler on a cold ``repro sweep`` of the 56-point paper grid (2-vCPU
+x86-64 container shared with other jobs, Python 3.11; medians of 24 runs
+that vary by about 30 %), per-point planning takes 0.15-0.2 s, most of it
+in the greedy scheduler loop; the import about 0.15 s; the six system
+builds about 0.04 s and the three NoC characterisation campaigns about
+0.02 s, of 0.35-0.5 s of wall time.  Every cold process repeats the builds
+and the campaigns; ``--no-characterize`` leaves the campaigns out.  The
+profiler tells you *where the time goes*; ``benchmarks/bench_plan_point.py``
+and ``perfbench/`` tell you *how fast* a point plans and how long a user
+waits.
 
 The harness always executes in-process on the serial backend — a profile of
 a process pool would only show the parent waiting on its workers.

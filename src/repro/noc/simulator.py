@@ -22,7 +22,6 @@ on how much the path conflicts alone constrain parallelism.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -85,26 +84,25 @@ class CircuitSwitchedSimulator:
     def run(self) -> list[TransferRecord]:
         """Simulate all queued transfers and return their records.
 
-        Grant policy: at every decision instant, pending transfers whose
+        Grant policy: at every decision instant, waiting transfers whose
         release time has passed are examined in (priority, release_time, name)
         order; each is granted if *all* its resources are currently free.
         This is the same first-fit policy the greedy scheduler uses, so a
         feasible schedule replays without delays.
+
+        A grant only moves a free resource's ``busy_until`` to ``now`` or
+        later, so one pass per instant suffices, and a blocked transfer is not
+        re-examined before the cycle its blocking resource frees up.
         """
-        pending = sorted(
-            self._requests, key=lambda r: (r.priority, r.release_time, r.name)
-        )
+        order = sorted(self._requests, key=lambda r: (r.priority, r.release_time, r.name))
+        waiting = [(request.release_time, request) for request in order]
         busy_until: dict[Link, int] = {}
-        records: dict[str, TransferRecord] = {}
+        records: list[TransferRecord] = []
 
         # Event times at which the resource picture can change.
-        event_times = sorted({request.release_time for request in pending})
-        event_heap = list(event_times)
-        heapq.heapify(event_heap)
-        granted: set[int] = set()
-        time_guard = itertools.count()
+        event_heap = sorted({request.release_time for request in self._requests})
 
-        while len(records) < len(pending):
+        while waiting:
             if not event_heap:
                 raise ConfigurationError(
                     "simulation deadlock: transfers remain but no future events exist"
@@ -114,30 +112,26 @@ class CircuitSwitchedSimulator:
             while event_heap and event_heap[0] == now:
                 heapq.heappop(event_heap)
 
-            progress = True
-            while progress:
-                progress = False
-                for index, request in enumerate(pending):
-                    if index in granted or request.release_time > now:
-                        continue
-                    if all(
-                        busy_until.get(resource, 0) <= now
-                        for resource in request.resources
-                    ):
-                        start = now
-                        end = now + request.duration
-                        for resource in request.resources:
-                            busy_until[resource] = end
-                        records[request.name + f"#{index}"] = TransferRecord(
-                            name=request.name, start=start, end=end
-                        )
-                        granted.add(index)
-                        heapq.heappush(event_heap, end)
-                        progress = True
-            next(time_guard)
+            blocked = []
+            for entry in waiting:
+                not_before, request = entry
+                if not_before > now:
+                    blocked.append(entry)
+                    continue
+                for resource in request.resources:
+                    free_at = busy_until.get(resource, 0)
+                    if free_at > now:
+                        blocked.append((free_at, request))
+                        break
+                else:
+                    end = now + request.duration
+                    for resource in request.resources:
+                        busy_until[resource] = end
+                    records.append(TransferRecord(name=request.name, start=now, end=end))
+                    heapq.heappush(event_heap, end)
+            waiting = blocked
 
-        ordered = sorted(records.values(), key=lambda record: (record.start, record.name))
-        return ordered
+        return sorted(records, key=lambda record: (record.start, record.name))
 
     def reset(self) -> None:
         """Discard all queued requests."""

@@ -7,6 +7,8 @@ from repro.cores.wrapper import design_wrapper
 from repro.errors import ConfigurationError
 from repro.itc02.library import load_benchmark
 from repro.itc02.model import Module, ScanChain
+from repro.processors.leon import leon_processor
+from repro.processors.plasma import plasma_processor
 
 from tests.conftest import make_module
 
@@ -135,3 +137,39 @@ class TestWrapperProperties:
             if previous is not None:
                 assert time <= previous
             previous = time
+
+
+def memo_modules():
+    """Every module of the bundled benchmarks plus the processor self-tests."""
+    modules = [
+        module
+        for name in ("d695", "p22810", "p93791")
+        for module in load_benchmark(name).modules
+    ]
+    modules += [leon_processor().self_test, plasma_processor().self_test]
+    return modules
+
+
+class TestDesignWrapperMemo:
+    def test_repeated_call_returns_the_same_design(self):
+        module = load_benchmark("d695").module_by_name("s38417")
+        assert design_wrapper(module, 32) is design_wrapper(module, 32)
+
+    def test_equal_modules_share_a_design(self):
+        first = make_module(chain_lengths=(7, 9))
+        second = make_module(chain_lengths=(7, 9))
+        assert first is not second
+        assert design_wrapper(first, 8) is design_wrapper(second, 8)
+
+    @pytest.mark.parametrize("width", [1, 8, 32, 64])
+    def test_memoised_design_equals_unmemoised(self, width):
+        for module in memo_modules():
+            expected = design_wrapper.__wrapped__(module, width)
+            assert design_wrapper(module, width) == expected, module.name
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_invalid_width_raises_on_every_call(self, width):
+        module = make_module()
+        for _ in range(3):
+            with pytest.raises(ConfigurationError):
+                design_wrapper(module, width)

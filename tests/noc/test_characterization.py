@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.noc.characterization import characterize_noc
+from repro.noc.characterization import NocCharacterization, characterize_noc
 from repro.noc.network import Network, NocConfig
+from repro.system.presets import build_paper_system
 
 
 @pytest.fixture
@@ -49,3 +50,42 @@ class TestCharacterizeNoc:
         summary = characterize_noc(network, packet_count=10).summary()
         assert "10 packets" in summary
         assert "mean latency" in summary
+
+
+# The reference campaign (200 packets, seed 2005) on the three paper NoCs,
+# as computed by the multi-pass grant loop of tests/noc/reference_simulator.py.
+PAPER_CHARACTERIZATIONS = {
+    "d695_leon": NocCharacterization(
+        packet_count=200,
+        mean_latency=33.62,
+        worst_latency=58,
+        mean_hops=2.635,
+        mean_payload_flits=15.81,
+        mean_packet_power=60.0,
+        simulated_span=1165,
+    ),
+    "p22810_leon": NocCharacterization(
+        packet_count=200,
+        mean_latency=40.295,
+        worst_latency=78,
+        mean_hops=3.7,
+        mean_payload_flits=16.095,
+        mean_packet_power=60.0,
+        simulated_span=996,
+    ),
+    "p93791_leon": NocCharacterization(
+        packet_count=200,
+        mean_latency=38.18,
+        worst_latency=73,
+        mean_hops=3.315,
+        mean_payload_flits=16.29,
+        mean_packet_power=60.0,
+        simulated_span=1109,
+    ),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PAPER_CHARACTERIZATIONS))
+def test_paper_noc_characterization_is_pinned(system):
+    network = build_paper_system(system).network
+    assert characterize_noc(network) == PAPER_CHARACTERIZATIONS[system]

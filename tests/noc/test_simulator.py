@@ -1,9 +1,12 @@
 """Tests of the circuit-switched NoC simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.noc.simulator import CircuitSwitchedSimulator, TransferRequest
+
+from tests.noc.reference_simulator import reference_run
 
 
 def request(name, resources, duration, release=0, priority=0):
@@ -95,3 +98,41 @@ class TestCircuitSwitchedSimulator:
         records = {r.name: r for r in simulator.run()}
         assert records["a"].duration == 0
         assert records["b"].end == 10
+
+
+# A small shared pool keeps resource conflicts frequent; short names make
+# duplicates common; durations and release times include zero.
+POOL = tuple(((x, 0), (x + 1, 0)) for x in range(5))
+
+transfer_requests = st.builds(
+    TransferRequest,
+    name=st.sampled_from(["a", "b", "c", "d"]),
+    resources=st.lists(st.sampled_from(POOL), max_size=3).map(tuple),
+    duration=st.integers(min_value=0, max_value=20),
+    release_time=st.integers(min_value=0, max_value=30),
+    priority=st.integers(min_value=0, max_value=2),
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(requests=st.lists(transfer_requests, max_size=25))
+    def test_records_equal_reference(self, requests):
+        simulator = CircuitSwitchedSimulator()
+        simulator.add_all(requests)
+        assert simulator.run() == reference_run(requests)
+
+    def test_empty_set(self):
+        assert CircuitSwitchedSimulator().run() == reference_run([]) == []
+
+    def test_duplicate_names_keep_every_record(self):
+        requests = [
+            request("dup", [LINK_A], 5),
+            request("dup", [LINK_A], 3),
+            request("dup", [LINK_B], 0),
+        ]
+        simulator = CircuitSwitchedSimulator()
+        simulator.add_all(requests)
+        records = simulator.run()
+        assert records == reference_run(requests)
+        assert [(r.start, r.end) for r in records] == [(0, 5), (0, 0), (5, 8)]
