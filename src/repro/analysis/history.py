@@ -16,8 +16,8 @@ Both questions exist in two forms: the pure-Python reducers
 iterable of records — loaded JSON documents included — and their SQL twins
 (:func:`scheduler_win_rates_sql`, :func:`makespan_trajectory_sql`) that
 aggregate *inside* the sqlite store over the indexed headline columns and
-return exactly the same rows (the equality is pinned by tests;
-``benchmarks/bench_history.py`` tracks the speed gap).  ``repro history``
+return exactly the same rows (the equality is pinned by tests; perfbench's
+serve-mixed workload times the history reads).  ``repro history``
 renders the SQL side as plain-text tables via :func:`history_report`, so its
 cost no longer scales with loading every record's JSON.
 """

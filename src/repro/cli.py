@@ -1407,9 +1407,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a sweep grid under cProfile and report the hot functions",
         description="Execute a (system x reuse level x power limit x "
         "scheduler) grid serially under cProfile and print the planning hot "
-        "path's most expensive functions.  Companion of "
-        "benchmarks/bench_plan_point.py: the benchmark measures per-point "
-        "planning time, this command shows where it goes.",
+        "path's most expensive functions.  Companion of perfbench/run.py: "
+        "the benchmark measures how long a user waits, this command shows "
+        "where the time goes.",
     )
     _add_spec_arguments(profile)
     _add_characterization_arguments(profile)

@@ -13,9 +13,8 @@ in the greedy scheduler loop; the import about 0.15 s; the six system
 builds about 0.04 s and the three NoC characterisation campaigns about
 0.02 s, of 0.35-0.5 s of wall time.  Every cold process repeats the builds
 and the campaigns; ``--no-characterize`` leaves the campaigns out.  The
-profiler tells you *where the time goes*; ``benchmarks/bench_plan_point.py``
-and ``perfbench/`` tell you *how fast* a point plans and how long a user
-waits.
+profiler tells you *where the time goes*; ``perfbench/`` tells you how
+long a user waits and how that time splits across the layers.
 
 The harness always executes in-process on the serial backend — a profile of
 a process pool would only show the parent waiting on its workers.
@@ -171,8 +170,8 @@ def profile_specs(
     Args:
         specs: one sweep spec or an iterable of them.
         characterize: also run (and profile) the NoC characterisation
-            campaign per point; off by default so the report shows the
-            planning hot path the benchmarks measure.
+            campaign per point; off by default so the report shows only
+            the planning hot path.
         packet_count: campaign size when ``characterize`` is on.
         sort: hotspot ranking — one of :data:`PROFILE_SORT_KEYS`.
         limit: number of hotspots to keep.

@@ -10,9 +10,9 @@ Every exhibit of the paper maps to one driver here:
   explains the p22810 irregularity, plus sweeps over the design parameters the
   paper fixes (processor pattern penalty, number of external interfaces).
 
-The drivers are deterministic and reasonably fast (a full Figure 1 run takes a
-few seconds), so the benchmark harness under ``benchmarks/`` simply calls them
-and prints the resulting rows.
+The drivers are deterministic and fast (the whole Figure 1 grid plans in
+well under a second), so the tests under ``tests/experiments/`` call them
+directly and check the shapes the paper reports.
 
 Since the sweep-engine refactor every grid-shaped driver is a thin
 :class:`~repro.runner.spec.SweepSpec` definition executed by the shared

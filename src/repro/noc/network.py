@@ -60,19 +60,18 @@ class NocConfig:
 class Network:
     """A configured NoC: topology + routing + timing + power, ready to query.
 
+    Derived per-(source, destination) artefacts — routes, hop counts,
+    reservation resource lists — are memoised on first query, and the
+    scheduler memoises test jobs against the network instance.
+
     Args:
         config: the user-facing NoC configuration.
-        cache: memoise derived per-(source, destination) artefacts — routes,
-            hop counts, reservation resource lists — and let the scheduler
-            memoise test jobs against this network (default).  ``False``
-            recomputes everything per query; the equivalence tests and the
-            microbenchmark's naive baseline use it.
     """
 
-    def __init__(self, config: NocConfig, *, cache: bool = True):
+    def __init__(self, config: NocConfig):
         self.config = config
         self.topology = GridTopology(config.width, config.height)
-        self.routing = XYRouting(self.topology, cached=cache)
+        self.routing = XYRouting(self.topology)
         self.timing = NocTimingModel(
             flit_width=config.flit_width,
             routing_latency=config.routing_latency,
@@ -80,12 +79,7 @@ class Network:
             header_flits=config.header_flits,
         )
         self.power = NocPowerModel(mean_packet_power=config.mean_packet_power)
-        #: Downstream layers (e.g. the scheduler's job table) key their own
-        #: memoisation on this flag, so one switch disables every cache layer.
-        self.caches_enabled = cache
-        self._reservations: dict[EndpointPair, tuple[Link, ...]] | None = (
-            {} if cache else None
-        )
+        self._reservations: dict[EndpointPair, tuple[Link, ...]] = {}
 
     # ------------------------------------------------------------------
     # Topology / routing queries.
@@ -114,13 +108,11 @@ class Network:
     ) -> list[Link]:
         """Exclusive resources a dedicated ``source``→``destination`` path claims.
 
-        Each call returns a fresh list (memoised per endpoint pair when the
-        network's caches are enabled).
+        Each call returns a fresh list (memoised per endpoint pair).
         """
-        if self._reservations is not None:
-            cached = self._reservations.get((source, destination))
-            if cached is not None:
-                return list(cached)
+        cached = self._reservations.get((source, destination))
+        if cached is not None:
+            return list(cached)
         path = self.route(source, destination)
         include_ports = self.config.exclusive_local_ports
         resources = path_resources(
@@ -128,8 +120,7 @@ class Network:
             include_source_port=include_ports,
             include_destination_port=include_ports,
         )
-        if self._reservations is not None:
-            self._reservations[(source, destination)] = tuple(resources)
+        self._reservations[(source, destination)] = tuple(resources)
         return resources
 
     # ------------------------------------------------------------------

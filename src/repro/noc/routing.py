@@ -15,7 +15,7 @@ the memoised entry points across mesh shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import RoutingError
 from repro.noc.topology import GridTopology, NodeCoordinate
@@ -30,21 +30,17 @@ class XYRouting:
 
     Attributes:
         topology: the mesh being routed over.
-        cached: fill per-pair route/hop tables on first query (default).
-            ``False`` recomputes every query — the reference behaviour the
-            equivalence tests and the microbenchmark baseline use.
     """
 
     topology: GridTopology
-    cached: bool = field(default=True, compare=False)
 
     def __post_init__(self) -> None:
         # Lazily filled route tables.  The dataclass is frozen so the tables
         # are attached via object.__setattr__; they are pure memoisation and
         # never observable through the public API (routes are returned as
         # fresh lists, so a caller cannot corrupt a table entry).
-        object.__setattr__(self, "_routes", {} if self.cached else None)
-        object.__setattr__(self, "_hops", {} if self.cached else None)
+        object.__setattr__(self, "_routes", {})
+        object.__setattr__(self, "_hops", {})
 
     # ------------------------------------------------------------------
     # Reference (uncached) implementations.
@@ -98,9 +94,7 @@ class XYRouting:
         Raises:
             RoutingError: if either endpoint is outside the topology.
         """
-        table: dict[EndpointPair, tuple[NodeCoordinate, ...]] | None = self._routes
-        if table is None:
-            return self.naive_route(source, destination)
+        table: dict[EndpointPair, tuple[NodeCoordinate, ...]] = self._routes
         cached = table.get((source, destination))
         if cached is None:
             # Only validated pairs enter the table, so a hit can skip the
@@ -111,9 +105,7 @@ class XYRouting:
 
     def hops(self, source: NodeCoordinate, destination: NodeCoordinate) -> int:
         """Number of channel traversals between the two nodes."""
-        table: dict[EndpointPair, int] | None = self._hops
-        if table is None:
-            return self.naive_hops(source, destination)
+        table: dict[EndpointPair, int] = self._hops
         cached = table.get((source, destination))
         if cached is None:
             cached = self.naive_hops(source, destination)

@@ -44,8 +44,10 @@ from repro.system.presets import (
 #: Schema version of on-disk characterisation records.
 CHARACTERIZATION_SCHEMA_VERSION = 1
 
-#: Schema version of on-disk system-build records.
-SYSTEM_SCHEMA_VERSION = 1
+#: Schema version of on-disk system-build records.  Version 2: ``Network``
+#: and ``XYRouting`` lost their cache switches, so version-1 pickles hold
+#: attributes today's classes no longer have.
+SYSTEM_SCHEMA_VERSION = 2
 
 
 def content_key(payload: Mapping[str, object]) -> str:
@@ -81,14 +83,11 @@ def build_point_system(
     *,
     flit_width: int = 32,
     pattern_penalty: int | None = None,
-    cache: bool = True,
 ) -> SocSystem:
     """Build the paper system a sweep point needs (uncached).
 
     ``pattern_penalty`` overrides the processors' cycles-per-pattern figure,
-    reproducing the ablation's BIST-kernel-quality sweep.  ``cache=False``
-    builds the reference system whose planner paths recompute everything
-    (see :func:`repro.system.presets.build_paper_system`).
+    reproducing the ablation's BIST-kernel-quality sweep.
     """
     processor = None
     if pattern_penalty is not None:
@@ -96,9 +95,7 @@ def build_point_system(
         processor = processor_prototype(spec.processor_model).with_application(
             BistApplication(cycles_per_pattern=pattern_penalty)
         )
-    return build_paper_system(
-        system, flit_width=flit_width, processor=processor, cache=cache
-    )
+    return build_paper_system(system, flit_width=flit_width, processor=processor)
 
 
 class SystemCache:

@@ -153,15 +153,9 @@ _JOB_TABLES: "WeakKeyDictionary[Network, dict]" = WeakKeyDictionary()
 def cached_job(core: CoreUnderTest, interface: TestInterface, network: Network) -> TestJob:
     """The job for (``core``, ``interface``), memoised against ``network``.
 
-    Falls back to a plain :func:`build_job` when the network's caches are
-    disabled (``Network(config, cache=False)``), so the reference path stays
-    reachable for equivalence tests and benchmarks.
-
     Raises:
         SchedulingError: as :func:`build_job`.
     """
-    if not getattr(network, "caches_enabled", False):
-        return build_job(core, interface, network)
     table = _JOB_TABLES.get(network)
     if table is None:
         table = {}

@@ -60,7 +60,7 @@ def processor_first_priority(
     so pulling their tests to the front of the queue maximises the time window
     in which they are useful.  This is not what the paper's greedy tool does
     (it relies on distance alone), but it is a natural design alternative and
-    is evaluated by the ablation benchmarks.
+    is evaluated by the ablation experiments.
     """
     base = distance_priority(cores, interfaces, network)
 

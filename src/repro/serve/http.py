@@ -387,8 +387,8 @@ def create_server(
     """Build a ready-to-serve daemon (bound, not yet serving).
 
     The caller decides how to run it: ``serve_forever()`` for the CLI, a
-    background thread for tests and benchmarks (``port=0`` binds an
-    ephemeral port, reachable via :attr:`PlanningServer.url`).
+    background thread for tests (``port=0`` binds an ephemeral port,
+    reachable via :attr:`PlanningServer.url`).
 
     Args:
         store_path: sqlite sweep store the daemon serves and fills.

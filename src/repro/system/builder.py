@@ -173,14 +173,11 @@ class SystemBuilder:
         )
     """
 
-    def __init__(self, name: str, noc_config: NocConfig, *, cache: bool = True):
+    def __init__(self, name: str, noc_config: NocConfig):
         if not name:
             raise ConfigurationError("system name must not be empty")
         self._name = name
-        # cache=False builds a system whose network answers route/reservation
-        # queries from scratch on every call — the reference mode benchmarks
-        # and equivalence tests compare the memoised planner against.
-        self._network = Network(noc_config, cache=cache)
+        self._network = Network(noc_config)
         self._cores: list[CoreUnderTest] = []
         self._io_ports: list[IoPort] = []
         self._characterizations: dict[str, ProcessorCharacterization] = {}

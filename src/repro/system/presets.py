@@ -96,7 +96,6 @@ def build_paper_system(
     input_port_node: NodeCoordinate | None = None,
     output_port_node: NodeCoordinate | None = None,
     processor: EmbeddedProcessor | None = None,
-    cache: bool = True,
 ) -> SocSystem:
     """Build one of the paper's systems by name (e.g. ``"d695_leon"``).
 
@@ -112,10 +111,6 @@ def build_paper_system(
             corner).
         processor: override the processor characterisation (the default is the
             model named in the system spec with its default parameters).
-        cache: build the system with its planning memoisation enabled
-            (default); ``False`` yields a reference system whose network
-            recomputes routes and reservations on every query — used by the
-            benchmarks and the memoisation-equivalence tests.
 
     Raises:
         ConfigurationError: for an unknown system name.
@@ -142,7 +137,7 @@ def build_paper_system(
     output_node = output_port_node or (spec.grid_width - 1, spec.grid_height - 1)
 
     builder = (
-        SystemBuilder(spec.name, noc, cache=cache)
+        SystemBuilder(spec.name, noc)
         .add_benchmark(benchmark)
         .add_processors(prototype, spec.processor_count)
         .add_io_port("ext_in", input_node, PortDirection.INPUT)

@@ -1,8 +1,7 @@
 """Shared fixtures for the test suite.
 
 The fixtures build small, fast systems so that the unit tests stay quick; the
-paper-sized systems are exercised by the integration tests and the benchmark
-harness.
+paper-sized systems are exercised by the integration and experiment tests.
 """
 
 from __future__ import annotations

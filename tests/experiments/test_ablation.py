@@ -1,4 +1,5 @@
-"""Tests of the ablation drivers (on the small d695 systems for speed)."""
+"""Tests of the ablation drivers (mostly on the small d695 systems for speed;
+claim T4 also on p22810 and the external-interface sweep also on p93791)."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.experiments.ablation import (
     run_pattern_penalty_sweep,
     run_scheduler_comparison,
 )
+from repro.experiments.figure1 import PAPER_PROCESSOR_COUNTS
 
 
 class TestSchedulerComparison:
@@ -26,6 +28,17 @@ class TestSchedulerComparison:
             expected = 100.0 * (row.greedy_makespan - row.lookahead_makespan) / row.greedy_makespan
             assert row.improvement_percent == pytest.approx(expected)
 
+    @pytest.mark.parametrize("system", ["d695_leon", "p22810_leon"])
+    def test_lookahead_recovers_greedy_losses(self, system):
+        """Claim T4: the look-ahead policy the paper suggests for p22810's
+        irregular bars wins somewhere and never loses by more than 5 %."""
+        counts = PAPER_PROCESSOR_COUNTS[system.split("_")[0]]
+        rows = run_scheduler_comparison(system, processor_counts=counts)
+        assert rows[0].greedy_makespan == rows[0].lookahead_makespan
+        assert any(row.lookahead_makespan < row.greedy_makespan for row in rows[1:])
+        for row in rows:
+            assert row.lookahead_makespan <= row.greedy_makespan * 1.05
+
 
 class TestPatternPenaltySweep:
     @pytest.fixture(scope="class")
@@ -44,6 +57,17 @@ class TestPatternPenaltySweep:
         for row in rows:
             assert row.reduction_percent > 0.0
 
+    def test_leon_penalty_ordering(self):
+        """A free pattern generator helps at least as much as the paper's
+        10-cycle one, which beats a 40-cycle one (2 % greedy slack)."""
+        rows = run_pattern_penalty_sweep("d695_leon", penalties=(0, 5, 10, 20, 40))
+        assert len({row.baseline_makespan for row in rows}) == 1
+        for row in rows:
+            assert row.reduction_percent > 0.0
+        by_penalty = {row.cycles_per_pattern: row.reuse_makespan for row in rows}
+        assert by_penalty[0] <= by_penalty[10] * 1.02
+        assert by_penalty[10] <= by_penalty[40] * 1.02
+
 
 class TestExternalInterfaceSweep:
     @pytest.fixture(scope="class")
@@ -57,5 +81,11 @@ class TestExternalInterfaceSweep:
         assert rows[1].external_only_makespan <= rows[0].external_only_makespan
 
     def test_processor_reuse_still_helps_with_extra_channels(self, rows):
+        for row in rows:
+            assert row.with_processors_makespan <= row.external_only_makespan
+
+    def test_p93791_with_three_pairs(self):
+        rows = run_external_interface_sweep("p93791_leon", max_pairs=3)
+        assert rows[-1].external_only_makespan <= rows[0].external_only_makespan
         for row in rows:
             assert row.with_processors_makespan <= row.external_only_makespan

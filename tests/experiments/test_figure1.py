@@ -77,6 +77,35 @@ class TestRunPanel:
         assert sorted(panel.series["free"]) == [0, 6]
 
 
+#: Shape of every Figure 1 panel: the range of the noproc bar (the paper's
+#: axes) and the (exclusive, inclusive) range of the best no-limit
+#: reduction in percent (the paper quotes 28 % for d695 and up to 44 % for
+#: p93791; it gives no upper figure for p22810).
+PANEL_SHAPES = {
+    "d695_leon": ((120_000, 210_000), (15.0, 55.0)),
+    "d695_plasma": ((80_000, 160_000), (15.0, 55.0)),
+    "p22810_leon": ((600_000, 1_300_000), (20.0, 100.0)),
+    "p22810_plasma": ((600_000, 1_300_000), (20.0, 100.0)),
+    "p93791_leon": ((1_000_000, 2_000_000), (25.0, 60.0)),
+    "p93791_plasma": ((1_000_000, 2_000_000), (25.0, 60.0)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(PANEL_SHAPES))
+def test_every_paper_panel_has_the_figure_shape(system):
+    panel = run_panel(system)
+    counts = sorted(PAPER_PROCESSOR_COUNTS[system.split("_")[0]])
+    (noproc_low, noproc_high), (reduction_low, reduction_high) = PANEL_SHAPES[system]
+    for label, sweep in panel.series.items():
+        assert sorted(sweep) == counts
+        for result in sweep.values():
+            validate_schedule(result)
+        makespans = panel.makespans(label)
+        assert makespans[counts[-1]] < makespans[0]
+    assert noproc_low <= panel.series["no power limit"][0].makespan <= noproc_high
+    assert reduction_low < panel.best_reduction("no power limit") <= reduction_high
+
+
 class TestRunFigure1Subset:
     def test_subset_of_systems(self):
         panels = run_figure1(systems=("d695_leon",))

@@ -27,3 +27,10 @@ class TestFlitWidthSweep:
     def test_relative_gain_insensitive_to_width(self, rows):
         reductions = [row.reduction_percent for row in rows]
         assert max(reductions) - min(reductions) < 20.0
+
+    def test_d695_leon_from_eight_bit_flits(self):
+        rows = run_flit_width_sweep("d695_leon", flit_widths=(8, 16, 32, 64))
+        baselines = [row.baseline_makespan for row in rows]
+        assert baselines == sorted(baselines, reverse=True)
+        for row in rows:
+            assert row.reduction_percent > 0.0

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.noc.links import local_port
+from repro.noc.links import local_port, path_resources
 from repro.noc.network import Network, NocConfig
+from repro.system.presets import build_paper_system
 
 
 class TestNocConfig:
@@ -53,3 +54,33 @@ class TestNetwork:
     def test_describe_mentions_dimensions(self, network):
         assert "4x4" in network.describe()
         assert "XY" in network.describe()
+
+
+class TestReservationsEqualNaive:
+    """The reservation table is pure memoisation: every answer equals the
+    resource list derived from the naive route, on the first call and on a
+    hit, across every endpoint pair of the paper NoCs."""
+
+    @pytest.mark.parametrize("system", ["d695_leon", "p22810_leon", "p93791_leon"])
+    def test_all_pairs_equal_naive(self, system):
+        network = Network(build_paper_system(system).network.config)
+        include_ports = network.config.exclusive_local_ports
+        nodes = list(network.topology.nodes())
+        for source in nodes:
+            for destination in nodes:
+                expected = path_resources(
+                    network.routing.naive_route(source, destination),
+                    include_source_port=include_ports,
+                    include_destination_port=include_ports,
+                )
+                # Twice: the first call fills the table, the second hits it.
+                assert network.reservation_resources(source, destination) == expected
+                assert network.reservation_resources(source, destination) == expected
+
+    def test_hits_return_fresh_lists(self):
+        network = Network(NocConfig(width=4, height=4))
+        network.reservation_resources((0, 0), (3, 3))
+        hit = network.reservation_resources((0, 0), (3, 3))
+        expected = list(hit)
+        hit.clear()  # mutating a returned list must not reach the table
+        assert network.reservation_resources((0, 0), (3, 3)) == expected

@@ -130,6 +130,22 @@ class TestSystemCacheDisk:
         fresh.get("d695_leon")
         assert fresh.stats.misses == 1
 
+    def test_schema_v1_record_rebuilt(self, tmp_path):
+        """Version-1 records pickled ``Network``/``XYRouting`` with their old
+        cache switches; under the same library version they are rebuilt,
+        never served from disk."""
+        import pickle
+
+        cache = SystemCache(tmp_path)
+        cache.get("d695_leon")
+        (record,) = tmp_path.glob("system-build-*.pkl")
+        document = pickle.loads(record.read_bytes())
+        document["schema_version"] = 1
+        record.write_bytes(pickle.dumps(document))
+        fresh = SystemCache(tmp_path)
+        fresh.get("d695_leon")
+        assert fresh.stats.as_dict() == {"hits": 0, "misses": 1, "disk_hits": 0}
+
     def test_library_version_checked(self, tmp_path):
         """A record pickled by a different library version is rebuilt, not
         unpickled into a potentially stale class shape."""

@@ -125,6 +125,18 @@ class TestResume:
             assert second.skipped_count == spec.point_count
             assert second.records == first.records
 
+    def test_resume_from_reopened_store_returns_cold_records(self, spec, tmp_path):
+        """A later process (fresh runner, reopened store) resumes to exactly
+        the records the cold run wrote."""
+        path = tmp_path / "sweeps.db"
+        with SweepDatabase(path) as db:
+            cold = SweepRunner(jobs=1).run_stored(spec, db, resume=True)
+        with SweepDatabase(path) as db:
+            warm = SweepRunner(jobs=1).run_stored(spec, db, resume=True)
+        assert warm.executed_count == 0
+        assert warm.skipped_count == spec.point_count
+        assert warm.records == cold.records
+
     def test_interrupted_sweep_resumes_only_missing(self, spec, serial_records, tmp_path):
         """Seed the store with a partial run (as an interrupt would leave it);
         resume must execute exactly the missing points and converge on the

@@ -66,6 +66,22 @@ class TestSerialExecution:
         assert runner.system_cache.stats.misses == 1
         assert runner.system_cache.stats.hits == d695_spec.point_count - 1
 
+    def test_system_built_once_across_specs(self, d695_spec, serial_outcomes):
+        """Related grids on one runner share the build: one per distinct
+        SoC, not one per spec, and a re-run plans identically."""
+        runner = SweepRunner(jobs=1)
+        runner.run(
+            SweepSpec(
+                name="d695-other-grid",
+                systems=("d695_leon",),
+                processor_counts=(0, 6),
+                power_limits={"no power limit": None},
+            )
+        )
+        again = runner.run(d695_spec)
+        assert runner.system_cache.stats.misses == 1
+        assert [o.makespan for o in again] == [o.makespan for o in serial_outcomes]
+
 
 class TestDeterminism:
     def test_same_spec_gives_byte_identical_store_json(self, d695_spec):

@@ -6,7 +6,8 @@ from repro.cores.core import build_core
 from repro.errors import SchedulingError
 from repro.noc.links import local_port
 from repro.noc.network import Network, NocConfig
-from repro.schedule.job import build_job, job_fits_memory
+from repro.schedule.job import build_job, cached_job, job_fits_memory
+from repro.system.presets import build_paper_system
 from repro.tam.interfaces import InterfaceKind, TestInterface
 
 from tests.conftest import make_module
@@ -104,6 +105,24 @@ class TestBuildJob:
         interface = processor(core_id=core.identifier)
         with pytest.raises(SchedulingError, match="own core"):
             build_job(core, interface, network)
+
+
+class TestCachedJobEqualsBuildJob:
+    """The job table is pure memoisation: for every (core, interface) pair of
+    a paper system the memoised job equals a fresh build, and repeated
+    lookups return the one stored job."""
+
+    @pytest.mark.parametrize("system", ["d695_leon", "p93791_leon"])
+    def test_every_pair_equals_build_job(self, system):
+        built = build_paper_system(system)
+        network = built.network
+        for core in built.cores:
+            for interface in built.interfaces():
+                if interface.processor_core_id == core.identifier:
+                    continue  # a processor cannot test itself
+                job = cached_job(core, interface, network)
+                assert job == build_job(core, interface, network)
+                assert cached_job(core, interface, network) is job
 
 
 class TestJobFitsMemory:
