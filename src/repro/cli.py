@@ -21,18 +21,17 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   with build/characterisation caching (``--cache-dir``), a schema-versioned
   JSON result store (``--out``, re-printable via ``--load``), a durable
   sqlite store with incremental re-runs (``--store``, ``--resume``),
-  sharded execution of one deterministic slice of each grid
-  (``--shard-index``/``--shard-count``/``--shard-strategy`` or an explicit
-  point list via ``--points``, for distributing a sweep across hosts or CI
-  jobs), chunked commits (``--checkpoint``, so a killed worker's completed
-  points survive for ``--resume``) and grids taken straight from a spec
-  file (``--spec-json``, how orchestration workers are driven).
+  sliced execution of an explicit point list of each grid (``--points``,
+  for distributing a sweep across hosts or CI jobs), chunked commits
+  (``--checkpoint``, so a killed worker's completed points survive for
+  ``--resume``) and grids taken straight from a spec file
+  (``--spec-json``, how orchestration workers are driven).
 * ``orchestrate [SYSTEM...]`` — the multi-host flow, and the one command
   that fans grids out over shard workers: send every grid out in one
-  dispatch round over N ``repro sweep`` subprocess workers
-  (``--workers``, ``--workdir``), each running its shard of every grid
-  into its own sqlite store, supervise them through per-worker heartbeat files
-  and a worker state machine, retry/requeue failed, hung or lost shards
+  dispatch round over N ``repro sweep --points`` subprocess workers
+  (``--workers``, ``--workdir``, ``--shard-strategy``), each running its
+  point list of every grid into its own sqlite store, supervise them
+  through per-worker heartbeat files and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
   carried; the merged export (``--export-json``) is byte-identical to a
@@ -76,16 +75,11 @@ from repro.experiments.figure1 import (
     PAPER_PROCESSOR_COUNTS,
     panel_from_outcomes,
 )
-from repro.runner.backends import ShardWorkerBackend
+from repro.runner.backends import SHARD_SPLITS, ShardWorkerBackend
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.launch import LAUNCHERS, beat_heartbeat
-from repro.runner.spec import (
-    SCHEDULER_FACTORIES,
-    SHARD_STRATEGIES,
-    SweepSpec,
-    power_series_label,
-)
+from repro.runner.spec import SCHEDULER_FACTORIES, SweepSpec, power_series_label
 from repro.runner.store import load_sweeps, save_stored_sweeps, save_sweeps
 from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 
@@ -249,9 +243,6 @@ _SWEEP_RUN_OPTIONS: tuple[tuple[str, str], ...] = (
     ("no_characterize", "--no-characterize"),
     ("store", "--store"),
     ("resume", "--resume"),
-    ("shard_index", "--shard-index"),
-    ("shard_count", "--shard-count"),
-    ("shard_strategy", "--shard-strategy"),
     ("points", "--points"),
     ("checkpoint", "--checkpoint"),
 )
@@ -414,38 +405,42 @@ def _sweep_title(spec: SweepSpec) -> str:
     return spec.systems[0] if len(spec.systems) == 1 else spec.name
 
 
-def _parse_host_list(args: argparse.Namespace) -> list[str] | None:
-    """Resolve ``--hosts``/``--hosts-file`` into a host list (or ``None``).
+def _parse_host_list(
+    hosts: str | None, hosts_file: str | None = None, *, flag: str = "--hosts"
+) -> list[str] | None:
+    """Resolve a comma host list (``flag``) or a hosts file into hosts.
 
-    A hosts file names one host per line; blank lines and ``#`` comments
-    are skipped.
+    ``None`` when neither is given.  A hosts file names one host per line;
+    blank lines and ``#`` comments are skipped.
 
     Raises:
         ConfigurationError: when both sources are given, the file cannot be
-            read, or the file names no hosts.
+            read, or the given source names no hosts (an empty ``--hosts ''``
+            from an unset variable must not fall back to local workers).
     """
-    if args.hosts and args.hosts_file:
+    if hosts is not None and hosts_file is not None:
         raise ConfigurationError(
             "--hosts and --hosts-file are two sources for the same host "
             "list; pass one"
         )
-    if args.hosts:
-        return [token.strip() for token in args.hosts.split(",") if token.strip()]
-    if args.hosts_file:
+    if hosts is not None:
+        names = [token.strip() for token in hosts.split(",") if token.strip()]
+        if not names:
+            raise ConfigurationError(f"{flag} names no hosts")
+        return names
+    if hosts_file is not None:
         try:
-            text = Path(args.hosts_file).read_text(encoding="utf-8")
+            text = Path(hosts_file).read_text(encoding="utf-8")
         except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read hosts file {args.hosts_file}: {exc}"
-            ) from exc
-        hosts = [
+            raise ConfigurationError(f"cannot read hosts file {hosts_file}: {exc}") from exc
+        names = [
             line.strip()
             for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
-        if not hosts:
-            raise ConfigurationError(f"hosts file {args.hosts_file} names no hosts")
-        return hosts
+        if not names:
+            raise ConfigurationError(f"hosts file {hosts_file} names no hosts")
+        return names
     return None
 
 
@@ -469,33 +464,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "--resume needs --store: there is no sqlite store to resume from"
         )
-    if (args.shard_index is None) != (args.shard_count is None):
-        raise ConfigurationError(
-            "--shard-index and --shard-count go together: one names the shard, "
-            "the other the partition size"
-        )
-    if args.shard_count is not None and not args.store:
-        raise ConfigurationError(
-            "--shard-index/--shard-count need --store: shard results must land "
-            "in a sqlite store so `repro merge` can fold the shards together"
-        )
     if args.points is not None and not args.store:
         raise ConfigurationError(
             "--points needs --store: point-sliced results must land in a "
-            "sqlite store so the dispatcher can merge and resume them"
-        )
-    if args.points is not None and args.shard_count is not None:
-        raise ConfigurationError(
-            "--points and --shard-index/--shard-count are two ways to slice "
-            "the grid; pass one"
+            "sqlite store so `repro merge` can fold the slices together"
         )
     if args.checkpoint is not None and not args.store:
         raise ConfigurationError(
             "--checkpoint commits completed points to the sqlite store in "
             "chunks; it needs --store"
         )
-    if args.shard_strategy != "contiguous" and args.shard_count is None:
-        raise ConfigurationError("--shard-strategy needs --shard-index/--shard-count")
     runner = SweepRunner(
         jobs=args.jobs,
         backend=args.backend,
@@ -506,25 +484,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     specs = _build_sweep_specs(args)
 
-    # Each spec's slice (--points, or the --shard-index shard's indices),
-    # resolved before executing anything so an out-of-range shard index
-    # (or point index) fails fast instead of after the first grid ran.
-    if args.points is not None:
-        point_groups = _parse_point_groups(args.points, len(specs))
-    elif args.shard_count is not None:
-        shards = (
-            spec.shard(args.shard_index, args.shard_count, strategy=args.shard_strategy)
-            for spec in specs
-        )
-        point_groups = [tuple(point.index for point in shard) for shard in shards]
-    else:
+    # Each spec's --points slice, resolved before executing anything so an
+    # out-of-range point index fails fast instead of after the first grid ran.
+    if args.points is None:
         point_groups = None
-    if point_groups is not None:
+        planned_points = sum(spec.point_count for spec in specs)
+    else:
+        point_groups = _parse_point_groups(args.points, len(specs))
         planned_points = sum(
             len(spec.points_at(group)) for spec, group in zip(specs, point_groups) if group
         )
-    else:
-        planned_points = sum(spec.point_count for spec in specs)
 
     if args.store:
         _run_sweeps_stored(args, runner, specs, point_groups)
@@ -581,11 +550,8 @@ def _run_sweeps_stored(
 ) -> None:
     """Execute every spec (or one slice of it) against the sqlite store.
 
-    ``point_groups`` (from ``--points`` or the shard flags) names each
-    spec's slice.
+    ``point_groups`` (from ``--points``) names each spec's slice.
     """
-    sharded = args.shard_count is not None
-    source = f"shard:{args.shard_index}/{args.shard_count}" if sharded else None
     executed = skipped = 0
     # A sweep run is a genuine writer entry point: this process owns the
     # (shard) store for the duration of the run.
@@ -594,7 +560,7 @@ def _run_sweeps_stored(
         for position, spec in enumerate(specs):
             if point_groups is not None:
                 report = runner.run_points(
-                    spec, db, point_groups[position], resume=args.resume, source=source
+                    spec, db, point_groups[position], resume=args.resume
                 )
             else:
                 report = runner.run_stored(spec, db, resume=args.resume)
@@ -611,10 +577,9 @@ def _run_sweeps_stored(
     print(
         f"store {args.store}: {executed} executed, {skipped} skipped "
         f"across {len(specs)} sweep(s)"
-        + (f" [shard {args.shard_index}/{args.shard_count}]" if sharded else "")
         + (
             f" [points {sum(len(group) for group in point_groups)}]"
-            if args.points is not None
+            if point_groups is not None
             else ""
         )
         + (" [resume]" if args.resume else "")
@@ -627,7 +592,7 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             "--resume needs --workdir: workers resume from their previous "
             "shard stores, which only survive in a persistent work directory"
         )
-    hosts = _parse_host_list(args)
+    hosts = _parse_host_list(args.hosts, args.hosts_file)
     if args.launcher is not None and hosts is None:
         raise ConfigurationError(
             "--launcher picks how remote workers are spawned; it needs a "
@@ -667,8 +632,8 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         for worker in report.workers:
             retries = worker.retries
             print(
-                f"  worker {worker.shard_index}/{worker.shard_count}: "
-                f"{worker.store_path} [exit {worker.returncode}]"
+                f"  worker {worker.plan.shard_index}/{worker.plan.shard_count}: "
+                f"{worker.plan.store_path} [exit {worker.returncode}]"
                 + (
                     f" [{retries} retr{'y' if retries == 1 else 'ies'}]"
                     if retries
@@ -682,7 +647,7 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     print(
         f"store {args.store}: {report.record_count} records, {report.run_count} "
         f"run(s) across {len(specs)} sweep(s) orchestrated on "
-        f"{backend.worker_count} shard worker(s) ({carried} shard run(s) "
+        f"{len(report.workers)} shard worker(s) ({carried} shard run(s) "
         f"carried; workdir {report.workdir})"
     )
     if args.export_json:
@@ -786,13 +751,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import create_server
 
-    dispatch_hosts = None
-    if args.dispatch_hosts:
-        dispatch_hosts = [
-            token.strip() for token in args.dispatch_hosts.split(",") if token.strip()
-        ]
-        if not dispatch_hosts:
-            raise ConfigurationError("--dispatch-hosts names no hosts")
+    dispatch_hosts = _parse_host_list(args.dispatch_hosts, flag="--dispatch-hosts")
     server = create_server(
         args.store,
         host=args.host,
@@ -935,20 +894,14 @@ def _add_characterization_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags describing *how* to run a grid, shared by ``sweep`` and
-    ``orchestrate`` — the spec flags plus characterisation, caching and
-    sharding knobs."""
+    ``orchestrate`` — the spec flags plus characterisation and caching
+    knobs."""
     _add_spec_arguments(parser)
     _add_characterization_arguments(parser)
     parser.add_argument(
         "--cache-dir",
         default=None,
         help="directory for persisted NoC-characterisation records",
-    )
-    parser.add_argument(
-        "--shard-strategy",
-        choices=SHARD_STRATEGIES,
-        default="contiguous",
-        help="shard partition strategy (default: contiguous)",
     )
 
 
@@ -1055,27 +1008,13 @@ def build_parser() -> argparse.ArgumentParser:
         "execute only the missing ones",
     )
     sweep.add_argument(
-        "--shard-index",
-        type=int,
-        default=None,
-        metavar="I",
-        help="with --shard-count: run only shard I (0-based) of each grid",
-    )
-    sweep.add_argument(
-        "--shard-count",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition each grid into N deterministic shards (needs --store; "
-        "fold the shard stores together with `repro merge`)",
-    )
-    sweep.add_argument(
         "--points",
         default=None,
         metavar="I,J,...",
-        help="run only these 0-based grid point indices (needs --store; how "
-        "cost-sized dispatch drives its workers); with several specs, one "
-        "comma list per spec separated by ';' (I,J;K)",
+        help="run only these 0-based grid point indices (needs --store; fold "
+        "the slice stores together with `repro merge`; how orchestration "
+        "drives its workers); with several specs, one comma list per spec "
+        "separated by ';' (I,J;K)",
     )
     sweep.add_argument(
         "--checkpoint",
@@ -1098,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
         "orchestrate",
         help="fan a sweep grid out over local shard workers and merge the results",
         description="Run every grid in one round of N detached `repro sweep "
-        "--shard-index` subprocess workers (each runs its shard of every grid "
+        "--points` subprocess workers (each runs its point list of every grid "
         "into its own sqlite store), monitor them, and auto-merge the shard "
         "stores into OUT_DB with per-shard run history carried.  The merged "
         "store's --export-json document is "
@@ -1125,7 +1064,15 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shard workers shared by every grid of the run (default: 3, or "
-        "one per host with --hosts/--hosts-file)",
+        "one per host with --hosts/--hosts-file); a worker that would hold "
+        "no points is not spawned",
+    )
+    orchestrate.add_argument(
+        "--shard-strategy",
+        choices=SHARD_SPLITS,
+        default="contiguous",
+        help="how each grid is split into equal point lists, unless it is "
+        "cost-sized (default: contiguous)",
     )
     orchestrate.add_argument(
         "--resume",
@@ -1214,7 +1161,7 @@ def build_parser() -> argparse.ArgumentParser:
         "merge",
         help="merge sharded sqlite sweep stores into one database",
         description="Fold the sqlite stores written by `repro sweep "
-        "--shard-index/--shard-count --store` (or any --store runs) into "
+        "--points ... --store` (or any --store runs) into "
         "OUT_DB.  Overlapping records that are byte-identical are skipped, "
         "so re-merging a shard is a no-op; conflicting records abort the "
         "merge.  Merging every shard of a grid yields a store whose "

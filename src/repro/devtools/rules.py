@@ -658,7 +658,7 @@ class WorkerLifecycleRule(LintRule):
     )
     fix_hint = (
         "drive workers through WorkerSupervisor (or construct a new "
-        "AttemptRecord/WorkerOutcome); never mutate .state outside "
+        "AttemptRecord/ShardOutcome); never mutate .state outside "
         "runner/dispatch.py"
     )
 

@@ -7,14 +7,14 @@ out over shard-worker subprocesses — always in deterministic point order),
 and persist the outcome as schema-versioned JSON with :func:`save_sweeps` /
 :func:`load_sweeps` or durably in a :class:`SweepDatabase` sqlite store
 (crash-safe, accumulates across runs, and enables incremental re-runs via
-:meth:`SweepRunner.run_stored`).  Grids also execute sharded: each
-deterministic shard of the point order (:meth:`SweepSpec.shard`) runs
-anywhere via :meth:`SweepRunner.run_points` into its own store, and
-:meth:`SweepDatabase.merge` folds the shard stores back into one database
-record-identical to a single-host run — :meth:`SweepRunner.orchestrate`
-(backend ``shard-workers``; ``repro orchestrate`` on the command line)
-automates that dispatch-monitor-merge cycle for a whole batch of grids in
-one round of workers, with a launcher hook for remote fan-out.  The
+:meth:`SweepRunner.run_stored`).  Grids also execute sharded: any list of
+point indices runs anywhere via :meth:`SweepRunner.run_points` into its own
+store, and :meth:`SweepDatabase.merge` folds the shard stores back into one
+database record-identical to a single-host run —
+:meth:`SweepRunner.orchestrate` (backend ``shard-workers``; ``repro
+orchestrate`` on the command line) automates that dispatch-monitor-merge
+cycle for a whole batch of grids in one round of workers, with a launcher
+hook for remote fan-out.  The
 paper's experiment drivers (:mod:`repro.experiments`) and the
 ``repro sweep``/``repro orchestrate`` CLI are thin layers over this
 package.
@@ -50,7 +50,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ProcessPoolBackend",
             "SerialBackend",
             "ShardWorkerBackend",
-            "WorkerOutcome",
             "WorkerPlan",
             "make_backend",
         ),

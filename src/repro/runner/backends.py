@@ -11,17 +11,17 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     the points, workers seeded with the parent's warm system cache, so a
     pool run is byte-for-byte identical to a serial one.
 :class:`ShardWorkerBackend`
-    Partitions a batch of grids with
-    :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`, spawns one
-    detached ``repro sweep --shard-index i --shard-count n --store``
-    subprocess per shard (each running its shard of every grid of the
-    batch into its own :class:`~repro.runner.db.SweepDatabase`), so a
-    batch is one dispatch round on N workers; it supervises them through the
-    fault-tolerant dispatch layer (:mod:`repro.runner.dispatch`: worker
-    state machine, heartbeats, retry/requeue with resume), and folds the
-    shard stores into the target store with
+    Splits a batch of grids into one explicit point list per worker and
+    grid (:meth:`ShardWorkerBackend.plan_point_groups`), spawns one detached
+    ``repro sweep --spec-json ... --points ... --store`` subprocess per
+    worker (each running its lists of every grid of the batch into its own
+    :class:`~repro.runner.db.SweepDatabase`), so a batch is one dispatch
+    round on N workers; it supervises them through the fault-tolerant
+    dispatch layer (:mod:`repro.runner.dispatch`: worker state machine,
+    heartbeats, retry/requeue with resume), and folds the shard stores into
+    the target store with
     :meth:`SweepDatabase.merge_all <repro.runner.db.SweepDatabase.merge_all>`
-    (``carry_history=True``, so per-shard run trajectories survive the
+    (``carry_history=True``, so per-worker run trajectories survive the
     merge).  Without hosts the workers are local subprocesses; given a host
     pool (``hosts``, the ``remote`` backend name) it derives remote-leaning
     defaults — one worker per host, the ``ssh`` launcher, retries,
@@ -51,13 +51,13 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
 from repro.runner.cache import SystemCache
 from repro.runner.launch import Launcher, beat_heartbeat, make_launcher
-from repro.runner.spec import SHARD_STRATEGIES, SweepPoint, SweepSpec, make_scheduler
+from repro.runner.spec import SweepPoint, SweepSpec, make_scheduler
 from repro.schedule.planner import TestPlanner
 from repro.schedule.result import ScheduleResult
 
@@ -65,7 +65,7 @@ from repro.schedule.result import ScheduleResult
 # supervisor (with subprocess) is only needed by a process that orchestrates.
 if TYPE_CHECKING:
     from repro.runner.db import MergeReport, SweepDatabase
-    from repro.runner.dispatch import AttemptRecord, ShardOutcome, WorkerState
+    from repro.runner.dispatch import ShardOutcome
 
 
 def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
@@ -122,19 +122,67 @@ def batch_dirname(specs: Sequence[SweepSpec]) -> str:
     return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:12]
 
 
+def contiguous_split(count: int, workers: int) -> tuple[tuple[int, ...], ...]:
+    """Cut the indices ``0..count-1`` into ``workers`` nearly equal blocks.
+
+    Returns one ascending index tuple per worker; earlier workers take the
+    remainder, and with more workers than points the trailing tuples are
+    empty.
+    """
+    base, remainder = divmod(count, workers)
+    bounds = [worker * base + min(worker, remainder) for worker in range(workers + 1)]
+    return tuple(tuple(range(bounds[w], bounds[w + 1])) for w in range(workers))
+
+
+def strided_split(count: int, workers: int) -> tuple[tuple[int, ...], ...]:
+    """Deal the indices ``0..count-1`` round-robin onto ``workers``.
+
+    Worker ``w`` gets ``w, w + workers, ...``, which spreads the outer grid
+    axes (systems, flit widths) across workers.
+    """
+    return tuple(tuple(range(worker, count, workers)) for worker in range(workers))
+
+
+def lpt_split(costs: Sequence[float], loads: list[float]) -> tuple[tuple[int, ...], ...]:
+    """Pack points onto ``len(loads)`` workers by longest processing time.
+
+    ``costs[i]`` is point ``i``'s planning cost.  Points are taken by
+    descending cost (lower index first on ties) and each goes to the
+    currently lightest worker (lower worker first on ties).  ``loads``
+    holds each worker's cost so far and is updated in place, so the grids
+    of a batch balance together.  Returns one ascending index tuple per
+    worker.
+    """
+    groups: list[list[int]] = [[] for _ in loads]
+    for index in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        lightest = min(range(len(loads)), key=lambda w: (loads[w], w))
+        loads[lightest] += costs[index]
+        groups[lightest].append(index)
+    return tuple(tuple(sorted(group)) for group in groups)
+
+
+#: The equal splits ``--shard-strategy`` names: (point count, workers) to
+#: one index tuple per worker.
+SHARD_SPLITS: dict[str, Callable[[int, int], tuple[tuple[int, ...], ...]]] = {
+    "contiguous": contiguous_split,
+    "strided": strided_split,
+}
+
+
 @dataclass(frozen=True)
 class WorkerPlan:
     """One planned shard worker (what :class:`ShardWorkerBackend` will spawn).
 
     Attributes:
-        shard_index: which shard of every grid this worker executes.
-        shard_count: total number of shards each grid is split into.
+        shard_index: the worker's position in the batch's split.
+        shard_count: how many workers the batch was split for (idle ones,
+            which are not spawned, included).
         spec_path: JSON file holding the batch's spec list
             (``SweepSpec.to_dict`` per spec, in batch order).
-        store_path: sqlite store the worker writes its shard into.
+        store_path: sqlite store the worker writes its points into.
         log_path: file capturing the worker's stdout/stderr.
-        argv: the worker's ``repro sweep`` command line.  The backend's
-            launcher maps it, with the attempt's host and dispatch
+        argv: the worker's ``repro sweep --points`` command line.  The
+            backend's launcher maps it, with the attempt's host and dispatch
             environment, to the command actually spawned (e.g. ``ssh host
             ...``) — the dispatch seam for remote fan-out.
         heartbeat_path: file the worker touches to prove progress (the
@@ -149,32 +197,12 @@ class WorkerPlan:
     argv: tuple[str, ...]
     heartbeat_path: Path | None = None
 
-
-@dataclass(frozen=True)
-class WorkerOutcome:
-    """One finished shard worker (its final state and attempt history).
-
-    Attributes:
-        shard_index / shard_count / store_path / log_path: the worker's
-            plan coordinates.
-        returncode: exit code of the final attempt.
-        state: the shard's terminal :class:`~repro.runner.dispatch.WorkerState`.
-        attempts: per-attempt history (states, durations, heartbeat ages) —
-            what ``repro orchestrate`` prints per worker.
-    """
-
-    shard_index: int
-    shard_count: int
-    store_path: Path
-    log_path: Path
-    returncode: int
-    state: WorkerState
-    attempts: tuple[AttemptRecord, ...] = ()
-
-    @property
-    def retries(self) -> int:
-        """Attempts beyond the first."""
-        return max(len(self.attempts) - 1, 0)
+    def __post_init__(self) -> None:
+        if not 0 <= self.shard_index < self.shard_count:
+            raise ConfigurationError(
+                f"shard index {self.shard_index} out of range for "
+                f"{self.shard_count} shard(s): need 0 <= shard_index < shard_count"
+            )
 
 
 @dataclass(frozen=True)
@@ -184,8 +212,9 @@ class OrchestrationReport:
     Attributes:
         specs: the grids that were orchestrated, in batch order.
         spec_keys: their content keys in the target store, in batch order.
-        workers: every shard worker, in shard order; each one ran its shard
-            of every grid of the batch.
+        workers: the dispatch outcome (final state, attempt history) of
+            every spawned worker, in shard order; each one ran its point
+            lists of every grid of the batch.
         merge_reports: one merge report per shard store, in shard order.
         record_count: current records the target store holds for the
             batch's grids.
@@ -197,7 +226,7 @@ class OrchestrationReport:
 
     specs: tuple[SweepSpec, ...]
     spec_keys: tuple[str, ...]
-    workers: tuple[WorkerOutcome, ...]
+    workers: tuple["ShardOutcome", ...]
     merge_reports: tuple["MergeReport", ...]
     record_count: int
     run_count: int
@@ -367,14 +396,14 @@ REMOTE_BACKEND = "remote"
 class ShardWorkerBackend(ExecutionBackend):
     """Orchestrate a batch of grids as detached per-shard subprocess workers.
 
-    Each worker is an independent ``repro sweep --spec-json ...
-    --shard-index i --shard-count n --store`` process that runs its shard of
-    every grid in the batch's spec file into its own sqlite store, so a
-    batch of any size is one dispatch round on ``workers`` processes.  The
-    backend monitors them and merges the shard stores into the target with
-    history carried, so the merged store's export is byte-identical to a
-    serial run's while ``repro history`` still sees one run per shard per
-    grid.
+    Each worker is an independent ``repro sweep --spec-json ... --points
+    ... --store`` process that runs its point list of every grid in the
+    batch's spec file into its own sqlite store, so a batch of any size is
+    one dispatch round on at most ``workers`` processes (a worker whose
+    lists are all empty is not spawned).  The backend monitors them and
+    merges the shard stores into the target with history carried, so the
+    merged store's export is byte-identical to a serial run's while
+    ``repro history`` still sees one run per worker per grid.
 
     Without ``hosts`` the workers run as local subprocesses.  Given a host
     pool (the ``remote`` backend) the settings left at ``None`` are derived
@@ -385,10 +414,10 @@ class ShardWorkerBackend(ExecutionBackend):
     merge step already makes about shard stores.
 
     Args:
-        workers: number of shards (and worker processes) per batch
-            (default: 2, or one per host).
-        strategy: shard partition strategy (see :meth:`SweepSpec.shard
-            <repro.runner.spec.SweepSpec.shard>`).
+        workers: number of shards (and at most that many worker
+            processes) per batch (default: 2, or one per host).
+        strategy: the equal split (a :data:`SHARD_SPLITS` name) for every
+            grid that is not cost-sized.
         timeout: wall-clock budget per worker *attempt*; an attempt still
             running after this long is killed and marked ``TimedOut``
             (``None`` waits forever).
@@ -467,8 +496,8 @@ class ShardWorkerBackend(ExecutionBackend):
             launcher = "ssh" if pool else "local"
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
-        if strategy not in SHARD_STRATEGIES:
-            known = ", ".join(SHARD_STRATEGIES)
+        if strategy not in SHARD_SPLITS:
+            known = ", ".join(SHARD_SPLITS)
             raise ConfigurationError(
                 f"unknown shard strategy {strategy!r}; known strategies: {known}"
             )
@@ -494,7 +523,7 @@ class ShardWorkerBackend(ExecutionBackend):
 
     @property
     def worker_count(self) -> int:
-        """Number of shard workers spawned per batch."""
+        """Number of shards per batch (workers without points are not spawned)."""
         return self.workers
 
     # ------------------------------------------------------------------
@@ -504,30 +533,28 @@ class ShardWorkerBackend(ExecutionBackend):
         self,
         specs: Sequence[SweepSpec],
         workdir: Path,
+        point_groups: Sequence[Sequence[Sequence[int]]],
         *,
         resume: bool = False,
         characterize: bool = False,
         packet_count: int = 200,
         cache_dir: str | Path | None = None,
-        point_groups: Sequence[Sequence[Sequence[int]]] | None = None,
     ) -> list[WorkerPlan]:
         """Lay out the shard workers for the batch ``specs`` under ``workdir``.
 
-        Writes the batch as one JSON spec list (workers rebuild it with
-        ``repro sweep --spec-json``, so arbitrary grids orchestrate — not
-        just the ones expressible through grid flags) and plans one worker
-        per shard, each running its shard of every spec into its own store,
-        with its own log and heartbeat file.  Everything lands in a
-        per-batch subdirectory (see :func:`batch_dirname`), so one
-        ``workdir`` serves any number of orchestrated batches without their
-        shard stores colliding.
-
-        ``point_groups`` (per worker, one index set per spec, from
-        cost-based sizing) switches the worker command line from
-        ``--shard-index/--shard-count`` to an explicit ``--points`` list,
-        one comma list per spec joined by ``;``.  Each spec's groups must
-        be a disjoint cover of its grid, which keeps the merged result
-        byte-identical to any other partition.
+        ``point_groups`` holds, per worker, one index list per spec (see
+        :meth:`plan_point_groups`); each spec's lists must be a disjoint
+        cover of its grid, which keeps the merged result byte-identical to
+        any other partition.  Writes the batch as one JSON spec list
+        (workers rebuild it with ``repro sweep --spec-json``, so arbitrary
+        grids orchestrate — not just the ones expressible through grid
+        flags) and plans one worker per non-empty entry, each running
+        ``--points`` (one comma list per spec, joined by ``;``) into its
+        own store, with its own log and heartbeat file.  A worker whose
+        lists are all empty would only record empty runs, so it is not
+        planned.  Everything lands in a per-batch subdirectory (see
+        :func:`batch_dirname`), so one ``workdir`` serves any number of
+        orchestrated batches without their shard stores colliding.
         """
         workdir = workdir / batch_dirname(specs)
         workdir.mkdir(parents=True, exist_ok=True)
@@ -539,14 +566,12 @@ class ShardWorkerBackend(ExecutionBackend):
             json.dumps([spec.to_dict() for spec in specs], indent=2, sort_keys=True)
             + "\n",
         )
-        if point_groups is not None and len(point_groups) != self.workers:
-            raise ConfigurationError(
-                f"cost sizing produced {len(point_groups)} point group(s) "
-                f"for {self.workers} worker(s)"
-            )
+        count = len(point_groups)
         plans = []
-        for index in range(self.workers):
-            store_path = workdir / f"shard-{index}-of-{self.workers}.db"
+        for index, groups in enumerate(point_groups):
+            if not any(groups):
+                continue
+            store_path = workdir / f"shard-{index}-of-{count}.db"
             argv = [
                 sys.executable,
                 "-m",
@@ -556,21 +581,9 @@ class ShardWorkerBackend(ExecutionBackend):
                 str(spec_path),
                 "--store",
                 str(store_path),
+                "--points",
+                ";".join(",".join(map(str, group)) for group in groups),
             ]
-            if point_groups is not None:
-                per_spec = (",".join(map(str, group)) for group in point_groups[index])
-                argv.extend(["--points", ";".join(per_spec)])
-            else:
-                argv.extend(
-                    [
-                        "--shard-index",
-                        str(index),
-                        "--shard-count",
-                        str(self.workers),
-                        "--shard-strategy",
-                        self.strategy,
-                    ]
-                )
             if resume:
                 argv.append("--resume")
             if characterize:
@@ -584,7 +597,7 @@ class ShardWorkerBackend(ExecutionBackend):
             plans.append(
                 WorkerPlan(
                     shard_index=index,
-                    shard_count=self.workers,
+                    shard_count=count,
                     spec_path=spec_path,
                     store_path=store_path,
                     log_path=workdir / f"shard-{index}.log",
@@ -596,58 +609,33 @@ class ShardWorkerBackend(ExecutionBackend):
 
     def plan_point_groups(
         self, specs: Sequence[SweepSpec], store: "SweepDatabase"
-    ) -> list[tuple[tuple[int, ...], ...]] | None:
-        """Cost-balanced index groups for the batch: per worker, one per spec.
+    ) -> list[tuple[tuple[int, ...], ...]]:
+        """The batch's split: per worker, one ascending index tuple per spec.
 
-        Reads each spec's measured mean per-point planning cost from the
-        target store (``SweepDatabase.point_cost_rows``, fed by earlier
-        serial or orchestrated runs of the grid) and packs points onto
-        workers with the greedy longest-processing-time heuristic: points
-        sorted by descending cost, each assigned to the currently lightest
-        worker.  Worker loads carry over from one spec to the next, so the
-        whole batch is balanced, not each grid on its own.  Points without
-        a measurement get the mean of their grid's measured costs.  A spec
-        with no measurements, or with fewer points than workers, keeps its
-        equal :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`
-        slices.  Deterministic throughout (stable sort keys, index
-        tie-breaks).
-
-        Returns ``None`` — meaning "shard every spec equally" — when no spec
-        of the batch has usable measurements.
+        With ``cost_sizing`` on, a spec whose measured mean per-point
+        planning costs the target store holds
+        (``SweepDatabase.point_cost_rows``, fed by earlier serial or
+        orchestrated runs of the grid) is packed by :func:`lpt_split`;
+        points without a measurement cost the mean of their grid's measured
+        ones, and worker loads carry over from one such spec to the next,
+        so the whole batch is balanced, not each grid on its own.  Every
+        other spec gets the backend's equal ``strategy`` split.
+        Deterministic throughout.
         """
         loads = [0.0] * self.workers
-        per_spec: list[list[tuple[int, ...]]] = []
-        measured = False
+        per_spec = []
         for spec in specs:
-            costs = store.point_cost_rows(spec.content_key())
-            points = spec.points()
-            if not costs or len(points) < self.workers:
+            costs = store.point_cost_rows(spec.content_key()) if self.cost_sizing else {}
+            if costs:
+                mean_cost = sum(costs.values()) / len(costs)
                 per_spec.append(
-                    [
-                        tuple(
-                            point.index
-                            for point in spec.shard(
-                                worker, self.workers, strategy=self.strategy
-                            )
-                        )
-                        for worker in range(self.workers)
-                    ]
+                    lpt_split(
+                        [costs.get(index, mean_cost) for index in range(spec.point_count)],
+                        loads,
+                    )
                 )
-                continue
-            measured = True
-            mean_cost = sum(costs.values()) / len(costs)
-            weighted = sorted(
-                ((costs.get(point.index, mean_cost), point.index) for point in points),
-                key=lambda pair: (-pair[0], pair[1]),
-            )
-            groups: list[list[int]] = [[] for _ in range(self.workers)]
-            for cost, index in weighted:
-                lightest = min(range(self.workers), key=lambda w: (loads[w], w))
-                loads[lightest] += cost
-                groups[lightest].append(index)
-            per_spec.append([tuple(sorted(group)) for group in groups])
-        if not measured:
-            return None
+            else:
+                per_spec.append(SHARD_SPLITS[self.strategy](spec.point_count, self.workers))
         return [
             tuple(spec_groups[worker] for spec_groups in per_spec)
             for worker in range(self.workers)
@@ -669,8 +657,9 @@ class ShardWorkerBackend(ExecutionBackend):
     ) -> OrchestrationReport:
         """Fan a batch of grids out over the shard workers and merge the results.
 
-        The whole batch is one dispatch round: ``workers`` processes in
-        total, each running its shard of every spec, then one merge.  The
+        The whole batch is one dispatch round: at most ``workers``
+        processes in total, each running its point lists of every spec
+        (:meth:`plan_point_groups`), then one merge.  The
         shard stores are merged with ``carry_history=True``: every
         shard-side run lands in the target (run ids remapped), so the
         target's run count grows by the sum of the shard run counts while
@@ -720,41 +709,26 @@ class ShardWorkerBackend(ExecutionBackend):
             workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-"))
         else:
             workdir = Path(workdir)
-        point_groups = (
-            self.plan_point_groups(specs, store) if self.cost_sizing else None
-        )
         plans = self.plan_workers(
             specs,
             workdir,
+            self.plan_point_groups(specs, store),
             resume=resume,
             characterize=characterize,
             packet_count=packet_count,
             cache_dir=cache_dir,
-            point_groups=point_groups,
         )
-        shard_outcomes = self._dispatch(plans)
-        failed = [outcome for outcome in shard_outcomes if not outcome.succeeded]
+        outcomes = self._dispatch(plans)
+        failed = [outcome for outcome in outcomes if not outcome.succeeded]
         if failed:
             details = "; ".join(
                 failure_detail(outcome, attempt_timeout=self.policy.attempt_timeout)
                 for outcome in failed
             )
             raise OrchestrationError(
-                f"{len(failed)} of {len(shard_outcomes)} shard worker(s) failed "
+                f"{len(failed)} of {len(outcomes)} shard worker(s) failed "
                 f"(logs under {workdir}): {details}"
             )
-        outcomes = [
-            WorkerOutcome(
-                shard_index=outcome.plan.shard_index,
-                shard_count=outcome.plan.shard_count,
-                store_path=outcome.plan.store_path,
-                log_path=outcome.plan.log_path,
-                returncode=outcome.returncode if outcome.returncode is not None else -1,
-                state=outcome.state,
-                attempts=outcome.attempts,
-            )
-            for outcome in shard_outcomes
-        ]
 
         # Registered in batch order before the merge, so the target lists
         # the sweeps (and exports them) in the order a serial run would.

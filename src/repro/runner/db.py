@@ -423,13 +423,6 @@ class SweepDatabase:
         rows = self._connection.execute("SELECT spec_key FROM sweeps ORDER BY rowid")
         return [row["spec_key"] for row in rows]
 
-    def existing_indices(self, spec_key: str) -> frozenset[int]:
-        """Point indices that already hold a record for ``spec_key``."""
-        rows = self._connection.execute(
-            "SELECT DISTINCT point_index FROM records WHERE spec_key = ?", (spec_key,)
-        )
-        return frozenset(row["point_index"] for row in rows)
-
     def record_run(
         self,
         spec_key: str,

@@ -12,10 +12,10 @@ workers (:class:`~repro.runner.backends.ShardWorkerBackend`, via
 order on every backend.
 
 Grids can also be executed in pieces: :meth:`SweepRunner.run_points` runs one
-slice of the point order (a ``SweepSpec.shard`` or any index subset) into its
-own sqlite store, and :meth:`repro.runner.db.SweepDatabase.merge` folds the shard
-stores back into a single database record-identical to a full single-host
-run — the building block of distributed sweeps, and what
+slice of the point order (any index subset) into its own sqlite store, and
+:meth:`repro.runner.db.SweepDatabase.merge` folds the shard stores back into
+a single database record-identical to a full single-host run — the building
+block of distributed sweeps, and what
 :meth:`SweepRunner.orchestrate` automates end to end.
 
 System builds go through a :class:`~repro.runner.cache.SystemCache` — one
@@ -290,25 +290,22 @@ class SweepRunner:
     ) -> StoreRunReport:
         """Execute an index subset of ``spec`` into ``store`` (typically its own file).
 
-        The slice may be one of the equal shards of
-        :meth:`SweepSpec.shard <repro.runner.spec.SweepSpec.shard>`
-        (``repro sweep --shard-index``) or any other index set — cost-based
-        dispatch sizes its shards by measured per-point planning cost and
-        hands each worker its indices (``repro sweep --points``).  Points
-        keep their global indices (``SweepSpec.points_at``), so each slice
+        The slice is any index set — orchestration splits each grid equally
+        or by measured per-point planning cost and hands each worker its
+        indices (``repro sweep --points``).  Points keep their global
+        indices (``SweepSpec.points_at``), so each slice
         can run on a different host into its own
         :class:`~repro.runner.db.SweepDatabase`, and folding the stores of
         any disjoint cover of the grid back together with
         :meth:`SweepDatabase.merge <repro.runner.db.SweepDatabase.merge>`
         yields a store record-identical to a single-host :meth:`run_stored`
         of the full grid (the exported document is byte-for-byte the same).
-        An empty selection (a shard or batch worker that holds none of this
-        grid's points) records an empty run.
+        An empty selection (a batch worker that holds none of this grid's
+        points) records an empty run.
 
         ``resume`` behaves as in :meth:`run_stored`, restricted to the
         slice's points.  ``source`` labels the run as on :meth:`run_stored`
-        (default ``points:<n>``; ``repro sweep --shard-index`` passes
-        ``shard:<index>/<count>``).
+        (default ``points:<n>``).
 
         Raises:
             ConfigurationError: for an out-of-range selection, or when the
@@ -335,12 +332,13 @@ class SweepRunner:
         """Run every grid of ``specs`` into ``store`` via the backend's workers.
 
         The orchestration counterpart of :meth:`run_stored`: the whole batch
-        is one dispatch round — the backend partitions every grid, dispatches
-        one worker per shard (each running its shard of every grid into its
-        own store), and merges the shard stores into ``store`` once, with
-        history carried.  The merged store exports byte-identical to a
-        serial full run of the same specs, and its run count equals the sum
-        of the shard run counts.  A single grid is a one-element sequence.
+        is one dispatch round — the backend splits every grid into one
+        point list per worker, dispatches each worker that holds points
+        (running its lists of every grid into its own store), and merges
+        the shard stores into ``store`` once, with history carried.  The
+        merged store exports byte-identical to a serial full run of the
+        same specs, and its run count equals the sum of the shard run
+        counts.  A single grid is a one-element sequence.
         The runner's characterisation settings (``characterize``,
         ``packet_count``, ``cache_dir``) are forwarded to the workers so an
         orchestrated run is configured exactly like an in-process one.

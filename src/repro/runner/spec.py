@@ -33,9 +33,6 @@ SCHEDULER_FACTORIES: dict[str, type[EventDrivenScheduler]] = {
     "fastest-completion": FastestCompletionScheduler,
 }
 
-#: Accepted shard partition strategies (see :meth:`SweepSpec.shard`).
-SHARD_STRATEGIES: tuple[str, ...] = ("contiguous", "strided")
-
 #: Accepted aliases (the policies' own ``name`` attributes included).
 _SCHEDULER_ALIASES: dict[str, str] = {
     "greedy": "greedy",
@@ -273,62 +270,15 @@ class SweepSpec:
                                 index += 1
         return tuple(points)
 
-    def shard(
-        self, index: int, count: int, *, strategy: str = "contiguous"
-    ) -> tuple[SweepPoint, ...]:
-        """One shard of the expanded point sequence (a deterministic partition).
-
-        Splits :meth:`points` into ``count`` disjoint shards whose union is
-        the full grid.  Every point keeps its global ``index``, so records
-        executed shard-by-shard (:meth:`~repro.runner.engine.SweepRunner.run_points`)
-        land in a store exactly where a full run would have put them, and
-        merged shard stores (:meth:`~repro.runner.db.SweepDatabase.merge`)
-        are record-identical to a single-host run.  ``count`` may exceed the
-        number of points — the surplus shards are simply empty, and an empty
-        shard runs, stores and merges like any other (an over-provisioned
-        worker fleet must not fail).
-
-        Args:
-            index: which shard, ``0 <= index < count``.
-            count: total number of shards.
-            strategy: ``"contiguous"`` (default) cuts the point order into
-                ``count`` nearly equal blocks, earlier shards taking the
-                remainder; ``"strided"`` deals points round-robin
-                (``points()[index::count]``), which spreads the outer grid
-                axes — systems, flit widths — across shards.
-
-        Raises:
-            ConfigurationError: for a non-positive shard count, an
-                out-of-range shard index, or an unknown strategy.
-        """
-        if count < 1:
-            raise ConfigurationError("shard count must be a positive number of shards")
-        if not 0 <= index < count:
-            raise ConfigurationError(
-                f"shard index {index} is out of range for {count} shard(s): "
-                "shard_index must satisfy 0 <= shard_index < shard_count"
-            )
-        if strategy not in SHARD_STRATEGIES:
-            known = ", ".join(SHARD_STRATEGIES)
-            raise ConfigurationError(
-                f"unknown shard strategy {strategy!r}; known strategies: {known}"
-            )
-        points = self.points()
-        if strategy == "strided":
-            return points[index::count]
-        base, remainder = divmod(len(points), count)
-        start = index * base + min(index, remainder)
-        return points[start : start + base + (1 if index < remainder else 0)]
-
     def points_at(self, indices: Iterable[int]) -> tuple[SweepPoint, ...]:
         """The points at ``indices`` of the expanded order, ascending.
 
-        The arbitrary-subset counterpart of :meth:`shard`, used by
-        cost-based dispatch (``repro sweep --points``): any partition of the
-        grid into index sets executes and merges exactly like the built-in
-        shard strategies, because every point keeps its global index.
-        Indices are deduplicated and returned in ascending order so a
-        subset run preserves the canonical point order.
+        How a grid is sliced (``repro sweep --points``, which every
+        orchestration worker runs): any partition of the grid into index
+        sets executes and merges like a full run, because every point keeps
+        its global index.  Indices are deduplicated and returned in
+        ascending order so a subset run preserves the canonical point
+        order.
 
         Raises:
             ConfigurationError: for an empty selection or an out-of-range

@@ -478,11 +478,11 @@ class TestRL007WorkerLifecycle:
                 from repro.runner.dispatch import WorkerState
 
                 @dataclass(frozen=True)
-                class WorkerOutcome:
+                class ShardOutcome:
                     state: WorkerState = WorkerState.FINISHED
 
                 def build():
-                    return WorkerOutcome(state=WorkerState.FINISHED)
+                    return ShardOutcome(state=WorkerState.FINISHED)
                 """,
             },
             rules=["RL007"],

@@ -52,7 +52,7 @@ def orchestrate_with_chaos(specs, tmp_path, monkeypatch, faults, **backend_kwarg
 def shard_run_counts(report):
     counts = []
     for worker in report.workers:
-        with SweepDatabase(worker.store_path) as shard:
+        with SweepDatabase(worker.plan.store_path) as shard:
             counts.append(shard.run_count())
     return counts
 
@@ -135,7 +135,7 @@ class TestBatchCrashRequeue:
         assert sum(w.retries for w in report.workers) == 1
         assert run_count == sum(shard_run_counts(report))
         first, second = report.spec_keys
-        with SweepDatabase(crashed.store_path) as shard:
+        with SweepDatabase(crashed.plan.store_path) as shard:
             runs = shard.runs()
             assert shard.record_count(first) == shard.record_count(second) == 3
         # Attempt 1 committed point 0 (checkpoint 1) before the crash; the
@@ -186,7 +186,7 @@ class TestCorruptExitRequeue:
         # is a pure no-op on the data: its run row executes zero points and
         # skips all three of the shard's points (checkpoint_every=1 gave the
         # first attempt one run row per point).
-        with SweepDatabase(report.workers[0].store_path) as shard:
+        with SweepDatabase(report.workers[0].plan.store_path) as shard:
             runs = shard.runs()
         assert [run.executed_points for run in runs] == [1, 1, 1, 0]
         assert runs[-1].skipped_points == 3

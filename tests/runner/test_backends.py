@@ -12,7 +12,9 @@ from repro.runner.backends import (
     SerialBackend,
     ShardWorkerBackend,
     batch_dirname,
+    contiguous_split,
     make_backend,
+    strided_split,
 )
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
@@ -30,6 +32,12 @@ def small_spec():
         processor_counts=(0, 2),
         power_limits=(("no power limit", None),),
     )
+
+
+def assert_points_argv(argv):
+    """A worker command line slices its grids with --points, never a shard flag."""
+    assert "--points" in argv
+    assert not any(arg.startswith("--shard-") for arg in argv)
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +273,7 @@ class TestCapabilityChecks:
             with pytest.raises(ConfigurationError, match="in-process"):
                 runner.run_stored(small_spec, db)
             with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_points(small_spec, db, [0], source="shard:0/2")
+                runner.run_points(small_spec, db, [0])
 
     def test_inline_backends_cannot_orchestrate(self, small_spec, tmp_path):
         with SweepDatabase(tmp_path / "s.db") as db:
@@ -276,30 +284,50 @@ class TestCapabilityChecks:
 
 class TestWorkerPlanning:
     def test_plans_one_worker_per_shard(self, small_spec, tmp_path):
-        backend = ShardWorkerBackend(workers=3, strategy="strided")
-        plans = backend.plan_workers([small_spec], tmp_path)
-        assert [plan.shard_index for plan in plans] == [0, 1, 2]
-        assert len({plan.store_path for plan in plans}) == 3
-        for plan in plans:
+        groups = [(group,) for group in strided_split(small_spec.point_count, 2)]
+        plans = ShardWorkerBackend(workers=2).plan_workers([small_spec], tmp_path, groups)
+        assert [plan.shard_index for plan in plans] == [0, 1]
+        assert [plan.store_path.name for plan in plans] == [
+            "shard-0-of-2.db",
+            "shard-1-of-2.db",
+        ]
+        for plan, (group,) in zip(plans, groups):
             assert plan.spec_path.exists()
             assert "--spec-json" in plan.argv
-            position = plan.argv.index("--shard-index")
-            assert plan.argv[position + 1] == str(plan.shard_index)
-            assert "--shard-strategy" in plan.argv
-            assert "strided" in plan.argv
+            assert_points_argv(plan.argv)
+            assert plan.argv[plan.argv.index("--points") + 1] == ",".join(map(str, group))
             assert "--no-characterize" in plan.argv
+
+    def test_idle_workers_are_not_planned(self, small_spec, tmp_path):
+        """A worker whose lists are empty for every grid is dropped; the
+        others keep their position in the split (and their store name)."""
+        groups = [((),), ((0, 1),), ((),)]
+        plans = ShardWorkerBackend(workers=3).plan_workers([small_spec], tmp_path, groups)
+        assert [(plan.shard_index, plan.shard_count) for plan in plans] == [(1, 3)]
+        assert plans[0].store_path.name == "shard-1-of-3.db"
+
+    def test_equal_split_per_strategy(self, small_spec, tmp_path):
+        """Without cost sizing the plan is the strategy's split of every grid."""
+        for strategy, split in (("contiguous", contiguous_split), ("strided", strided_split)):
+            backend = ShardWorkerBackend(workers=3, strategy=strategy)
+            with SweepDatabase(tmp_path / f"{strategy}.db") as db:
+                groups = backend.plan_point_groups([small_spec, small_spec], db)
+            expected = split(small_spec.point_count, 3)
+            assert groups == [(group, group) for group in expected]
 
     def test_characterisation_settings_forwarded(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
         plans = backend.plan_workers(
             [small_spec],
             tmp_path,
+            [((0,),), ((1,),)],
             characterize=True,
             packet_count=40,
             cache_dir=tmp_path / "cache",
             resume=True,
         )
         for plan in plans:
+            assert_points_argv(plan.argv)
             assert "--no-characterize" not in plan.argv
             position = plan.argv.index("--packets")
             assert plan.argv[position + 1] == "40"
@@ -331,23 +359,26 @@ class TestShardWorkerOrchestration:
         assert report.record_count == spec.point_count
         shard_run_counts = []
         for worker in report.workers:
-            with SweepDatabase(worker.store_path) as shard:
+            with SweepDatabase(worker.plan.store_path) as shard:
                 shard_run_counts.append(shard.run_count())
         assert report.run_count == sum(shard_run_counts) == 3
 
     def test_orchestration_with_more_workers_than_points(self, small_spec, tmp_path):
-        """An over-provisioned fleet produces empty shards, which must run,
-        store and merge like any other shard."""
+        """An over-provisioned fleet spawns only the workers that hold
+        points, and still merges byte-identical to a serial run."""
+        serial = save_sweeps(
+            tmp_path / "serial.json", [(small_spec, SweepRunner(jobs=1).run(small_spec))]
+        )
         backend = ShardWorkerBackend(workers=4)
         with SweepDatabase(tmp_path / "merged.db") as db:
             report = SweepRunner(backend=backend).orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
             assert report.record_count == small_spec.point_count == 2
-            assert report.run_count == 4  # empty shards still record their run
-            records = db.records(small_spec.content_key())
-        serial = [o.record() for o in SweepRunner(jobs=1).run(small_spec)]
-        assert records == serial
+            assert len(report.workers) == 2  # the two idle workers never spawn
+            assert report.run_count == 2
+            exported = db.export_document(tmp_path / "merged.json")
+        assert exported.read_bytes() == serial.read_bytes()
 
     def test_launcher_hook_sees_every_worker(self, small_spec, tmp_path):
         """The dispatch seam: the launcher receives each worker's host and
@@ -364,8 +395,9 @@ class TestShardWorkerOrchestration:
             SweepRunner(backend=backend).orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
-        shards = sorted(argv[argv.index("--shard-index") + 1] for _, argv in seen)
-        assert shards == ["0", "1"]
+        for _, argv in seen:
+            assert_points_argv(argv)
+        assert sorted(argv[argv.index("--points") + 1] for _, argv in seen) == ["0", "1"]
         assert sorted(host for host, _ in seen) == ["local/0", "local/1"]
         assert all(argv[0] == sys.executable for _, argv in seen)
 
@@ -410,7 +442,7 @@ class TestShardWorkerOrchestration:
             )
             run_count = db.run_count()
             for worker in report.workers:
-                with SweepDatabase(worker.store_path) as shard:
+                with SweepDatabase(worker.plan.store_path) as shard:
                     again = db.merge(shard, carry_history=True)
                 assert again.runs_carried == 0
                 assert again.inserted == 0
@@ -439,13 +471,13 @@ class TestBatchOrchestration:
     def test_batch_run_count_is_specs_times_workers(
         self, orchestrated_batch, batch_specs
     ):
+        """Each worker records one run per grid, labelled with its point
+        count (8 points per grid over 3 workers: 3, 3 and 2)."""
         report, _, runs = orchestrated_batch
         assert report.spec_keys == tuple(spec.content_key() for spec in batch_specs)
         assert report.record_count == sum(spec.point_count for spec in batch_specs)
         assert report.run_count == len(runs) == 2 * 3
-        assert Counter(run.source for run in runs) == {
-            f"shard:{index}/3": 2 for index in range(3)
-        }
+        assert Counter(run.source for run in runs) == {"points:3": 4, "points:2": 2}
         assert Counter(run.spec_key for run in runs) == {
             key: 3 for key in report.spec_keys
         }
@@ -457,7 +489,7 @@ class TestBatchOrchestration:
         first, second = batch_specs
         assert batch_dirname([first]) == first.content_key()[:12]
         assert batch_dirname(batch_specs) != batch_dirname([second, first])
-        assert report.workers[0].store_path.parent.name == batch_dirname(batch_specs)
+        assert report.workers[0].plan.store_path.parent.name == batch_dirname(batch_specs)
 
     def test_orchestrate_needs_a_sequence_of_specs(self, small_spec, tmp_path):
         runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
@@ -479,12 +511,15 @@ class TestCostBasedSharding:
         backend = ShardWorkerBackend(workers=2, cost_sizing=True)
         with SweepDatabase(tmp_path / "empty.db") as db:
             db.ensure_sweep(small_spec)
-            assert backend.plan_point_groups([small_spec], db) is None
+            assert backend.plan_point_groups([small_spec], db) == [((0,),), ((1,),)]
 
     def test_fewer_points_than_workers_falls_back(self, small_spec, tmp_path):
+        """With no more points than workers LPT gives each point a worker of
+        its own, like the equal split; the idle workers are not spawned."""
         backend = ShardWorkerBackend(workers=4, cost_sizing=True)
         with self.seeded_store(small_spec, tmp_path / "s.db", {0: 1.0}) as db:
-            assert backend.plan_point_groups([small_spec], db) is None
+            groups = backend.plan_point_groups([small_spec], db)
+        assert groups == [(group,) for group in contiguous_split(2, 4)]
 
     def test_lpt_balances_measured_costs(self, tmp_path):
         """One dominant point gets a worker to itself; the cheap points pack
@@ -506,13 +541,10 @@ class TestCostBasedSharding:
 
     def test_point_groups_flow_into_worker_argv(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
-        plans = backend.plan_workers(
-            [small_spec], tmp_path, point_groups=[((1,),), ((0,),)]
-        )
+        plans = backend.plan_workers([small_spec], tmp_path, [((1,),), ((0,),)])
         for plan, expected in zip(plans, ("1", "0")):
-            position = plan.argv.index("--points")
-            assert plan.argv[position + 1] == expected
-            assert "--shard-index" not in plan.argv
+            assert_points_argv(plan.argv)
+            assert plan.argv[plan.argv.index("--points") + 1] == expected
 
     def test_cost_sized_orchestration_matches_serial(self, small_spec, tmp_path):
         """End to end: measure costs with a serial store-backed run, then
@@ -532,7 +564,7 @@ class TestCostBasedSharding:
         self, small_spec, tmp_path
     ):
         """One measured and one unmeasured grid still plan one round: the
-        unmeasured grid contributes its equal ``spec.shard`` slices."""
+        unmeasured grid contributes its equal contiguous split."""
         measured = SweepSpec(
             name="measured-grid",
             systems=("d695_leon",),
@@ -542,9 +574,7 @@ class TestCostBasedSharding:
         backend = ShardWorkerBackend(workers=2, cost_sizing=True)
         with self.seeded_store(measured, tmp_path / "s.db", {0: 5.0, 1: 1.0}) as db:
             groups = backend.plan_point_groups([measured, small_spec], db)
-        assert [worker[1] for worker in groups] == [
-            tuple(p.index for p in small_spec.shard(w, 2)) for w in range(2)
-        ]
+        assert tuple(worker[1] for worker in groups) == contiguous_split(2, 2)
         assert sorted(i for worker in groups for i in worker[0]) == [0, 1, 2]
 
     def test_cost_sized_batch_matches_serial(
@@ -576,5 +606,5 @@ class TestCostBasedSharding:
         assert exported == batch_serial_export
         assert len(seen) == len(report.workers) == 3
         for argv in seen:
-            assert "--shard-index" not in argv
+            assert_points_argv(argv)
             assert argv[argv.index("--points") + 1].count(";") == 1

@@ -5,6 +5,7 @@ import sqlite3
 import pytest
 
 from repro.errors import ResultStoreError
+from repro.runner.backends import contiguous_split
 from repro.runner.db import DB_SCHEMA_VERSION, MergeReport, SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import SweepSpec
@@ -28,12 +29,11 @@ def serial_records(spec):
 
 
 def shard_store(spec, path, index, count, *, resume=False):
-    """Run shard ``index`` of ``count`` into ``path`` as ``repro sweep --shard-index`` does."""
-    indices = [point.index for point in spec.shard(index, count)]
+    """Run worker ``index`` of a ``count``-way contiguous split into ``path``
+    as ``repro sweep --points`` does."""
+    indices = contiguous_split(spec.point_count, count)[index]
     with SweepDatabase(path) as db:
-        SweepRunner(jobs=1).run_points(
-            spec, db, indices, resume=resume, source=f"shard:{index}/{count}"
-        )
+        SweepRunner(jobs=1).run_points(spec, db, indices, resume=resume)
     return path
 
 
@@ -387,7 +387,7 @@ class TestCarryHistoryMerge:
         commit them — timestamps pinned so stores are comparable row-for-row."""
         slices = []
         for index in range(count):
-            indices = {p.index for p in spec.shard(index, count)}
+            indices = set(contiguous_split(spec.point_count, count)[index])
             slices.append(
                 (
                     [r for r in serial_records if r["index"] in indices],

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.runner.backends import SHARD_SPLITS
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import SweepSpec
 from repro.runner.store import dump_sweep
@@ -26,15 +27,15 @@ def serial_outcomes(d695_spec):
     return SweepRunner(jobs=1).run(d695_spec)
 
 
+def shard_indices(spec, shard_index, shard_count, strategy="contiguous"):
+    """Worker ``shard_index``'s point list when ``spec`` is split ``shard_count`` ways."""
+    return SHARD_SPLITS[strategy](spec.point_count, shard_count)[shard_index]
+
+
 def shard_run(spec, db, *, shard_index, shard_count, strategy="contiguous", resume=False):
-    """Run one shard of ``spec`` into ``db`` as ``repro sweep --shard-index`` does."""
-    shard = spec.shard(shard_index, shard_count, strategy=strategy)
+    """Run one worker's list of ``spec`` into ``db`` as ``repro sweep --points`` does."""
     return SweepRunner(jobs=1).run_points(
-        spec,
-        db,
-        [point.index for point in shard],
-        resume=resume,
-        source=f"shard:{shard_index}/{shard_count}",
+        spec, db, shard_indices(spec, shard_index, shard_count, strategy), resume=resume
     )
 
 
@@ -171,12 +172,12 @@ class TestShardExecution:
 
         with SweepDatabase(tmp_path / "shard.db") as db:
             report = shard_run(d695_spec, db, shard_index=0, shard_count=3)
-            expected = tuple(p.index for p in d695_spec.shard(0, 3))
+            expected = shard_indices(d695_spec, 0, 3)
             assert report.executed_indices == expected
             assert report.skipped_indices == ()
             assert tuple(r["index"] for r in report.records) == expected
             (run,) = db.runs()
-            assert run.source == "shard:0/3"
+            assert run.source == f"points:{len(expected)}"
 
     def test_sharded_stores_merge_to_serial_records(
         self, d695_spec, serial_outcomes, tmp_path
@@ -221,17 +222,18 @@ class TestShardExecution:
         with SweepDatabase(tmp_path / "shard.db") as db:
             first = shard_run(d695_spec, db, shard_index=1, shard_count=3, resume=True)
             again = shard_run(d695_spec, db, shard_index=1, shard_count=3, resume=True)
-            assert first.executed_count == len(d695_spec.shard(1, 3))
+            assert first.executed_count == len(shard_indices(d695_spec, 1, 3))
             assert again.executed_count == 0
             assert again.skipped_indices == first.executed_indices
             assert again.records == first.records
 
     def test_invalid_shard_rejected(self, d695_spec, tmp_path):
+        """A point list naming an index outside the grid is rejected."""
         from repro.runner.db import SweepDatabase
 
         with SweepDatabase(tmp_path / "shard.db") as db:
             with pytest.raises(ConfigurationError, match="out of range"):
-                shard_run(d695_spec, db, shard_index=3, shard_count=3)
+                SweepRunner(jobs=1).run_points(d695_spec, db, [0, d695_spec.point_count])
 
     def test_empty_shards_run_merge_and_export_end_to_end(
         self, d695_spec, serial_outcomes, tmp_path
@@ -252,7 +254,7 @@ class TestShardExecution:
                     assert report.executed_count == 0
                     assert report.records == ()
                     (run,) = db.runs()
-                    assert run.source == f"shard:{index}/10"
+                    assert run.source == "points:0"
             shard_paths.append(path)
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for path in shard_paths:
@@ -272,7 +274,7 @@ class TestShardReportsOnSharedStore:
         with SweepDatabase(tmp_path / "shared.db") as db:
             shard_run(d695_spec, db, shard_index=0, shard_count=3)
             second = shard_run(d695_spec, db, shard_index=1, shard_count=3)
-            expected = tuple(p.index for p in d695_spec.shard(1, 3))
+            expected = shard_indices(d695_spec, 1, 3)
             assert tuple(r["index"] for r in second.records) == expected
             # ...while the store itself accumulates both shards.
             assert db.record_count(d695_spec.content_key()) == len(expected) * 2

@@ -1,8 +1,17 @@
 """Tests of the declarative sweep specification."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.runner.backends import (
+    SHARD_SPLITS,
+    ShardWorkerBackend,
+    WorkerPlan,
+    contiguous_split,
+    lpt_split,
+    strided_split,
+)
 from repro.runner.spec import (
     SweepSpec,
     canonical_scheduler_name,
@@ -133,7 +142,16 @@ class TestSerialisation:
             SweepSpec.from_dict({"systems": ["d695_leon"]})
 
 
+def split(spec, workers, strategy="contiguous"):
+    """A spec's grid split into one point tuple per worker."""
+    points = spec.points()
+    groups = SHARD_SPLITS[strategy](spec.point_count, workers)
+    return [tuple(points[index] for index in group) for group in groups]
+
+
 class TestShard:
+    """The equal splits orchestration hands its workers, on a spec's grid."""
+
     def grid(self):
         """An 8-point grid (4 reuse levels x 2 power series)."""
         return small_spec(processor_counts=(0, 2, 4, 6))
@@ -143,64 +161,96 @@ class TestShard:
         """Shards are disjoint and their union is the full point sequence,
         with every point keeping its global index."""
         spec = self.grid()
-        shards = [spec.shard(i, 3, strategy=strategy) for i in range(3)]
+        shards = split(spec, 3, strategy)
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         indices = [p.index for shard in shards for p in shard]
         assert len(indices) == len(set(indices))
 
     def test_contiguous_blocks_balance_the_remainder(self):
-        spec = self.grid()
-        shards = [spec.shard(i, 3) for i in range(3)]
+        shards = split(self.grid(), 3)
         assert [len(s) for s in shards] == [3, 3, 2]
         assert [p.index for p in shards[0]] == [0, 1, 2]
         assert [p.index for p in shards[2]] == [6, 7]
 
     def test_strided_deals_round_robin(self):
-        spec = self.grid()
-        assert [p.index for p in spec.shard(1, 3, strategy="strided")] == [1, 4, 7]
+        assert [p.index for p in split(self.grid(), 3, "strided")[1]] == [1, 4, 7]
 
     def test_single_shard_is_the_full_grid(self):
         spec = self.grid()
-        assert spec.shard(0, 1) == spec.points()
+        assert split(spec, 1) == [spec.points()]
 
     @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
     def test_more_shards_than_points_leaves_trailing_shards_empty(self, strategy):
         spec = small_spec(processor_counts=(0,), power_limits={"no power limit": None})
-        shards = [spec.shard(i, 3, strategy=strategy) for i in range(3)]
-        assert [len(s) for s in shards] == [1, 0, 0]
+        assert [len(s) for s in split(spec, 3, strategy)] == [1, 0, 0]
 
     def test_shards_are_deterministic(self):
-        spec = self.grid()
-        assert spec.shard(1, 3) == self.grid().shard(1, 3)
-
-    def test_non_positive_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard count"):
-            self.grid().shard(0, 0)
-
-    @pytest.mark.parametrize("index", [-1, 3, 7])
-    def test_out_of_range_index_rejected(self, index):
-        with pytest.raises(ConfigurationError, match="out of range"):
-            self.grid().shard(index, 3)
-
-    def test_out_of_range_index_message_states_the_rule(self):
-        """An index >= count must name the constraint, not just reject."""
-        with pytest.raises(ConfigurationError, match=r"0 <= shard_index < shard_count"):
-            self.grid().shard(3, 3)
+        assert split(self.grid(), 3) == split(self.grid(), 3)
 
     @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
     def test_oversized_count_still_partitions_the_grid(self, strategy):
-        """shard_count greater than the point count yields valid empty
-        shards whose union is still exactly the grid."""
+        """More workers than points yields empty lists whose union with
+        the others is still exactly the grid."""
         spec = self.grid()  # 8 points
-        shards = [spec.shard(i, 13, strategy=strategy) for i in range(13)]
+        shards = split(spec, 13, strategy)
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         assert sum(1 for shard in shards if not shard) == 13 - 8
 
+    def test_non_positive_count_rejected(self):
+        """The worker count is checked where a split is configured."""
+        with pytest.raises(ConfigurationError, match="positive"):
+            ShardWorkerBackend(workers=0)
+
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ConfigurationError, match="shard strategy"):
-            self.grid().shard(0, 2, strategy="random")
+            ShardWorkerBackend(workers=2, strategy="random")
+
+    @staticmethod
+    def worker(tmp_path, index, count):
+        """The plan of worker ``index`` of a ``count``-way split."""
+        return WorkerPlan(
+            shard_index=index,
+            shard_count=count,
+            spec_path=tmp_path / "spec.json",
+            store_path=tmp_path / f"shard-{index}-of-{count}.db",
+            log_path=tmp_path / f"shard-{index}.log",
+            argv=("true",),
+        )
+
+    @pytest.mark.parametrize("index", [-1, 3, 7])
+    def test_out_of_range_index_rejected(self, tmp_path, index):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            self.worker(tmp_path, index, 3)
+
+    def test_out_of_range_index_message_states_the_rule(self, tmp_path):
+        """An index >= count must name the constraint, not just reject."""
+        with pytest.raises(ConfigurationError, match=r"0 <= shard_index < shard_count"):
+            self.worker(tmp_path, 3, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        count=st.integers(0, 60),
+        workers=st.integers(1, 12),
+        costs=st.lists(st.floats(0.0, 100.0), min_size=60, max_size=60),
+    )
+    @example(count=8, workers=3, costs=[1.0] * 60)
+    @example(count=8, workers=13, costs=[1.0] * 60)
+    @example(count=1, workers=3, costs=[1.0] * 60)
+    @example(count=8, workers=1, costs=[1.0] * 60)
+    def test_every_split_is_a_sorted_disjoint_cover(self, count, workers, costs):
+        """Contiguous, strided and LPT (random costs) lists are each
+        ascending, pairwise disjoint, and together cover ``range(count)``."""
+        splits = [
+            contiguous_split(count, workers),
+            strided_split(count, workers),
+            lpt_split(costs[:count], [0.0] * workers),
+        ]
+        for groups in splits:
+            assert len(groups) == workers
+            assert all(list(group) == sorted(set(group)) for group in groups)
+            assert sorted(index for group in groups for index in group) == list(range(count))
 
 
 class TestPointSelection:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runner.backends import contiguous_split, strided_split
 
 
 class TestParser:
@@ -341,20 +342,13 @@ class TestStoreAndHistoryCommands:
 
 class TestShardAndMergeCommands:
     @staticmethod
-    def _shard(store, index, count):
-        return main(
-            [
-                "sweep",
-                "d695_leon",
-                "--no-characterize",
-                "--store",
-                str(store),
-                "--shard-index",
-                str(index),
-                "--shard-count",
-                str(count),
-            ]
-        )
+    def _sweep_points(store, points):
+        store_args = ["--store", str(store), "--points", points]
+        return main(["sweep", "d695_leon", "--no-characterize", *store_args])
+
+    def _shard(self, store, index, count):
+        """Worker ``index`` of a ``count``-way contiguous split of the 8-point d695 grid."""
+        return self._sweep_points(store, ",".join(map(str, contiguous_split(8, count)[index])))
 
     def test_sharded_run_merges_byte_identical_to_serial(self, capsys, tmp_path):
         """The acceptance path end to end: 3 CLI shards of the d695 grid,
@@ -391,7 +385,7 @@ class TestShardAndMergeCommands:
     def test_shard_reports_its_slice(self, capsys, tmp_path):
         assert self._shard(tmp_path / "shard.db", 0, 3) == 0
         out = capsys.readouterr().out
-        assert "3 executed, 0 skipped across 1 sweep(s) [shard 0/3]" in out
+        assert "3 executed, 0 skipped across 1 sweep(s) [points 3]" in out
         assert "for 3 grid points" in out
 
     def test_merge_is_idempotent(self, capsys, tmp_path):
@@ -403,40 +397,35 @@ class TestShardAndMergeCommands:
         assert "2 record(s) added, 0 identical" in out
         assert "0 record(s) added, 2 identical" in out
 
-    def test_shard_flags_must_pair(self, capsys):
-        assert main(["sweep", "d695_leon", "--shard-index", "0"]) == 1
-        assert "go together" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "retired",
+        [["--shard-index", "0"], ["--shard-count", "3"], ["--shard-strategy", "strided"]],
+        ids=lambda retired: retired[0].lstrip("-"),
+    )
+    def test_shard_flags_are_parse_errors(self, capsys, tmp_path, retired):
+        """A slice is an explicit --points list; the old shard flags are
+        argparse errors (the split strategy lives on `repro orchestrate`)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "d695_leon", "--store", str(tmp_path / "s.db"), *retired])
+        assert excinfo.value.code == 2
+        assert retired[0] in capsys.readouterr().err
 
     def test_shard_flags_require_store(self, capsys):
-        assert (
-            main(["sweep", "d695_leon", "--shard-index", "0", "--shard-count", "3"])
-            == 1
-        )
-        assert "need --store" in capsys.readouterr().err
+        """A worker's slice is a --points list, which only runs into a store."""
+        slice_ = ",".join(map(str, contiguous_split(8, 3)[0]))
+        assert main(["sweep", "d695_leon", "--points", slice_]) == 1
+        assert "--points needs --store" in capsys.readouterr().err
 
     def test_shard_index_out_of_range(self, capsys, tmp_path):
         store = tmp_path / "shard.db"
-        assert self._shard(store, 3, 3) == 1
+        assert self._sweep_points(store, "0,8") == 1
         assert "out of range" in capsys.readouterr().err
         assert not store.exists()  # validated before the store is opened
 
     def test_load_rejects_shard_flags(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "--load",
-                    str(tmp_path / "r.json"),
-                    "--shard-index",
-                    "0",
-                    "--shard-count",
-                    "2",
-                ]
-            )
-            == 1
-        )
+        assert main(["sweep", "--load", str(tmp_path / "r.json"), "--points", "0"]) == 1
         err = capsys.readouterr().err
-        assert "--shard-index" in err and "--load" in err
+        assert "--points" in err and "--load" in err
 
     def test_merge_missing_shard_store_fails(self, capsys, tmp_path):
         out_db = tmp_path / "merged.db"
@@ -497,41 +486,24 @@ class TestBackendSelection:
         backend = next(a for a in commands.choices["sweep"]._actions if a.dest == "backend")
         assert backend.choices == ("pool", "serial")
 
-    def test_shard_strategy_requires_shard_flags(self, capsys):
-        assert main(["sweep", "d695_leon", "--shard-strategy", "strided"]) == 1
-        assert "--shard-strategy" in capsys.readouterr().err
-
     def test_strided_shards_merge_byte_identical(self, capsys, tmp_path):
-        """--shard-strategy on the CLI: two strided shards merge to the
-        serial document like contiguous ones."""
+        """Strided --points lists (the orchestrate --shard-strategy split)
+        merge to the serial document like contiguous ones."""
         serial = tmp_path / "serial.json"
         base = [
             "sweep",
             "d695_leon",
             "--counts",
-            "0,2",
+            "0,2,4",
             "--power-limits",
             "none",
             "--no-characterize",
         ]
         assert main([*base, "--out", str(serial)]) == 0
-        for index in range(2):
-            assert (
-                main(
-                    [
-                        *base,
-                        "--store",
-                        str(tmp_path / f"shard-{index}.db"),
-                        "--shard-index",
-                        str(index),
-                        "--shard-count",
-                        "2",
-                        "--shard-strategy",
-                        "strided",
-                    ]
-                )
-                == 0
-            )
+        for index, indices in enumerate(strided_split(3, 2)):
+            store = str(tmp_path / f"shard-{index}.db")
+            points = ",".join(map(str, indices))
+            assert main([*base, "--store", store, "--points", points]) == 0
         capsys.readouterr()
         merged = tmp_path / "merged.json"
         assert (
@@ -687,7 +659,8 @@ class TestOrchestrateCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "2 records, 4 run(s) across 2 sweep(s)" in out
+        # Worker 1 would hold no point of either one-point grid: not spawned.
+        assert "2 records, 2 run(s) across 2 sweep(s) orchestrated on 1 shard worker(s)" in out
 
     def test_orchestrate_resume_requires_workdir(self, capsys, tmp_path):
         assert (
@@ -789,23 +762,6 @@ class TestPointSelectionFlags:
             == 1
         )
         assert "--store" in capsys.readouterr().err
-
-    def test_points_conflicts_with_shard_flags(self, capsys, tmp_path):
-        assert (
-            main(
-                self.run_args(
-                    tmp_path,
-                    "--points",
-                    "0",
-                    "--shard-index",
-                    "0",
-                    "--shard-count",
-                    "2",
-                )
-            )
-            == 1
-        )
-        assert "--points" in capsys.readouterr().err
 
     def test_points_rejects_bad_tokens(self, capsys, tmp_path):
         assert main(self.run_args(tmp_path, "--points", "0,x")) == 1
@@ -932,6 +888,34 @@ class TestRemoteDispatchFlags:
             == 1
         )
         assert "names no hosts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hosts", ["", " , "], ids=["empty", "blank"])
+    def test_orchestrate_rejects_hosts_naming_no_host(self, capsys, tmp_path, hosts):
+        """An empty --hosts (say, an unset $HOSTS) is an error, like an empty
+        hosts file, instead of a silent run on local workers."""
+        store = tmp_path / "s.db"
+        grid = ["--counts", "0", "--power-limits", "none", "--no-characterize"]
+        assert (
+            main(["orchestrate", "d695_leon", *grid, "--hosts", hosts, "--store", str(store)])
+            == 1
+        )
+        assert "--hosts names no hosts" in capsys.readouterr().err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("hosts", ["", " , "], ids=["empty", "blank"])
+    def test_serve_rejects_dispatch_hosts_naming_no_host(
+        self, capsys, tmp_path, monkeypatch, hosts
+    ):
+        """`serve --dispatch-hosts` goes through the same host-list parser."""
+        import repro.serve.http
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the daemon must not start")
+
+        monkeypatch.setattr(repro.serve.http, "create_server", refuse)
+        store = tmp_path / "s.db"
+        assert main(["serve", "--store", str(store), "--dispatch-hosts", hosts]) == 1
+        assert "--dispatch-hosts names no hosts" in capsys.readouterr().err
 
     def test_launcher_requires_hosts(self, capsys, tmp_path):
         assert (
