@@ -92,7 +92,7 @@ from repro.system.presets import PAPER_SYSTEMS, build_paper_system
 _PROFILE_SORTS = ("calls", "cumulative", "tottime")
 
 #: ``repro sweep --backend`` choices: the backends that plan in-process.
-#: The shard-worker backends are reached through ``repro orchestrate``.
+#: Shard workers are reached through ``repro orchestrate``.
 _SWEEP_BACKENDS = ("pool", "serial")
 
 
@@ -615,17 +615,19 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         cost_sizing=args.cost_shards,
         checkpoint_every=args.checkpoint,
     )
-    runner = SweepRunner(
-        backend=backend,
-        cache_dir=args.cache_dir,
-        characterize=not args.no_characterize,
-        packet_count=args.packets,
-    )
     specs = _build_sweep_specs(args)
     # The orchestration target store: this process is its one writer while
     # the shard workers write only their own per-shard stores.
     with SweepDatabase(args.store) as db:  # repro-lint: disable=RL002
-        report = runner.orchestrate(specs, db, resume=args.resume, workdir=args.workdir)
+        report = backend.orchestrate(
+            specs,
+            db,
+            resume=args.resume,
+            characterize=not args.no_characterize,
+            packet_count=args.packets,
+            cache_dir=args.cache_dir,
+            workdir=args.workdir,
+        )
         for spec, spec_key in zip(report.specs, report.spec_keys):
             print(records_table(db.records(spec_key), title=f"Sweep: {_sweep_title(spec)}"))
             print()
@@ -644,11 +646,13 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
                 print(f"    attempt {attempt.attempt}: {attempt.describe()}")
         print()
     carried = sum(merge.runs_carried for merge in report.merge_reports)
+    # A temporary workdir is gone after a successful merge; name it only if kept.
+    kept = f"; workdir {report.workdir}" if report.workdir else ""
     print(
         f"store {args.store}: {report.record_count} records, {report.run_count} "
         f"run(s) across {len(specs)} sweep(s) orchestrated on "
         f"{len(report.workers)} shard worker(s) ({carried} shard run(s) "
-        f"carried; workdir {report.workdir})"
+        f"carried{kept})"
     )
     if args.export_json:
         with SweepDatabase.open_reader(args.store) as db:
@@ -1116,15 +1120,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--hosts",
         default=None,
         metavar="H1,H2,...",
-        help="dispatch workers onto these hosts (switches to the remote "
-        "backend; the workdir must be shared across hosts)",
+        help="dispatch workers onto these hosts (switches to the host-pool "
+        "defaults; the workdir must be shared across hosts)",
     )
     orchestrate.add_argument(
         "--hosts-file",
         default=None,
         metavar="FILE",
         help="file naming one host per line (blank lines and # comments "
-        "are skipped); switches to the remote backend",
+        "are skipped); switches to the host-pool defaults",
     )
     orchestrate.add_argument(
         "--launcher",

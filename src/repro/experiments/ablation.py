@@ -66,10 +66,11 @@ def scheduler_comparison_spec(
 ) -> SweepSpec:
     """The declarative grid of the scheduler-policy ablation (claim T4).
 
-    A thin spec like :func:`repro.experiments.figure1.figure1_spec`: any
-    execution backend can run it — in-process, on a pool, or orchestrated
-    shard-wise into a store (``repro sweep --spec-json`` /
-    :meth:`SweepRunner.orchestrate <repro.runner.engine.SweepRunner.orchestrate>`).
+    A thin spec like :func:`repro.experiments.figure1.figure1_spec`: a
+    runner executes it in-process or on a pool, or the shard-worker
+    orchestrator fans it out into a store (``repro sweep --spec-json`` /
+    :meth:`ShardWorkerBackend.orchestrate
+    <repro.runner.backends.ShardWorkerBackend.orchestrate>`).
     """
     return SweepSpec(
         name=f"ablation-scheduler-{system_name.lower()}",

@@ -1,22 +1,21 @@
 """Parallel experiment-sweep engine with result caching.
 
 The runner package is the orchestration layer above the planner: declare a
-grid with :class:`SweepSpec`, execute it with :class:`SweepRunner` on a
-pluggable :class:`ExecutionBackend` (in-process, process pool, or fanned
-out over shard-worker subprocesses — always in deterministic point order),
-and persist the outcome as schema-versioned JSON with :func:`save_sweeps` /
-:func:`load_sweeps` or durably in a :class:`SweepDatabase` sqlite store
-(crash-safe, accumulates across runs, and enables incremental re-runs via
-:meth:`SweepRunner.run_stored`).  Grids also execute sharded: any list of
-point indices runs anywhere via :meth:`SweepRunner.run_points` into its own
-store, and :meth:`SweepDatabase.merge` folds the shard stores back into one
+grid with :class:`SweepSpec`, execute it with :class:`SweepRunner` on an
+in-process :class:`ExecutionBackend` (serial or a process pool — always in
+deterministic point order), and persist the outcome as schema-versioned
+JSON with :func:`save_sweeps` / :func:`load_sweeps` or durably in a
+:class:`SweepDatabase` sqlite store (crash-safe, accumulates across runs,
+and enables incremental re-runs via :meth:`SweepRunner.run_stored`).  Grids
+also execute sharded: any list of point indices runs anywhere via
+:meth:`SweepRunner.run_points` into its own store, and
+:meth:`SweepDatabase.merge_all` folds the shard stores back into one
 database record-identical to a single-host run —
-:meth:`SweepRunner.orchestrate` (backend ``shard-workers``; ``repro
-orchestrate`` on the command line) automates that dispatch-monitor-merge
-cycle for a whole batch of grids in one round of workers, with a launcher
-hook for remote fan-out.  The
-paper's experiment drivers (:mod:`repro.experiments`) and the
-``repro sweep``/``repro orchestrate`` CLI are thin layers over this
+:meth:`ShardWorkerBackend.orchestrate` (``repro orchestrate`` on the
+command line) automates that dispatch-monitor-merge cycle for a whole batch
+of grids in one round of subprocess workers, with a launcher hook for
+remote fan-out.  The paper's experiment drivers (:mod:`repro.experiments`)
+and the ``repro sweep``/``repro orchestrate`` CLI are thin layers over this
 package.
 
 Quickstart::

@@ -1,8 +1,9 @@
-"""Pluggable execution backends for the sweep engine.
+"""Execution backends for the sweep engine, and the shard-worker orchestrator.
 
 The :class:`~repro.runner.engine.SweepRunner` decides *what* to run — which
 points, what to characterise, what lands in which store — but delegates *how*
-the points execute to an :class:`ExecutionBackend`.  Three backends ship:
+the points execute in-process to an :class:`ExecutionBackend`.  Two ship,
+registered by name in :data:`BACKEND_FACTORIES`:
 
 :class:`SerialBackend`
     Plans every point in-process, one after the other.
@@ -10,35 +11,25 @@ the points execute to an :class:`ExecutionBackend`.  Three backends ship:
     The ``jobs=N`` ``multiprocessing`` pool: order-preserving ``map`` over
     the points, workers seeded with the parent's warm system cache, so a
     pool run is byte-for-byte identical to a serial one.
-:class:`ShardWorkerBackend`
-    Splits a batch of grids into one explicit point list per worker and
-    grid (:meth:`ShardWorkerBackend.plan_point_groups`), spawns one detached
-    ``repro sweep --spec-json ... --points ... --store`` subprocess per
-    worker (each running its lists of every grid of the batch into its own
-    :class:`~repro.runner.db.SweepDatabase`), so a batch is one dispatch
-    round on N workers; it supervises them through the fault-tolerant
-    dispatch layer (:mod:`repro.runner.dispatch`: worker state machine,
-    heartbeats, retry/requeue with resume), and folds the shard stores into
-    the target store with
-    :meth:`SweepDatabase.merge_all <repro.runner.db.SweepDatabase.merge_all>`
-    (``carry_history=True``, so per-worker run trajectories survive the
-    merge).  Without hosts the workers are local subprocesses; given a host
-    pool (``hosts``, the ``remote`` backend name) it derives remote-leaning
-    defaults — one worker per host, the ``ssh`` launcher, retries,
-    cost-sized shards and per-point checkpoints.  The *launcher* hook maps
-    each worker's command line to the spawned command, which is where a
-    custom dispatcher (a CI job submitter) slots in.
 
-Backends differ in *capability*, not just speed: the first two execute
-arbitrary point sequences in-process (``supports_inline``) and therefore
-serve every ``SweepRunner`` entry point, while the shard-worker backend
-only orchestrates whole grids into a store (``supports_orchestration``) — the
-runner checks the capability at the call site and fails with a clear
-:class:`~repro.errors.ConfigurationError` instead of mis-executing.
-
-New execution scenarios (a batch-queue submitter, an async in-process
-executor) are new :class:`ExecutionBackend` subclasses registered in
-:data:`BACKEND_FACTORIES`; the engine itself needs no further surgery.
+:class:`ShardWorkerBackend` is not an execution backend: callers invoke its
+:meth:`~ShardWorkerBackend.orchestrate` directly.  It splits a batch of
+grids into one explicit point list per worker and grid
+(:meth:`ShardWorkerBackend.plan_point_groups`), spawns one detached ``repro
+sweep --spec-json ... --points ... --store`` subprocess per worker (each
+running its lists of every grid of the batch into its own
+:class:`~repro.runner.db.SweepDatabase`), so a batch is one dispatch round
+on N workers; it supervises them through the fault-tolerant dispatch layer
+(:mod:`repro.runner.dispatch`: worker state machine, heartbeats,
+retry/requeue with resume), and folds the shard stores into the target
+store with :meth:`SweepDatabase.merge_all
+<repro.runner.db.SweepDatabase.merge_all>` (``carry_history=True``, so
+per-worker run trajectories survive the merge).  Without hosts the workers
+are local subprocesses; given a host pool (``hosts``) it derives
+remote-leaning defaults — one worker per host, the ``ssh`` launcher,
+retries, cost-sized shards and per-point checkpoints.  The *launcher* hook
+maps each worker's command line to the spawned command, which is where a
+custom dispatcher (a CI job submitter) slots in.
 """
 
 from __future__ import annotations
@@ -46,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 import time
@@ -221,7 +213,8 @@ class OrchestrationReport:
         run_count: runs the target store holds for the batch's grids — with
             history carried, the sum of the shard stores' run counts.
         workdir: directory holding the batch's subdirectory of shard
-            stores, spec file and logs.
+            stores, spec file and logs; ``None`` once it no longer exists
+            (the temporary one a successful merge removes).
     """
 
     specs: tuple[SweepSpec, ...]
@@ -230,29 +223,17 @@ class OrchestrationReport:
     merge_reports: tuple["MergeReport", ...]
     record_count: int
     run_count: int
-    workdir: Path
+    workdir: Path | None
 
 
 class ExecutionBackend:
-    """Strategy interface: how a sweep's points actually execute.
+    """Strategy interface: how a sweep's points execute in-process.
 
-    Capabilities:
-
-    * ``supports_inline`` — the backend can execute an arbitrary point
-      sequence in-process and return results in point order; required by
-      :meth:`SweepRunner.run <repro.runner.engine.SweepRunner.run>`,
-      :meth:`run_stored <repro.runner.engine.SweepRunner.run_stored>` and
-      :meth:`run_points <repro.runner.engine.SweepRunner.run_points>`.
-    * ``supports_orchestration`` — the backend can run a whole grid into a
-      :class:`~repro.runner.db.SweepDatabase` on its own (dispatching
-      workers, merging stores); required by :meth:`SweepRunner.orchestrate
-      <repro.runner.engine.SweepRunner.orchestrate>`.
+    A backend executes an arbitrary point sequence and returns the results
+    in point order; every :class:`~repro.runner.engine.SweepRunner` entry
+    point runs through one.  Concrete backends carry their
+    :data:`BACKEND_FACTORIES` key as ``name``.
     """
-
-    #: Canonical backend name (its :data:`BACKEND_FACTORIES` key).
-    name = "abstract"
-    supports_inline = False
-    supports_orchestration = False
 
     @property
     def worker_count(self) -> int:
@@ -262,15 +243,8 @@ class ExecutionBackend:
     def execute(
         self, points: Sequence[SweepPoint], *, system_cache: SystemCache
     ) -> list[ScheduleResult]:
-        """Execute ``points`` in order and return one result per point.
-
-        Raises:
-            ConfigurationError: when the backend cannot execute points
-                in-process (``supports_inline`` is false).
-        """
-        raise ConfigurationError(
-            f"backend {self.name!r} cannot execute sweep points in-process"
-        )
+        """Execute ``points`` in order and return one result per point."""
+        raise NotImplementedError
 
     def measured_costs(self) -> dict[int, float] | None:
         """Measured wall-clock seconds per point index of the last :meth:`execute`.
@@ -280,28 +254,6 @@ class ExecutionBackend:
         records, exports or fingerprints.
         """
         return None
-
-    def orchestrate(
-        self,
-        specs: Sequence[SweepSpec],
-        store: "SweepDatabase",
-        *,
-        resume: bool = False,
-        characterize: bool = False,
-        packet_count: int = 200,
-        cache_dir: str | Path | None = None,
-        workdir: str | Path | None = None,
-    ) -> OrchestrationReport:
-        """Run every grid of ``specs`` into ``store`` via dispatched workers.
-
-        Raises:
-            ConfigurationError: when the backend cannot orchestrate
-                (``supports_orchestration`` is false).
-        """
-        raise ConfigurationError(
-            f"backend {self.name!r} cannot orchestrate a grid into a store; "
-            "use the shard-workers backend (repro orchestrate)"
-        )
 
 
 class SerialBackend(ExecutionBackend):
@@ -314,7 +266,6 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
-    supports_inline = True
 
     def __init__(self) -> None:
         self._last_costs: dict[int, float] = {}
@@ -351,14 +302,13 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "pool"
-    supports_inline = True
 
     def __init__(self, jobs: int | None = None) -> None:
-        if jobs is None or jobs == 0:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ConfigurationError("jobs must be a positive worker count")
-        self.jobs = jobs
+        if jobs is not None and jobs < 0:
+            raise ConfigurationError(
+                f"jobs={jobs}: jobs must be a positive worker count (0 = one per CPU)"
+            )
+        self.jobs = jobs or os.cpu_count() or 1
 
     @property
     def worker_count(self) -> int:
@@ -389,11 +339,7 @@ class ProcessPoolBackend(ExecutionBackend):
             return pool.map(_pool_worker, points, chunksize=1)
 
 
-#: The registered name of the shard-worker backend over a host pool.
-REMOTE_BACKEND = "remote"
-
-
-class ShardWorkerBackend(ExecutionBackend):
+class ShardWorkerBackend:
     """Orchestrate a batch of grids as detached per-shard subprocess workers.
 
     Each worker is an independent ``repro sweep --spec-json ... --points
@@ -406,12 +352,12 @@ class ShardWorkerBackend(ExecutionBackend):
     ``repro history`` still sees one run per worker per grid.
 
     Without ``hosts`` the workers run as local subprocesses.  Given a host
-    pool (the ``remote`` backend) the settings left at ``None`` are derived
-    for real fan-out: one worker per host, the ``ssh`` launcher, two
-    retries, cost-sized shards, and a checkpoint every point so a killed
-    host loses at most one point's work.  The workdir must then be
-    reachable by every host (a shared filesystem) — the same assumption the
-    merge step already makes about shard stores.
+    pool the settings left at ``None`` are derived for real fan-out: one
+    worker per host, the ``ssh`` launcher, two retries, cost-sized shards,
+    and a checkpoint every point so a killed host loses at most one point's
+    work.  The workdir must then be reachable by every host (a shared
+    filesystem) — the same assumption the merge step already makes about
+    shard stores.
 
     Args:
         workers: number of shards (and at most that many worker
@@ -457,9 +403,6 @@ class ShardWorkerBackend(ExecutionBackend):
             parameters.
     """
 
-    name = "shard-workers"
-    supports_orchestration = True
-
     def __init__(
         self,
         workers: int | None = None,
@@ -482,10 +425,9 @@ class ShardWorkerBackend(ExecutionBackend):
             hosts = [host.strip() for host in hosts if host and host.strip()]
             if not hosts:
                 raise ConfigurationError(
-                    "the remote backend needs at least one host "
+                    "a host pool needs at least one host "
                     "(--hosts h1,h2,... or --hosts-file)"
                 )
-            self.name = REMOTE_BACKEND
         if workers is None:
             workers = len(hosts) if pool else 2
         if max_retries is None:
@@ -520,11 +462,6 @@ class ShardWorkerBackend(ExecutionBackend):
         self.launcher = launcher if callable(launcher) else make_launcher(launcher)
         self.cost_sizing = pool if cost_sizing is None else cost_sizing
         self.checkpoint_every = checkpoint_every
-
-    @property
-    def worker_count(self) -> int:
-        """Number of shards per batch (workers without points are not spawned)."""
-        return self.workers
 
     # ------------------------------------------------------------------
     # Planning.
@@ -682,9 +619,10 @@ class ShardWorkerBackend(ExecutionBackend):
             characterize / packet_count / cache_dir: the runner's
                 characterisation settings, forwarded as worker flags.
             workdir: directory for shard stores, the spec file, heartbeats
-                and worker logs; defaults to a fresh temporary directory
-                (kept on failure so the logs stay inspectable, referenced
-                in the raised error).
+                and worker logs, never removed; defaults to a fresh
+                temporary directory that is removed after a successful
+                merge and kept on failure, so the logs stay inspectable
+                (the raised error names it).
 
         Raises:
             ConfigurationError: for an empty batch, or a bare spec where a
@@ -705,10 +643,8 @@ class ShardWorkerBackend(ExecutionBackend):
         specs = tuple(specs)
         if not specs:
             raise ConfigurationError("orchestrate needs at least one sweep spec")
-        if workdir is None:
-            workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-"))
-        else:
-            workdir = Path(workdir)
+        temporary = workdir is None
+        workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-") if temporary else workdir)
         plans = self.plan_workers(
             specs,
             workdir,
@@ -741,6 +677,8 @@ class ShardWorkerBackend(ExecutionBackend):
         finally:
             for shard in shard_stores:
                 shard.close()
+        if temporary:
+            shutil.rmtree(workdir, ignore_errors=True)
         distinct_keys = set(spec_keys)
         return OrchestrationReport(
             specs=specs,
@@ -749,7 +687,7 @@ class ShardWorkerBackend(ExecutionBackend):
             merge_reports=merge_reports,
             record_count=sum(store.record_count(key) for key in distinct_keys),
             run_count=sum(store.run_count(key) for key in distinct_keys),
-            workdir=workdir,
+            workdir=workdir if workdir.exists() else None,
         )
 
     def _dispatch_hosts(self) -> list[str]:
@@ -784,59 +722,35 @@ class ShardWorkerBackend(ExecutionBackend):
         return supervisor.run()
 
 
-#: Execution backends a runner can name, keyed by their canonical name.
-#: New execution scenarios register here (mirroring
-#: :data:`repro.runner.spec.SCHEDULER_FACTORIES` for schedulers).  The
-#: remote backend is the shard-worker backend over a host pool.
+#: Execution backends a runner can name, keyed by their canonical name
+#: (mirroring :data:`repro.runner.spec.SCHEDULER_FACTORIES` for schedulers).
 BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,
-    ShardWorkerBackend.name: ShardWorkerBackend,
-    REMOTE_BACKEND: ShardWorkerBackend,
 }
 
 
-def make_backend(
-    name: str,
-    *,
-    jobs: int | None = 1,
-    hosts: Sequence[str] | None = None,
-    launcher: str | Launcher | None = None,
-) -> ExecutionBackend:
+def make_backend(name: str, *, jobs: int | None = 1) -> ExecutionBackend:
     """Instantiate the execution backend called ``name``.
 
-    ``jobs`` configures the pool backend; ``hosts``/``launcher`` the
-    shard-worker backend, which derives every other setting (see
-    :class:`ShardWorkerBackend`; build one directly to override them).
-    Parameters that do not apply to the named backend are checked, not
-    silently dropped.
+    ``jobs`` is checked here as given, before the pool backend resolves 0
+    or ``None`` to the CPU count, so the same value gets the same answer on
+    every host.
 
     Raises:
-        ConfigurationError: for an unknown backend name, hosts given to a
-            non-remote backend, the remote backend without hosts, or for
-            the serial backend combined with a multi-process ``jobs`` value
-            (that contradiction almost certainly means ``--backend pool``
-            was intended).
+        ConfigurationError: for an unknown backend name, a negative
+            ``jobs``, or the serial backend combined with any ``jobs``
+            value other than 1 (that contradiction almost certainly means
+            ``--backend pool`` was intended).
     """
     if name not in BACKEND_FACTORIES:
         known = ", ".join(sorted(BACKEND_FACTORIES))
         raise ConfigurationError(f"unknown backend {name!r}; known backends: {known}")
-    if hosts is not None and name != REMOTE_BACKEND:
-        raise ConfigurationError(f"hosts only apply to the remote backend, not {name!r}")
     if name == SerialBackend.name:
-        if jobs is not None and jobs != 1:
+        if jobs != 1:
             raise ConfigurationError(
                 f"the serial backend runs in-process; jobs={jobs} needs the "
                 "pool backend (--backend pool)"
             )
         return SerialBackend()
-    if name == ProcessPoolBackend.name:
-        return ProcessPoolBackend(jobs=jobs)
-    if jobs is not None and jobs != 1:
-        raise ConfigurationError(
-            f"the {name} backend is sized with workers, not jobs={jobs}; "
-            "use --workers (jobs configures the in-process backends)"
-        )
-    if name == REMOTE_BACKEND and hosts is None:
-        hosts = ()  # an empty pool, which the constructor rejects
-    return ShardWorkerBackend(hosts=hosts, launcher=launcher)
+    return ProcessPoolBackend(jobs=jobs)

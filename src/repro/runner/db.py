@@ -11,15 +11,15 @@ sqlite (:meth:`SweepDatabase.win_rate_rows` /
 :meth:`SweepDatabase.trajectory_rows`), so they scale to stores with
 millions of records without loading record JSON into Python.
 
-Stores also compose: :meth:`SweepDatabase.merge` folds the per-shard stores
-written by :meth:`repro.runner.engine.SweepRunner.run_points` back into one
-database — idempotent for identical overlaps, refusing conflicting records —
-such that an N-shard run merges into a store byte-identical (via
+Stores also compose: :meth:`SweepDatabase.merge_all` folds the per-shard
+stores written by :meth:`repro.runner.engine.SweepRunner.run_points` back
+into one database — idempotent for identical overlaps, refusing conflicting
+records — such that an N-shard run merges into a store byte-identical (via
 :meth:`export_document`) to a serial full run's.  With ``carry_history=True``
 the merge additionally carries every shard-side run across (run ids
 remapped onto this store's sequence), so orchestrated runs keep their
 per-shard history trajectories — the default for
-:meth:`repro.runner.engine.SweepRunner.orchestrate`.
+:meth:`repro.runner.backends.ShardWorkerBackend.orchestrate`.
 
 Layout (``schema v4``; v1 is the JSON document format, v2 lacked the
 ``jobs`` table, v3 lacked the ``point_costs`` table — v2 and v3 stores
@@ -188,7 +188,7 @@ class RunInfo:
 
 @dataclass(frozen=True)
 class MergeReport:
-    """The outcome of folding one store into another (:meth:`SweepDatabase.merge`).
+    """The outcome of folding one store into another (:meth:`SweepDatabase.merge_all`).
 
     Attributes:
         spec_keys: spec keys of the source store's sweeps, in its order.
@@ -294,7 +294,7 @@ class SweepDatabase:
         queue accesses a store (the one-writer/many-readers model; enforced
         by lint rule RL002).  The connection uses sqlite's ``mode=ro`` URI
         flag, so write attempts fail at the sqlite layer too, and
-        :meth:`record_run`/:meth:`ensure_sweep`/:meth:`merge` raise
+        :meth:`record_run`/:meth:`ensure_sweep`/:meth:`merge_all` raise
         :class:`ResultStoreError` up front.
 
         Raises:
@@ -748,41 +748,44 @@ class SweepDatabase:
     # ------------------------------------------------------------------
     # Merging (the single-host end of sharded execution).
     # ------------------------------------------------------------------
-    def merge(
+    def merge_all(
         self,
-        other: "SweepDatabase",
+        others: Sequence["SweepDatabase"],
         *,
         expect_spec_keys: Collection[str] | None = None,
-        source: str | None = None,
         carry_history: bool = False,
-    ) -> MergeReport:
-        """Fold another store's current records into this one.
+    ) -> tuple[MergeReport, ...]:
+        """Fold other stores' current records into this one, all or nothing.
 
-        For every sweep of ``other`` (integrity-checked: each stored spec
-        must still hash to its key), the sweep is registered here and its
-        *current* records — each point's latest run — are folded in:
+        For every sweep of every source (integrity-checked: each stored
+        spec must still hash to its key), the sweep is registered here and
+        its *current* records — each point's latest run — are folded in:
 
         * a point this store does not hold is **inserted**;
         * a point whose stored record is byte-identical to the incoming one
           is **skipped**, so merging the same shard twice is a no-op;
-        * a point whose record **differs** raises :class:`ResultStoreError`
-          before anything is written — conflicting shards never mix.
+        * a point whose record **differs** — from this store *or from an
+          earlier source of the same call* — raises
+          :class:`ResultStoreError` before a single record lands, so a
+          failed multi-shard merge leaves this store exactly as it was and
+          conflicting shards never mix.
 
         Each merged sweep that contributes new records lands as one new run
-        (source ``merge:<other's filename>``), so the history time axis
-        records the merge; sweeps whose records were all already present add
-        no run row.  ``other`` is never modified.
+        per source (source ``merge:<source's filename>``), so the history
+        time axis records the merge; sweeps whose records were all already
+        present add no run row.  The sources are never modified.
 
         With ``carry_history``, the same validation applies but the commit
-        folds *all* of ``other``'s runs instead of one synthetic merge run:
-        each source run is copied under a fresh run id (the target's
+        folds *all* of each source's runs instead of one synthetic merge
+        run: each source run is copied under a fresh run id (this store's
         autoincrement — remapping is collision-free by construction) with
-        its source label, counters, timestamp and records intact, in the
-        source's run order.  Orchestrated runs therefore keep their
+        its source label, counters, timestamp and records intact, in source
+        order and each source's run order — as if the shards had executed
+        sequentially on one host.  Orchestrated runs therefore keep their
         per-shard trajectories: the merged store's :meth:`history_rows` /
         :meth:`trajectory_rows` equal those of a store that had executed
         the shards' runs sequentially, and its run count grows by the sum
-        of the shard run counts.  A source run the target already holds —
+        of the shard run counts.  A source run this store already holds —
         same spec, source, counters, timestamp and records — is skipped,
         so a history-carrying merge stays idempotent.  The *current*
         records after the merge are the same either way, so
@@ -795,52 +798,21 @@ class SweepDatabase:
         grid yields a store whose :meth:`export_document` output is
         byte-identical to a serial full run's.
 
-        To fold several stores with all-or-nothing semantics across the
-        whole batch, use :meth:`merge_all`.
-
         Args:
-            other: the source store.
-            expect_spec_keys: when set, every sweep of ``other`` must carry
-                one of these spec keys — merging a shard of a grid outside
-                the expected batch aborts.
-            source: override for the runs-table source label (ignored with
-                ``carry_history``, which preserves the source runs' labels).
+            others: the source stores, in merge order.
+            expect_spec_keys: when set, every sweep of every source must
+                carry one of these spec keys — merging a shard of a grid
+                outside the expected batch aborts.
             carry_history: fold every source run (remapped) instead of only
                 the current records.
 
+        Returns:
+            One :class:`MergeReport` per source, in order.
+
         Raises:
             ResultStoreError: for a spec-key mismatch, a conflicting
-                record, or a source store that fails its integrity checks.
-        """
-        self._require_writable("merge into the store")
-        planned = self._plan_merge({}, other, expect_spec_keys)
-        if carry_history:
-            spec_keys = {sweep.spec_key for sweep, _, _ in planned}
-            return self._commit_carry(planned, other, self._run_fingerprints(spec_keys))
-        return self._commit_merge(
-            planned, source if source is not None else f"merge:{other.path.name}"
-        )
-
-    def merge_all(
-        self,
-        others: Sequence["SweepDatabase"],
-        *,
-        expect_spec_keys: Collection[str] | None = None,
-        carry_history: bool = False,
-    ) -> tuple[MergeReport, ...]:
-        """Fold several stores in, validating ALL of them before writing.
-
-        Unlike calling :meth:`merge` per store, a conflict in any source —
-        against this store *or between two sources* — aborts before a
-        single record lands, so a failed multi-shard merge leaves the
-        target exactly as it was.  Returns one :class:`MergeReport` per
-        source, in order.  ``carry_history`` behaves as in :meth:`merge`,
-        applied per source in order — the carried runs land in source
-        order, as if the shards had executed sequentially on one host.
-
-        Raises:
-            ResultStoreError: as :meth:`merge`; nothing is written when
-                raised.
+                record, or a source store that fails its integrity checks;
+                nothing is written when raised.
         """
         self._require_writable("merge into the store")
         state: dict[str, dict[int, str]] = {}

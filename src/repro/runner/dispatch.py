@@ -32,8 +32,8 @@ driven by :class:`WorkerSupervisor`:
   healthy host remains) so retries land on surviving workers.
 * **Resume, not discard.**  Retry attempts pass ``--resume``: the partial
   shard store a killed attempt committed is picked up where it stopped, and
-  the idempotent :meth:`SweepDatabase.merge
-  <repro.runner.db.SweepDatabase.merge>` keeps the byte-identical merge
+  the idempotent :meth:`SweepDatabase.merge_all
+  <repro.runner.db.SweepDatabase.merge_all>` keeps the byte-identical merge
   invariant intact across every retry path.  A shard store that no longer
   validates (torn beyond sqlite's own crash safety) is renamed to a
   clearly-labelled ``*.corrupt-attempt<n>`` file and the attempt starts
@@ -41,7 +41,7 @@ driven by :class:`WorkerSupervisor`:
 
 The supervisor never raises for worker failures — it returns one
 :class:`ShardOutcome` per plan (with the full per-attempt history) and the
-calling backend decides how to report them
+calling orchestrator decides how to report them
 (:func:`failure_detail` builds the diagnosable message: exit code, last
 heartbeat age, log tail).
 

@@ -1,22 +1,23 @@
 """The sweep engine: executes a :class:`~repro.runner.spec.SweepSpec`.
 
 :class:`SweepRunner` expands a spec into its deterministic point sequence,
-plans what must run, and delegates *how* the points execute to a pluggable
-:class:`~repro.runner.backends.ExecutionBackend` — in-process
-(:class:`~repro.runner.backends.SerialBackend`), on a ``multiprocessing``
+plans what must run, and delegates *how* the points execute to an
+in-process :class:`~repro.runner.backends.ExecutionBackend` — serial
+(:class:`~repro.runner.backends.SerialBackend`) or a ``multiprocessing``
 pool (:class:`~repro.runner.backends.ProcessPoolBackend`; order-preserving
 ``map``, so a parallel run is byte-for-byte equivalent to a serial one — see
-``tests/runner/test_engine.py``), or fanned out as per-shard subprocess
-workers (:class:`~repro.runner.backends.ShardWorkerBackend`, via
-:meth:`SweepRunner.orchestrate`).  The output order is the spec's point
+``tests/runner/test_engine.py``).  The output order is the spec's point
 order on every backend.
 
 Grids can also be executed in pieces: :meth:`SweepRunner.run_points` runs one
 slice of the point order (any index subset) into its own sqlite store, and
-:meth:`repro.runner.db.SweepDatabase.merge` folds the shard stores back into
-a single database record-identical to a full single-host run — the building
-block of distributed sweeps, and what
-:meth:`SweepRunner.orchestrate` automates end to end.
+:meth:`repro.runner.db.SweepDatabase.merge_all` folds the shard stores back
+into a single database record-identical to a full single-host run — the
+building block of distributed sweeps, and what
+:meth:`ShardWorkerBackend.orchestrate
+<repro.runner.backends.ShardWorkerBackend.orchestrate>` automates end to end
+(each of its workers is a ``repro sweep --points`` process running a
+:class:`SweepRunner`).
 
 System builds go through a :class:`~repro.runner.cache.SystemCache` — one
 build per SoC instead of one per point; parallel runs pre-build in the
@@ -28,19 +29,13 @@ under ``cache_dir``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
 from repro.noc.characterization import NocCharacterization
-from repro.runner.backends import (
-    ExecutionBackend,
-    OrchestrationReport,
-    execute_point,
-    make_backend,
-)
+from repro.runner.backends import ExecutionBackend, execute_point, make_backend
 from repro.runner.cache import CharacterizationCache, SystemCache
 from repro.runner.spec import SweepPoint, SweepSpec
 from repro.schedule.result import ScheduleResult
@@ -138,18 +133,22 @@ class StoreRunReport:
 
 
 class SweepRunner:
-    """Executes sweep specs with caching through a pluggable backend.
+    """Executes sweep specs with caching through an in-process backend.
 
     Args:
         jobs: worker processes; 1 (default) runs in-process, ``None`` or 0
             uses one worker per CPU.  Shorthand for the default backend
             selection: ``jobs == 1`` picks the serial backend, anything
-            else the process pool.
+            else the process pool.  Passed to
+            :func:`~repro.runner.backends.make_backend` as given, which is
+            the one place it is validated and resolved.
         backend: the execution backend — an
             :class:`~repro.runner.backends.ExecutionBackend` instance or a
             registered backend name (see
             :data:`~repro.runner.backends.BACKEND_FACTORIES`); overrides
-            the ``jobs`` shorthand.
+            the ``jobs`` shorthand.  A
+            :class:`~repro.runner.backends.ShardWorkerBackend` is not one:
+            call its ``orchestrate`` directly.
         cache_dir: directory for persisted characterisation and system-build
             records (``None`` keeps both caches in memory only).
         characterize: characterise each distinct NoC once and attach the
@@ -169,9 +168,10 @@ class SweepRunner:
             historical single-transaction commit.
 
     Raises:
-        ConfigurationError: for a negative worker count, an unknown backend
-            name, a non-positive ``checkpoint_every``, or a backend/jobs
-            contradiction (serial backend with ``jobs > 1``).
+        ConfigurationError: for a negative worker count, a backend that is
+            neither an :class:`~repro.runner.backends.ExecutionBackend` nor
+            a registered name, a non-positive ``checkpoint_every``, or a
+            backend/jobs contradiction (serial backend with ``jobs != 1``).
     """
 
     def __init__(
@@ -186,10 +186,6 @@ class SweepRunner:
         characterization_cache: CharacterizationCache | None = None,
         checkpoint_every: int | None = None,
     ) -> None:
-        if jobs is None or jobs == 0:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise ConfigurationError("jobs must be a positive worker count")
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError(
                 "checkpoint_every must be a positive number of points (or None)"
@@ -199,6 +195,12 @@ class SweepRunner:
             backend = "serial" if jobs == 1 else "pool"
         if isinstance(backend, str):
             backend = make_backend(backend, jobs=jobs)
+        if not isinstance(backend, ExecutionBackend):
+            raise ConfigurationError(
+                f"backend must be an ExecutionBackend or a registered backend "
+                f"name, not {type(backend).__name__}; a ShardWorkerBackend "
+                "orchestrates on its own (call its orchestrate())"
+            )
         self.backend = backend
         self.jobs = backend.worker_count
         self.characterize = characterize
@@ -216,27 +218,11 @@ class SweepRunner:
             else CharacterizationCache(cache_dir)
         )
 
-    def _require_inline(self, method: str) -> None:
-        """Fail fast when the configured backend cannot serve ``method``."""
-        if not self.backend.supports_inline:
-            raise ConfigurationError(
-                f"backend {self.backend.name!r} cannot execute sweep points "
-                f"in-process, which {method} requires; use it through "
-                "SweepRunner.orchestrate (repro orchestrate), or pick the "
-                "serial or pool backend"
-            )
-
     # ------------------------------------------------------------------
     # Execution.
     # ------------------------------------------------------------------
     def run(self, spec: SweepSpec) -> list[SweepOutcome]:
-        """Execute every point of ``spec`` and return outcomes in point order.
-
-        Raises:
-            ConfigurationError: when the configured backend cannot execute
-                points in-process (e.g. the shard-worker backend).
-        """
-        self._require_inline("run()")
+        """Execute every point of ``spec`` and return outcomes in point order."""
         return self._run_points(spec.points())
 
     def run_stored(
@@ -269,12 +255,7 @@ class SweepRunner:
         the run in the store's history time axis
         (default ``"sweep"``; the serve daemon passes ``"serve:<job id>"``
         so `repro history` attributes API-submitted runs).
-
-        Raises:
-            ConfigurationError: when the configured backend cannot execute
-                points in-process (e.g. the shard-worker backend).
         """
-        self._require_inline("run_stored()")
         return self._run_into_store(
             spec, store, spec.points(), resume=resume, source=source
         )
@@ -297,7 +278,7 @@ class SweepRunner:
         can run on a different host into its own
         :class:`~repro.runner.db.SweepDatabase`, and folding the stores of
         any disjoint cover of the grid back together with
-        :meth:`SweepDatabase.merge <repro.runner.db.SweepDatabase.merge>`
+        :meth:`SweepDatabase.merge_all <repro.runner.db.SweepDatabase.merge_all>`
         yields a store record-identical to a single-host :meth:`run_stored`
         of the full grid (the exported document is byte-for-byte the same).
         An empty selection (a batch worker that holds none of this grid's
@@ -308,10 +289,8 @@ class SweepRunner:
         (default ``points:<n>``).
 
         Raises:
-            ConfigurationError: for an out-of-range selection, or when the
-                configured backend cannot execute points in-process.
+            ConfigurationError: for an out-of-range selection.
         """
-        self._require_inline("run_points()")
         points = spec.points_at(indices) if indices else ()
         return self._run_into_store(
             spec,
@@ -319,51 +298,6 @@ class SweepRunner:
             points,
             resume=resume,
             source=source if source is not None else f"points:{len(points)}",
-        )
-
-    def orchestrate(
-        self,
-        specs: Sequence[SweepSpec],
-        store: "SweepDatabase",
-        *,
-        resume: bool = False,
-        workdir: str | Path | None = None,
-    ) -> OrchestrationReport:
-        """Run every grid of ``specs`` into ``store`` via the backend's workers.
-
-        The orchestration counterpart of :meth:`run_stored`: the whole batch
-        is one dispatch round — the backend splits every grid into one
-        point list per worker, dispatches each worker that holds points
-        (running its lists of every grid into its own store), and merges
-        the shard stores into ``store`` once, with history carried.  The
-        merged store exports byte-identical to a serial full run of the
-        same specs, and its run count equals the sum of the shard run
-        counts.  A single grid is a one-element sequence.
-        The runner's characterisation settings (``characterize``,
-        ``packet_count``, ``cache_dir``) are forwarded to the workers so an
-        orchestrated run is configured exactly like an in-process one.
-
-        Raises:
-            ConfigurationError: when the configured backend cannot
-                orchestrate (only the shard-worker backend can), or for an
-                empty batch.
-            OrchestrationError: when a worker fails or times out.
-            ResultStoreError: when the shard stores fail merge validation.
-        """
-        if not self.backend.supports_orchestration:
-            raise ConfigurationError(
-                f"backend {self.backend.name!r} cannot orchestrate a grid "
-                "into a store; pick the shard-workers backend "
-                "(repro orchestrate)"
-            )
-        return self.backend.orchestrate(
-            specs,
-            store,
-            resume=resume,
-            characterize=self.characterize,
-            packet_count=self.packet_count,
-            cache_dir=self.cache_dir,
-            workdir=workdir,
         )
 
     def _run_into_store(

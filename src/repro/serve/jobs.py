@@ -3,8 +3,8 @@
 ``POST /sweeps`` must answer immediately while grids of arbitrary size
 execute; :class:`SweepJobQueue` is the seam that makes that safe on sqlite.
 One worker thread owns the store's long-lived **run writer connection** and
-executes jobs strictly in submission order through the existing execution
-backends (:data:`repro.runner.backends.BACKEND_FACTORIES`): the WAL journal
+executes jobs strictly in submission order through the sweep engine: the
+WAL journal
 then guarantees that every concurrent HTTP read — served from per-request
 reader connections — sees a consistent committed snapshot, never a
 half-written run.  That is the one-writer/many-readers model documented in
@@ -25,13 +25,15 @@ waiting, further submissions fail with a 503 carrying ``Retry-After``, so
 overload sheds load at the door instead of growing an unbounded backlog.
 
 Jobs carry no planning logic of their own: a job is a
-:class:`~repro.runner.spec.SweepSpec` plus a backend name, executed via
-:meth:`SweepRunner.run_stored <repro.runner.engine.SweepRunner.run_stored>`
-(serial/pool backends) or :meth:`SweepRunner.orchestrate
-<repro.runner.engine.SweepRunner.orchestrate>` (the shard-worker and remote
-dispatch backends), with the run recorded under source ``serve:<job id>``
-so ``repro history`` attributes API-submitted runs.  Jobs may only ask for
-the remote backend when the daemon was started with a host list
+:class:`~repro.runner.spec.SweepSpec` plus one of the :data:`JOB_BACKENDS`
+names.  ``serial`` and ``pool`` run via :meth:`SweepRunner.run_stored
+<repro.runner.engine.SweepRunner.run_stored>`, with the run recorded under
+source ``serve:<job id>`` so ``repro history`` attributes API-submitted
+runs; ``shard-workers`` and ``remote`` are mapped here to a
+:class:`~repro.runner.backends.ShardWorkerBackend` whose
+:meth:`~repro.runner.backends.ShardWorkerBackend.orchestrate` runs the job
+(local workers, or the daemon's host pool).  Jobs may only ask for
+``remote`` when the daemon was started with a host list
 (``--dispatch-hosts``); without one such submissions are rejected with 400.
 """
 
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ApiError, ConfigurationError, ReproError
 from repro.runner.backends import (
-    REMOTE_BACKEND,
+    BACKEND_FACTORIES,
     ExecutionBackend,
     ShardWorkerBackend,
     make_backend,
@@ -71,6 +73,11 @@ JOB_STATES: tuple[str, ...] = (
 #: ``Retry-After`` value (seconds) a full queue answers 503 with.
 RETRY_AFTER_SECONDS = 2
 
+#: The ``backend`` names ``POST /sweeps`` accepts: the runner's in-process
+#: backends, then the two that orchestrate shard workers (``remote`` over
+#: the daemon's ``--dispatch-hosts``).
+JOB_BACKENDS: tuple[str, ...] = (*BACKEND_FACTORIES, "shard-workers", "remote")
+
 
 def _utcnow() -> str:
     """Current UTC time in the store's ISO timestamp format."""
@@ -90,8 +97,7 @@ class SweepJob:
             continues the sequence instead of re-issuing taken ids.
         spec: the submitted grid.
         spec_key: the spec's content key (how the store indexes it).
-        backend: execution backend name (a
-            :data:`~repro.runner.backends.BACKEND_FACTORIES` key).
+        backend: execution backend name (a :data:`JOB_BACKENDS` entry).
         pool_jobs: worker processes for the pool backend (1 otherwise).
         resume: whether points already stored are skipped instead of re-run.
         status: one of :data:`JOB_STATES`.
@@ -253,10 +259,9 @@ class SweepJobQueue:
 
         Args:
             spec: the grid to execute.
-            backend: execution backend name (any
-                :data:`~repro.runner.backends.BACKEND_FACTORIES` key; the
-                shard-worker and remote backends orchestrate, the others
-                run in-process on the worker thread).
+            backend: execution backend name (a :data:`JOB_BACKENDS`
+                entry; ``shard-workers`` and ``remote`` orchestrate, the
+                others run in-process on the worker thread).
             jobs: worker processes for the pool backend; every other
                 backend takes only 1.
             resume: skip points the store already holds compatible records
@@ -375,28 +380,42 @@ class SweepJobQueue:
         with SweepDatabase(self.store_path) as db:
             db.upsert_job(snapshot, spec_json=spec_json)
 
-    def _make_backend(self, name: str, jobs: int) -> ExecutionBackend:
-        """The execution backend a job named ``name`` with ``jobs`` runs on.
+    def _make_backend(
+        self, name: str, jobs: int
+    ) -> ExecutionBackend | ShardWorkerBackend:
+        """What a job named ``name`` with ``jobs`` runs on.
 
-        Remote jobs dispatch onto the daemon's ``--dispatch-hosts`` through
-        its ``--dispatch-launcher``.
+        ``serial``/``pool`` are built by the runner registry; the two
+        orchestrating names map to a :class:`ShardWorkerBackend` — remote
+        jobs dispatch onto the daemon's ``--dispatch-hosts`` through its
+        ``--dispatch-launcher``.
 
         Raises:
             ApiError: (400) for an unknown backend name, the remote backend
                 without configured dispatch hosts, or a ``jobs`` value the
                 backend cannot use.
         """
-        if name != REMOTE_BACKEND:
-            hosts = launcher = None
-        elif self.dispatch_hosts:
-            hosts, launcher = self.dispatch_hosts, self.dispatch_launcher
-        else:
+        if name not in JOB_BACKENDS:
+            known = ", ".join(sorted(JOB_BACKENDS))
+            raise ApiError(f"unknown backend {name!r}; known backends: {known}")
+        if name == "remote" and not self.dispatch_hosts:
             raise ApiError(
                 "the remote backend needs a host list; start the daemon "
                 "with --dispatch-hosts"
             )
+        if name not in BACKEND_FACTORIES and jobs != 1:
+            raise ApiError(
+                f"the {name} backend is sized with workers, not jobs={jobs}; "
+                "use --workers (jobs configures the in-process backends)"
+            )
         try:
-            return make_backend(name, jobs=jobs, hosts=hosts, launcher=launcher)
+            if name in BACKEND_FACTORIES:
+                return make_backend(name, jobs=jobs)
+            if name == "remote":
+                return ShardWorkerBackend(
+                    hosts=self.dispatch_hosts, launcher=self.dispatch_launcher
+                )
+            return ShardWorkerBackend()
         except ConfigurationError as error:
             raise ApiError(str(error)) from error
 
@@ -407,20 +426,27 @@ class SweepJobQueue:
             job.started_at = _utcnow()
             self._persist(job, store)
         try:
-            runner = SweepRunner(
-                backend=self._make_backend(job.backend, job.pool_jobs),
-                cache_dir=self.cache_dir,
-                characterize=self.characterize,
-                packet_count=self.packet_count,
-                system_cache=self.system_cache,
-                characterization_cache=self.characterization_cache,
-            )
-            if isinstance(runner.backend, ShardWorkerBackend):
-                report = runner.orchestrate(
-                    [job.spec], store, resume=job.resume, workdir=self.workdir
+            backend = self._make_backend(job.backend, job.pool_jobs)
+            if isinstance(backend, ShardWorkerBackend):
+                report = backend.orchestrate(
+                    [job.spec],
+                    store,
+                    resume=job.resume,
+                    characterize=self.characterize,
+                    packet_count=self.packet_count,
+                    cache_dir=self.cache_dir,
+                    workdir=self.workdir,
                 )
                 executed, skipped, run_id = report.record_count, 0, None
             else:
+                runner = SweepRunner(
+                    backend=backend,
+                    cache_dir=self.cache_dir,
+                    characterize=self.characterize,
+                    packet_count=self.packet_count,
+                    system_cache=self.system_cache,
+                    characterization_cache=self.characterization_cache,
+                )
                 stored = runner.run_stored(
                     job.spec, store, resume=job.resume, source=f"serve:{job.job_id}"
                 )

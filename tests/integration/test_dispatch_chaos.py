@@ -41,9 +41,7 @@ def orchestrate_with_chaos(specs, tmp_path, monkeypatch, faults, **backend_kwarg
         **backend_kwargs,
     )
     with SweepDatabase(tmp_path / "merged.db") as db:
-        report = SweepRunner(backend=backend).orchestrate(
-            specs, db, workdir=tmp_path / "work"
-        )
+        report = backend.orchestrate(specs, db, workdir=tmp_path / "work")
         exported = db.export_document(tmp_path / "merged.json").read_bytes()
         run_count = db.run_count()
     return report, exported, run_count
@@ -99,9 +97,7 @@ class TestCrashRequeue:
             workers=4, max_retries=2, retry_backoff=0.05, checkpoint_every=1
         )
         with SweepDatabase(tmp_path / "merged.db") as db:
-            report = SweepRunner(backend=backend).orchestrate(
-                [spec], db, workdir=tmp_path / "work"
-            )
+            report = backend.orchestrate([spec], db, workdir=tmp_path / "work")
             exported = db.export_document(tmp_path / "merged.json").read_bytes()
         assert exported == serial_export
         assert sum(w.retries for w in report.workers) == 2
@@ -223,9 +219,7 @@ class TestExhaustedRetries:
         )
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 70") as excinfo:
-                SweepRunner(backend=backend).orchestrate(
-                    [spec], db, workdir=tmp_path / "work"
-                )
+                backend.orchestrate([spec], db, workdir=tmp_path / "work")
             assert "2 attempt(s)" in str(excinfo.value)
             assert db.record_count() == 0  # failed orchestration merges nothing
         (orphan,) = (tmp_path / "work").rglob("*.orphaned.txt")

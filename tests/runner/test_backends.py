@@ -1,6 +1,8 @@
-"""Tests of the pluggable execution backends and the shard-worker orchestrator."""
+"""Tests of the in-process execution backends and the shard-worker orchestrator."""
 
+import os
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
@@ -62,9 +64,7 @@ def orchestrated_batch(batch_specs, tmp_path_factory):
     root = tmp_path_factory.mktemp("batch")
     backend = ShardWorkerBackend(workers=3)
     with SweepDatabase(root / "merged.db") as db:
-        report = SweepRunner(backend=backend).orchestrate(
-            batch_specs, db, workdir=root / "work"
-        )
+        report = backend.orchestrate(batch_specs, db, workdir=root / "work")
         exported = db.export_document(root / "merged.json").read_bytes()
         runs = db.runs()
     return report, exported, runs
@@ -72,37 +72,42 @@ def orchestrated_batch(batch_specs, tmp_path_factory):
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert set(BACKEND_FACTORIES) == {"serial", "pool", "shard-workers", "remote"}
+        """The registry holds the in-process backends only; shard workers
+        are an orchestrator, not something a runner can name."""
+        assert set(BACKEND_FACTORIES) == {"serial", "pool"}
 
     def test_make_backend_by_name(self):
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("pool", jobs=3), ProcessPoolBackend)
-        shard_workers = make_backend("shard-workers")
-        assert isinstance(shard_workers, ShardWorkerBackend)
-        assert shard_workers.worker_count == 2
-        assert ShardWorkerBackend(workers=4).worker_count == 4
-        remote = make_backend("remote", hosts=["h1", "h2"], launcher="local")
-        assert isinstance(remote, ShardWorkerBackend)
-        assert remote.name == "remote"
-        assert remote.worker_count == 2
+        pool = make_backend("pool", jobs=3)
+        assert isinstance(pool, ProcessPoolBackend)
+        assert pool.worker_count == 3
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            make_backend("quantum")
+        for name in ("quantum", "shard-workers", "remote"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                make_backend(name)
 
-    def test_remote_needs_hosts_and_hosts_need_remote(self):
-        with pytest.raises(ConfigurationError, match="at least one host"):
-            make_backend("remote")
-        with pytest.raises(ConfigurationError, match="at least one host"):
-            ShardWorkerBackend(hosts=["  ", ""])
-        with pytest.raises(ConfigurationError, match="remote backend"):
-            make_backend("serial", hosts=["h1"])
+    def test_host_pool_needs_a_host(self):
+        for hosts in ([], ["  ", ""]):
+            with pytest.raises(ConfigurationError, match="at least one host"):
+                ShardWorkerBackend(hosts=hosts)
 
     def test_serial_with_multiple_jobs_rejected(self):
         """jobs > 1 next to the serial backend is a contradiction, not a
         silently ignored flag."""
         with pytest.raises(ConfigurationError, match="pool"):
             make_backend("serial", jobs=4)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_serial_with_jobs_zero_rejected_on_every_host(self, monkeypatch, cpus):
+        """jobs=0 means one worker per CPU, which the serial backend cannot
+        honour: the answer names the value given, whatever the CPU count."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with pytest.raises(ConfigurationError, match=r"jobs=0 needs the pool backend"):
+            make_backend("serial", jobs=0)
+        with pytest.raises(ConfigurationError, match=r"jobs=0 needs the pool backend"):
+            SweepRunner(backend="serial", jobs=0)
+        assert SweepRunner(jobs=0).jobs == cpus
 
     def test_pool_jobs_resolution(self):
         assert make_backend("pool", jobs=None).worker_count >= 1
@@ -161,11 +166,6 @@ class TestHostPoolDefaults:
                 {},
                 id="constructor",
             ),
-            pytest.param(
-                lambda tmp_path: make_backend("remote", hosts=POOL_HOSTS),
-                {},
-                id="make_backend",
-            ),
             pytest.param(serve_remote_backend, {}, id="serve"),
             pytest.param(
                 lambda tmp_path: ShardWorkerBackend(workers=5, hosts=POOL_HOSTS),
@@ -198,11 +198,6 @@ class TestHostPoolDefaults:
                 id="constructor-checkpoint_every",
             ),
             pytest.param(
-                lambda tmp_path: make_backend("remote", hosts=POOL_HOSTS, launcher="local"),
-                {"launcher": local_launcher},
-                id="make_backend-launcher",
-            ),
-            pytest.param(
                 lambda tmp_path: serve_remote_backend(tmp_path, dispatch_launcher="local"),
                 {"launcher": local_launcher},
                 id="serve-launcher",
@@ -211,7 +206,6 @@ class TestHostPoolDefaults:
     )
     def test_resolved_settings(self, build, overrides, tmp_path):
         backend = build(tmp_path)
-        assert backend.name == "remote"
         assert backend.hosts == POOL_HOSTS
         assert resolved_settings(backend) == {**POOL_DEFAULTS, **overrides}
 
@@ -222,7 +216,6 @@ class TestHostPoolDefaults:
 
     def test_without_hosts_the_local_defaults_stay(self):
         backend = ShardWorkerBackend()
-        assert backend.name == "shard-workers"
         assert backend.hosts is None
         assert resolved_settings(backend) == {
             "workers": 2,
@@ -244,7 +237,7 @@ class TestRunnerBackendSelection:
         assert SweepRunner(jobs=2, backend="pool").jobs == 2
 
     def test_backend_instance_accepted(self):
-        backend = ShardWorkerBackend(workers=3)
+        backend = ProcessPoolBackend(jobs=3)
         runner = SweepRunner(backend=backend)
         assert runner.backend is backend
         assert runner.jobs == 3
@@ -265,21 +258,13 @@ class TestBackendEquivalence:
 
 
 class TestCapabilityChecks:
-    def test_shard_workers_cannot_run_inline(self, small_spec, tmp_path):
-        runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
-        with pytest.raises(ConfigurationError, match="in-process"):
-            runner.run(small_spec)
-        with SweepDatabase(tmp_path / "s.db") as db:
-            with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_stored(small_spec, db)
-            with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_points(small_spec, db, [0])
-
-    def test_inline_backends_cannot_orchestrate(self, small_spec, tmp_path):
-        with SweepDatabase(tmp_path / "s.db") as db:
-            for backend in (SerialBackend(), ProcessPoolBackend(jobs=2)):
-                with pytest.raises(ConfigurationError, match="orchestrate"):
-                    SweepRunner(backend=backend).orchestrate([small_spec], db)
+    def test_shard_workers_cannot_run_inline(self):
+        """A runner takes only in-process backends: handing it the shard-worker
+        orchestrator fails at construction, before any entry point runs."""
+        with pytest.raises(ConfigurationError, match="orchestrate"):
+            SweepRunner(backend=ShardWorkerBackend(workers=2))
+        with pytest.raises(ConfigurationError, match="ExecutionBackend"):
+            SweepRunner(backend=object())
 
 
 class TestWorkerPlanning:
@@ -348,9 +333,8 @@ class TestShardWorkerOrchestration:
             tmp_path / "serial.json", [(spec, SweepRunner(jobs=1).run(spec))]
         )
         backend = ShardWorkerBackend(workers=3)
-        runner = SweepRunner(backend=backend)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            report = runner.orchestrate([spec], db, workdir=tmp_path / "work")
+            report = backend.orchestrate([spec], db, workdir=tmp_path / "work")
             exported = db.export_document(tmp_path / "merged.json")
             assert db.run_count(report.spec_keys[0]) == report.run_count
         assert exported.read_bytes() == serial.read_bytes()
@@ -371,7 +355,7 @@ class TestShardWorkerOrchestration:
         )
         backend = ShardWorkerBackend(workers=4)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            report = SweepRunner(backend=backend).orchestrate(
+            report = backend.orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
             assert report.record_count == small_spec.point_count == 2
@@ -392,7 +376,7 @@ class TestShardWorkerOrchestration:
 
         backend = ShardWorkerBackend(workers=2, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            SweepRunner(backend=backend).orchestrate(
+            backend.orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
         for _, argv in seen:
@@ -412,7 +396,7 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=2, launcher=broken)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="exited 3"):
-                SweepRunner(backend=backend).orchestrate(
+                backend.orchestrate(
                     [small_spec], db, workdir=tmp_path / "work"
                 )
             # The failed orchestration must not have merged anything.
@@ -427,23 +411,52 @@ class TestShardWorkerOrchestration:
         backend = ShardWorkerBackend(workers=2, launcher=hang, timeout=0.3)
         with SweepDatabase(tmp_path / "merged.db") as db:
             with pytest.raises(OrchestrationError, match="still running"):
-                SweepRunner(backend=backend).orchestrate(
+                backend.orchestrate(
                     [small_spec], db, workdir=tmp_path / "work"
                 )
             assert db.record_count() == 0
+
+    def test_temporary_workdir_removed_after_success(self, small_spec, tmp_path, monkeypatch):
+        """Without a workdir the shard stores, logs and spec file live in a
+        temporary directory that a successful merge leaves nothing of."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            report = ShardWorkerBackend(workers=2).orchestrate([small_spec], db)
+            assert db.record_count() == small_spec.point_count
+        assert report.workdir is None
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_temporary_workdir_kept_on_failure(self, small_spec, tmp_path, monkeypatch):
+        """A failed orchestration keeps its temporary workdir for the logs,
+        and the error names it."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+
+        def broken(host, argv, env):
+            return [sys.executable, "-c", "import sys; sys.exit(3)"]
+
+        backend = ShardWorkerBackend(workers=2, launcher=broken)
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            with pytest.raises(OrchestrationError) as excinfo:
+                backend.orchestrate([small_spec], db)
+        (workdir,) = (tmp_path / "tmp").iterdir()
+        assert workdir.name.startswith("repro-orchestrate-")
+        assert str(workdir) in str(excinfo.value)
+        assert list(workdir.rglob("shard-0.log"))
 
     def test_remerging_unchanged_shard_stores_is_a_noop(self, small_spec, tmp_path):
         """Folding the shard stores of a finished orchestration in again must
         carry no runs and add no records (retry safety)."""
         backend = ShardWorkerBackend(workers=2)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            report = SweepRunner(backend=backend).orchestrate(
+            report = backend.orchestrate(
                 [small_spec], db, workdir=tmp_path / "work"
             )
             run_count = db.run_count()
             for worker in report.workers:
                 with SweepDatabase(worker.plan.store_path) as shard:
-                    again = db.merge(shard, carry_history=True)
+                    (again,) = db.merge_all([shard], carry_history=True)
                 assert again.runs_carried == 0
                 assert again.inserted == 0
             assert db.run_count() == run_count
@@ -492,12 +505,12 @@ class TestBatchOrchestration:
         assert report.workers[0].plan.store_path.parent.name == batch_dirname(batch_specs)
 
     def test_orchestrate_needs_a_sequence_of_specs(self, small_spec, tmp_path):
-        runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
+        backend = ShardWorkerBackend(workers=2)
         with SweepDatabase(tmp_path / "s.db") as db:
             with pytest.raises(ConfigurationError, match=r"\[spec\]"):
-                runner.orchestrate(small_spec, db)
+                backend.orchestrate(small_spec, db)
             with pytest.raises(ConfigurationError, match="at least one"):
-                runner.orchestrate([], db)
+                backend.orchestrate([], db)
 
 
 class TestCostBasedSharding:
@@ -553,7 +566,7 @@ class TestCostBasedSharding:
             SweepRunner(jobs=1).run_stored(small_spec, db)
             assert db.point_cost_rows(small_spec.content_key())
             backend = ShardWorkerBackend(workers=2, cost_sizing=True)
-            report = SweepRunner(backend=backend).orchestrate(
+            report = backend.orchestrate(
                 [small_spec], db, workdir=tmp_path / "work", resume=False
             )
             records = db.records(small_spec.content_key())
@@ -599,7 +612,7 @@ class TestCostBasedSharding:
                 db.record_run(
                     db.ensure_sweep(spec), [], executed=0, skipped=0, point_costs=costs[spec]
                 )
-            report = SweepRunner(backend=backend).orchestrate(
+            report = backend.orchestrate(
                 batch_specs, db, workdir=tmp_path / "work"
             )
             exported = db.export_document(tmp_path / "merged.json").read_bytes()

@@ -269,7 +269,7 @@ class TestMerge:
             for index in range(3):
                 path = shard_store(spec, tmp_path / f"shard-{index}.db", index, 3)
                 with SweepDatabase(path) as shard:
-                    report = merged.merge(shard)
+                    (report,) = merged.merge_all([shard])
                 assert report.identical == 0
             exported = merged.export_document(tmp_path / "merged.json")
         assert exported.read_bytes() == serial.read_bytes()
@@ -279,7 +279,7 @@ class TestMerge:
             spec_key = target.ensure_sweep(spec)
             target.record_run(spec_key, serial_records, executed=6, skipped=0)
             with SweepDatabase(tmp_path / "empty.db") as empty:
-                report = target.merge(empty)
+                (report,) = target.merge_all([empty])
             assert report == MergeReport(spec_keys=(), inserted=0, identical=0)
             assert target.record_count() == len(serial_records)
 
@@ -290,7 +290,7 @@ class TestMerge:
             shard.ensure_sweep(spec)
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(tmp_path / "empty-shard.db") as shard:
-                report = target.merge(shard)
+                (report,) = target.merge_all([shard])
             assert report.spec_keys == (spec.content_key(),)
             assert report.inserted == 0
             assert target.spec_keys() == [spec.content_key()]
@@ -305,10 +305,10 @@ class TestMerge:
             shard.record_run(spec_key, serial_records, executed=6, skipped=0)
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(shard_path) as shard:
-                first = target.merge(shard)
+                (first,) = target.merge_all([shard])
             runs_after_first = len(target.runs())
             with SweepDatabase(shard_path) as shard:
-                second = target.merge(shard)
+                (second,) = target.merge_all([shard])
             assert first.inserted == len(serial_records)
             assert second.inserted == 0
             assert second.identical == len(serial_records)
@@ -329,7 +329,7 @@ class TestMerge:
             runs_before = len(target.runs())
             with SweepDatabase(tmp_path / "conflict.db") as shard:
                 with pytest.raises(ResultStoreError, match="point 2 conflicts"):
-                    target.merge(shard)
+                    target.merge_all([shard])
             assert target.records(spec_key) == serial_records
             assert len(target.runs()) == runs_before
 
@@ -343,7 +343,7 @@ class TestMerge:
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(tmp_path / "shard.db") as shard:
                 with pytest.raises(ResultStoreError, match="different grid"):
-                    target.merge(shard, expect_spec_keys={spec.content_key()})
+                    target.merge_all([shard], expect_spec_keys={spec.content_key()})
             assert target.spec_keys() == []
 
     def test_merge_records_run_source(self, spec, serial_records, tmp_path):
@@ -353,7 +353,7 @@ class TestMerge:
             shard.record_run(spec_key, serial_records, executed=6, skipped=0)
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(shard_path) as shard:
-                target.merge(shard)
+                target.merge_all([shard])
             (run,) = target.runs()
             assert run.source == "merge:shard-a.db"
             assert run.executed_points == len(serial_records)
@@ -373,7 +373,7 @@ class TestMerge:
         with SweepDatabase(tmp_path / "target.db") as target:
             for name in ("a.db", "b.db"):
                 with SweepDatabase(tmp_path / name) as source:
-                    target.merge(source)
+                    target.merge_all([source])
             assert target.spec_keys() == [spec.content_key(), other_spec.content_key()]
             assert target.record_count() == len(serial_records) + len(other_records)
 
@@ -430,7 +430,7 @@ class TestCarryHistoryMerge:
             )
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    target.merge(shard, carry_history=True)
+                    target.merge_all([shard], carry_history=True)
             run_ids = [run.run_id for run in target.runs()]
             assert run_ids == [1, 2, 3, 4]
             assert [run.source for run in target.runs()[1:]] == [
@@ -448,12 +448,12 @@ class TestCarryHistoryMerge:
         with SweepDatabase(tmp_path / "target.db") as target:
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    first = target.merge(shard, carry_history=True)
+                    (first,) = target.merge_all([shard], carry_history=True)
                 assert first.runs_carried == 1
             runs_after = len(target.runs())
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    again = target.merge(shard, carry_history=True)
+                    (again,) = target.merge_all([shard], carry_history=True)
                 assert again.runs_carried == 0
                 assert again.inserted == 0
                 assert again.identical > 0
@@ -506,7 +506,7 @@ class TestCarryHistoryMerge:
             for path in paths:
                 with SweepDatabase(path) as shard:
                     shard_runs += shard.run_count()
-                    merged.merge(shard, carry_history=True)
+                    merged.merge_all([shard], carry_history=True)
             assert shard_runs == 4
             assert merged.run_count() == shard_runs
             assert merged.record_count() == spec.point_count
@@ -523,7 +523,7 @@ class TestCarryHistoryMerge:
             target.record_run(key, serial_records, executed=6, skipped=0)
             with SweepDatabase(tmp_path / "bad.db") as shard:
                 with pytest.raises(ResultStoreError, match="point 1 conflicts"):
-                    target.merge(shard, carry_history=True)
+                    target.merge_all([shard], carry_history=True)
             assert target.run_count() == 1
             assert target.records(spec.content_key()) == serial_records
 
@@ -537,9 +537,9 @@ class TestCarryHistoryMerge:
             with SweepDatabase(tmp_path / "carried.db") as carried:
                 for path in paths:
                     with SweepDatabase(path) as shard:
-                        plain.merge(shard)
+                        plain.merge_all([shard])
                     with SweepDatabase(path) as shard:
-                        carried.merge(shard, carry_history=True)
+                        carried.merge_all([shard], carry_history=True)
                 plain_doc = plain.export_document(tmp_path / "plain.json")
                 carried_doc = carried.export_document(tmp_path / "carried.json")
         assert carried_doc.read_bytes() == plain_doc.read_bytes()
@@ -643,12 +643,12 @@ class TestPointCosts:
             report = SweepRunner(jobs=1).run_stored(spec, shard)
             shard_costs = shard.point_cost_rows(report.spec_key)
             with SweepDatabase(tmp_path / "target.db") as target:
-                target.merge(shard, carry_history=True)
+                target.merge_all([shard], carry_history=True)
                 assert target.point_cost_rows(report.spec_key) == shard_costs
 
     def test_plain_merge_does_not_carry_costs(self, spec, tmp_path):
         with SweepDatabase(tmp_path / "shard.db") as shard:
             report = SweepRunner(jobs=1).run_stored(spec, shard)
             with SweepDatabase(tmp_path / "target.db") as target:
-                target.merge(shard)
+                target.merge_all([shard])
                 assert target.point_cost_rows(report.spec_key) == {}

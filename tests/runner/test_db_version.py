@@ -72,7 +72,7 @@ class TestDataVersionEdges:
         with SweepDatabase(tmp_path / "target.db") as target:
             before = target.data_version()
             with SweepDatabase.open_reader(shard_path) as shard:
-                target.merge(shard)
+                target.merge_all([shard])
             after = target.data_version()
         assert before == (0, 0)
         assert after == (len(serial_records), 1)
@@ -90,9 +90,9 @@ class TestDataVersionEdges:
             )
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase.open_reader(shard_path) as shard:
-                target.merge(shard)
+                target.merge_all([shard])
                 first = target.data_version()
-                target.merge(shard)
+                target.merge_all([shard])
                 assert target.data_version() == first
 
     def test_history_carrying_merge_bumps_runs_by_the_shard_run_count(
@@ -111,12 +111,12 @@ class TestDataVersionEdges:
             )
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase.open_reader(shard_path) as shard:
-                target.merge(shard, carry_history=True)
+                target.merge_all([shard], carry_history=True)
                 records, runs = target.data_version()
                 assert records == len(serial_records)
                 assert runs == 2
                 # Idempotent: carrying the same shard again changes nothing.
-                target.merge(shard, carry_history=True)
+                target.merge_all([shard], carry_history=True)
                 assert target.data_version() == (records, runs)
 
 
@@ -156,7 +156,7 @@ class TestOpenReader:
             with pytest.raises(ResultStoreError, match="read-only"):
                 reader.record_run(spec_key, serial_records, executed=1, skipped=0)
             with pytest.raises(ResultStoreError, match="read-only"):
-                reader.merge(reader)
+                reader.merge_all([reader])
             with pytest.raises(ResultStoreError, match="read-only"):
                 reader.merge_all([reader])
 

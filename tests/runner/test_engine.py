@@ -195,7 +195,7 @@ class TestShardExecution:
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for path in shard_paths:
                 with SweepDatabase(path) as shard:
-                    merged.merge(shard)
+                    merged.merge_all([shard])
             records = merged.records(d695_spec.content_key())
         assert records == [outcome.record() for outcome in serial_outcomes]
 
@@ -212,7 +212,7 @@ class TestShardExecution:
                         d695_spec, db, shard_index=index, shard_count=2, strategy="strided"
                     )
                 with SweepDatabase(path) as shard:
-                    merged.merge(shard)
+                    merged.merge_all([shard])
             records = merged.records(d695_spec.content_key())
         assert records == [outcome.record() for outcome in serial_outcomes]
 
@@ -259,7 +259,7 @@ class TestShardExecution:
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for path in shard_paths:
                 with SweepDatabase(path) as shard:
-                    merged.merge(shard)
+                    merged.merge_all([shard])
             assert merged.record_count() == d695_spec.point_count
             exported = merged.export_document(tmp_path / "merged.json")
         assert exported.read_bytes() == serial.read_bytes()
@@ -342,11 +342,10 @@ class TestPointSubsetRuns:
             assert report.executed_indices == (2,)
             assert report.skipped_indices == (0, 1)
 
-    def test_shard_worker_backend_cannot_run_points_inline(self, d695_spec, tmp_path):
+    def test_shard_worker_backend_cannot_run_points_inline(self):
+        """The shard-worker orchestrator is no execution backend: a runner
+        refuses it when built, so no entry point can mis-execute it."""
         from repro.runner.backends import ShardWorkerBackend
-        from repro.runner.db import SweepDatabase
 
-        runner = SweepRunner(backend=ShardWorkerBackend(workers=2))
-        with SweepDatabase(tmp_path / "s.db") as db:
-            with pytest.raises(ConfigurationError, match="in-process"):
-                runner.run_points(d695_spec, db, [0])
+        with pytest.raises(ConfigurationError, match="ShardWorkerBackend"):
+            SweepRunner(backend=ShardWorkerBackend(workers=2))

@@ -141,6 +141,15 @@ class TestValidation:
         with SweepDatabase(tmp_path / "jobs.db") as db:
             assert db.job_rows() == []
 
+    def test_unknown_backend_lists_every_api_name(self, queue_factory):
+        """The runner registry holds only serial/pool; the 400 still names
+        the two orchestrating backends the API accepts."""
+        queue = queue_factory()
+        with pytest.raises(ApiError) as excinfo:
+            queue.submit(small_spec(), backend="quantum")
+        assert excinfo.value.status == 400
+        assert "known backends: pool, remote, serial, shard-workers" in str(excinfo.value)
+
     def test_unknown_job_id_is_404(self, queue_factory):
         queue = queue_factory()
         with pytest.raises(ApiError) as excinfo:

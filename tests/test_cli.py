@@ -1,5 +1,8 @@
 """Tests of the command-line interface."""
 
+import os
+import tempfile
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -460,6 +463,17 @@ class TestBackendSelection:
         assert main(["sweep", "d695_leon", "--backend", "serial", "--jobs", "4"]) == 1
         assert "pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_serial_backend_with_jobs_zero_fails_on_every_host(
+        self, capsys, monkeypatch, cpus
+    ):
+        """--jobs 0 means one worker per CPU; the serial conflict names the
+        value the user gave, however many CPUs the host has."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["sweep", "d695_leon", "--backend", "serial", "--jobs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "jobs=0 needs the pool backend" in err
+
     @pytest.mark.parametrize(
         "retired",
         [
@@ -629,6 +643,21 @@ class TestOrchestrateCommand:
         assert "orchestrated on 2 shard worker(s)" in out
         assert "2 run(s)" in out
         assert exported.read_bytes() == serial.read_bytes()
+
+    def test_orchestrate_without_workdir_leaves_no_temporary_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The temporary workdir goes after a successful merge, and the
+        summary does not name a directory that no longer exists."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        argv = ["orchestrate", "d695_leon", "--counts", "0,2", "--power-limits", "none"]
+        argv += ["--no-characterize", "--workers", "2", "--store", str(tmp_path / "s.db")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "(2 shard run(s) carried)" in out
+        assert "workdir" not in out.splitlines()[-1]
+        assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_orchestrate_requires_store(self, capsys):
         with pytest.raises(SystemExit):
