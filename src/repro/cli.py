@@ -29,8 +29,8 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
 * ``orchestrate [SYSTEM...]`` — the multi-host flow, and the one command
   that fans grids out over shard workers: send every grid out in one
   dispatch round over N ``repro sweep --points`` subprocess workers
-  (``--workers``, ``--workdir``, ``--shard-strategy``), each running its
-  point list of every grid into its own sqlite store, supervise them
+  (``--workers``, ``--workdir``), each running its LPT-balanced point list
+  of every grid into its own sqlite store, supervise them
   through per-worker heartbeat files and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
@@ -39,7 +39,8 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   dispatched through a launcher (``ssh`` by default) onto a host pool
   with cost-sized shards — see docs/operations.md.
 * ``merge OUT SHARD...`` — fold sharded sqlite stores back into one
-  database; merging every shard of a grid yields a store whose exported
+  database with every shard run carried, the same history ``orchestrate``
+  leaves; merging every shard of a grid yields a store whose exported
   document (``--export-json``) is byte-identical to a serial full run's.
 * ``history DB`` — cross-run queries over a sqlite sweep store (scheduler
   win-rates, makespan over time, aggregated in SQL) plus the JSON↔sqlite
@@ -75,7 +76,7 @@ from repro.experiments.figure1 import (
     PAPER_PROCESSOR_COUNTS,
     panel_from_outcomes,
 )
-from repro.runner.backends import SHARD_SPLITS, ShardWorkerBackend
+from repro.runner.backends import ShardWorkerBackend
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.launch import LAUNCHERS, beat_heartbeat
@@ -599,13 +600,9 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
             "host list (--hosts h1,h2,... or --hosts-file)"
         )
     # Unset flags stay None: the backend derives them (host-pool defaults
-    # with hosts); only the local worker count differs from its default.
-    workers = args.workers
-    if workers is None and hosts is None:
-        workers = 3
+    # with hosts).
     backend = ShardWorkerBackend(
-        workers=workers,
-        strategy=args.shard_strategy,
+        workers=args.workers,
         timeout=args.worker_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
@@ -695,7 +692,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             for shard_path, report in zip(shard_paths, reports):
                 print(
                     f"merged {shard_path}: {report.inserted} record(s) added, "
-                    f"{report.identical} identical ({len(report.spec_keys)} sweep(s))"
+                    f"{report.identical} identical, {report.runs_carried} run(s) "
+                    f"carried ({len(report.spec_keys)} sweep(s))"
                 )
             if args.export_json:
                 written = out.export_document(args.export_json)
@@ -704,7 +702,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
                 f"store {output}: {out.record_count()} records after merging "
                 f"{len(shard_paths)} store(s) "
                 f"({sum(r.inserted for r in reports)} added, "
-                f"{sum(r.identical for r in reports)} identical)"
+                f"{sum(r.identical for r in reports)} identical, "
+                f"{sum(r.runs_carried for r in reports)} run(s) carried)"
             )
     except BaseException:
         # A failed merge into a fresh output must not leave a stray empty
@@ -1067,16 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard workers shared by every grid of the run (default: 3, or "
+        help="shard workers shared by every grid of the run (default: 2, or "
         "one per host with --hosts/--hosts-file); a worker that would hold "
         "no points is not spawned",
-    )
-    orchestrate.add_argument(
-        "--shard-strategy",
-        choices=SHARD_SPLITS,
-        default="contiguous",
-        help="how each grid is split into equal point lists, unless it is "
-        "cost-sized (default: contiguous)",
     )
     orchestrate.add_argument(
         "--resume",
@@ -1141,8 +1133,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cost-shards",
         action="store_true",
         default=None,
-        help="size shards from measured per-point costs in the store "
-        "(default: off locally, on with --hosts/--hosts-file)",
+        help="weigh points by their measured costs in the store when "
+        "balancing the shards (default: off locally, on with "
+        "--hosts/--hosts-file)",
     )
     orchestrate.add_argument(
         "--checkpoint",
@@ -1166,9 +1159,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge sharded sqlite sweep stores into one database",
         description="Fold the sqlite stores written by `repro sweep "
         "--points ... --store` (or any --store runs) into "
-        "OUT_DB.  Overlapping records that are byte-identical are skipped, "
-        "so re-merging a shard is a no-op; conflicting records abort the "
-        "merge.  Merging every shard of a grid yields a store whose "
+        "OUT_DB, carrying every shard run (label, counters, timestamp, "
+        "point costs) under a fresh run id.  A run OUT_DB already holds is "
+        "skipped, so re-merging a shard is a no-op; conflicting records abort "
+        "the merge.  Merging every shard of a grid yields a store whose "
         "--export-json document is byte-identical to a serial full run's.",
     )
     merge.add_argument("output", metavar="OUT_DB", help="target sqlite store")

@@ -14,17 +14,17 @@ registered by name in :data:`BACKEND_FACTORIES`:
 
 :class:`ShardWorkerBackend` is not an execution backend: callers invoke its
 :meth:`~ShardWorkerBackend.orchestrate` directly.  It splits a batch of
-grids into one explicit point list per worker and grid
-(:meth:`ShardWorkerBackend.plan_point_groups`), spawns one detached ``repro
-sweep --spec-json ... --points ... --store`` subprocess per worker (each
-running its lists of every grid of the batch into its own
-:class:`~repro.runner.db.SweepDatabase`), so a batch is one dispatch round
-on N workers; it supervises them through the fault-tolerant dispatch layer
-(:mod:`repro.runner.dispatch`: worker state machine, heartbeats,
-retry/requeue with resume), and folds the shard stores into the target
-store with :meth:`SweepDatabase.merge_all
-<repro.runner.db.SweepDatabase.merge_all>` (``carry_history=True``, so
-per-worker run trajectories survive the merge).  Without hosts the workers
+grids into one explicit point list per worker and grid with
+:func:`lpt_split` (:meth:`ShardWorkerBackend.plan_point_groups`), spawns
+one detached ``repro sweep --spec-json ... --points ... --store``
+subprocess per worker (each running its lists of every grid of the batch
+into its own :class:`~repro.runner.db.SweepDatabase`), so a batch is one
+dispatch round on N workers; it supervises them through the fault-tolerant
+dispatch layer (:mod:`repro.runner.dispatch`: worker state machine,
+heartbeats, retry/requeue with resume), and folds the shard stores into
+the target store with :meth:`SweepDatabase.merge_all
+<repro.runner.db.SweepDatabase.merge_all>`, which carries every shard run
+so per-worker run trajectories survive the merge.  Without hosts the workers
 are local subprocesses; given a host pool (``hosts``) it derives
 remote-leaning defaults — one worker per host, the ``ssh`` launcher,
 retries, cost-sized shards and per-point checkpoints.  The *launcher* hook
@@ -43,7 +43,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
@@ -114,36 +114,17 @@ def batch_dirname(specs: Sequence[SweepSpec]) -> str:
     return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:12]
 
 
-def contiguous_split(count: int, workers: int) -> tuple[tuple[int, ...], ...]:
-    """Cut the indices ``0..count-1`` into ``workers`` nearly equal blocks.
-
-    Returns one ascending index tuple per worker; earlier workers take the
-    remainder, and with more workers than points the trailing tuples are
-    empty.
-    """
-    base, remainder = divmod(count, workers)
-    bounds = [worker * base + min(worker, remainder) for worker in range(workers + 1)]
-    return tuple(tuple(range(bounds[w], bounds[w + 1])) for w in range(workers))
-
-
-def strided_split(count: int, workers: int) -> tuple[tuple[int, ...], ...]:
-    """Deal the indices ``0..count-1`` round-robin onto ``workers``.
-
-    Worker ``w`` gets ``w, w + workers, ...``, which spreads the outer grid
-    axes (systems, flit widths) across workers.
-    """
-    return tuple(tuple(range(worker, count, workers)) for worker in range(workers))
-
-
 def lpt_split(costs: Sequence[float], loads: list[float]) -> tuple[tuple[int, ...], ...]:
     """Pack points onto ``len(loads)`` workers by longest processing time.
 
-    ``costs[i]`` is point ``i``'s planning cost.  Points are taken by
-    descending cost (lower index first on ties) and each goes to the
-    currently lightest worker (lower worker first on ties).  ``loads``
-    holds each worker's cost so far and is updated in place, so the grids
-    of a batch balance together.  Returns one ascending index tuple per
-    worker.
+    The one way a grid is split.  ``costs[i]`` is point ``i``'s planning
+    cost.  Points are taken by descending cost (lower index first on ties)
+    and each goes to the currently lightest worker (lower worker first on
+    ties), so unit costs on fresh loads deal the points round-robin.
+    ``loads`` holds each worker's cost so far and is updated in place, so
+    the grids of a batch balance together.  Returns one ascending index
+    tuple per worker; with more workers than points the surplus tuples are
+    empty.
     """
     groups: list[list[int]] = [[] for _ in loads]
     for index in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
@@ -151,14 +132,6 @@ def lpt_split(costs: Sequence[float], loads: list[float]) -> tuple[tuple[int, ..
         loads[lightest] += costs[index]
         groups[lightest].append(index)
     return tuple(tuple(sorted(group)) for group in groups)
-
-
-#: The equal splits ``--shard-strategy`` names: (point count, workers) to
-#: one index tuple per worker.
-SHARD_SPLITS: dict[str, Callable[[int, int], tuple[tuple[int, ...], ...]]] = {
-    "contiguous": contiguous_split,
-    "strided": strided_split,
-}
 
 
 @dataclass(frozen=True)
@@ -362,8 +335,6 @@ class ShardWorkerBackend:
     Args:
         workers: number of shards (and at most that many worker
             processes) per batch (default: 2, or one per host).
-        strategy: the equal split (a :data:`SHARD_SPLITS` name) for every
-            grid that is not cost-sized.
         timeout: wall-clock budget per worker *attempt*; an attempt still
             running after this long is killed and marked ``TimedOut``
             (``None`` waits forever).
@@ -384,9 +355,9 @@ class ShardWorkerBackend:
         launcher: launcher name from :data:`~repro.runner.launch.LAUNCHERS`
             or a launcher callable; maps ``(host, argv, env)`` to the
             spawned command (default: ``"local"``, or ``"ssh"`` with hosts).
-        cost_sizing: size shards by measured per-point planning cost from
-            the target store (``point_costs``) instead of equal point
-            counts, when measurements exist (default: off, on with hosts).
+        cost_sizing: weigh points by their measured planning cost from
+            the target store (``point_costs``) instead of counting every
+            point as 1 (default: off, on with hosts).
         checkpoint_every: forwarded to workers as ``--checkpoint``: commit
             every N points so a killed attempt leaves its completed work
             resumable (default: single-transaction shard commits, or every
@@ -398,16 +369,14 @@ class ShardWorkerBackend:
 
     Raises:
         ConfigurationError: for a host list without a host, a non-positive
-            worker count, an unknown shard strategy or launcher, a
-            non-positive ``checkpoint_every``, or invalid retry/heartbeat
-            parameters.
+            worker count, an unknown launcher, a non-positive
+            ``checkpoint_every``, or invalid retry/heartbeat parameters.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         *,
-        strategy: str = "contiguous",
         timeout: float | None = None,
         poll_interval: float = 0.05,
         max_retries: int | None = None,
@@ -438,17 +407,11 @@ class ShardWorkerBackend:
             launcher = "ssh" if pool else "local"
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
-        if strategy not in SHARD_SPLITS:
-            known = ", ".join(SHARD_SPLITS)
-            raise ConfigurationError(
-                f"unknown shard strategy {strategy!r}; known strategies: {known}"
-            )
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigurationError(
                 "checkpoint_every must be a positive number of points (or None)"
             )
         self.workers = workers
-        self.strategy = strategy
         # Validates max_retries/retry_backoff/heartbeat_timeout eagerly, so
         # a bad flag fails at construction rather than mid-orchestration.
         self.policy = DispatchPolicy(
@@ -549,30 +512,31 @@ class ShardWorkerBackend:
     ) -> list[tuple[tuple[int, ...], ...]]:
         """The batch's split: per worker, one ascending index tuple per spec.
 
-        With ``cost_sizing`` on, a spec whose measured mean per-point
-        planning costs the target store holds
+        Every grid of the batch is packed by :func:`lpt_split` over one
+        shared ``loads`` list, so the whole batch is balanced, not each grid
+        on its own.  A point costs 1.0 unless ``cost_sizing`` is on; then it
+        costs its measured mean planning seconds from the target store
         (``SweepDatabase.point_cost_rows``, fed by earlier serial or
-        orchestrated runs of the grid) is packed by :func:`lpt_split`;
-        points without a measurement cost the mean of their grid's measured
-        ones, and worker loads carry over from one such spec to the next,
-        so the whole batch is balanced, not each grid on its own.  Every
-        other spec gets the backend's equal ``strategy`` split.
+        orchestrated runs), else the mean of its grid's measured points,
+        else the mean of the batch's measured points, else 1.0.
         Deterministic throughout.
         """
+        measured = [
+            store.point_cost_rows(spec.content_key()) if self.cost_sizing else {}
+            for spec in specs
+        ]
+        batch_costs = [cost for costs in measured for cost in costs.values()]
+        batch_mean = sum(batch_costs) / len(batch_costs) if batch_costs else 1.0
         loads = [0.0] * self.workers
         per_spec = []
-        for spec in specs:
-            costs = store.point_cost_rows(spec.content_key()) if self.cost_sizing else {}
-            if costs:
-                mean_cost = sum(costs.values()) / len(costs)
-                per_spec.append(
-                    lpt_split(
-                        [costs.get(index, mean_cost) for index in range(spec.point_count)],
-                        loads,
-                    )
+        for spec, costs in zip(specs, measured):
+            fallback = sum(costs.values()) / len(costs) if costs else batch_mean
+            per_spec.append(
+                lpt_split(
+                    [costs.get(index, fallback) for index in range(spec.point_count)],
+                    loads,
                 )
-            else:
-                per_spec.append(SHARD_SPLITS[self.strategy](spec.point_count, self.workers))
+            )
         return [
             tuple(spec_groups[worker] for spec_groups in per_spec)
             for worker in range(self.workers)
@@ -596,9 +560,8 @@ class ShardWorkerBackend:
 
         The whole batch is one dispatch round: at most ``workers``
         processes in total, each running its point lists of every spec
-        (:meth:`plan_point_groups`), then one merge.  The
-        shard stores are merged with ``carry_history=True``: every
-        shard-side run lands in the target (run ids remapped), so the
+        (:meth:`plan_point_groups`), then one merge, which carries every
+        shard-side run into the target (run ids remapped), so the
         target's run count grows by the sum of the shard run counts while
         its exported document stays byte-identical to a serial full run's
         of the same specs in the same order.
@@ -672,7 +635,7 @@ class ShardWorkerBackend:
         shard_stores = [SweepDatabase.open_reader(plan.store_path) for plan in plans]
         try:
             merge_reports = store.merge_all(
-                shard_stores, expect_spec_keys=frozenset(spec_keys), carry_history=True
+                shard_stores, expect_spec_keys=frozenset(spec_keys)
             )
         finally:
             for shard in shard_stores:

@@ -1,4 +1,4 @@
-"""Sqlite-backed sweep-result store (schema v2).
+"""Sqlite-backed sweep-result store (schema v4).
 
 :class:`SweepDatabase` is the durable successor of the schema-v1 JSON
 documents of :mod:`repro.runner.store`: results accumulate across runs in a
@@ -15,11 +15,11 @@ Stores also compose: :meth:`SweepDatabase.merge_all` folds the per-shard
 stores written by :meth:`repro.runner.engine.SweepRunner.run_points` back
 into one database — idempotent for identical overlaps, refusing conflicting
 records — such that an N-shard run merges into a store byte-identical (via
-:meth:`export_document`) to a serial full run's.  With ``carry_history=True``
-the merge additionally carries every shard-side run across (run ids
-remapped onto this store's sequence), so orchestrated runs keep their
-per-shard history trajectories — the default for
-:meth:`repro.runner.backends.ShardWorkerBackend.orchestrate`.
+:meth:`export_document`) to a serial full run's.  A merge carries every
+shard-side run across (run ids remapped onto this store's sequence, point
+costs included), so ``repro merge`` and
+:meth:`repro.runner.backends.ShardWorkerBackend.orchestrate` leave the same
+per-shard history trajectories.
 
 Layout (``schema v4``; v1 is the JSON document format, v2 lacked the
 ``jobs`` table, v3 lacked the ``point_costs`` table — v2 and v3 stores
@@ -55,8 +55,8 @@ migrate in place the first time a writer opens them):
     dispatcher for cost-based shard sizing (:meth:`point_cost_rows`).
     Like job rows, costs are control metadata: excluded from
     :meth:`data_version`, exports and run fingerprints, because wall-clock
-    noise must never influence byte-identity.  History-carrying merges
-    carry them so orchestrated stores keep feeding the sizing.
+    noise must never influence byte-identity.  Merges carry them so merged
+    and orchestrated stores keep feeding the sizing.
 
 Durability: the connection runs with WAL journaling and
 ``synchronous=NORMAL``; every mutation happens inside a transaction, so a
@@ -192,13 +192,11 @@ class MergeReport:
 
     Attributes:
         spec_keys: spec keys of the source store's sweeps, in its order.
-        inserted: records newly added to the target store.
-        identical: records skipped because the target already held them —
-            a byte-identical current record for the point (current-record
-            merge), or the whole run they belong to (history-carrying
-            merge).
+        inserted: the source's current records the target did not hold.
+        identical: the source's current records the target already held
+            byte-identically.
         runs_carried: source runs copied into the target under fresh run
-            ids (always 0 without ``carry_history``).
+            ids; a run the target already holds is not carried again.
     """
 
     spec_keys: tuple[str, ...]
@@ -222,8 +220,8 @@ def _run_fingerprint(
     """Content hash of one run — its row fields plus its records.
 
     Run ids deliberately stay out: the fingerprint identifies a run across
-    stores whose id sequences differ, which is what makes history-carrying
-    merges idempotent after the ids are remapped.
+    stores whose id sequences differ, which is what makes merges
+    idempotent after the ids are remapped.
     """
     payload = json.dumps(
         {
@@ -443,7 +441,7 @@ class SweepDatabase:
         a crash mid-commit leaves the store at the previous run's state.
         Returns the new run id.
 
-        ``created_at`` defaults to now; history-carrying merges pass the
+        ``created_at`` defaults to now; merges pass the
         source run's timestamp so the carried run keeps its place on the
         history time axis.
 
@@ -572,7 +570,8 @@ class SweepDatabase:
         Averaged over every run that recorded a cost for the point (schema
         v4 ``point_costs`` table), in SQL.  The dispatcher feeds this into
         cost-based shard sizing; points without a measured cost are simply
-        absent — callers fall back to equal splitting for them.
+        absent — the dispatcher costs them at the grid's (or the batch's)
+        measured mean.
         """
         rows = self._connection.execute(
             "SELECT point_index, AVG(seconds) AS seconds FROM point_costs "
@@ -582,7 +581,7 @@ class SweepDatabase:
         return {int(row["point_index"]): float(row["seconds"]) for row in rows}
 
     def run_point_costs(self, run_id: int) -> dict[int, float]:
-        """The per-point costs one run recorded (for history-carrying merges)."""
+        """The per-point costs one run recorded (what a merge carries across)."""
         rows = self._connection.execute(
             "SELECT point_index, seconds FROM point_costs WHERE run_id = ? "
             "ORDER BY point_index",
@@ -753,44 +752,34 @@ class SweepDatabase:
         others: Sequence["SweepDatabase"],
         *,
         expect_spec_keys: Collection[str] | None = None,
-        carry_history: bool = False,
     ) -> tuple[MergeReport, ...]:
-        """Fold other stores' current records into this one, all or nothing.
+        """Fold other stores' runs into this one, all or nothing.
 
         For every sweep of every source (integrity-checked: each stored
         spec must still hash to its key), the sweep is registered here and
-        its *current* records — each point's latest run — are folded in:
+        its *current* records — each point's latest run — are validated:
 
-        * a point this store does not hold is **inserted**;
+        * a point this store does not hold counts as **inserted**;
         * a point whose stored record is byte-identical to the incoming one
-          is **skipped**, so merging the same shard twice is a no-op;
+          counts as **identical**;
         * a point whose record **differs** — from this store *or from an
           earlier source of the same call* — raises
           :class:`ResultStoreError` before a single record lands, so a
           failed multi-shard merge leaves this store exactly as it was and
           conflicting shards never mix.
 
-        Each merged sweep that contributes new records lands as one new run
-        per source (source ``merge:<source's filename>``), so the history
-        time axis records the merge; sweeps whose records were all already
-        present add no run row.  The sources are never modified.
-
-        With ``carry_history``, the same validation applies but the commit
-        folds *all* of each source's runs instead of one synthetic merge
-        run: each source run is copied under a fresh run id (this store's
-        autoincrement — remapping is collision-free by construction) with
-        its source label, counters, timestamp and records intact, in source
-        order and each source's run order — as if the shards had executed
-        sequentially on one host.  Orchestrated runs therefore keep their
-        per-shard trajectories: the merged store's :meth:`history_rows` /
-        :meth:`trajectory_rows` equal those of a store that had executed
-        the shards' runs sequentially, and its run count grows by the sum
-        of the shard run counts.  A source run this store already holds —
-        same spec, source, counters, timestamp and records — is skipped,
-        so a history-carrying merge stays idempotent.  The *current*
-        records after the merge are the same either way, so
-        :meth:`export_document` byte-identity with a serial run holds with
-        and without history.
+        Then every run of each source is carried across under a fresh run
+        id (this store's autoincrement — remapping is collision-free by
+        construction) with its source label, counters, timestamp, records
+        and point costs intact, in source order and each source's run order
+        — as if the shards had executed sequentially on one host.  The
+        merged store's :meth:`history_rows` / :meth:`trajectory_rows`
+        therefore equal those of a store that had executed the shards' runs
+        sequentially, its run count grows by the sum of the shard run
+        counts, and its point costs keep feeding cost-based shard sizing.
+        A source run this store already holds — same spec, source,
+        counters, timestamp and records — is skipped, so merging the same
+        shard twice is a no-op.  The sources are never modified.
 
         This is the reduce step of sharded execution: merging the shard
         stores written by :meth:`SweepRunner.run_points
@@ -803,8 +792,6 @@ class SweepDatabase:
             expect_spec_keys: when set, every sweep of every source must
                 carry one of these spec keys — merging a shard of a grid
                 outside the expected batch aborts.
-            carry_history: fold every source run (remapped) instead of only
-                the current records.
 
         Returns:
             One :class:`MergeReport` per source, in order.
@@ -817,15 +804,10 @@ class SweepDatabase:
         self._require_writable("merge into the store")
         state: dict[str, dict[int, str]] = {}
         plans = [self._plan_merge(state, other, expect_spec_keys) for other in others]
-        if carry_history:
-            spec_keys = {sweep.spec_key for planned in plans for sweep, _, _ in planned}
-            fingerprints = self._run_fingerprints(spec_keys)
-            return tuple(
-                self._commit_carry(planned, other, fingerprints)
-                for other, planned in zip(others, plans)
-            )
+        spec_keys = {sweep.spec_key for planned in plans for sweep, _, _ in planned}
+        fingerprints = self._run_fingerprints(spec_keys)
         return tuple(
-            self._commit_merge(planned, f"merge:{other.path.name}")
+            self._commit_carry(planned, other, fingerprints)
             for other, planned in zip(others, plans)
         )
 
@@ -880,30 +862,6 @@ class SweepDatabase:
             planned.append((sweep, fresh, identical))
         return planned
 
-    def _commit_merge(
-        self, planned: Sequence[tuple[StoredSweep, list[Mapping], int]], label: str
-    ) -> MergeReport:
-        """Commit a validated merge plan.  A sweep with nothing new still
-        gets registered so empty shards keep the exported sweep list intact."""
-        inserted = identical_total = 0
-        for sweep, fresh, identical in planned:
-            self.ensure_sweep(sweep.spec)
-            if fresh:
-                self.record_run(
-                    sweep.spec_key,
-                    fresh,
-                    executed=len(fresh),
-                    skipped=identical,
-                    source=label,
-                )
-            inserted += len(fresh)
-            identical_total += identical
-        return MergeReport(
-            spec_keys=tuple(sweep.spec_key for sweep, _, _ in planned),
-            inserted=inserted,
-            identical=identical_total,
-        )
-
     def _run_fingerprints(self, spec_keys: set[str]) -> set[str]:
         """Fingerprints of this store's runs for ``spec_keys`` (carry idempotency).
 
@@ -939,13 +897,14 @@ class SweepDatabase:
         executed here.  Runs whose fingerprint is already present (a
         re-merge of the same shard) are skipped; ``fingerprints`` is shared
         across the sources of one :meth:`merge_all` batch so duplicates
-        between sources are caught too.
+        between sources are caught too.  A sweep with no run still gets
+        registered, so empty shards keep the exported sweep list intact.
         """
         wanted = set()
         for sweep, _, _ in planned:
             self.ensure_sweep(sweep.spec)
             wanted.add(sweep.spec_key)
-        inserted = identical = runs_carried = 0
+        runs_carried = 0
         for run in other.runs():
             if run.spec_key not in wanted:
                 continue
@@ -959,7 +918,6 @@ class SweepDatabase:
                 [_canonical_record_json(r) for r in records],
             )
             if fingerprint in fingerprints:
-                identical += len(records)
                 continue
             fingerprints.add(fingerprint)
             self.record_run(
@@ -969,18 +927,17 @@ class SweepDatabase:
                 skipped=run.skipped_points,
                 source=run.source,
                 created_at=run.created_at,
-                # Measured costs ride along so an orchestrated store feeds
-                # the next dispatch's cost-based shard sizing.  They are
+                # Measured costs ride along so a merged store feeds the
+                # next dispatch's cost-based shard sizing.  They are
                 # not fingerprinted: wall-clock noise must not make two
                 # otherwise-identical runs look different.
                 point_costs=other.run_point_costs(run.run_id),
             )
             runs_carried += 1
-            inserted += len(records)
         return MergeReport(
             spec_keys=tuple(sweep.spec_key for sweep, _, _ in planned),
-            inserted=inserted,
-            identical=identical,
+            inserted=sum(len(fresh) for _, fresh, _ in planned),
+            identical=sum(identical for _, _, identical in planned),
             runs_carried=runs_carried,
         )
 

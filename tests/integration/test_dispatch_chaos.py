@@ -76,7 +76,7 @@ class TestCrashRequeue:
         ]
         assert crashed.attempts[0].returncode == 70
         assert sum(w.retries for w in report.workers) == 1
-        # carry_history folded every shard run (partial + resumed) in.
+        # The merge carried every shard run (partial + resumed) in.
         assert run_count == sum(shard_run_counts(report))
 
     def test_faults_on_half_the_fleet(

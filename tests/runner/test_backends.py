@@ -14,9 +14,7 @@ from repro.runner.backends import (
     SerialBackend,
     ShardWorkerBackend,
     batch_dirname,
-    contiguous_split,
     make_backend,
-    strided_split,
 )
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
@@ -118,8 +116,6 @@ class TestRegistry:
     def test_shard_worker_validation(self):
         with pytest.raises(ConfigurationError, match="positive"):
             ShardWorkerBackend(workers=0)
-        with pytest.raises(ConfigurationError, match="strategy"):
-            ShardWorkerBackend(workers=2, strategy="random")
 
 
 #: The host pool every host-pool test dispatches onto.
@@ -269,7 +265,7 @@ class TestCapabilityChecks:
 
 class TestWorkerPlanning:
     def test_plans_one_worker_per_shard(self, small_spec, tmp_path):
-        groups = [(group,) for group in strided_split(small_spec.point_count, 2)]
+        groups = [((0,),), ((1,),)]
         plans = ShardWorkerBackend(workers=2).plan_workers([small_spec], tmp_path, groups)
         assert [plan.shard_index for plan in plans] == [0, 1]
         assert [plan.store_path.name for plan in plans] == [
@@ -291,14 +287,21 @@ class TestWorkerPlanning:
         assert [(plan.shard_index, plan.shard_count) for plan in plans] == [(1, 3)]
         assert plans[0].store_path.name == "shard-1-of-3.db"
 
-    def test_equal_split_per_strategy(self, small_spec, tmp_path):
-        """Without cost sizing the plan is the strategy's split of every grid."""
-        for strategy, split in (("contiguous", contiguous_split), ("strided", strided_split)):
-            backend = ShardWorkerBackend(workers=3, strategy=strategy)
-            with SweepDatabase(tmp_path / f"{strategy}.db") as db:
-                groups = backend.plan_point_groups([small_spec, small_spec], db)
-            expected = split(small_spec.point_count, 3)
-            assert groups == [(group, group) for group in expected]
+    def test_unit_cost_split_balances_the_batch(self, small_spec, tmp_path):
+        """Without cost sizing every point costs 1.0, even when the store
+        holds measurements, and the second grid of the batch fills the
+        worker the first one left idle."""
+        backend = ShardWorkerBackend(workers=3)
+        with SweepDatabase(tmp_path / "s.db") as db:
+            db.record_run(
+                db.ensure_sweep(small_spec),
+                [],
+                executed=0,
+                skipped=0,
+                point_costs={0: 9.0, 1: 1.0},
+            )
+            groups = backend.plan_point_groups([small_spec, small_spec], db)
+        assert groups == [((0,), (1,)), ((1,), ()), ((), (0,))]
 
     def test_characterisation_settings_forwarded(self, small_spec, tmp_path):
         backend = ShardWorkerBackend(workers=2)
@@ -456,7 +459,7 @@ class TestShardWorkerOrchestration:
             run_count = db.run_count()
             for worker in report.workers:
                 with SweepDatabase(worker.plan.store_path) as shard:
-                    (again,) = db.merge_all([shard], carry_history=True)
+                    (again,) = db.merge_all([shard])
                 assert again.runs_carried == 0
                 assert again.inserted == 0
             assert db.run_count() == run_count
@@ -532,7 +535,7 @@ class TestCostBasedSharding:
         backend = ShardWorkerBackend(workers=4, cost_sizing=True)
         with self.seeded_store(small_spec, tmp_path / "s.db", {0: 1.0}) as db:
             groups = backend.plan_point_groups([small_spec], db)
-        assert groups == [(group,) for group in contiguous_split(2, 4)]
+        assert groups == [((0,),), ((1,),), ((),), ((),)]
 
     def test_lpt_balances_measured_costs(self, tmp_path):
         """One dominant point gets a worker to itself; the cheap points pack
@@ -576,8 +579,8 @@ class TestCostBasedSharding:
     def test_unmeasured_spec_of_a_batch_keeps_its_shard_slices(
         self, small_spec, tmp_path
     ):
-        """One measured and one unmeasured grid still plan one round: the
-        unmeasured grid contributes its equal contiguous split."""
+        """One measured and one unmeasured grid still plan one round: every
+        worker holds one list per grid, and each grid's lists cover it."""
         measured = SweepSpec(
             name="measured-grid",
             systems=("d695_leon",),
@@ -587,8 +590,28 @@ class TestCostBasedSharding:
         backend = ShardWorkerBackend(workers=2, cost_sizing=True)
         with self.seeded_store(measured, tmp_path / "s.db", {0: 5.0, 1: 1.0}) as db:
             groups = backend.plan_point_groups([measured, small_spec], db)
-        assert tuple(worker[1] for worker in groups) == contiguous_split(2, 2)
+        assert all(len(worker) == 2 for worker in groups)
         assert sorted(i for worker in groups for i in worker[0]) == [0, 1, 2]
+        assert sorted(i for worker in groups for i in worker[1]) == [0, 1]
+
+    def test_measured_and_unmeasured_grids_balance_on_one_loads_list(
+        self, small_spec, tmp_path
+    ):
+        """Under cost sizing an unmeasured grid's points cost the batch's
+        measured mean (3.0 here), and both grids pack onto the same loads:
+        the worker holding the dominant point gets none of the unmeasured
+        grid, and the two workers end at 9.0 each."""
+        measured = SweepSpec(
+            name="measured-grid",
+            systems=("d695_leon",),
+            processor_counts=(0, 2, 4, 6),
+            power_limits=(("no power limit", None),),
+        )
+        costs = {0: 9.0, 1: 1.0, 2: 1.0, 3: 1.0}
+        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        with self.seeded_store(measured, tmp_path / "s.db", costs) as db:
+            groups = backend.plan_point_groups([measured, small_spec], db)
+        assert groups == [((0,), ()), ((1, 2, 3), (0, 1))]
 
     def test_cost_sized_batch_matches_serial(
         self, batch_specs, batch_serial_export, tmp_path

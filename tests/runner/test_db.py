@@ -5,7 +5,6 @@ import sqlite3
 import pytest
 
 from repro.errors import ResultStoreError
-from repro.runner.backends import contiguous_split
 from repro.runner.db import DB_SCHEMA_VERSION, MergeReport, SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import SweepSpec
@@ -29,9 +28,9 @@ def serial_records(spec):
 
 
 def shard_store(spec, path, index, count, *, resume=False):
-    """Run worker ``index`` of a ``count``-way contiguous split into ``path``
-    as ``repro sweep --points`` does."""
-    indices = contiguous_split(spec.point_count, count)[index]
+    """Run worker ``index`` of a ``count``-way round-robin split into
+    ``path`` as ``repro sweep --points`` does."""
+    indices = tuple(range(spec.point_count))[index::count]
     with SweepDatabase(path) as db:
         SweepRunner(jobs=1).run_points(spec, db, indices, resume=resume)
     return path
@@ -347,15 +346,24 @@ class TestMerge:
             assert target.spec_keys() == []
 
     def test_merge_records_run_source(self, spec, serial_records, tmp_path):
+        """The merged run keeps the shard's own source label and timestamp."""
         shard_path = tmp_path / "shard-a.db"
         with SweepDatabase(shard_path) as shard:
             spec_key = shard.ensure_sweep(spec)
-            shard.record_run(spec_key, serial_records, executed=6, skipped=0)
+            shard.record_run(
+                spec_key,
+                serial_records,
+                executed=6,
+                skipped=0,
+                source="points:6",
+                created_at="2026-07-01T00:00:00+00:00",
+            )
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase(shard_path) as shard:
                 target.merge_all([shard])
             (run,) = target.runs()
-            assert run.source == "merge:shard-a.db"
+            assert run.source == "points:6"
+            assert run.created_at == "2026-07-01T00:00:00+00:00"
             assert run.executed_points == len(serial_records)
 
     def test_merge_disjoint_sweeps_accumulates_both(self, spec, serial_records, tmp_path):
@@ -379,7 +387,7 @@ class TestMerge:
 
 
 class TestCarryHistoryMerge:
-    """merge(..., carry_history=True): shard-side run trajectories survive."""
+    """merge_all carries every shard run: shard-side trajectories survive."""
 
     @staticmethod
     def _shard_slices(spec, serial_records, count=3):
@@ -387,7 +395,7 @@ class TestCarryHistoryMerge:
         commit them — timestamps pinned so stores are comparable row-for-row."""
         slices = []
         for index in range(count):
-            indices = set(contiguous_split(spec.point_count, count)[index])
+            indices = set(range(spec.point_count)[index::count])
             slices.append(
                 (
                     [r for r in serial_records if r["index"] in indices],
@@ -430,7 +438,7 @@ class TestCarryHistoryMerge:
             )
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    target.merge_all([shard], carry_history=True)
+                    target.merge_all([shard])
             run_ids = [run.run_id for run in target.runs()]
             assert run_ids == [1, 2, 3, 4]
             assert [run.source for run in target.runs()[1:]] == [
@@ -448,12 +456,12 @@ class TestCarryHistoryMerge:
         with SweepDatabase(tmp_path / "target.db") as target:
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    (first,) = target.merge_all([shard], carry_history=True)
+                    (first,) = target.merge_all([shard])
                 assert first.runs_carried == 1
             runs_after = len(target.runs())
             for path in paths:
                 with SweepDatabase(path) as shard:
-                    (again,) = target.merge_all([shard], carry_history=True)
+                    (again,) = target.merge_all([shard])
                 assert again.runs_carried == 0
                 assert again.inserted == 0
                 assert again.identical > 0
@@ -482,7 +490,7 @@ class TestCarryHistoryMerge:
         with SweepDatabase(tmp_path / "merged.db") as merged:
             shards = [SweepDatabase(path) for path in paths]
             try:
-                merged.merge_all(shards, carry_history=True)
+                merged.merge_all(shards)
             finally:
                 for shard in shards:
                     shard.close()
@@ -506,7 +514,7 @@ class TestCarryHistoryMerge:
             for path in paths:
                 with SweepDatabase(path) as shard:
                     shard_runs += shard.run_count()
-                    merged.merge_all([shard], carry_history=True)
+                    merged.merge_all([shard])
             assert shard_runs == 4
             assert merged.run_count() == shard_runs
             assert merged.record_count() == spec.point_count
@@ -523,26 +531,30 @@ class TestCarryHistoryMerge:
             target.record_run(key, serial_records, executed=6, skipped=0)
             with SweepDatabase(tmp_path / "bad.db") as shard:
                 with pytest.raises(ResultStoreError, match="point 1 conflicts"):
-                    target.merge_all([shard], carry_history=True)
+                    target.merge_all([shard])
             assert target.run_count() == 1
             assert target.records(spec.content_key()) == serial_records
 
-    def test_carried_export_byte_identical_to_current_record_merge(
+    def test_carried_export_byte_identical_to_serial_store(
         self, spec, serial_records, tmp_path
     ):
         """Carrying history must not change the *current* records: the
-        exported document equals the one a plain merge produces."""
+        exported document equals that of a store holding the serial run."""
         paths = self._shard_stores(spec, serial_records, tmp_path)
-        with SweepDatabase(tmp_path / "plain.db") as plain:
-            with SweepDatabase(tmp_path / "carried.db") as carried:
-                for path in paths:
-                    with SweepDatabase(path) as shard:
-                        plain.merge_all([shard])
-                    with SweepDatabase(path) as shard:
-                        carried.merge_all([shard], carry_history=True)
-                plain_doc = plain.export_document(tmp_path / "plain.json")
-                carried_doc = carried.export_document(tmp_path / "carried.json")
-        assert carried_doc.read_bytes() == plain_doc.read_bytes()
+        with SweepDatabase(tmp_path / "serial.db") as serial:
+            serial.record_run(
+                serial.ensure_sweep(spec),
+                serial_records,
+                executed=len(serial_records),
+                skipped=0,
+            )
+            serial_doc = serial.export_document(tmp_path / "serial.json")
+        with SweepDatabase(tmp_path / "carried.db") as carried:
+            for path in paths:
+                with SweepDatabase(path) as shard:
+                    carried.merge_all([shard])
+            carried_doc = carried.export_document(tmp_path / "carried.json")
+        assert carried_doc.read_bytes() == serial_doc.read_bytes()
 
 
 class TestMergeAll:
@@ -643,12 +655,5 @@ class TestPointCosts:
             report = SweepRunner(jobs=1).run_stored(spec, shard)
             shard_costs = shard.point_cost_rows(report.spec_key)
             with SweepDatabase(tmp_path / "target.db") as target:
-                target.merge_all([shard], carry_history=True)
-                assert target.point_cost_rows(report.spec_key) == shard_costs
-
-    def test_plain_merge_does_not_carry_costs(self, spec, tmp_path):
-        with SweepDatabase(tmp_path / "shard.db") as shard:
-            report = SweepRunner(jobs=1).run_stored(spec, shard)
-            with SweepDatabase(tmp_path / "target.db") as target:
                 target.merge_all([shard])
-                assert target.point_cost_rows(report.spec_key) == {}
+                assert target.point_cost_rows(report.spec_key) == shard_costs

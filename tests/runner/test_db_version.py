@@ -111,12 +111,12 @@ class TestDataVersionEdges:
             )
         with SweepDatabase(tmp_path / "target.db") as target:
             with SweepDatabase.open_reader(shard_path) as shard:
-                target.merge_all([shard], carry_history=True)
+                target.merge_all([shard])
                 records, runs = target.data_version()
                 assert records == len(serial_records)
                 assert runs == 2
                 # Idempotent: carrying the same shard again changes nothing.
-                target.merge_all([shard], carry_history=True)
+                target.merge_all([shard])
                 assert target.data_version() == (records, runs)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner.backends import SHARD_SPLITS
 from repro.runner.engine import SweepRunner
 from repro.runner.spec import SweepSpec
 from repro.runner.store import dump_sweep
@@ -27,15 +26,21 @@ def serial_outcomes(d695_spec):
     return SweepRunner(jobs=1).run(d695_spec)
 
 
-def shard_indices(spec, shard_index, shard_count, strategy="contiguous"):
-    """Worker ``shard_index``'s point list when ``spec`` is split ``shard_count`` ways."""
-    return SHARD_SPLITS[strategy](spec.point_count, shard_count)[shard_index]
+def shard_indices(spec, shard_index, shard_count, strided=False):
+    """Worker ``shard_index``'s point list when ``spec`` is split ``shard_count``
+    ways: a contiguous block of at most ceil(points / shards) indices, or
+    every ``shard_count``-th index when ``strided``."""
+    indices = tuple(range(spec.point_count))
+    if strided:
+        return indices[shard_index::shard_count]
+    size = -(-spec.point_count // shard_count)
+    return indices[shard_index * size : (shard_index + 1) * size]
 
 
-def shard_run(spec, db, *, shard_index, shard_count, strategy="contiguous", resume=False):
+def shard_run(spec, db, *, shard_index, shard_count, strided=False, resume=False):
     """Run one worker's list of ``spec`` into ``db`` as ``repro sweep --points`` does."""
     return SweepRunner(jobs=1).run_points(
-        spec, db, shard_indices(spec, shard_index, shard_count, strategy), resume=resume
+        spec, db, shard_indices(spec, shard_index, shard_count, strided), resume=resume
     )
 
 
@@ -208,9 +213,7 @@ class TestShardExecution:
             for index in range(2):
                 path = tmp_path / f"shard-{index}.db"
                 with SweepDatabase(path) as db:
-                    shard_run(
-                        d695_spec, db, shard_index=index, shard_count=2, strategy="strided"
-                    )
+                    shard_run(d695_spec, db, shard_index=index, shard_count=2, strided=True)
                 with SweepDatabase(path) as shard:
                     merged.merge_all([shard])
             records = merged.records(d695_spec.content_key())

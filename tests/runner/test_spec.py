@@ -4,14 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.runner.backends import (
-    SHARD_SPLITS,
-    ShardWorkerBackend,
-    WorkerPlan,
-    contiguous_split,
-    lpt_split,
-    strided_split,
-)
+from repro.runner.backends import ShardWorkerBackend, WorkerPlan, lpt_split
 from repro.runner.spec import (
     SweepSpec,
     canonical_scheduler_name,
@@ -142,58 +135,68 @@ class TestSerialisation:
             SweepSpec.from_dict({"systems": ["d695_leon"]})
 
 
-def split(spec, workers, strategy="contiguous"):
-    """A spec's grid split into one point tuple per worker."""
+#: Per-point cost profiles a split is exercised with: every point costing
+#: 1.0 (cost sizing off), and uneven measured costs.
+COST_PROFILES = {
+    "unit": lambda count: [1.0] * count,
+    "measured": lambda count: [float((7 * index) % 5 + 1) for index in range(count)],
+}
+
+
+def split(spec, workers, costs="unit"):
+    """A spec's grid split by :func:`lpt_split` into one point tuple per worker."""
     points = spec.points()
-    groups = SHARD_SPLITS[strategy](spec.point_count, workers)
+    groups = lpt_split(COST_PROFILES[costs](spec.point_count), [0.0] * workers)
     return [tuple(points[index] for index in group) for group in groups]
 
 
 class TestShard:
-    """The equal splits orchestration hands its workers, on a spec's grid."""
+    """The LPT split orchestration hands its workers, on a spec's grid."""
 
     def grid(self):
         """An 8-point grid (4 reuse levels x 2 power series)."""
         return small_spec(processor_counts=(0, 2, 4, 6))
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_shards_partition_the_grid(self, strategy):
+    @pytest.mark.parametrize("costs", sorted(COST_PROFILES))
+    def test_shards_partition_the_grid(self, costs):
         """Shards are disjoint and their union is the full point sequence,
         with every point keeping its global index."""
         spec = self.grid()
-        shards = split(spec, 3, strategy)
+        shards = split(spec, 3, costs)
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         indices = [p.index for shard in shards for p in shard]
         assert len(indices) == len(set(indices))
 
-    def test_contiguous_blocks_balance_the_remainder(self):
+    def test_unit_costs_balance_the_remainder(self):
         shards = split(self.grid(), 3)
         assert [len(s) for s in shards] == [3, 3, 2]
-        assert [p.index for p in shards[0]] == [0, 1, 2]
-        assert [p.index for p in shards[2]] == [6, 7]
+        assert [p.index for p in shards[0]] == [0, 3, 6]
+        assert [p.index for p in shards[2]] == [2, 5]
 
     def test_strided_deals_round_robin(self):
-        assert [p.index for p in split(self.grid(), 3, "strided")[1]] == [1, 4, 7]
+        """Unit costs on fresh loads deal the points round-robin: the
+        strided split."""
+        assert [p.index for p in split(self.grid(), 3)[1]] == [1, 4, 7]
 
     def test_single_shard_is_the_full_grid(self):
         spec = self.grid()
         assert split(spec, 1) == [spec.points()]
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_more_shards_than_points_leaves_trailing_shards_empty(self, strategy):
+    @pytest.mark.parametrize("costs", sorted(COST_PROFILES))
+    def test_more_shards_than_points_leaves_trailing_shards_empty(self, costs):
         spec = small_spec(processor_counts=(0,), power_limits={"no power limit": None})
-        assert [len(s) for s in split(spec, 3, strategy)] == [1, 0, 0]
+        assert [len(s) for s in split(spec, 3, costs)] == [1, 0, 0]
 
     def test_shards_are_deterministic(self):
         assert split(self.grid(), 3) == split(self.grid(), 3)
 
-    @pytest.mark.parametrize("strategy", ["contiguous", "strided"])
-    def test_oversized_count_still_partitions_the_grid(self, strategy):
+    @pytest.mark.parametrize("costs", sorted(COST_PROFILES))
+    def test_oversized_count_still_partitions_the_grid(self, costs):
         """More workers than points yields empty lists whose union with
         the others is still exactly the grid."""
         spec = self.grid()  # 8 points
-        shards = split(spec, 13, strategy)
+        shards = split(spec, 13, costs)
         merged = sorted((p for shard in shards for p in shard), key=lambda p: p.index)
         assert tuple(merged) == spec.points()
         assert sum(1 for shard in shards if not shard) == 13 - 8
@@ -202,10 +205,6 @@ class TestShard:
         """The worker count is checked where a split is configured."""
         with pytest.raises(ConfigurationError, match="positive"):
             ShardWorkerBackend(workers=0)
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError, match="shard strategy"):
-            ShardWorkerBackend(workers=2, strategy="random")
 
     @staticmethod
     def worker(tmp_path, index, count):
@@ -240,17 +239,31 @@ class TestShard:
     @example(count=1, workers=3, costs=[1.0] * 60)
     @example(count=8, workers=1, costs=[1.0] * 60)
     def test_every_split_is_a_sorted_disjoint_cover(self, count, workers, costs):
-        """Contiguous, strided and LPT (random costs) lists are each
+        """LPT lists, under unit and under random costs, are each
         ascending, pairwise disjoint, and together cover ``range(count)``."""
-        splits = [
-            contiguous_split(count, workers),
-            strided_split(count, workers),
-            lpt_split(costs[:count], [0.0] * workers),
-        ]
-        for groups in splits:
+        for point_costs in ([1.0] * count, costs[:count]):
+            groups = lpt_split(point_costs, [0.0] * workers)
             assert len(groups) == workers
             assert all(list(group) == sorted(set(group)) for group in groups)
             assert sorted(index for group in groups for index in group) == list(range(count))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 30), min_size=1, max_size=6),
+        workers=st.integers(1, 12),
+    )
+    @example(counts=[8, 8], workers=3)
+    def test_unit_cost_batch_totals_differ_by_at_most_one(self, counts, workers):
+        """Grids packed one after another on a shared ``loads`` list, all
+        points costing 1.0: per-worker point totals over the whole batch
+        differ by at most one."""
+        loads = [0.0] * workers
+        totals = [0] * workers
+        for count in counts:
+            for worker, group in enumerate(lpt_split([1.0] * count, loads)):
+                totals[worker] += len(group)
+        assert max(totals) - min(totals) <= 1
+        assert sum(totals) == sum(counts)
 
 
 class TestPointSelection:

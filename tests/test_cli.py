@@ -6,7 +6,10 @@ import tempfile
 import pytest
 
 from repro.cli import build_parser, main
-from repro.runner.backends import contiguous_split, strided_split
+
+#: A 3-way split of the 8-point d695 grid as ``repro sweep --points`` lists
+#: (the slices the CI sweep-shard matrix runs).
+D695_SLICES = ("0,1,2", "3,4,5", "6,7")
 
 
 class TestParser:
@@ -349,9 +352,9 @@ class TestShardAndMergeCommands:
         store_args = ["--store", str(store), "--points", points]
         return main(["sweep", "d695_leon", "--no-characterize", *store_args])
 
-    def _shard(self, store, index, count):
-        """Worker ``index`` of a ``count``-way contiguous split of the 8-point d695 grid."""
-        return self._sweep_points(store, ",".join(map(str, contiguous_split(8, count)[index])))
+    def _shard(self, store, index):
+        """Worker ``index`` of the 3-way split of the 8-point d695 grid."""
+        return self._sweep_points(store, D695_SLICES[index])
 
     def test_sharded_run_merges_byte_identical_to_serial(self, capsys, tmp_path):
         """The acceptance path end to end: 3 CLI shards of the d695 grid,
@@ -363,7 +366,7 @@ class TestShardAndMergeCommands:
         shard_paths = []
         for index in range(3):
             store = tmp_path / f"shard-{index}.db"
-            assert self._shard(store, index, 3) == 0
+            assert self._shard(store, index) == 0
             shard_paths.append(store)
         capsys.readouterr()
 
@@ -386,37 +389,73 @@ class TestShardAndMergeCommands:
         assert exported.read_bytes() == serial.read_bytes()
 
     def test_shard_reports_its_slice(self, capsys, tmp_path):
-        assert self._shard(tmp_path / "shard.db", 0, 3) == 0
+        assert self._shard(tmp_path / "shard.db", 0) == 0
         out = capsys.readouterr().out
         assert "3 executed, 0 skipped across 1 sweep(s) [points 3]" in out
         assert "for 3 grid points" in out
 
     def test_merge_is_idempotent(self, capsys, tmp_path):
         shard = tmp_path / "shard.db"
-        assert self._shard(shard, 2, 3) == 0
+        assert self._shard(shard, 2) == 0
         merged = tmp_path / "merged.db"
         assert main(["merge", str(merged), str(shard), str(shard)]) == 0
         out = capsys.readouterr().out
         assert "2 record(s) added, 0 identical" in out
         assert "0 record(s) added, 2 identical" in out
 
+    def test_merge_carries_shard_runs_and_costs(self, capsys, tmp_path):
+        """`repro merge` carries every shard run with its points:<n> label
+        and point costs; merging the same shards again carries nothing."""
+        from repro.runner.db import SweepDatabase
+
+        shards = [str(tmp_path / f"shard-{index}.db") for index in range(3)]
+        for store, points in zip(shards, D695_SLICES):
+            assert self._sweep_points(store, points) == 0
+        shard_costs = {}
+        for store in shards:
+            with SweepDatabase.open_reader(store) as shard:
+                (spec_key,) = shard.spec_keys()
+                shard_costs.update(shard.point_cost_rows(spec_key))
+        merged = str(tmp_path / "merged.db")
+        capsys.readouterr()
+        assert main(["merge", merged, *shards]) == 0
+        assert "(8 added, 0 identical, 3 run(s) carried)" in capsys.readouterr().out
+        with SweepDatabase.open_reader(merged) as db:
+            assert sorted(run.source for run in db.runs()) == [
+                "points:2",
+                "points:3",
+                "points:3",
+            ]
+            assert db.point_cost_rows(spec_key) == shard_costs
+        assert main(["merge", merged, *shards]) == 0
+        assert "(0 added, 8 identical, 0 run(s) carried)" in capsys.readouterr().out
+        with SweepDatabase.open_reader(merged) as db:
+            assert db.run_count() == 3
+
     @pytest.mark.parametrize(
-        "retired",
-        [["--shard-index", "0"], ["--shard-count", "3"], ["--shard-strategy", "strided"]],
-        ids=lambda retired: retired[0].lstrip("-"),
+        "command, retired",
+        [
+            pytest.param("sweep", ["--shard-index", "0"], id="shard-index"),
+            pytest.param("sweep", ["--shard-count", "3"], id="shard-count"),
+            pytest.param("sweep", ["--shard-strategy", "strided"], id="shard-strategy"),
+            pytest.param(
+                "orchestrate",
+                ["--shard-strategy", "strided"],
+                id="orchestrate-shard-strategy",
+            ),
+        ],
     )
-    def test_shard_flags_are_parse_errors(self, capsys, tmp_path, retired):
-        """A slice is an explicit --points list; the old shard flags are
-        argparse errors (the split strategy lives on `repro orchestrate`)."""
+    def test_shard_flags_are_parse_errors(self, capsys, tmp_path, command, retired):
+        """A slice is an explicit --points list and orchestrate always splits
+        by LPT; the old shard flags are argparse errors on both commands."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "d695_leon", "--store", str(tmp_path / "s.db"), *retired])
+            main([command, "d695_leon", "--store", str(tmp_path / "s.db"), *retired])
         assert excinfo.value.code == 2
         assert retired[0] in capsys.readouterr().err
 
     def test_shard_flags_require_store(self, capsys):
         """A worker's slice is a --points list, which only runs into a store."""
-        slice_ = ",".join(map(str, contiguous_split(8, 3)[0]))
-        assert main(["sweep", "d695_leon", "--points", slice_]) == 1
+        assert main(["sweep", "d695_leon", "--points", D695_SLICES[0]]) == 1
         assert "--points needs --store" in capsys.readouterr().err
 
     def test_shard_index_out_of_range(self, capsys, tmp_path):
@@ -501,8 +540,9 @@ class TestBackendSelection:
         assert backend.choices == ("pool", "serial")
 
     def test_strided_shards_merge_byte_identical(self, capsys, tmp_path):
-        """Strided --points lists (the orchestrate --shard-strategy split)
-        merge to the serial document like contiguous ones."""
+        """Strided --points lists (the split orchestrate deals when every
+        point costs the same) merge to the serial document like contiguous
+        ones."""
         serial = tmp_path / "serial.json"
         base = [
             "sweep",
@@ -514,9 +554,8 @@ class TestBackendSelection:
             "--no-characterize",
         ]
         assert main([*base, "--out", str(serial)]) == 0
-        for index, indices in enumerate(strided_split(3, 2)):
+        for index, points in enumerate(("0,2", "1")):
             store = str(tmp_path / f"shard-{index}.db")
-            points = ",".join(map(str, indices))
             assert main([*base, "--store", store, "--points", points]) == 0
         capsys.readouterr()
         merged = tmp_path / "merged.json"
@@ -659,6 +698,13 @@ class TestOrchestrateCommand:
         assert "workdir" not in out.splitlines()[-1]
         assert list((tmp_path / "tmp").iterdir()) == []
 
+    def test_orchestrate_defaults_to_two_workers(self, capsys, tmp_path):
+        """Without --workers or hosts the CLI leaves the worker count to the
+        backend, whose default is 2."""
+        store = str(tmp_path / "s.db")
+        assert main(["orchestrate", "d695_leon", "--no-characterize", "--store", store]) == 0
+        assert "orchestrated on 2 shard worker(s)" in capsys.readouterr().out
+
     def test_orchestrate_requires_store(self, capsys):
         with pytest.raises(SystemExit):
             main(["orchestrate", "d695_leon"])
@@ -678,7 +724,7 @@ class TestOrchestrateCommand:
                     "none",
                     "--no-characterize",
                     "--workers",
-                    "2",
+                    "3",
                     "--store",
                     str(tmp_path / "merged.db"),
                     "--workdir",
@@ -688,8 +734,10 @@ class TestOrchestrateCommand:
             == 0
         )
         out = capsys.readouterr().out
-        # Worker 1 would hold no point of either one-point grid: not spawned.
-        assert "2 records, 2 run(s) across 2 sweep(s) orchestrated on 1 shard worker(s)" in out
+        # The batch balances the two one-point grids onto workers 0 and 1,
+        # each recording one run per grid; worker 2 would hold no point of
+        # either grid, so it is not spawned.
+        assert "2 records, 4 run(s) across 2 sweep(s) orchestrated on 2 shard worker(s)" in out
 
     def test_orchestrate_resume_requires_workdir(self, capsys, tmp_path):
         assert (
