@@ -12,25 +12,35 @@ delegates the actual pairing decision to :meth:`select_assignment`, so the
 paper's policy (:class:`GreedyScheduler`) and the look-ahead variant used by
 the ablation study (:class:`~repro.schedule.variants.FastestCompletionScheduler`)
 share every other line of code.
+
+Each plan hands the policy a fresh memo (:meth:`selection_memo`), so a policy
+can skip the checks whose inputs have not changed.  Within one event a start
+only adds link reservations and power and takes its interface out of the
+available list, so a check that failed earlier in the event still fails.
+:class:`GreedyScheduler` therefore makes one pass over the available
+interfaces per event: its memo keeps the list and a cursor, and an
+interface whose scan found no startable core is never scanned again in that
+event.  A test of zero cycles leaves its interface available at the same
+instant; the pass then starts over, as a loop without a memo would.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import PowerBudgetError, SchedulingError
 from repro.noc.network import Network
-from repro.schedule.job import TestJob, cached_job
+from repro.schedule.job import JobRow, job_rows
 from repro.schedule.pathalloc import LinkAllocator
 from repro.schedule.power import PowerConstraint, PowerTracker
 from repro.schedule.priority import PriorityKey, distance_priority, priority_order
 from repro.schedule.result import Assignment, ScheduleResult
 from repro.tam.interfaces import TestInterface
-from repro.tam.pool import ResourcePool
+from repro.tam.pool import InterfaceState, ResourcePool
 
 #: Factory signature for priority keys; receives cores, interfaces, network.
 PriorityFactory = Callable[
@@ -56,22 +66,47 @@ class EventDrivenScheduler:
         self._priority_factory = priority_factory
 
     # ------------------------------------------------------------------
-    # Policy hook.
+    # Policy hooks.
     # ------------------------------------------------------------------
+    def selection_memo(self) -> object:
+        """A fresh memo for one plan's :meth:`select_assignment` calls.
+
+        The memo lives in :meth:`schedule`'s frame, never on the scheduler,
+        so one scheduler may plan on several threads at once.
+        """
+        raise NotImplementedError
+
     def select_assignment(
         self,
         now: int,
+        event: int,
         pending: list[CoreUnderTest],
         pool: ResourcePool,
         allocator: LinkAllocator,
         tracker: PowerTracker,
-        jobs: dict[tuple[str, str], TestJob],
+        jobs: dict[str, JobRow],
+        memo,
     ) -> tuple[CoreUnderTest, TestInterface] | None:
         """Return the next (core, interface) pair to start at ``now``.
 
         Subclasses implement the scheduling policy here.  Returning ``None``
         means nothing more can start at this instant; the loop then advances
-        time to the next event.
+        time to the next event.  The loop starts every returned pair at
+        ``now``, so the policy may update ``memo`` for that start before it
+        returns.
+
+        Args:
+            now: the current cycle.
+            event: the loop's event count.  Two events may share a cycle
+                (a zero-cycle test finishes at the instant it started), and
+                a finish may enable processor interfaces, so a memo keys on
+                the event, not on ``now``.
+            pending: untested cores in priority order.
+            pool: interface availability.
+            allocator: NoC link reservations.
+            tracker: the running tests' power.
+            jobs: the plan's job row of each interface, by interface id.
+            memo: this plan's :meth:`selection_memo`.
         """
         raise NotImplementedError
 
@@ -111,7 +146,8 @@ class EventDrivenScheduler:
         pool = ResourcePool(interfaces)
         allocator = LinkAllocator()
         tracker = PowerTracker(power_constraint)
-        jobs = self._build_jobs(cores, interfaces, network)
+        jobs = job_rows(cores, interfaces, network)
+        memo = self.selection_memo()
 
         key = self._priority_factory(cores, interfaces, network)
         pending = priority_order(cores, key)
@@ -120,25 +156,23 @@ class EventDrivenScheduler:
         active: list[tuple[int, int, _ActiveTest]] = []
         sequence = itertools.count()
         now = 0
-        iteration_guard = 0
-        max_iterations = 10 * len(cores) * max(len(interfaces), 1) + 1000
+        event = 0
+        max_events = 10 * len(cores) * max(len(interfaces), 1) + 1000
 
         while pending:
-            iteration_guard += 1
-            if iteration_guard > max_iterations:
+            if event >= max_events:
                 raise SchedulingError(
                     "scheduler did not converge; this indicates an internal bug"
                 )
 
-            started_any = False
             while True:
                 selection = self.select_assignment(
-                    now, pending, pool, allocator, tracker, jobs
+                    now, event, pending, pool, allocator, tracker, jobs, memo
                 )
                 if selection is None:
                     break
                 core, interface = selection
-                job = jobs[(core.identifier, interface.identifier)]
+                job = jobs[interface.identifier][core.identifier]
                 start = now
                 end = now + job.duration
                 allocator.reserve(job.core_id, job.resources, start, end)
@@ -148,7 +182,6 @@ class EventDrivenScheduler:
                 assignments.append(assignment)
                 heapq.heappush(active, (end, next(sequence), _ActiveTest(assignment, core)))
                 pending.remove(core)
-                started_any = True
 
             if not pending:
                 break
@@ -159,6 +192,7 @@ class EventDrivenScheduler:
             # Advance to the completion of the earliest running test and retire
             # every test that finishes at that instant.
             now = active[0][0]
+            event += 1
             while active and active[0][0] == now:
                 _, _, finished = heapq.heappop(active)
                 tracker.finish(finished.assignment.core_id)
@@ -201,49 +235,21 @@ class EventDrivenScheduler:
                 )
 
     @staticmethod
-    def _build_jobs(
-        cores: Sequence[CoreUnderTest],
-        interfaces: Sequence[TestInterface],
-        network: Network,
-    ) -> dict[tuple[str, str], TestJob]:
-        # Jobs are memoised against the network (see cached_job): repeated
-        # plans over one built system — sweep grids vary the interface subset
-        # and the power ceiling, not the system — skip the route/wrapper
-        # arithmetic entirely after the first plan.
-        jobs: dict[tuple[str, str], TestJob] = {}
-        for core in cores:
-            for interface in interfaces:
-                if interface.processor_core_id == core.identifier:
-                    continue  # a processor cannot test itself
-                jobs[(core.identifier, interface.identifier)] = cached_job(
-                    core, interface, network
-                )
-        return jobs
-
-    @staticmethod
     def _explain_deadlock(
         now: int,
         pending: Sequence[CoreUnderTest],
         interfaces: Sequence[TestInterface],
         tracker: PowerTracker,
-        jobs: dict[tuple[str, str], TestJob],
+        jobs: dict[str, JobRow],
     ) -> None:
         """Raise the most informative error for a stalled schedule."""
         for core in pending:
-            feasible_power = False
-            for interface in interfaces:
-                job = jobs.get((core.identifier, interface.identifier))
-                if job is None:
-                    continue
-                if tracker.constraint.allows(job.power):
-                    feasible_power = True
-                    break
-            if not feasible_power:
-                job_powers = [
-                    jobs[(core.identifier, i.identifier)].power
-                    for i in interfaces
-                    if (core.identifier, i.identifier) in jobs
-                ]
+            job_powers = [
+                job.power
+                for job in (jobs[i.identifier][core.identifier] for i in interfaces)
+                if job is not None
+            ]
+            if not any(tracker.constraint.allows(power) for power in job_powers):
                 raise PowerBudgetError(
                     f"core {core.identifier!r} can never be tested: its cheapest "
                     f"test draws {min(job_powers):.1f} power units, above the "
@@ -257,6 +263,20 @@ class EventDrivenScheduler:
         )
 
 
+@dataclass
+class _GreedyMemo:
+    """Where one event's pass over the available interfaces stands.
+
+    ``available`` is ``pool.available(now)`` as taken at ``event``, minus
+    the interfaces started since; ``cursor`` indexes the first interface
+    whose scan has not yet come up empty.
+    """
+
+    event: int | None = None
+    available: list[InterfaceState] = field(default_factory=list)
+    cursor: int = 0
+
+
 class GreedyScheduler(EventDrivenScheduler):
     """The paper's greedy policy: first available interface, priority cores.
 
@@ -267,24 +287,43 @@ class GreedyScheduler(EventDrivenScheduler):
 
     name = "greedy-first-available"
 
+    def selection_memo(self) -> _GreedyMemo:
+        return _GreedyMemo()
+
     def select_assignment(
         self,
         now: int,
+        event: int,
         pending: list[CoreUnderTest],
         pool: ResourcePool,
         allocator: LinkAllocator,
         tracker: PowerTracker,
-        jobs: dict[tuple[str, str], TestJob],
+        jobs: dict[str, JobRow],
+        memo: _GreedyMemo,
     ) -> tuple[CoreUnderTest, TestInterface] | None:
-        for state in pool.available(now):
-            interface = state.interface
+        if memo.event != event:
+            memo.event = event
+            memo.available = pool.available(now)
+            memo.cursor = 0
+        available = memo.available
+        while memo.cursor < len(available):
+            state = available[memo.cursor]
+            row = jobs[state.identifier]
             for core in pending:
-                job = jobs.get((core.identifier, interface.identifier))
+                job = row[core.identifier]
                 if job is None:
                     continue
                 if not allocator.is_free(job.resources, now):
                     continue
                 if not tracker.can_start(job.core_id, job.power):
                     continue
-                return core, interface
+                if job.duration:
+                    # Busy past `now`: the rest keep their order, and the
+                    # interfaces before the cursor stay empty.
+                    del available[memo.cursor]
+                else:
+                    # Still available at `now`, re-sorted: start the pass over.
+                    memo.event = None
+                return core, state.interface
+            memo.cursor += 1
         return None

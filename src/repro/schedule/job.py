@@ -33,6 +33,7 @@ paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from repro.cores.core import CoreUnderTest
@@ -138,47 +139,55 @@ def build_job(core: CoreUnderTest, interface: TestInterface, network: Network) -
     )
 
 
-#: Per-network memoisation of built jobs, keyed by (core id, interface).
+#: One interface's jobs by core id; ``None`` marks a processor interface's
+#: own core (a processor cannot test itself).
+JobRow = dict[str, "TestJob | None"]
+
+#: Per-network job table: one row per interface, mapping core id -> job.
 #:
 #: A job is a pure function of (core, interface, network): the system treats
 #: its cores and network as read-only once built (the invariant the
 #: :class:`~repro.runner.cache.SystemCache` already relies on to share one
 #: instance across sweep points), interfaces are frozen dataclasses that key
 #: by value, and core identifiers are unique within a system.  Keying the
-#: table weakly on the network keeps entries alive exactly as long as the
+#: table weakly on the network keeps the rows alive exactly as long as the
 #: system they describe.
-_JOB_TABLES: "WeakKeyDictionary[Network, dict]" = WeakKeyDictionary()
+_JOB_TABLES: "WeakKeyDictionary[Network, dict[TestInterface, JobRow]]" = WeakKeyDictionary()
 
 
-def cached_job(core: CoreUnderTest, interface: TestInterface, network: Network) -> TestJob:
-    """The job for (``core``, ``interface``), memoised against ``network``.
+def job_rows(
+    cores: Sequence[CoreUnderTest],
+    interfaces: Sequence[TestInterface],
+    network: Network,
+) -> dict[str, JobRow]:
+    """The job row of every interface in ``interfaces``, by interface id.
+
+    Rows are memoised against ``network`` and shared by every plan over the
+    built system: a sweep varies the interface subset and the power ceiling,
+    so a plan only looks its interfaces' rows up.  A row is built on its
+    interface's first plan and extended when a plan names a core it lacks;
+    it may hold more cores than the plan, which the schedulers never look
+    up.
 
     Raises:
         SchedulingError: as :func:`build_job`.
     """
     table = _JOB_TABLES.get(network)
     if table is None:
-        table = {}
-        _JOB_TABLES[network] = table
-    key = (core.identifier, interface)
-    job = table.get(key)
-    if job is None:
-        job = build_job(core, interface, network)
-        table[key] = job
-    return job
-
-
-def job_fits_memory(core: CoreUnderTest, interface: TestInterface) -> bool:
-    """True when the interface's memory (if limited) can host the test.
-
-    External interfaces always fit.  Processor interfaces are limited by the
-    processor's on-chip memory; with the BIST application the footprint is the
-    program only, so in practice every core fits, but the check matters for
-    the decompression extension where stimuli are stored locally.
-    """
-    if interface.memory_bytes is None:
-        return True
-    # Conservative estimate: program footprint is already accounted for in the
-    # interface's memory figure by the characterisation step; only refuse when
-    # the interface reports no memory at all.
-    return interface.memory_bytes > 0
+        table = _JOB_TABLES[network] = {}
+    core_ids = {core.identifier for core in cores}
+    rows: dict[str, JobRow] = {}
+    for interface in interfaces:
+        row = table.get(interface)
+        if row is None:
+            row = table[interface] = {}
+        if not row.keys() >= core_ids:
+            for core in cores:
+                if core.identifier not in row:
+                    row[core.identifier] = (
+                        None
+                        if interface.processor_core_id == core.identifier
+                        else build_job(core, interface, network)
+                    )
+        rows[interface.identifier] = row
+    return rows

@@ -13,7 +13,6 @@ interval trees are needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import SchedulingError
 from repro.noc.links import Link
@@ -37,29 +36,23 @@ class LinkAllocator:
     _holder: dict[Link, str] = field(default_factory=dict)
     _bounds: dict[tuple[Link, ...], float] = field(default_factory=dict, repr=False)
 
-    def is_free(self, resources: Iterable[Link], now: float) -> bool:
+    def is_free(self, resources: tuple[Link, ...], now: float) -> bool:
         """True when every resource in ``resources`` is free at time ``now``."""
-        if isinstance(resources, tuple):
-            bound = self._bounds.get(resources)
-            if bound is not None and bound > now:
-                # busy-until only grows, so the true bound is >= the cached
-                # one: the tuple is definitely still busy.
-                return False
-            return self._scan(resources) <= now
-        return all(self._busy_until.get(resource, 0.0) <= now for resource in resources)
+        bound = self._bounds.get(resources)
+        if bound is not None and bound > now:
+            # busy-until only grows, so the true bound is >= the cached one:
+            # the tuple is definitely still busy.
+            return False
+        return self._scan(resources) <= now
 
-    def earliest_free(self, resources: Iterable[Link]) -> float:
+    def earliest_free(self, resources: tuple[Link, ...]) -> float:
         """Earliest time at which all of ``resources`` are simultaneously free.
 
         This is a lower bound: a resource released at that time could be
         re-acquired by another job first, so callers must re-check with
         :meth:`is_free` at the actual decision instant.
         """
-        if isinstance(resources, tuple):
-            return self._scan(resources)
-        return max(
-            (self._busy_until.get(resource, 0.0) for resource in resources), default=0.0
-        )
+        return self._scan(resources)
 
     def _scan(self, resources: tuple[Link, ...]) -> float:
         """Exact max busy-until over ``resources``; refreshes the cached bound."""
@@ -73,7 +66,7 @@ class LinkAllocator:
         return bound
 
     def reserve(
-        self, job_id: str, resources: Iterable[Link], now: float, until: float
+        self, job_id: str, resources: tuple[Link, ...], now: float, until: float
     ) -> None:
         """Hold ``resources`` for ``job_id`` from ``now`` until ``until``.
 
@@ -84,8 +77,6 @@ class LinkAllocator:
         """
         if until < now:
             raise SchedulingError("reservation end must not precede its start")
-        key = resources if isinstance(resources, tuple) else None
-        resources = list(resources)
         for resource in resources:
             if self._busy_until.get(resource, 0.0) > now:
                 raise SchedulingError(
@@ -96,15 +87,6 @@ class LinkAllocator:
         for resource in resources:
             self._busy_until[resource] = until
             self._holder[resource] = job_id
-        if key is not None:
-            # The reserved tuple's own bound is exactly `until` now (set only
-            # after validation: a failed reservation must not raise a bound).
-            self._bounds[key] = until
-
-    def holder_of(self, resource: Link) -> str | None:
-        """Identifier of the job currently holding ``resource`` (if any)."""
-        return self._holder.get(resource)
-
-    def utilisation_snapshot(self) -> dict[Link, float]:
-        """Copy of the busy-until map (useful for debugging and reports)."""
-        return dict(self._busy_until)
+        # The reserved tuple's own bound is exactly `until` now (set only
+        # after validation: a failed reservation must not raise a bound).
+        self._bounds[resources] = until

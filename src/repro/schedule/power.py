@@ -108,28 +108,9 @@ class PowerTracker:
             self._cached_total = sum(self._active.values())
         return self._cached_total
 
-    @property
-    def active_jobs(self) -> tuple[str, ...]:
-        """Identifiers of the currently running jobs."""
-        return tuple(self._active)
-
     def can_start(self, job_id: str, power: float) -> bool:
         """True when starting a job drawing ``power`` respects the ceiling."""
         return self.constraint.allows(self.current_power + power)
-
-    def check_feasible(self, job_id: str, power: float) -> None:
-        """Raise when the job could never run, even alone.
-
-        A job whose own power already exceeds the ceiling would deadlock the
-        scheduler (it can never start); this is reported as a distinct error
-        so the user can fix the power model or the limit.
-        """
-        if not self.constraint.allows(power):
-            raise PowerBudgetError(
-                f"job {job_id!r} draws {power:.1f} power units on its own, which "
-                f"exceeds the ceiling of {self.constraint.limit:.1f} "
-                f"({self.constraint.description})"
-            )
 
     def start(self, job_id: str, power: float) -> None:
         """Register a job as running."""

@@ -9,18 +9,55 @@ every core it estimates the completion time on every interface (including
 interfaces that are currently busy) and only starts the test when the
 best-completing interface is actually the one at hand.  Comparing the two
 policies on p22810 reproduces (and explains) the irregular bars of Figure 1.
+
+The best interface of each pending core is memoised for the whole plan.  An
+estimate ``max(now, available, links free) + duration`` only grows: a start
+pushes its interface's and its links' busy-until times forward, and time
+moves forward.  So a memoised best stays the best unless its own estimate
+may have grown, and the memo drops an entry only then:
+
+* on a start, when the entry's best interface is the started one or its job
+  shares a link with the started job;
+* on a new event, when the entry's ``ready = max(available, links free)`` is
+  before the new ``now`` (the estimate has become ``now + duration``);
+* all entries, when a processor interface is enabled (a new candidate).
+
+While searching for a best, an interface whose estimate without the link
+scan, ``max(now, available) + duration``, is already no better than the best
+so far is skipped: the scan could only raise it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.cores.core import CoreUnderTest
 from repro.schedule.greedy import EventDrivenScheduler
-from repro.schedule.job import TestJob
+from repro.schedule.job import JobRow, TestJob
 from repro.schedule.pathalloc import LinkAllocator
 from repro.schedule.power import PowerTracker
 from repro.schedule.priority import distance_priority
 from repro.tam.interfaces import TestInterface
-from repro.tam.pool import NEVER, ResourcePool
+from repro.tam.pool import NEVER, InterfaceState, ResourcePool
+
+#: A core's best interface: its ``(completion, interface id)`` key, its
+#: ``ready`` time and its job; ``None`` when no enabled interface can test it.
+_Best = tuple[tuple[float, str], float, TestJob]
+
+
+@dataclass
+class _FastestCompletionMemo:
+    """One plan's memoised best interface per pending core.
+
+    ``enabled`` pairs each enabled interface (registration order) with its
+    job row; ``available_now`` holds the ids available at ``event``, minus
+    the interfaces started since.
+    """
+
+    event: int | None = None
+    enabled: list[tuple[InterfaceState, JobRow]] = field(default_factory=list)
+    available_now: set[str] = field(default_factory=set)
+    best: dict[str, _Best | None] = field(default_factory=dict)
 
 
 class FastestCompletionScheduler(EventDrivenScheduler):
@@ -43,52 +80,113 @@ class FastestCompletionScheduler(EventDrivenScheduler):
     def __init__(self, priority_factory=distance_priority):
         super().__init__(priority_factory)
 
+    def selection_memo(self) -> _FastestCompletionMemo:
+        return _FastestCompletionMemo()
+
     def select_assignment(
         self,
         now: int,
+        event: int,
         pending: list[CoreUnderTest],
         pool: ResourcePool,
         allocator: LinkAllocator,
         tracker: PowerTracker,
-        jobs: dict[tuple[str, str], TestJob],
+        jobs: dict[str, JobRow],
+        memo: _FastestCompletionMemo,
     ) -> tuple[CoreUnderTest, TestInterface] | None:
-        available_now = {state.identifier for state in pool.available(now)}
+        if memo.event != event:
+            self._begin_event(now, event, pool, jobs, memo)
+        available_now = memo.available_now
         if not available_now:
             return None
 
+        best = memo.best
         for core in pending:
-            best: tuple[float, str] | None = None
-            for state in pool:
-                interface = state.interface
-                job = jobs.get((core.identifier, interface.identifier))
-                if job is None:
-                    continue
-                enabled_at = state.enabled_at
-                if enabled_at == NEVER:
-                    # The processor of this interface has not even been
-                    # scheduled yet; it cannot be a sensible target.
-                    continue
-                earliest_start = max(
-                    float(now),
-                    state.available_at(),
-                    allocator.earliest_free(job.resources),
+            core_id = core.identifier
+            if core_id in best:
+                entry = best[core_id]
+            else:
+                entry = best[core_id] = self._best_interface(
+                    now, core_id, memo.enabled, allocator
                 )
-                completion = earliest_start + job.duration
-                key = (completion, interface.identifier)
-                if best is None or key < best:
-                    best = key
-            if best is None:
+            if entry is None:
                 continue
-            _, best_interface_id = best
+            (_, best_interface_id), _, job = entry
             if best_interface_id not in available_now:
                 # The best interface is busy right now: wait for it instead of
                 # settling for a slower one (the anti-greedy decision).
                 continue
-            job = jobs[(core.identifier, best_interface_id)]
             if not allocator.is_free(job.resources, now):
                 continue
             if not tracker.can_start(job.core_id, job.power):
                 continue
-            interface = pool.state(best_interface_id).interface
-            return core, interface
+            self._note_start(core_id, job, memo)
+            return core, pool.state(best_interface_id).interface
         return None
+
+    @staticmethod
+    def _begin_event(
+        now: int,
+        event: int,
+        pool: ResourcePool,
+        jobs: dict[str, JobRow],
+        memo: _FastestCompletionMemo,
+    ) -> None:
+        memo.event = event
+        memo.available_now = {state.identifier for state in pool.available(now)}
+        enabled = [state for state in pool if state.enabled_at != NEVER]
+        if len(enabled) != len(memo.enabled):
+            memo.enabled = [(state, jobs[state.identifier]) for state in enabled]
+            memo.best.clear()
+        else:
+            memo.best = {
+                core_id: entry
+                for core_id, entry in memo.best.items()
+                if entry is None or entry[1] >= now
+            }
+
+    @staticmethod
+    def _best_interface(
+        now: int,
+        core_id: str,
+        enabled: list[tuple[InterfaceState, JobRow]],
+        allocator: LinkAllocator,
+    ) -> _Best | None:
+        fnow = float(now)
+        best: _Best | None = None
+        for state, row in enabled:
+            job = row[core_id]
+            if job is None:
+                continue
+            available_at = state.available_at()
+            identifier = state.identifier
+            if best is not None and (
+                max(fnow, available_at) + job.duration,
+                identifier,
+            ) >= best[0]:
+                continue  # the link scan could only raise this estimate
+            ready = max(available_at, allocator.earliest_free(job.resources))
+            key = (max(fnow, ready) + job.duration, identifier)
+            if best is None or key < best[0]:
+                best = (key, ready, job)
+        return best
+
+    @staticmethod
+    def _note_start(core_id: str, job: TestJob, memo: _FastestCompletionMemo) -> None:
+        """Drop the entries whose estimate the start of ``job`` may raise."""
+        best = memo.best
+        del best[core_id]
+        if job.duration:
+            memo.available_now.discard(job.interface_id)
+        reserved = set(job.resources)
+        stale = [
+            other
+            for other, entry in best.items()
+            if entry is not None
+            and (
+                entry[2].interface_id == job.interface_id
+                or not reserved.isdisjoint(entry[2].resources)
+            )
+        ]
+        for other in stale:
+            del best[other]

@@ -33,16 +33,12 @@ class InterfaceState:
         available_since: instant the interface last became simultaneously
             enabled and idle — this is the paper's "first test interface
             available" ordering key.
-        tests_run: number of core tests already applied through the interface.
-        busy_cycles: total cycles the interface has spent applying tests.
     """
 
     interface: TestInterface
     enabled_at: float = 0.0
     free_at: float = 0.0
     available_since: float = 0.0
-    tests_run: int = 0
-    busy_cycles: int = 0
 
     @property
     def identifier(self) -> str:
@@ -117,21 +113,6 @@ class ResourcePool:
         candidates.sort(key=lambda s: (s.available_since, order[s.identifier]))
         return candidates
 
-    def next_event_after(self, now: float) -> float:
-        """Earliest future time at which some interface becomes available."""
-        future = [
-            state.available_at()
-            for state in self._states.values()
-            if state.available_at() > now and state.available_at() != NEVER
-        ]
-        return min(future) if future else NEVER
-
-    def pending_enablement(self) -> list[InterfaceState]:
-        """Processor interfaces whose processor has not been scheduled yet."""
-        return [
-            state for state in self._states.values() if state.enabled_at == NEVER
-        ]
-
     def processor_interfaces_for(self, core_id: str) -> list[InterfaceState]:
         """Interfaces that become usable once core ``core_id`` is tested."""
         return [
@@ -155,8 +136,6 @@ class ResourcePool:
             raise ResourceError("occupation end must not precede its start")
         state.free_at = end
         state.available_since = end
-        state.tests_run += 1
-        state.busy_cycles += int(end - start)
 
     def enable(self, identifier: str, at: float) -> None:
         """Enable a processor interface at time ``at`` (its processor passed)."""

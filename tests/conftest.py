@@ -7,6 +7,7 @@ paper-sized systems are exercised by the integration and experiment tests.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cores.core import build_core
 from repro.itc02.library import load_benchmark
@@ -16,6 +17,12 @@ from repro.processors.leon import leon_processor
 from repro.processors.plasma import plasma_processor
 from repro.system.builder import SystemBuilder
 from repro.tam.ports import PortDirection
+
+# Test tooling, not a product setting: CI's schedule-oracle job runs the
+# selection oracle (tests/schedule/test_selection_oracle.py) with
+# `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
+# default example budget.
+settings.register_profile("schedule-oracle", max_examples=500)
 
 
 def make_module(

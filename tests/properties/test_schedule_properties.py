@@ -21,31 +21,41 @@ from repro.tam.ports import PortDirection
 
 
 @st.composite
-def random_system(draw):
-    """Build a random small SocSystem."""
+def random_system(draw, benchmarks=None, min_terminals=1, min_patterns=1):
+    """Build a random small SocSystem.
+
+    ``benchmarks`` (a strategy of :class:`SocBenchmark`) replaces the random
+    modules; ``min_terminals``/``min_patterns`` of 0 admit terminal-less and
+    zero-pattern modules.
+    """
     width = draw(st.integers(min_value=2, max_value=4))
     height = draw(st.integers(min_value=2, max_value=4))
     flit_width = draw(st.sampled_from([8, 16, 32]))
     core_count = draw(st.integers(min_value=2, max_value=8))
     processor_count = draw(st.integers(min_value=0, max_value=3))
 
-    benchmark = SocBenchmark(name="rnd")
-    for index in range(1, core_count + 1):
-        chains = draw(
-            st.lists(st.integers(min_value=4, max_value=60), min_size=0, max_size=4)
-        )
-        benchmark.add_module(
-            Module(
-                number=index,
-                name=f"m{index}",
-                inputs=draw(st.integers(min_value=1, max_value=40)),
-                outputs=draw(st.integers(min_value=1, max_value=40)),
-                bidirs=0,
-                scan_chains=tuple(ScanChain(index=i, length=length) for i, length in enumerate(chains)),
-                patterns=draw(st.integers(min_value=1, max_value=40)),
-                power=float(draw(st.integers(min_value=10, max_value=400))),
+    if benchmarks is not None:
+        benchmark = draw(benchmarks)
+    else:
+        benchmark = SocBenchmark(name="rnd")
+        for index in range(1, core_count + 1):
+            chains = draw(
+                st.lists(st.integers(min_value=4, max_value=60), min_size=0, max_size=4)
             )
-        )
+            benchmark.add_module(
+                Module(
+                    number=index,
+                    name=f"m{index}",
+                    inputs=draw(st.integers(min_value=min_terminals, max_value=40)),
+                    outputs=draw(st.integers(min_value=min_terminals, max_value=40)),
+                    bidirs=0,
+                    scan_chains=tuple(
+                        ScanChain(index=i, length=length) for i, length in enumerate(chains)
+                    ),
+                    patterns=draw(st.integers(min_value=min_patterns, max_value=40)),
+                    power=float(draw(st.integers(min_value=10, max_value=400))),
+                )
+            )
 
     builder = SystemBuilder("rnd", NocConfig(width=width, height=height, flit_width=flit_width))
     builder.add_benchmark(benchmark)

@@ -6,7 +6,7 @@ from repro.cores.core import build_core
 from repro.errors import SchedulingError
 from repro.noc.links import local_port
 from repro.noc.network import Network, NocConfig
-from repro.schedule.job import build_job, cached_job, job_fits_memory
+from repro.schedule.job import build_job, job_rows
 from repro.system.presets import build_paper_system
 from repro.tam.interfaces import InterfaceKind, TestInterface
 
@@ -109,33 +109,34 @@ class TestBuildJob:
 
 class TestCachedJobEqualsBuildJob:
     """The job table is pure memoisation: for every (core, interface) pair of
-    a paper system the memoised job equals a fresh build, and repeated
-    lookups return the one stored job."""
+    a paper system the row's job equals a fresh build, a processor's own row
+    entry is ``None``, and a later plan reads the same row objects."""
 
     @pytest.mark.parametrize("system", ["d695_leon", "p93791_leon"])
     def test_every_pair_equals_build_job(self, system):
         built = build_paper_system(system)
         network = built.network
-        for core in built.cores:
-            for interface in built.interfaces():
+        interfaces = built.interfaces()
+        rows = job_rows(built.cores, interfaces, network)
+        assert list(rows) == [interface.identifier for interface in interfaces]
+        for interface in interfaces:
+            row = rows[interface.identifier]
+            for core in built.cores:
                 if interface.processor_core_id == core.identifier:
-                    continue  # a processor cannot test itself
-                job = cached_job(core, interface, network)
-                assert job == build_job(core, interface, network)
-                assert cached_job(core, interface, network) is job
+                    assert row[core.identifier] is None
+                else:
+                    assert row[core.identifier] == build_job(core, interface, network)
+        subset = built.interfaces(0)
+        again = job_rows(built.cores, subset, network)
+        assert list(again) == [interface.identifier for interface in subset]
+        for identifier, row in again.items():
+            assert row is rows[identifier]
 
-
-class TestJobFitsMemory:
-    def test_external_always_fits(self, network, core):
-        assert job_fits_memory(core, external())
-
-    def test_processor_with_memory_fits(self, network, core):
-        interface = TestInterface(
-            identifier="p",
-            kind=InterfaceKind.PROCESSOR,
-            source_node=(0, 0),
-            sink_node=(0, 0),
-            processor_core_id="cpu",
-            memory_bytes=1024,
-        )
-        assert job_fits_memory(core, interface)
+    def test_row_grows_for_a_new_core(self, network, core):
+        interface = external()
+        (row,) = job_rows([core], [interface], network).values()
+        other = build_core(make_module("other"), flit_width=16)
+        other.place_at((0, 1))
+        (grown,) = job_rows([core, other], [interface], network).values()
+        assert grown is row
+        assert grown["other"] == build_job(other, interface, network)

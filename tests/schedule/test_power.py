@@ -35,7 +35,6 @@ class TestPowerTracker:
         tracker.start("a", 400.0)
         tracker.start("b", 500.0)
         assert tracker.current_power == pytest.approx(900.0)
-        assert set(tracker.active_jobs) == {"a", "b"}
         tracker.finish("a")
         assert tracker.current_power == pytest.approx(500.0)
 
@@ -62,7 +61,7 @@ class TestPowerTracker:
             tracker.finish("ghost")
 
     def test_check_feasible(self):
+        # On an idle tracker, can_start answers "could this job ever run?".
         tracker = PowerTracker(PowerConstraint(limit=100.0))
-        tracker.check_feasible("ok", 80.0)
-        with pytest.raises(PowerBudgetError, match="exceeds the ceiling"):
-            tracker.check_feasible("huge", 200.0)
+        assert tracker.can_start("ok", 80.0)
+        assert not tracker.can_start("huge", 200.0)

@@ -45,8 +45,6 @@ class TestResourcePool:
         pool.occupy("ext0", 0, 100)
         assert pool.available(50) == []
         assert [s.identifier for s in pool.available(100)] == ["ext0"]
-        assert pool.state("ext0").tests_run == 1
-        assert pool.state("ext0").busy_cycles == 100
 
     def test_occupy_before_available_rejected(self):
         pool = ResourcePool([external()])
@@ -70,20 +68,23 @@ class TestResourcePool:
     def test_next_event_after(self):
         pool = ResourcePool([external("ext0"), processor("proc0")])
         pool.occupy("ext0", 0, 75)
-        assert pool.next_event_after(0) == 75
+        assert pool.state("ext0").available_at() == 75
         pool.enable("proc0", 30)
-        assert pool.next_event_after(0) == 30
-        assert pool.next_event_after(30) == 75
+        assert pool.state("proc0").available_at() == 30
+        assert [s.identifier for s in pool.available(30)] == ["proc0"]
+        assert [s.identifier for s in pool.available(75)] == ["proc0", "ext0"]
 
     def test_next_event_ignores_never(self):
         pool = ResourcePool([external(), processor()])
-        assert pool.next_event_after(0) == NEVER
+        assert pool.state("proc0").available_at() == NEVER
+        assert [s.identifier for s in pool.available(10**9)] == ["ext0"]
 
     def test_pending_enablement(self):
         pool = ResourcePool([external(), processor()])
-        assert [s.identifier for s in pool.pending_enablement()] == ["proc0"]
+        assert [s.identifier for s in pool if s.enabled_at == NEVER] == ["proc0"]
         pool.enable("proc0", 5)
-        assert pool.pending_enablement() == []
+        assert pool.state("proc0").enabled_at == 5
+        assert [s.identifier for s in pool if s.enabled_at == NEVER] == []
 
     def test_processor_interfaces_for(self):
         pool = ResourcePool([external(), processor("proc0", core="cpu0"), processor("proc1", core="cpu1")])
