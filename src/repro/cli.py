@@ -66,26 +66,23 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.report import sweep_table
 from repro.analysis.sweeps import records_table, stored_sweep_summary
 from repro.errors import ConfigurationError, ReproError, ResultStoreError
-from repro.experiments.figure1 import (
-    PAPER_POWER_SERIES,
-    PAPER_PROCESSOR_COUNTS,
-    panel_from_outcomes,
-)
-from repro.runner.backends import ShardWorkerBackend
-from repro.runner.db import SweepDatabase
-from repro.runner.engine import SweepRunner
 from repro.runner.launch import LAUNCHERS, beat_heartbeat
-from repro.runner.spec import SCHEDULER_FACTORIES, SweepSpec, power_series_label
+from repro.runner.spec import SCHEDULER_NAMES, SweepSpec, power_series_label
 from repro.runner.store import load_sweeps, save_stored_sweeps, save_sweeps
-from repro.system.presets import PAPER_SYSTEMS, build_paper_system
+from repro.system.paper import PAPER_POWER_SERIES, PAPER_PROCESSOR_COUNTS, PAPER_SYSTEMS
 
-# Imports used by one subcommand live in its handler, so every other
-# command skips them and what they pull in (http.server, cProfile, ...).
+# The module level holds the data side only: specs, paper names and the
+# JSON store.  Everything else is imported by the handlers that use it, so
+# a command loads only what it runs: no planning core (schedulers, NoC,
+# system builds, caches) unless it plans, no sqlite without a store, and no
+# http.server, cProfile or subprocess outside serve, profile and
+# orchestrate.
+if TYPE_CHECKING:
+    from repro.runner.engine import SweepRunner
 
 #: ``repro profile --sort`` choices, the keys of
 #: :data:`repro.devtools.profile.PROFILE_SORT_KEYS`; spelled out so building
@@ -106,6 +103,8 @@ def _cmd_benchmarks(_: argparse.Namespace) -> int:
 
 
 def _cmd_describe(args: argparse.Namespace) -> int:
+    from repro.system.presets import build_paper_system
+
     system = build_paper_system(args.system)
     print(system.describe())
     print("  core placement:")
@@ -122,6 +121,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.analysis.report import schedule_report
     from repro.schedule.planner import TestPlanner
     from repro.schedule.variants import FastestCompletionScheduler
+    from repro.system.presets import build_paper_system
 
     system = build_paper_system(args.system)
     scheduler = FastestCompletionScheduler() if args.lookahead else None
@@ -145,6 +145,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
     from repro.noc.characterization import characterize_noc
+    from repro.system.presets import build_paper_system
 
     system = build_paper_system(args.system)
     print(system.describe())
@@ -160,6 +161,7 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
     from repro.analysis.export import sweep_to_csv
+    from repro.analysis.report import sweep_table
     from repro.experiments.figure1 import run_panel
 
     systems = args.systems or sorted(PAPER_SYSTEMS)
@@ -446,6 +448,8 @@ def _parse_host_list(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.runner.engine import SweepRunner
+
     # Dispatched workers announce themselves before planning anything so a
     # slow grid build cannot read as a dead worker; the hooks are no-ops
     # outside a dispatch/chaos environment.
@@ -501,13 +505,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         _run_sweeps_plain(args, runner, specs)
 
-    build_stats = runner.system_cache.stats
-    char_stats = runner.characterization_cache.stats
+    builds, characterizations = runner.cache_counters()
     print(
-        f"cache: {build_stats.misses} system builds "
-        f"({build_stats.hits} hits, {build_stats.disk_hits} from disk), "
-        f"{char_stats.misses} NoC characterisations "
-        f"({char_stats.hits} hits, {char_stats.disk_hits} from disk) "
+        f"cache: {builds['misses']} system builds "
+        f"({builds['hits']} hits, {builds['disk_hits']} from disk), "
+        f"{characterizations['misses']} NoC characterisations "
+        f"({characterizations['hits']} hits, "
+        f"{characterizations['disk_hits']} from disk) "
         f"for {planned_points} grid points "
         f"on {runner.jobs} worker(s)"
     )
@@ -520,17 +524,22 @@ def _run_sweeps_plain(
     specs: Sequence[SweepSpec],
 ) -> None:
     """Execute every spec in full and optionally write one JSON document."""
+    from repro.analysis.report import sweep_table
+    from repro.experiments.figure1 import panel_from_outcomes
+
     entries = []
     for spec in specs:
         outcomes = runner.run(spec)
         entries.append((spec, outcomes))
         title = _sweep_title(spec)
-        # The paper-shaped panel table needs one system, integer counts and a
-        # single scheduler; 'all' (None) counts, scheduler mixes and
-        # multi-system specs get the flat table.
+        # The paper-shaped panel table needs one system, integer counts
+        # including the no-reuse baseline its reductions are taken against,
+        # and a single scheduler; 'all' (None) counts, grids without 0,
+        # scheduler mixes and multi-system specs get the flat table.
         if (
             len(spec.systems) == 1
             and len(spec.schedulers) == 1
+            and 0 in spec.processor_counts
             and all(count is not None for count in spec.processor_counts)
         ):
             panel = panel_from_outcomes(spec, outcomes)
@@ -553,6 +562,8 @@ def _run_sweeps_stored(
 
     ``point_groups`` (from ``--points``) names each spec's slice.
     """
+    from repro.runner.db import SweepDatabase
+
     executed = skipped = 0
     # A sweep run is a genuine writer entry point: this process owns the
     # (shard) store for the duration of the run.
@@ -588,6 +599,9 @@ def _run_sweeps_stored(
 
 
 def _cmd_orchestrate(args: argparse.Namespace) -> int:
+    from repro.runner.backends import ShardWorkerBackend
+    from repro.runner.db import SweepDatabase
+
     if args.resume and args.workdir is None:
         raise ConfigurationError(
             "--resume needs --workdir: workers resume from their previous "
@@ -666,6 +680,8 @@ def _remove_store_files(path: Path) -> None:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
+    from repro.runner.db import SweepDatabase
+
     output = Path(args.output)
     shard_paths = [Path(raw) for raw in args.shards]
     for shard_path in shard_paths:
@@ -717,6 +733,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def _cmd_history(args: argparse.Namespace) -> int:
     from repro.analysis.history import history_report
+    from repro.runner.db import SweepDatabase
 
     path = Path(args.database)
     preexisting = path.exists()
@@ -865,7 +882,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         "--schedulers",
         default="greedy",
         help="comma-separated scheduler policies: "
-        + ", ".join(sorted(SCHEDULER_FACTORIES)),
+        + ", ".join(SCHEDULER_NAMES),
     )
     parser.add_argument(
         "--flit-width", type=int, default=32, help="NoC flit width (default: 32)"

@@ -21,23 +21,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.runner.engine import SweepRunner
-from repro.runner.spec import SweepSpec, scheduler_spec_name
+from repro.runner.schedulers import scheduler_spec_name
+from repro.runner.spec import SweepSpec
 from repro.schedule.greedy import EventDrivenScheduler
 from repro.schedule.result import ScheduleResult
-from repro.system.presets import PAPER_SYSTEMS
-
-#: Processor counts swept per benchmark, following the x axes of Figure 1.
-PAPER_PROCESSOR_COUNTS: dict[str, tuple[int, ...]] = {
-    "d695": (0, 2, 4, 6),
-    "p22810": (0, 2, 4, 6, 8),
-    "p93791": (0, 2, 4, 6, 8),
-}
-
-#: The two series of every panel: 50 % power limit and no power limit.
-PAPER_POWER_SERIES: dict[str, float | None] = {
-    "50% power limit": 0.5,
-    "no power limit": None,
-}
+from repro.system.paper import PAPER_POWER_SERIES, PAPER_PROCESSOR_COUNTS, PAPER_SYSTEMS
 
 
 @dataclass

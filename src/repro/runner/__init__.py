@@ -66,14 +66,16 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SweepRunner",
             "execute_point",
         ),
-        "repro.runner.spec": (
+        "repro.runner.schedulers": (
             "SCHEDULER_FACTORIES",
+            "make_scheduler",
+            "scheduler_spec_name",
+        ),
+        "repro.runner.spec": (
             "SweepPoint",
             "SweepSpec",
             "canonical_scheduler_name",
-            "make_scheduler",
             "power_series_label",
-            "scheduler_spec_name",
         ),
         "repro.runner.store": (
             "SCHEMA_VERSION",

@@ -43,25 +43,40 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
-from repro.runner.cache import SystemCache
 from repro.runner.launch import Launcher, beat_heartbeat, make_launcher
-from repro.runner.spec import SweepPoint, SweepSpec, make_scheduler
-from repro.schedule.planner import TestPlanner
-from repro.schedule.result import ScheduleResult
+from repro.runner.spec import SweepPoint, SweepSpec
 
-# Imported lazily at runtime: db imports the store layer, and the dispatch
-# supervisor (with subprocess) is only needed by a process that orchestrates.
+# Imported lazily at runtime: db imports the store layer, the dispatch
+# supervisor (with subprocess) is only needed by a process that orchestrates,
+# and the planning core only by a process that plans (execute_point).
 if TYPE_CHECKING:
+    from repro.runner.cache import SystemCache
     from repro.runner.db import MergeReport, SweepDatabase
     from repro.runner.dispatch import ShardOutcome
+    from repro.schedule.greedy import EventDrivenScheduler
+    from repro.schedule.planner import TestPlanner
+    from repro.schedule.result import ScheduleResult
+
+
+def _planning_core() -> tuple[type[TestPlanner], Callable[[str], EventDrivenScheduler]]:
+    """The planner class and scheduler factory :func:`execute_point` uses.
+
+    Imported on the first call: this module loads none of the planning
+    core until a point is actually planned.
+    """
+    from repro.runner.schedulers import make_scheduler
+    from repro.schedule.planner import TestPlanner
+
+    return TestPlanner, make_scheduler
 
 
 def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
     """Plan one sweep point, building its system through ``system_cache``."""
+    TestPlanner, make_scheduler = _planning_core()
     system = system_cache.get(
         point.system,
         flit_width=point.flit_width,
@@ -87,9 +102,9 @@ def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResul
 
 
 #: Per-process system cache used by pool workers.  The pool initializer
-#: replaces it with a copy of the parent runner's warm cache, so workers
-#: never rebuild a system the parent already built.
-_WORKER_SYSTEM_CACHE = SystemCache()
+#: sets it to a copy of the parent runner's warm cache, so workers never
+#: rebuild a system the parent already built.
+_WORKER_SYSTEM_CACHE: SystemCache | None = None
 
 
 def _init_worker(cache: SystemCache) -> None:
@@ -303,6 +318,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 flit_width=point.flit_width,
                 pattern_penalty=point.pattern_penalty,
             )
+        # Likewise the planner: forked workers inherit the parent's modules,
+        # so importing it here spares every worker its own import.
+        _planning_core()
         import multiprocessing
 
         workers = min(self.jobs, len(points))
@@ -686,7 +704,7 @@ class ShardWorkerBackend:
 
 
 #: Execution backends a runner can name, keyed by their canonical name
-#: (mirroring :data:`repro.runner.spec.SCHEDULER_FACTORIES` for schedulers).
+#: (mirroring :data:`repro.runner.schedulers.SCHEDULER_FACTORIES` for schedulers).
 BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
     ProcessPoolBackend.name: ProcessPoolBackend,

@@ -34,14 +34,17 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
-from repro.noc.characterization import NocCharacterization
 from repro.runner.backends import ExecutionBackend, execute_point, make_backend
-from repro.runner.cache import CharacterizationCache, SystemCache
 from repro.runner.spec import SweepPoint, SweepSpec
-from repro.schedule.result import ScheduleResult
 
-if TYPE_CHECKING:  # imported lazily at runtime (db imports the store layer)
+# Imported lazily at runtime: db imports the store layer, and the caches and
+# result types belong to the planning core, which a runner loads only when
+# it executes its first point.
+if TYPE_CHECKING:
+    from repro.noc.characterization import NocCharacterization
+    from repro.runner.cache import CharacterizationCache, SystemCache
     from repro.runner.db import SweepDatabase
+    from repro.schedule.result import ScheduleResult
 
 __all__ = [
     "StoreRunReport",
@@ -206,16 +209,50 @@ class SweepRunner:
         self.characterize = characterize
         self.packet_count = packet_count
         self.cache_dir = cache_dir
-        # Not `system_cache or ...`: an empty SystemCache is falsy (__len__).
-        # A runner-owned cache inherits cache_dir, so builds persist next to
-        # the characterisation records; a shared cache keeps its own setting.
-        self.system_cache = (
-            system_cache if system_cache is not None else SystemCache(cache_dir)
-        )
-        self.characterization_cache = (
-            characterization_cache
-            if characterization_cache is not None
-            else CharacterizationCache(cache_dir)
+        # Runner-owned caches are created on first use (see system_cache), so
+        # a run that executes nothing, such as a no-op resume, never loads
+        # the planning core.
+        self._system_cache = system_cache
+        self._characterization_cache = characterization_cache
+
+    @property
+    def system_cache(self) -> SystemCache:
+        """The shared :class:`SystemCache`, or the runner's own.
+
+        A runner-owned cache is created on first use and inherits
+        ``cache_dir``, so builds persist next to the characterisation
+        records; a shared cache keeps its own setting.
+        """
+        # Not `self._system_cache or ...`: an empty SystemCache is falsy.
+        if self._system_cache is None:
+            from repro.runner.cache import SystemCache
+
+            self._system_cache = SystemCache(self.cache_dir)
+        return self._system_cache
+
+    @property
+    def characterization_cache(self) -> CharacterizationCache:
+        """The shared :class:`CharacterizationCache`, or the runner's own
+        (created on first use, persisted under ``cache_dir``)."""
+        if self._characterization_cache is None:
+            from repro.runner.cache import CharacterizationCache
+
+            self._characterization_cache = CharacterizationCache(self.cache_dir)
+        return self._characterization_cache
+
+    def cache_counters(self) -> tuple[dict[str, int], dict[str, int]]:
+        """The system and characterisation caches' ``stats.as_dict()``.
+
+        A cache the runner has not created yet counts zero and stays
+        uncreated, so reporting on a run that executed nothing loads no
+        planning core.
+        """
+        idle = {"hits": 0, "misses": 0, "disk_hits": 0}
+        return (
+            idle if self._system_cache is None else self._system_cache.stats.as_dict(),
+            idle
+            if self._characterization_cache is None
+            else self._characterization_cache.stats.as_dict(),
         )
 
     # ------------------------------------------------------------------
@@ -372,13 +409,14 @@ class SweepRunner:
     def _run_points(self, points: Sequence[SweepPoint]) -> list[SweepOutcome]:
         """Characterise and execute ``points``, returning outcomes in order."""
         characterizations = self._characterize_systems(points)
-        results = self.backend.execute(points, system_cache=self.system_cache)
+        system_cache = self.system_cache
+        results = self.backend.execute(points, system_cache=system_cache)
         return [
             SweepOutcome(
                 point=point,
                 result=result,
                 characterization=characterizations.get(
-                    SystemCache.key(
+                    system_cache.key(
                         point.system,
                         flit_width=point.flit_width,
                         pattern_penalty=point.pattern_penalty,
@@ -396,7 +434,7 @@ class SweepRunner:
             return {}
         characterizations: dict[str, NocCharacterization] = {}
         for point in points:
-            key = SystemCache.key(
+            key = self.system_cache.key(
                 point.system,
                 flit_width=point.flit_width,
                 pattern_penalty=point.pattern_penalty,

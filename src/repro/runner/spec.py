@@ -20,27 +20,38 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
+from repro._lazy import lazy_exports
 from repro.errors import ConfigurationError
-from repro.schedule.greedy import EventDrivenScheduler, GreedyScheduler
 from repro.schedule.power import require_positive_finite
-from repro.schedule.priority import distance_priority
-from repro.schedule.variants import FastestCompletionScheduler
-from repro.system.presets import PAPER_SYSTEMS
+from repro.system.paper import PAPER_SYSTEMS
 
-#: Scheduler policies a spec can name, keyed by their canonical spec name.
-SCHEDULER_FACTORIES: dict[str, type[EventDrivenScheduler]] = {
-    "greedy": GreedyScheduler,
-    "fastest-completion": FastestCompletionScheduler,
-}
+# The name -> policy class table lives with what plans a point; these names
+# stay importable from here without loading a scheduler until first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runner.schedulers": (
+            "SCHEDULER_FACTORIES",
+            "make_scheduler",
+            "scheduler_spec_name",
+        )
+    },
+)[:2]
 
-#: Accepted aliases (the policies' own ``name`` attributes included).
+#: Accepted scheduler names → canonical spec name.  The policies' own
+#: ``name`` attributes (``GreedyScheduler.name``,
+#: ``FastestCompletionScheduler.name``) are spelled out so that naming a
+#: scheduler imports none; a test pins them to the classes.
 _SCHEDULER_ALIASES: dict[str, str] = {
     "greedy": "greedy",
-    GreedyScheduler.name: "greedy",
+    "greedy-first-available": "greedy",
     "fastest-completion": "fastest-completion",
     "lookahead": "fastest-completion",
-    FastestCompletionScheduler.name: "fastest-completion",
 }
+
+#: Canonical scheduler names a spec can hold (the keys of
+#: :data:`repro.runner.schedulers.SCHEDULER_FACTORIES`).
+SCHEDULER_NAMES: tuple[str, ...] = tuple(sorted(set(_SCHEDULER_ALIASES.values())))
 
 
 def canonical_scheduler_name(name: str) -> str:
@@ -52,35 +63,10 @@ def canonical_scheduler_name(name: str) -> str:
     try:
         return _SCHEDULER_ALIASES[name.lower()]
     except KeyError as exc:
-        known = ", ".join(sorted(SCHEDULER_FACTORIES))
+        known = ", ".join(SCHEDULER_NAMES)
         raise ConfigurationError(
             f"unknown scheduler {name!r}; known schedulers: {known}"
         ) from exc
-
-
-def make_scheduler(name: str) -> EventDrivenScheduler:
-    """Instantiate the scheduler policy called ``name`` (aliases accepted)."""
-    return SCHEDULER_FACTORIES[canonical_scheduler_name(name)]()
-
-
-def scheduler_spec_name(scheduler: EventDrivenScheduler | None) -> str:
-    """Canonical spec name for a scheduler instance (``None`` = greedy).
-
-    Raises:
-        ConfigurationError: when the instance cannot be expressed as a spec
-            name — an unregistered policy, or a registered policy configured
-            with a non-default priority factory (a sweep point only records
-            the policy name, so instance state would be silently dropped).
-    """
-    if scheduler is None:
-        return "greedy"
-    name = canonical_scheduler_name(scheduler.name)
-    if getattr(scheduler, "_priority_factory", distance_priority) is not distance_priority:
-        raise ConfigurationError(
-            f"scheduler {scheduler.name!r} uses a custom priority factory, which "
-            "a sweep spec cannot express; plan through TestPlanner directly"
-        )
-    return name
 
 
 def power_series_label(fraction: float | None) -> str:
@@ -106,7 +92,7 @@ class SweepPoint:
         reused_processors: processors reused for test (``None`` = all).
         power_label: series label (e.g. ``"50% power limit"``).
         power_limit_fraction: power ceiling fraction, ``None`` = unlimited.
-        scheduler: canonical scheduler name (see :data:`SCHEDULER_FACTORIES`).
+        scheduler: canonical scheduler name (see :data:`SCHEDULER_NAMES`).
         flit_width: NoC flit width the system is built with.
         pattern_penalty: override of the processors' cycles-per-pattern
             penalty (``None`` keeps the model default).
@@ -176,7 +162,7 @@ class SweepSpec:
     Attributes:
         name: free-form identifier recorded in stored results.
         systems: paper system names (validated against
-            :data:`~repro.system.presets.PAPER_SYSTEMS`).
+            :data:`~repro.system.paper.PAPER_SYSTEMS`).
         processor_counts: reuse levels to sweep (``None`` = all processors).
         power_limits: ``(label, fraction)`` pairs; a mapping is accepted and
             normalised.  ``None`` fractions disable the constraint.

@@ -26,12 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ResultStoreError
 from repro.runner.atomic import atomic_write_text
-from repro.runner.engine import SweepOutcome
 from repro.runner.spec import SweepSpec
+
+if TYPE_CHECKING:  # the engine is needed only to produce outcomes, not to store them
+    from repro.runner.engine import SweepOutcome
 
 #: Version of the on-disk result document format.
 SCHEMA_VERSION = 1

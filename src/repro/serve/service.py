@@ -36,17 +36,13 @@ from repro.analysis.export import schedule_to_rows
 from repro.errors import ApiError, ConfigurationError, ReproError
 from repro.runner.cache import CharacterizationCache, SystemCache
 from repro.runner.db import SweepDatabase
-from repro.runner.spec import (
-    SweepSpec,
-    canonical_scheduler_name,
-    make_scheduler,
-    power_series_label,
-)
+from repro.runner.schedulers import make_scheduler
+from repro.runner.spec import SweepSpec, canonical_scheduler_name, power_series_label
 from repro.schedule.planner import TestPlanner
 from repro.schedule.power import require_positive_finite
 from repro.serve.cache import TTLCache
 from repro.serve.jobs import SweepJobQueue
-from repro.system.presets import PAPER_SYSTEMS
+from repro.system.paper import PAPER_SYSTEMS
 
 #: Fields a single plan point accepts (anything else is a 400).
 PLAN_FIELDS: frozenset[str] = frozenset(

@@ -9,8 +9,10 @@ builds exactly those systems:
   container and the :class:`~repro.system.builder.SystemBuilder` used to
   assemble custom systems,
 * :mod:`repro.system.placement` — deterministic core placement strategies,
-* :mod:`repro.system.presets` — the six systems evaluated in the paper
-  (d695/p22810/p93791 x Leon/Plasma), with the grid sizes from Section 3.
+* :mod:`repro.system.paper` — the six systems evaluated in the paper
+  (d695/p22810/p93791 x Leon/Plasma), with the grid sizes from Section 3,
+  and Figure 1's axes, as plain data,
+* :mod:`repro.system.presets` — builds those six systems.
 """
 
 from repro._lazy import lazy_exports
@@ -24,6 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "spread_placement",
             "row_major_placement",
         ),
-        "repro.system.presets": ("PAPER_SYSTEMS", "PaperSystemSpec", "build_paper_system"),
+        "repro.system.paper": ("PAPER_SYSTEMS", "PaperSystemSpec"),
+        "repro.system.presets": ("build_paper_system",),
     },
 )

@@ -21,12 +21,11 @@ with 32 modules + 8 processors.)
 The external input port is attached to the router at the grid origin and the
 external output port to the opposite corner, both on the chip boundary where
 I/O pads live; the positions can be overridden through
-:func:`build_paper_system`'s keyword arguments.
+:func:`build_paper_system`'s keyword arguments.  The table itself,
+:data:`PAPER_SYSTEMS`, is plain data in :mod:`repro.system.paper`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.cores.power import PowerModel, assign_power
 from repro.errors import ConfigurationError
@@ -37,37 +36,8 @@ from repro.processors.leon import leon_processor
 from repro.processors.model import EmbeddedProcessor
 from repro.processors.plasma import plasma_processor
 from repro.system.builder import SocSystem, SystemBuilder
+from repro.system.paper import PAPER_SYSTEMS
 from repro.tam.ports import PortDirection
-
-
-@dataclass(frozen=True)
-class PaperSystemSpec:
-    """Parameters of one of the paper's evaluated systems."""
-
-    benchmark: str
-    processor_model: str
-    processor_count: int
-    grid_width: int
-    grid_height: int
-
-    @property
-    def name(self) -> str:
-        """System name in the paper's nomenclature, e.g. ``"d695_leon"``."""
-        return f"{self.benchmark}_{self.processor_model}"
-
-
-#: The six system configurations of the paper's Figure 1, keyed by name.
-PAPER_SYSTEMS: dict[str, PaperSystemSpec] = {
-    spec.name: spec
-    for spec in (
-        PaperSystemSpec("d695", "leon", 6, 4, 4),
-        PaperSystemSpec("d695", "plasma", 6, 4, 4),
-        PaperSystemSpec("p22810", "leon", 8, 5, 6),
-        PaperSystemSpec("p22810", "plasma", 8, 5, 6),
-        PaperSystemSpec("p93791", "leon", 8, 5, 5),
-        PaperSystemSpec("p93791", "plasma", 8, 5, 5),
-    )
-}
 
 _PROCESSOR_FACTORIES = {
     "leon": leon_processor,

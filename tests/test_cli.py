@@ -195,6 +195,24 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "allproc" in out
 
+    @pytest.mark.parametrize("counts", ["2,4", "2,2"])
+    def test_sweep_without_baseline_count_prints_the_flat_table(self, capsys, counts):
+        """A panel's reductions are taken against the 0-processor baseline;
+        a grid without it must fall back to the flat table, not crash with
+        a bare KeyError."""
+        argv = ["sweep", "d695_leon", "--counts", counts, "--no-characterize"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0] == "Sweep: d695_leon"
+        assert lines[1].split() == [
+            "idx", "system", "scheduler", "power", "series", "reuse", "flit",
+            "makespan", "peak", "power",
+        ]
+        assert "2proc" in captured.out
+        assert "reduction" not in captured.out
+
     def test_sweep_rejects_unknown_system(self, capsys):
         assert main(["sweep", "d695_arm"]) == 1
         assert "unknown paper system" in capsys.readouterr().err
