@@ -29,15 +29,17 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
 * ``orchestrate [SYSTEM...]`` — the multi-host flow, and the one command
   that fans grids out over shard workers: send every grid out in one
   dispatch round over N ``repro sweep --points`` subprocess workers
-  (``--workers``, ``--workdir``), each running its LPT-balanced point list
-  of every grid into its own sqlite store, supervise them
+  (``--workers``, ``--workdir``), each running its point list of every
+  grid, balanced by the points' measured costs in ``--store``, into its
+  own sqlite store (``--resume`` plans only the points the store lacks),
+  supervise them
   through per-worker heartbeat files and a worker state machine, retry/requeue failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
   carried; the merged export (``--export-json``) is byte-identical to a
   serial run's.  With ``--hosts``/``--hosts-file`` the workers are
-  dispatched through a launcher (``ssh`` by default) onto a host pool
-  with cost-sized shards — see docs/operations.md.
+  dispatched through a launcher (``ssh`` by default) onto a host pool —
+  see docs/operations.md.
 * ``merge OUT SHARD...`` — fold sharded sqlite stores back into one
   database with every shard run carried, the same history ``orchestrate``
   leaves; merging every shard of a grid yields a store whose exported
@@ -602,11 +604,6 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     from repro.runner.backends import ShardWorkerBackend
     from repro.runner.db import SweepDatabase
 
-    if args.resume and args.workdir is None:
-        raise ConfigurationError(
-            "--resume needs --workdir: workers resume from their previous "
-            "shard stores, which only survive in a persistent work directory"
-        )
     hosts = _parse_host_list(args.hosts, args.hosts_file)
     if args.launcher is not None and hosts is None:
         raise ConfigurationError(
@@ -623,7 +620,6 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
         heartbeat_timeout=args.heartbeat_timeout,
         hosts=hosts,
         launcher=args.launcher,
-        cost_sizing=args.cost_shards,
         checkpoint_every=args.checkpoint,
     )
     specs = _build_sweep_specs(args)
@@ -1090,8 +1086,8 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument(
         "--resume",
         action="store_true",
-        help="let workers skip points their shard store already holds "
-        "(needs a persistent --workdir)",
+        help="plan only the grid points the store does not already hold; "
+        "workers also resume the shard stores a failed run left in --workdir",
     )
     orchestrate.add_argument(
         "--worker-timeout",
@@ -1145,14 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="how remote workers are spawned (default: ssh; local spawns "
         "plain subprocesses, for tests and CI)",
-    )
-    orchestrate.add_argument(
-        "--cost-shards",
-        action="store_true",
-        default=None,
-        help="weigh points by their measured costs in the store when "
-        "balancing the shards (default: off locally, on with "
-        "--hosts/--hosts-file)",
     )
     orchestrate.add_argument(
         "--checkpoint",

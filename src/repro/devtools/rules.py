@@ -637,74 +637,6 @@ class CliHygieneRule(LintRule):
         return frozenset(lines)
 
 
-class WorkerLifecycleRule(LintRule):
-    """RL007 — worker state transitions belong to the dispatch supervisor.
-
-    The dispatch layer's fault-tolerance guarantees (retry accounting,
-    requeue, orphan labelling) rest on every worker attempt moving through
-    the :data:`~repro.runner.dispatch.WORKER_TRANSITIONS` state machine
-    exactly once per edge.  Code elsewhere poking ``.state`` onto an
-    attempt or outcome can fabricate a non-monotonic transition (e.g.
-    ``Finished`` back to ``Running``) the supervisor never validated.
-    """
-
-    rule_id = "RL007"
-    title = "worker state transitions only in runner/dispatch.py"
-    severity = "error"
-    rationale = (
-        "retry/requeue accounting relies on the supervisor validating every "
-        "worker state transition against WORKER_TRANSITIONS; ad-hoc .state "
-        "assignments elsewhere can make a terminal worker look live again"
-    )
-    fix_hint = (
-        "drive workers through WorkerSupervisor (or construct a new "
-        "AttemptRecord/ShardOutcome); never mutate .state outside "
-        "runner/dispatch.py"
-    )
-
-    #: The one module allowed to drive the worker state machine.
-    ALLOWED = ("repro/runner/dispatch.py",)
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        """Flag ``<obj>.state = WorkerState.*`` assignments in ``module``."""
-        if any(fragment in module.path.as_posix() for fragment in self.ALLOWED):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AugAssign):
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if not self._is_worker_state(value):
-                continue
-            # Only attribute targets: a dataclass field *default* (a plain
-            # name or annotated assignment in a class body) declares state,
-            # it does not transition an existing worker.
-            for target in targets:
-                if isinstance(target, ast.Attribute) and target.attr == "state":
-                    yield self.finding(
-                        module,
-                        node,
-                        "assigning WorkerState to a .state attribute outside "
-                        "runner/dispatch.py bypasses the supervised worker "
-                        "state machine",
-                    )
-
-    @staticmethod
-    def _is_worker_state(node: ast.expr) -> bool:
-        """Whether ``node`` reads a ``WorkerState`` member (or the enum)."""
-        name = dotted_name(node)
-        if name is None:
-            return False
-        return (
-            name == "WorkerState"
-            or name.startswith("WorkerState.")
-            or ".WorkerState." in name
-            or name.endswith(".WorkerState")
-        )
-
-
 #: Every shipped rule, in id order.  ``docs/devtools.md`` headings are pinned
 #: to this registry by ``tests/devtools/test_devtools_docs.py``.
 RULES: tuple[LintRule, ...] = (
@@ -714,7 +646,6 @@ RULES: tuple[LintRule, ...] = (
     ErrorModelRule(),
     RegistryCompletenessRule(),
     CliHygieneRule(),
-    WorkerLifecycleRule(),
 )
 
 

@@ -15,7 +15,9 @@ registered by name in :data:`BACKEND_FACTORIES`:
 :class:`ShardWorkerBackend` is not an execution backend: callers invoke its
 :meth:`~ShardWorkerBackend.orchestrate` directly.  It splits a batch of
 grids into one explicit point list per worker and grid with
-:func:`lpt_split` (:meth:`ShardWorkerBackend.plan_point_groups`), spawns
+:func:`lpt_split` over the points' measured planning costs
+(:meth:`ShardWorkerBackend.plan_point_groups`; a resumed batch plans only
+the points the target store cannot already reuse), spawns
 one detached ``repro sweep --spec-json ... --points ... --store``
 subprocess per worker (each running its lists of every grid of the batch
 into its own :class:`~repro.runner.db.SweepDatabase`), so a batch is one
@@ -27,7 +29,7 @@ the target store with :meth:`SweepDatabase.merge_all
 so per-worker run trajectories survive the merge.  Without hosts the workers
 are local subprocesses; given a host pool (``hosts``) it derives
 remote-leaning defaults — one worker per host, the ``ssh`` launcher,
-retries, cost-sized shards and per-point checkpoints.  The *launcher* hook
+retries and per-point checkpoints.  The *launcher* hook
 maps each worker's command line to the spawned command, which is where a
 custom dispatcher (a CI job submitter) slots in.
 """
@@ -43,7 +45,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
@@ -60,6 +62,7 @@ if TYPE_CHECKING:
     from repro.schedule.greedy import EventDrivenScheduler
     from repro.schedule.planner import TestPlanner
     from repro.schedule.result import ScheduleResult
+    from repro.system.builder import SocSystem
 
 
 def _planning_core() -> tuple[type[TestPlanner], Callable[[str], EventDrivenScheduler]]:
@@ -76,12 +79,20 @@ def _planning_core() -> tuple[type[TestPlanner], Callable[[str], EventDrivenSche
 
 def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
     """Plan one sweep point, building its system through ``system_cache``."""
-    TestPlanner, make_scheduler = _planning_core()
-    system = system_cache.get(
+    return _plan_point(point, _point_system(point, system_cache))
+
+
+def _point_system(point: SweepPoint, system_cache: SystemCache) -> SocSystem:
+    return system_cache.get(
         point.system,
         flit_width=point.flit_width,
         pattern_penalty=point.pattern_penalty,
     )
+
+
+def _plan_point(point: SweepPoint, system: SocSystem) -> ScheduleResult:
+    """Plan one sweep point on its built ``system``."""
+    TestPlanner, make_scheduler = _planning_core()
     planner = TestPlanner(system, scheduler=make_scheduler(point.scheduler))
     result = planner.plan(
         reused_processors=point.reused_processors,
@@ -200,6 +211,9 @@ class OrchestrationReport:
             batch's grids.
         run_count: runs the target store holds for the batch's grids — with
             history carried, the sum of the shard stores' run counts.
+        executed_count: points handed to the workers, over the batch.
+        skipped_count: points a resumed batch left out because the target
+            store already held a reusable record (0 without resume).
         workdir: directory holding the batch's subdirectory of shard
             stores, spec file and logs; ``None`` once it no longer exists
             (the temporary one a successful merge removes).
@@ -211,6 +225,8 @@ class OrchestrationReport:
     merge_reports: tuple["MergeReport", ...]
     record_count: int
     run_count: int
+    executed_count: int
+    skipped_count: int
     workdir: Path | None
 
 
@@ -238,8 +254,8 @@ class ExecutionBackend:
         """Measured wall-clock seconds per point index of the last :meth:`execute`.
 
         ``None`` when the backend does not measure (the default).  Costs
-        are control metadata for cost-based shard sizing — they never enter
-        records, exports or fingerprints.
+        are control metadata for shard sizing — they never enter records,
+        exports or fingerprints.
         """
         return None
 
@@ -249,8 +265,10 @@ class SerialBackend(ExecutionBackend):
 
     The serial backend also measures each point's wall-clock planning time
     (:meth:`measured_costs`); store-backed runs persist the measurements to
-    the ``point_costs`` table, which is what feeds cost-based shard sizing
-    on the next orchestration of the same grid.
+    the ``point_costs`` table, which is what sizes the shards of the next
+    orchestration of the same grid.  The clock covers the plan only: the
+    point's system build and the first import of the planning core are
+    one-off work that would otherwise land on whichever point comes first.
     """
 
     name = "serial"
@@ -264,9 +282,11 @@ class SerialBackend(ExecutionBackend):
         """Plan each point in submission order on the calling thread."""
         self._last_costs = {}
         results = []
+        _planning_core()
         for point in points:
+            system = _point_system(point, system_cache)
             started = time.perf_counter()
-            results.append(execute_point(point, system_cache))
+            results.append(_plan_point(point, system))
             self._last_costs[point.index] = time.perf_counter() - started
         return results
 
@@ -313,11 +333,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # starts from the warm cache (and the cache stats reflect one build
         # per SoC, not one per worker).
         for point in points:
-            system_cache.get(
-                point.system,
-                flit_width=point.flit_width,
-                pattern_penalty=point.pattern_penalty,
-            )
+            _point_system(point, system_cache)
         # Likewise the planner: forked workers inherit the parent's modules,
         # so importing it here spares every worker its own import.
         _planning_core()
@@ -344,8 +360,8 @@ class ShardWorkerBackend:
 
     Without ``hosts`` the workers run as local subprocesses.  Given a host
     pool the settings left at ``None`` are derived for real fan-out: one
-    worker per host, the ``ssh`` launcher, two retries, cost-sized shards,
-    and a checkpoint every point so a killed host loses at most one point's
+    worker per host, the ``ssh`` launcher, two retries and a checkpoint
+    every point so a killed host loses at most one point's
     work.  The workdir must then be reachable by every host (a shared
     filesystem) — the same assumption the merge step already makes about
     shard stores.
@@ -373,9 +389,6 @@ class ShardWorkerBackend:
         launcher: launcher name from :data:`~repro.runner.launch.LAUNCHERS`
             or a launcher callable; maps ``(host, argv, env)`` to the
             spawned command (default: ``"local"``, or ``"ssh"`` with hosts).
-        cost_sizing: weigh points by their measured planning cost from
-            the target store (``point_costs``) instead of counting every
-            point as 1 (default: off, on with hosts).
         checkpoint_every: forwarded to workers as ``--checkpoint``: commit
             every N points so a killed attempt leaves its completed work
             resumable (default: single-transaction shard commits, or every
@@ -402,7 +415,6 @@ class ShardWorkerBackend:
         heartbeat_timeout: float = 30.0,
         hosts: Sequence[str] | None = None,
         launcher: str | Launcher | None = None,
-        cost_sizing: bool | None = None,
         checkpoint_every: int | None = None,
     ) -> None:
         from repro.runner.dispatch import DispatchPolicy
@@ -441,7 +453,6 @@ class ShardWorkerBackend:
         )
         self.hosts = hosts
         self.launcher = launcher if callable(launcher) else make_launcher(launcher)
-        self.cost_sizing = pool if cost_sizing is None else cost_sizing
         self.checkpoint_every = checkpoint_every
 
     # ------------------------------------------------------------------
@@ -526,34 +537,36 @@ class ShardWorkerBackend:
         return plans
 
     def plan_point_groups(
-        self, specs: Sequence[SweepSpec], store: "SweepDatabase"
+        self,
+        specs: Sequence[SweepSpec],
+        store: "SweepDatabase",
+        held: Sequence[Collection[int]] | None = None,
     ) -> list[tuple[tuple[int, ...], ...]]:
         """The batch's split: per worker, one ascending index tuple per spec.
 
         Every grid of the batch is packed by :func:`lpt_split` over one
         shared ``loads`` list, so the whole batch is balanced, not each grid
-        on its own.  A point costs 1.0 unless ``cost_sizing`` is on; then it
-        costs its measured mean planning seconds from the target store
-        (``SweepDatabase.point_cost_rows``, fed by earlier serial or
-        orchestrated runs), else the mean of its grid's measured points,
-        else the mean of the batch's measured points, else 1.0.
-        Deterministic throughout.
+        on its own.  A point costs its measured mean planning seconds from
+        the target store (``SweepDatabase.point_cost_rows``, fed by earlier
+        serial or orchestrated runs), else the mean of its grid's measured
+        points, else the mean of the batch's measured points, else 1.0 — so
+        a store without measurements deals the points round-robin.
+        ``held`` names, per spec, the points to leave out of the split (a
+        resumed batch's reusable points).  Deterministic throughout.
         """
-        measured = [
-            store.point_cost_rows(spec.content_key()) if self.cost_sizing else {}
-            for spec in specs
-        ]
+        if held is None:
+            held = [()] * len(specs)
+        measured = [store.point_cost_rows(spec.content_key()) for spec in specs]
         batch_costs = [cost for costs in measured for cost in costs.values()]
         batch_mean = sum(batch_costs) / len(batch_costs) if batch_costs else 1.0
         loads = [0.0] * self.workers
         per_spec = []
-        for spec, costs in zip(specs, measured):
+        for spec, costs, skip in zip(specs, measured, held):
             fallback = sum(costs.values()) / len(costs) if costs else batch_mean
+            pending = [index for index in range(spec.point_count) if index not in skip]
+            groups = lpt_split([costs.get(index, fallback) for index in pending], loads)
             per_spec.append(
-                lpt_split(
-                    [costs.get(index, fallback) for index in range(spec.point_count)],
-                    loads,
-                )
+                tuple(tuple(pending[position] for position in group) for group in groups)
             )
         return [
             tuple(spec_groups[worker] for spec_groups in per_spec)
@@ -595,8 +608,13 @@ class ShardWorkerBackend:
             specs: the grids to orchestrate (a single grid is a one-element
                 sequence).
             store: target store the merged shard results land in.
-            resume: forward ``--resume`` to the workers (effective when the
-                shard stores of an earlier run persist under ``workdir``).
+            resume: plan only the points whose record in ``store`` this
+                run cannot reuse (:meth:`SweepDatabase.reusable_indices
+                <repro.runner.db.SweepDatabase.reusable_indices>`, the rule
+                ``repro sweep --resume`` applies), and forward ``--resume``
+                to the workers, so they resume the shard stores an earlier
+                run left under ``workdir``.  When the target holds every
+                point, nothing is dispatched or merged.
             characterize / packet_count / cache_dir: the runner's
                 characterisation settings, forwarded as worker flags.
             workdir: directory for shard stores, the spec file, heartbeats
@@ -624,18 +642,30 @@ class ShardWorkerBackend:
         specs = tuple(specs)
         if not specs:
             raise ConfigurationError("orchestrate needs at least one sweep spec")
+        # The target changes only through a successful merge, so after a
+        # failed run the held points, the costs and hence the split are the
+        # same again, and every worker resumes its own shard store.
+        held = [
+            store.reusable_indices(
+                spec.content_key(), characterize=characterize, packet_count=packet_count
+            )
+            if resume
+            else frozenset()
+            for spec in specs
+        ]
+        point_groups = self.plan_point_groups(specs, store, held)
         temporary = workdir is None
         workdir = Path(tempfile.mkdtemp(prefix="repro-orchestrate-") if temporary else workdir)
         plans = self.plan_workers(
             specs,
             workdir,
-            self.plan_point_groups(specs, store),
+            point_groups,
             resume=resume,
             characterize=characterize,
             packet_count=packet_count,
             cache_dir=cache_dir,
         )
-        outcomes = self._dispatch(plans)
+        outcomes = self._dispatch(plans) if plans else []
         failed = [outcome for outcome in outcomes if not outcome.succeeded]
         if failed:
             details = "; ".join(
@@ -668,6 +698,8 @@ class ShardWorkerBackend:
             merge_reports=merge_reports,
             record_count=sum(store.record_count(key) for key in distinct_keys),
             run_count=sum(store.run_count(key) for key in distinct_keys),
+            executed_count=sum(len(group) for groups in point_groups for group in groups),
+            skipped_count=sum(len(skip) for skip in held),
             workdir=workdir if workdir.exists() else None,
         )
 

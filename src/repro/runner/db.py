@@ -514,6 +514,32 @@ class SweepDatabase:
         )
         return [json.loads(row["record_json"]) for row in rows]
 
+    def reusable_indices(
+        self, spec_key: str, *, characterize: bool, packet_count: int
+    ) -> frozenset[int]:
+        """Indices of the points whose current record a resumed run may reuse.
+
+        The one resume rule, shared by ``repro sweep --resume`` and
+        ``repro orchestrate --resume``.  A record is reusable when it was
+        produced under the same characterisation settings: a characterising
+        run needs characterisation data with the same ``packet_count``, a
+        non-characterising run needs none.  Reusing anything else would
+        diverge from a from-scratch run.
+        """
+        reusable = set()
+        for record in self.records(spec_key):
+            characterization = record.get("characterization")
+            if characterize:
+                compatible = (
+                    isinstance(characterization, dict)
+                    and characterization.get("packet_count") == packet_count
+                )
+            else:
+                compatible = characterization is None
+            if compatible:
+                reusable.add(int(record["index"]))
+        return frozenset(reusable)
+
     def run_records(self, run_id: int) -> list[dict]:
         """Every record one run committed, ordered by sweep, then point index."""
         rows = self._connection.execute(

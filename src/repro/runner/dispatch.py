@@ -109,8 +109,9 @@ class WorkerState(enum.Enum):
 
     States only ever move forward (:data:`WORKER_TRANSITIONS`); a retried
     shard gets a fresh attempt with a fresh state machine instead of
-    rewinding this one.  Lifecycle changes happen only inside this module —
-    lint rule RL007 enforces that statically.
+    rewinding this one.  Lifecycle changes happen only inside this module:
+    ``_Attempt`` advances through :data:`WORKER_TRANSITIONS`, and the
+    records it hands out are frozen.
     """
 
     NOT_READY = "NotReady"

@@ -276,10 +276,10 @@ class SweepRunner:
         hold a *compatible* record are skipped and served from the store;
         only the rest is executed (serially or on the pool, like
         :meth:`run`).  Compatible means produced under this runner's
-        characterisation settings — a record without characterisation data,
-        or characterised with a different packet count, does not satisfy a
-        characterising runner (and vice versa), since resuming over it
-        would diverge from a from-scratch run.  Because every point is
+        characterisation settings
+        (:meth:`SweepDatabase.reusable_indices
+        <repro.runner.db.SweepDatabase.reusable_indices>`, the resume rule
+        ``repro orchestrate --resume`` applies too).  Because every point is
         planned independently and records are keyed by point index, a
         resumed — even parallel — run yields records identical to a
         from-scratch serial run of the full grid.  Without ``resume``, the
@@ -308,9 +308,9 @@ class SweepRunner:
     ) -> StoreRunReport:
         """Execute an index subset of ``spec`` into ``store`` (typically its own file).
 
-        The slice is any index set — orchestration splits each grid equally
-        or by measured per-point planning cost and hands each worker its
-        indices (``repro sweep --points``).  Points keep their global
+        The slice is any index set — orchestration splits each grid by
+        measured per-point planning cost and hands each worker its indices
+        (``repro sweep --points``).  Points keep their global
         indices (``SweepSpec.points_at``), so each slice
         can run on a different host into its own
         :class:`~repro.runner.db.SweepDatabase`, and folding the stores of
@@ -348,7 +348,13 @@ class SweepRunner:
     ) -> StoreRunReport:
         """Execute ``points`` of ``spec`` against ``store`` and commit one run."""
         spec_key = store.ensure_sweep(spec)
-        existing = self._reusable_indices(store, spec_key) if resume else frozenset()
+        existing = (
+            store.reusable_indices(
+                spec_key, characterize=self.characterize, packet_count=self.packet_count
+            )
+            if resume
+            else frozenset()
+        )
         pending = tuple(point for point in points if point.index not in existing)
         skipped = len(points) - len(pending)
         if not pending:
@@ -389,22 +395,6 @@ class SweepRunner:
             ),
             run_id=run_id,
         )
-
-    def _reusable_indices(self, store: "SweepDatabase", spec_key: str) -> frozenset[int]:
-        """Stored point indices whose records this runner's settings can reuse."""
-        reusable = set()
-        for record in store.records(spec_key):
-            characterization = record.get("characterization")
-            if self.characterize:
-                compatible = (
-                    isinstance(characterization, dict)
-                    and characterization.get("packet_count") == self.packet_count
-                )
-            else:
-                compatible = characterization is None
-            if compatible:
-                reusable.add(int(record["index"]))
-        return frozenset(reusable)
 
     def _run_points(self, points: Sequence[SweepPoint]) -> list[SweepOutcome]:
         """Characterise and execute ``points``, returning outcomes in order."""

@@ -437,7 +437,8 @@ class SweepJobQueue:
                     cache_dir=self.cache_dir,
                     workdir=self.workdir,
                 )
-                executed, skipped, run_id = report.record_count, 0, None
+                executed, skipped = report.executed_count, report.skipped_count
+                run_id = None
             else:
                 runner = SweepRunner(
                     backend=backend,

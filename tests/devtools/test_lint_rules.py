@@ -430,76 +430,3 @@ class TestRL006CliHygiene:
             rules=["RL006"],
         )
         assert findings == ()
-
-
-class TestRL007WorkerLifecycle:
-    def test_flags_state_assignment_outside_dispatch(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "repro/runner/backends.py": """\
-                from repro.runner.dispatch import WorkerState
-
-                def patch(outcome):
-                    outcome.state = WorkerState.FINISHED
-                """
-            },
-            rules=["RL007"],
-        )
-        assert rule_ids(findings) == ["RL007"]
-
-    def test_flags_qualified_enum_reads(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "repro/serve/jobs.py": """\
-                from repro.runner import dispatch
-
-                def patch(attempt):
-                    attempt.state = dispatch.WorkerState.LOST
-                """
-            },
-            rules=["RL007"],
-        )
-        assert rule_ids(findings) == ["RL007"]
-
-    def test_clean_inside_dispatch_and_for_field_defaults(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "repro/runner/dispatch.py": """\
-                class _Attempt:
-                    def advance(self, target):
-                        self.state = target
-                """,
-                "repro/runner/backends.py": """\
-                from dataclasses import dataclass
-
-                from repro.runner.dispatch import WorkerState
-
-                @dataclass(frozen=True)
-                class ShardOutcome:
-                    state: WorkerState = WorkerState.FINISHED
-
-                def build():
-                    return ShardOutcome(state=WorkerState.FINISHED)
-                """,
-            },
-            rules=["RL007"],
-        )
-        assert findings == ()
-
-    def test_suppression_is_honoured(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "repro/runner/engine.py": (
-                    "from repro.runner.dispatch import WorkerState\n"
-                    "def patch(outcome):\n"
-                    "    outcome.state = WorkerState.LOST"
-                    "  # repro-lint: disable=RL007\n"
-                )
-            },
-            rules=["RL007"],
-        )
-        assert findings == ()

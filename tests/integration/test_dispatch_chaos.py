@@ -11,8 +11,9 @@ import json
 import pytest
 
 from repro.devtools.chaos import CHAOS_ENV
+from repro.errors import OrchestrationError
 from repro.experiments.figure1 import figure1_spec
-from repro.runner.backends import ShardWorkerBackend
+from repro.runner.backends import ShardWorkerBackend, batch_dirname
 from repro.runner.db import SweepDatabase
 from repro.runner.dispatch import WorkerState
 from repro.runner.engine import SweepRunner
@@ -209,8 +210,6 @@ class TestExhaustedRetries:
     ):
         """A fault matching every attempt exhausts the retry budget; the
         error carries the attempt count and the store is labelled orphaned."""
-        from repro.errors import OrchestrationError
-
         monkeypatch.setenv(
             CHAOS_ENV, json.dumps([{"kind": "crash", "shard": 1, "after_points": 1}])
         )
@@ -224,3 +223,49 @@ class TestExhaustedRetries:
             assert db.record_count() == 0  # failed orchestration merges nothing
         (orphan,) = (tmp_path / "work").rglob("*.orphaned.txt")
         assert "failed permanently" in orphan.read_text(encoding="utf-8")
+
+
+class TestResumeAfterAFailedRun:
+    def test_resume_executes_exactly_the_points_the_crashed_shard_lost(
+        self, spec, tmp_path, monkeypatch, serial_export
+    ):
+        """Measured costs size the split; worker 1 commits one point and
+        crashes with no retry left, so the orchestration fails and the
+        target stays as it was.  The resume therefore plans the same split,
+        and only the crashed shard's uncommitted points execute again."""
+        costs = {index: 4.0 if index == 0 else 1.0 for index in range(spec.point_count)}
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            db.record_run(db.ensure_sweep(spec), [], executed=0, skipped=0, point_costs=costs)
+        backend = ShardWorkerBackend(workers=3, checkpoint_every=1)
+        batch = tmp_path / "work" / batch_dirname([spec])
+        shards = [batch / f"shard-{index}-of-3.db" for index in range(3)]
+
+        def executed_points():
+            total = 0
+            for path in shards:
+                with SweepDatabase(path) as shard:
+                    total += sum(run.executed_points for run in shard.runs())
+            return total
+
+        monkeypatch.setenv(
+            CHAOS_ENV,
+            json.dumps([{"kind": "crash", "shard": 1, "attempt": 1, "after_points": 2}]),
+        )
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            split = backend.plan_point_groups([spec], db)
+            with pytest.raises(OrchestrationError, match="exited 70"):
+                backend.orchestrate([spec], db, workdir=tmp_path / "work")
+            assert db.record_count() == 0
+        assert split == [((0,),), ((1, 3, 5, 7),), ((2, 4, 6),)]
+        before = executed_points()
+        assert before == spec.point_count - 3
+
+        monkeypatch.delenv(CHAOS_ENV)
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            report = backend.orchestrate(
+                [spec], db, workdir=tmp_path / "work", resume=True
+            )
+            exported = db.export_document(tmp_path / "merged.json").read_bytes()
+        assert executed_points() - before == 3
+        assert [worker.plan.store_path for worker in report.workers] == shards
+        assert exported == serial_export

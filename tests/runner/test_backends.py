@@ -126,7 +126,6 @@ POOL_DEFAULTS = {
     "workers": 3,
     "launcher": ssh_launcher,
     "max_retries": 2,
-    "cost_sizing": True,
     "checkpoint_every": 1,
 }
 
@@ -137,7 +136,6 @@ def resolved_settings(backend):
         "workers": backend.workers,
         "launcher": backend.launcher,
         "max_retries": backend.policy.max_retries,
-        "cost_sizing": backend.cost_sizing,
         "checkpoint_every": backend.checkpoint_every,
     }
 
@@ -184,11 +182,6 @@ class TestHostPoolDefaults:
                 id="constructor-max_retries",
             ),
             pytest.param(
-                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, cost_sizing=False),
-                {"cost_sizing": False},
-                id="constructor-cost_sizing",
-            ),
-            pytest.param(
                 lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, checkpoint_every=4),
                 {"checkpoint_every": 4},
                 id="constructor-checkpoint_every",
@@ -217,7 +210,6 @@ class TestHostPoolDefaults:
             "workers": 2,
             "launcher": local_launcher,
             "max_retries": 0,
-            "cost_sizing": False,
             "checkpoint_every": None,
         }
 
@@ -288,18 +280,11 @@ class TestWorkerPlanning:
         assert plans[0].store_path.name == "shard-1-of-3.db"
 
     def test_unit_cost_split_balances_the_batch(self, small_spec, tmp_path):
-        """Without cost sizing every point costs 1.0, even when the store
-        holds measurements, and the second grid of the batch fills the
-        worker the first one left idle."""
+        """A store without measurements costs every point 1.0, and the
+        second grid of the batch fills the worker the first one left idle."""
         backend = ShardWorkerBackend(workers=3)
         with SweepDatabase(tmp_path / "s.db") as db:
-            db.record_run(
-                db.ensure_sweep(small_spec),
-                [],
-                executed=0,
-                skipped=0,
-                point_costs={0: 9.0, 1: 1.0},
-            )
+            db.ensure_sweep(small_spec)
             groups = backend.plan_point_groups([small_spec, small_spec], db)
         assert groups == [((0,), (1,)), ((1,), ()), ((), (0,))]
 
@@ -524,7 +509,7 @@ class TestCostBasedSharding:
         return db
 
     def test_no_measurements_falls_back_to_equal_sharding(self, small_spec, tmp_path):
-        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        backend = ShardWorkerBackend(workers=2)
         with SweepDatabase(tmp_path / "empty.db") as db:
             db.ensure_sweep(small_spec)
             assert backend.plan_point_groups([small_spec], db) == [((0,),), ((1,),)]
@@ -532,7 +517,7 @@ class TestCostBasedSharding:
     def test_fewer_points_than_workers_falls_back(self, small_spec, tmp_path):
         """With no more points than workers LPT gives each point a worker of
         its own, like the equal split; the idle workers are not spawned."""
-        backend = ShardWorkerBackend(workers=4, cost_sizing=True)
+        backend = ShardWorkerBackend(workers=4)
         with self.seeded_store(small_spec, tmp_path / "s.db", {0: 1.0}) as db:
             groups = backend.plan_point_groups([small_spec], db)
         assert groups == [((0,),), ((1,),), ((),), ((),)]
@@ -547,7 +532,7 @@ class TestCostBasedSharding:
             power_limits=(("no power limit", None),),
         )
         costs = {0: 10.0, 1: 1.0, 2: 1.0}  # point 3 unmeasured -> mean 4.0
-        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        backend = ShardWorkerBackend(workers=2)
         with self.seeded_store(spec, tmp_path / "s.db", costs) as db:
             groups = backend.plan_point_groups([spec], db)
             again = backend.plan_point_groups([spec], db)
@@ -568,7 +553,7 @@ class TestCostBasedSharding:
         with SweepDatabase(tmp_path / "merged.db") as db:
             SweepRunner(jobs=1).run_stored(small_spec, db)
             assert db.point_cost_rows(small_spec.content_key())
-            backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+            backend = ShardWorkerBackend(workers=2)
             report = backend.orchestrate(
                 [small_spec], db, workdir=tmp_path / "work", resume=False
             )
@@ -587,7 +572,7 @@ class TestCostBasedSharding:
             processor_counts=(0, 2, 4),
             power_limits=(("no power limit", None),),
         )
-        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        backend = ShardWorkerBackend(workers=2)
         with self.seeded_store(measured, tmp_path / "s.db", {0: 5.0, 1: 1.0}) as db:
             groups = backend.plan_point_groups([measured, small_spec], db)
         assert all(len(worker) == 2 for worker in groups)
@@ -597,10 +582,10 @@ class TestCostBasedSharding:
     def test_measured_and_unmeasured_grids_balance_on_one_loads_list(
         self, small_spec, tmp_path
     ):
-        """Under cost sizing an unmeasured grid's points cost the batch's
-        measured mean (3.0 here), and both grids pack onto the same loads:
-        the worker holding the dominant point gets none of the unmeasured
-        grid, and the two workers end at 9.0 each."""
+        """An unmeasured grid's points cost the batch's measured mean (3.0
+        here), and both grids pack onto the same loads: the worker holding
+        the dominant point gets none of the unmeasured grid, and the two
+        workers end at 9.0 each."""
         measured = SweepSpec(
             name="measured-grid",
             systems=("d695_leon",),
@@ -608,7 +593,7 @@ class TestCostBasedSharding:
             power_limits=(("no power limit", None),),
         )
         costs = {0: 9.0, 1: 1.0, 2: 1.0, 3: 1.0}
-        backend = ShardWorkerBackend(workers=2, cost_sizing=True)
+        backend = ShardWorkerBackend(workers=2)
         with self.seeded_store(measured, tmp_path / "s.db", costs) as db:
             groups = backend.plan_point_groups([measured, small_spec], db)
         assert groups == [((0,), ()), ((1, 2, 3), (0, 1))]
@@ -629,7 +614,7 @@ class TestCostBasedSharding:
             seen.append(argv)
             return list(argv)
 
-        backend = ShardWorkerBackend(workers=3, cost_sizing=True, launcher=passthrough)
+        backend = ShardWorkerBackend(workers=3, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             for spec in batch_specs:
                 db.record_run(
@@ -644,3 +629,94 @@ class TestCostBasedSharding:
         for argv in seen:
             assert_points_argv(argv)
             assert argv[argv.index("--points") + 1].count(";") == 1
+
+
+class TestResumedOrchestration:
+    """A resumed orchestration plans only what the target store lacks."""
+
+    def test_resume_after_a_measured_orchestration_plans_nothing(
+        self, batch_specs, batch_serial_export, tmp_path
+    ):
+        """The first merge carries new point costs into the target, but the
+        target then holds every point: the resume spawns no worker, executes
+        no point, carries no run and leaves the export as serial's."""
+        spawned = []
+
+        def passthrough(host, argv, env):
+            spawned.append(argv)
+            return list(argv)
+
+        backend = ShardWorkerBackend(workers=3, launcher=passthrough)
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            for spec in batch_specs:
+                SweepRunner(jobs=1).run_points(spec, db, [])
+                db.record_run(
+                    spec.content_key(),
+                    [],
+                    executed=0,
+                    skipped=0,
+                    point_costs={index: 1.0 + index % 3 for index in range(spec.point_count)},
+                )
+            first = backend.orchestrate(batch_specs, db, workdir=tmp_path / "work")
+            run_count = db.run_count()
+            spawned.clear()
+            resumed = backend.orchestrate(
+                batch_specs, db, workdir=tmp_path / "work", resume=True
+            )
+            assert db.run_count() == run_count
+            exported = db.export_document(tmp_path / "merged.json").read_bytes()
+        total = sum(spec.point_count for spec in batch_specs)
+        assert (first.executed_count, first.skipped_count) == (total, 0)
+        assert spawned == []
+        assert resumed.workers == () and resumed.merge_reports == ()
+        assert (resumed.executed_count, resumed.skipped_count) == (0, total)
+        assert resumed.record_count == total
+        assert exported == batch_serial_export
+
+    def test_resume_splits_only_the_missing_points(self, tmp_path):
+        """Points the target already holds stay out of every worker's list;
+        the rest merge in and the export matches a serial run."""
+        from repro.experiments.figure1 import figure1_spec
+
+        spec = figure1_spec("d695_leon")
+        serial = save_sweeps(
+            tmp_path / "serial.json", [(spec, SweepRunner(jobs=1).run(spec))]
+        ).read_bytes()
+        spawned = []
+
+        def passthrough(host, argv, env):
+            spawned.append(argv[argv.index("--points") + 1])
+            return list(argv)
+
+        backend = ShardWorkerBackend(workers=2, launcher=passthrough)
+        with SweepDatabase(tmp_path / "merged.db") as db:
+            SweepRunner(jobs=1).run_points(spec, db, [0, 1, 2])
+            report = backend.orchestrate([spec], db, resume=True)
+            exported = db.export_document(tmp_path / "merged.json").read_bytes()
+        assert (report.executed_count, report.skipped_count) == (5, 3)
+        assert sorted(int(i) for points in spawned for i in points.split(",")) == list(
+            range(3, spec.point_count)
+        )
+        assert exported == serial
+
+
+class TestMeasuredCosts:
+    def test_point_costs_exclude_the_system_build(self, small_spec, monkeypatch):
+        """Building a point's system is one-off work, not the point's cost:
+        with a build that sleeps 50 ms every point still costs less."""
+        import time
+
+        from repro.runner import cache
+
+        build = cache.build_point_system
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.05)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "build_point_system", slow_build)
+        backend = SerialBackend()
+        backend.execute(small_spec.points(), system_cache=cache.SystemCache())
+        costs = backend.measured_costs()
+        assert sorted(costs) == list(range(small_spec.point_count))
+        assert all(seconds < 0.05 for seconds in costs.values())

@@ -1,6 +1,7 @@
 """Tests of the fault-tolerant dispatch layer (state machine, heartbeats,
 retry/requeue, launchers) underneath the shard-worker backend."""
 
+import dataclasses
 import os
 import sys
 import textwrap
@@ -16,6 +17,8 @@ from repro.runner.dispatch import (
     SHARD_ENV,
     DispatchPolicy,
     WORKER_TRANSITIONS,
+    AttemptRecord,
+    ShardOutcome,
     WorkerState,
     WorkerSupervisor,
     _Attempt,
@@ -85,6 +88,31 @@ class TestStateMachine:
         attempt.advance(WorkerState.FINISHED)
         with pytest.raises(OrchestrationError, match="Finished -> Running"):
             attempt.advance(WorkerState.RUNNING)  # terminal states are final
+
+    def test_finished_records_refuse_a_state_assignment(self, tmp_path):
+        """Outside the supervisor a worker's state can only be read: the
+        attempt and shard records are frozen, so no caller can make a
+        terminal worker look live again."""
+        record = AttemptRecord(
+            shard_index=0,
+            attempt=1,
+            host="local/0",
+            state=WorkerState.FINISHED,
+            returncode=0,
+            duration=0.1,
+            heartbeats=1,
+            last_heartbeat_age=None,
+        )
+        outcome = ShardOutcome(
+            plan=make_plan(tmp_path),
+            state=WorkerState.FINISHED,
+            returncode=0,
+            attempts=(record,),
+        )
+        for frozen in (record, outcome):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frozen.state = WorkerState.RUNNING
+            assert frozen.state is WorkerState.FINISHED
 
 
 class TestDispatchPolicy:

@@ -136,7 +136,7 @@ class TestSerialisation:
 
 
 #: Per-point cost profiles a split is exercised with: every point costing
-#: 1.0 (cost sizing off), and uneven measured costs.
+#: 1.0 (nothing measured), and uneven measured costs.
 COST_PROFILES = {
     "unit": lambda count: [1.0] * count,
     "measured": lambda count: [float((7 * index) % 5 + 1) for index in range(count)],

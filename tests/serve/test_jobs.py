@@ -92,6 +92,19 @@ class TestSubmission:
         assert finished.executed_points == 0
         assert finished.skipped_points == spec.point_count
 
+    def test_orchestrated_jobs_count_points_like_serial_ones(self, queue_factory, waiter):
+        """A shard-workers job reports the points it handed to workers and,
+        resumed on a store holding the grid, executes none and skips all."""
+        queue = queue_factory()
+        spec = small_spec()
+        queue.submit(spec, backend="shard-workers")
+        first = waiter.wait(1)
+        assert (first.executed_points, first.skipped_points) == (spec.point_count, 0)
+        queue.submit(spec, backend="shard-workers", resume=True)
+        finished = waiter.wait(2)
+        assert finished.status == "finished"
+        assert (finished.executed_points, finished.skipped_points) == (0, spec.point_count)
+
     def test_jobs_execute_in_submission_order(self, queue_factory, waiter):
         queue = queue_factory()
         first = queue.submit(small_spec("order-a"))

@@ -757,14 +757,39 @@ class TestOrchestrateCommand:
         # either grid, so it is not spawned.
         assert "2 records, 4 run(s) across 2 sweep(s) orchestrated on 2 shard worker(s)" in out
 
-    def test_orchestrate_resume_requires_workdir(self, capsys, tmp_path):
-        assert (
-            main(
-                ["orchestrate", "d695_leon", "--store", str(tmp_path / "s.db"), "--resume"]
-            )
-            == 1
+    def test_orchestrate_resume_without_workdir_skips_stored_points(
+        self, capsys, tmp_path
+    ):
+        """--resume applies the sweep's resume rule to the target store, so
+        it needs no --workdir: only the points the store lacks are planned,
+        and once it holds them all no worker spawns."""
+        grid = ["d695_leon", "--counts", "0,2,4", "--power-limits", "none"]
+        grid += ["--no-characterize"]
+        store = str(tmp_path / "s.db")
+        exported = tmp_path / "orchestrated.json"
+        resume = ["orchestrate", *grid, "--workers", "2", "--store", store, "--resume"]
+        assert main(["sweep", *grid, "--store", store, "--points", "0,2"]) == 0
+        capsys.readouterr()
+        assert main([*resume, "--export-json", str(exported)]) == 0
+        assert "3 records, 2 run(s) across 1 sweep(s) orchestrated on 1 shard worker(s)" in (
+            capsys.readouterr().out
         )
-        assert "--workdir" in capsys.readouterr().err
+        assert main(resume) == 0
+        assert "3 records, 2 run(s) across 1 sweep(s) orchestrated on 0 shard worker(s)" in (
+            capsys.readouterr().out
+        )
+        serial = tmp_path / "serial.json"
+        assert main(["sweep", *grid, "--out", str(serial)]) == 0
+        assert exported.read_bytes() == serial.read_bytes()
+
+    def test_cost_shards_flag_is_gone(self, capsys, tmp_path):
+        """Measured costs always size the split; the old opt-in flag is an
+        argparse error."""
+        argv = ["orchestrate", "d695_leon", "--store", str(tmp_path / "s.db")]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--cost-shards"])
+        assert excinfo.value.code == 2
+        assert "--cost-shards" in capsys.readouterr().err
 
 
 class TestMergeConflictCleanup:
