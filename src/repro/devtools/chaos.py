@@ -171,10 +171,10 @@ def on_worker_start() -> None:
 def on_point_planned() -> None:
     """Per-point hook: injects ``crash`` and ``hang`` faults.
 
-    Called after each planned point (and after its heartbeat), so
-    ``after_points`` counts *completed* work — exactly what a resumed retry
-    attempt will find committed in the shard store when the worker
-    checkpoints each point.
+    Called after each point is planned (and after its heartbeat) but before
+    that point's checkpoint commits, so ``after_points: N`` fires inside
+    the N-th planned point: a worker that checkpoints each point leaves
+    N−1 points committed in its shard store for the resumed retry attempt.
     """
     global _points_planned
     _points_planned += 1

@@ -12,7 +12,7 @@ grids used by the paper.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.noc.topology import NodeCoordinate
 
@@ -67,3 +67,40 @@ def path_resources(
         if destination_port not in resources:
             resources.append(destination_port)
     return resources
+
+
+#: Bits per router in a resource mask: its local port, then its four
+#: outgoing channels.
+BITS_PER_NODE = 5
+
+#: Bit offset, within a router's bits, of the channel leaving it by each step.
+_CHANNEL_OFFSETS = {(1, 0): 1, (-1, 0): 2, (0, 1): 3, (0, -1): 4}
+
+
+def resource_bit(resource: Link, width: int) -> int:
+    """Bit index of ``resource`` in a resource mask over a ``width``-column grid.
+
+    Router ``(x, y)`` owns bits ``5·(y·width + x)`` (its local port) to
+    ``5·(y·width + x) + 4`` (its channels east, west, north and south).  The
+    index depends only on the resource and the grid width, so every process
+    numbers a grid's resources alike.
+
+    >>> resource_bit(((1, 0), (1, 0)), 3)
+    5
+    >>> resource_bit(((1, 0), (1, 1)), 3)
+    8
+    """
+    (x, y), (to_x, to_y) = resource
+    offset = 0 if resource[0] == resource[1] else _CHANNEL_OFFSETS[(to_x - x, to_y - y)]
+    return BITS_PER_NODE * (y * width + x) + offset
+
+
+def resource_mask(resources: Iterable[Link], width: int) -> int:
+    """The resource mask with the bit of every resource in ``resources`` set.
+
+    Two resource sets share a resource exactly when their masks share a bit.
+    """
+    mask = 0
+    for resource in resources:
+        mask |= 1 << resource_bit(resource, width)
+    return mask

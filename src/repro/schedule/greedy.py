@@ -175,7 +175,7 @@ class EventDrivenScheduler:
                 job = jobs[interface.identifier][core.identifier]
                 start = now
                 end = now + job.duration
-                allocator.reserve(job.core_id, job.resources, start, end)
+                allocator.reserve(job.core_id, job.mask, start, end)
                 pool.occupy(interface.identifier, start, end)
                 tracker.start(job.core_id, job.power)
                 assignment = Assignment(job=job, start=start, end=end)
@@ -313,7 +313,7 @@ class GreedyScheduler(EventDrivenScheduler):
                 job = row[core.identifier]
                 if job is None:
                     continue
-                if not allocator.is_free(job.resources, now):
+                if not allocator.is_free(job.mask, now):
                     continue
                 if not tracker.can_start(job.core_id, job.power):
                     continue

@@ -3,7 +3,8 @@
 A *test job* is the result of deciding to test a given core through a given
 test interface: it fixes the two NoC routes (source→CUT for stimuli, CUT→sink
 for responses), the job duration, the power drawn while the job runs and the
-set of exclusive NoC resources the job holds.
+set of exclusive NoC resources the job holds, both as a tuple of links and as
+an integer mask with one bit per resource (:func:`~repro.noc.links.resource_mask`).
 
 Duration model
 --------------
@@ -32,13 +33,13 @@ paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import SchedulingError
-from repro.noc.links import Link
+from repro.noc.links import Link, resource_mask
 from repro.noc.network import Network
 from repro.tam.interfaces import TestInterface
 
@@ -59,6 +60,9 @@ class TestJob:
         patterns: number of test patterns applied.
         cycles_per_pattern: effective per-pattern cycles including the
             interface's generation overhead.
+        mask: ``resources`` as a resource mask, for the schedulers' link
+            allocator.  It takes no part in equality or ``repr``: it is
+            derived from ``resources`` and the grid, and never exported.
     """
 
     __test__ = False
@@ -73,6 +77,7 @@ class TestJob:
     setup_cycles: int
     patterns: int
     cycles_per_pattern: int
+    mask: int = field(compare=False, repr=False)
 
 
 def build_job(core: CoreUnderTest, interface: TestInterface, network: Network) -> TestJob:
@@ -136,6 +141,7 @@ def build_job(core: CoreUnderTest, interface: TestInterface, network: Network) -
         setup_cycles=setup,
         patterns=core.patterns,
         cycles_per_pattern=per_pattern,
+        mask=resource_mask(resources, network.topology.width),
     )
 
 

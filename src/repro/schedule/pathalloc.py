@@ -2,73 +2,73 @@
 
 While a test runs, its stimulus and response routes are dedicated connections:
 no other test may use any channel (or endpoint local port) of those routes.
-:class:`LinkAllocator` keeps, for every resource, the time until which it is
-held, and answers availability queries for the event-driven schedulers.
+:class:`LinkAllocator` answers the event-driven schedulers' availability
+queries over resource masks: every job carries its resources as an integer
+with one bit per resource (``TestJob.mask``, numbered by
+:func:`repro.noc.links.resource_bit`), so "are this job's links free?" is a
+single AND against the bits currently held.
 
 The schedulers only ever start jobs at the current event time and hold
-resources for the whole job, so a simple "busy until" map is sufficient — no
-interval trees are needed.
+resources for the whole job, so the allocator keeps just the live
+reservations and the union of their masks — no per-link map, no interval
+trees.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
-from repro.noc.links import Link
 
 
 @dataclass
 class LinkAllocator:
-    """Busy-until bookkeeping for exclusive NoC resources.
+    """Live reservations of exclusive NoC resources, as resource masks.
 
-    Per-candidate availability is memoised: the schedulers probe the same
-    resource tuples (one per candidate job) at every event, so the allocator
-    keeps, per probed tuple, the max busy-until it last computed.  Because
-    reservations only ever push busy-until times *forward* (resources are
-    held to the end of their job, never released early), a cached bound in
-    the future proves the tuple is still busy without rescanning it; a bound
-    at or before ``now`` is merely stale and triggers an exact rescan.  The
-    answers are therefore identical to the uncached scan.
+    ``_live`` holds one ``(end, mask, job id)`` per reservation not yet
+    expired and ``_held`` the union of their masks; :meth:`reserve` refuses
+    a mask that meets ``_held``, so live masks are disjoint.  A resource held
+    until ``end`` is free at ``end``: a reservation expires once a query's
+    time reaches its end.  Expiry runs only when that time has reached the
+    earliest live end (``_next_end``), so most queries are one AND.  Query
+    times must not go back, as the schedulers' event time never does.
+
+    A zero-cycle reservation ends at its own start, so it sets no bits: a
+    later job may take its links at the same instant.  Nothing is released
+    when the event loop retires a finished job; expiry by end time is the
+    only release, which keeps the answers those of a per-resource
+    "busy until" map.
     """
 
-    _busy_until: dict[Link, float] = field(default_factory=dict)
-    _holder: dict[Link, str] = field(default_factory=dict)
-    _bounds: dict[tuple[Link, ...], float] = field(default_factory=dict, repr=False)
+    _held: int = 0
+    _live: list[tuple[float, int, str]] = field(default_factory=list)
+    _next_end: float = math.inf
 
-    def is_free(self, resources: tuple[Link, ...], now: float) -> bool:
-        """True when every resource in ``resources`` is free at time ``now``."""
-        bound = self._bounds.get(resources)
-        if bound is not None and bound > now:
-            # busy-until only grows, so the true bound is >= the cached one:
-            # the tuple is definitely still busy.
-            return False
-        return self._scan(resources) <= now
+    def is_free(self, mask: int, now: float) -> bool:
+        """True when every resource in ``mask`` is free at time ``now``."""
+        if now >= self._next_end:
+            self._expire(now)
+        return not mask & self._held
 
-    def earliest_free(self, resources: tuple[Link, ...]) -> float:
-        """Earliest time at which all of ``resources`` are simultaneously free.
+    def earliest_free(self, mask: int) -> float:
+        """Earliest time at which all of ``mask``'s resources are free.
 
-        This is a lower bound: a resource released at that time could be
-        re-acquired by another job first, so callers must re-check with
-        :meth:`is_free` at the actual decision instant.
+        The latest end among the live reservations that meet ``mask``, or
+        ``0.0``; a reservation that has ended but not yet expired may give a
+        time at or before the last query's.  This is a lower bound: a
+        resource released at that time could be re-acquired by another job
+        first, so callers must re-check with :meth:`is_free` at the actual
+        decision instant.
         """
-        return self._scan(resources)
-
-    def _scan(self, resources: tuple[Link, ...]) -> float:
-        """Exact max busy-until over ``resources``; refreshes the cached bound."""
-        busy_until = self._busy_until
         bound = 0.0
-        for resource in resources:
-            held = busy_until.get(resource, 0.0)
-            if held > bound:
-                bound = held
-        self._bounds[resources] = bound
+        for end, held, _ in self._live:
+            if held & mask and end > bound:
+                bound = end
         return bound
 
-    def reserve(
-        self, job_id: str, resources: tuple[Link, ...], now: float, until: float
-    ) -> None:
-        """Hold ``resources`` for ``job_id`` from ``now`` until ``until``.
+    def reserve(self, job_id: str, mask: int, now: float, until: float) -> None:
+        """Hold ``mask``'s resources for ``job_id`` from ``now`` until ``until``.
 
         Raises:
             SchedulingError: if any resource is still held by another job —
@@ -77,16 +77,27 @@ class LinkAllocator:
         """
         if until < now:
             raise SchedulingError("reservation end must not precede its start")
-        for resource in resources:
-            if self._busy_until.get(resource, 0.0) > now:
-                raise SchedulingError(
-                    f"resource {resource} is still held by "
-                    f"{self._holder.get(resource, 'unknown')!r} at time {now}, "
-                    f"cannot reserve it for {job_id!r}"
-                )
-        for resource in resources:
-            self._busy_until[resource] = until
-            self._holder[resource] = job_id
-        # The reserved tuple's own bound is exactly `until` now (set only
-        # after validation: a failed reservation must not raise a bound).
-        self._bounds[resources] = until
+        if now >= self._next_end:
+            self._expire(now)
+        conflict = mask & self._held
+        if conflict:
+            holder = next(job for _, held, job in self._live if held & conflict)
+            raise SchedulingError(
+                f"resource bits {conflict:#x} are still held by {holder!r} at time "
+                f"{now}, cannot reserve them for {job_id!r}"
+            )
+        if until > now:
+            self._live.append((until, mask, job_id))
+            self._held |= mask
+            if until < self._next_end:
+                self._next_end = until
+
+    def _expire(self, now: float) -> None:
+        """Drop the reservations that end at or before ``now``."""
+        live = [reservation for reservation in self._live if reservation[0] > now]
+        held = 0
+        for _, mask, _ in live:
+            held |= mask
+        self._live = live
+        self._held = held
+        self._next_end = min((end for end, _, _ in live), default=math.inf)

@@ -213,6 +213,12 @@ def _check_interface_overlaps(result: ScheduleResult) -> None:
 
 
 def _check_resource_overlaps(result: ScheduleResult) -> None:
+    """No NoC resource is held by two overlapping assignments.
+
+    Reads each job's ``resources`` link by link and never its ``mask``: this
+    is the independent check of the schedulers, whose link allocator works
+    on the masks alone.
+    """
     usage: dict[Link, list[Assignment]] = defaultdict(list)
     for assignment in result.assignments:
         for resource in assignment.job.resources:

@@ -12,19 +12,21 @@ policies on p22810 reproduces (and explains) the irregular bars of Figure 1.
 
 The best interface of each pending core is memoised for the whole plan.  An
 estimate ``max(now, available, links free) + duration`` only grows: a start
-pushes its interface's and its links' busy-until times forward, and time
-moves forward.  So a memoised best stays the best unless its own estimate
+pushes its interface's busy-until time forward and holds its links to its
+end, and time moves forward.  So a memoised best stays the best unless its own estimate
 may have grown, and the memo drops an entry only then:
 
-* on a start, when the entry's best interface is the started one or its job
-  shares a link with the started job;
+* on a start, when the entry's best interface is the started one or its
+  job's resource mask meets the started job's (they share a link or port);
 * on a new event, when the entry's ``ready = max(available, links free)`` is
   before the new ``now`` (the estimate has become ``now + duration``);
 * all entries, when a processor interface is enabled (a new candidate).
 
 While searching for a best, an interface whose estimate without the link
-scan, ``max(now, available) + duration``, is already no better than the best
-so far is skipped: the scan could only raise it.
+query, ``max(now, available) + duration``, is already no better than the
+best so far is skipped: the allocator's ``earliest_free`` could only raise
+it.  Links are queried by the jobs' resource masks (``TestJob.mask``), so the
+query walks the few live reservations, not the job's links.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class FastestCompletionScheduler(EventDrivenScheduler):
                 # The best interface is busy right now: wait for it instead of
                 # settling for a slower one (the anti-greedy decision).
                 continue
-            if not allocator.is_free(job.resources, now):
+            if not allocator.is_free(job.mask, now):
                 continue
             if not tracker.can_start(job.core_id, job.power):
                 continue
@@ -164,8 +166,8 @@ class FastestCompletionScheduler(EventDrivenScheduler):
                 max(fnow, available_at) + job.duration,
                 identifier,
             ) >= best[0]:
-                continue  # the link scan could only raise this estimate
-            ready = max(available_at, allocator.earliest_free(job.resources))
+                continue  # the link query could only raise this estimate
+            ready = max(available_at, allocator.earliest_free(job.mask))
             key = (max(fnow, ready) + job.duration, identifier)
             if best is None or key < best[0]:
                 best = (key, ready, job)
@@ -178,15 +180,11 @@ class FastestCompletionScheduler(EventDrivenScheduler):
         del best[core_id]
         if job.duration:
             memo.available_now.discard(job.interface_id)
-        reserved = set(job.resources)
         stale = [
             other
             for other, entry in best.items()
             if entry is not None
-            and (
-                entry[2].interface_id == job.interface_id
-                or not reserved.isdisjoint(entry[2].resources)
-            )
+            and (entry[2].interface_id == job.interface_id or entry[2].mask & job.mask)
         ]
         for other in stale:
             del best[other]

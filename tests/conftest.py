@@ -19,7 +19,8 @@ from repro.system.builder import SystemBuilder
 from repro.tam.ports import PortDirection
 
 # Test tooling, not a product setting: CI's schedule-oracle job runs the
-# selection oracle (tests/schedule/test_selection_oracle.py) with
+# selection oracle (tests/schedule/test_selection_oracle.py) and the
+# resource-mask property (tests/schedule/test_job_masks.py) with
 # `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
 # default example budget.
 settings.register_profile("schedule-oracle", max_examples=500)

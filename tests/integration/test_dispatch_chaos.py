@@ -60,8 +60,9 @@ class TestCrashRequeue:
     def test_mid_shard_crash_retries_and_merges_byte_identical(
         self, spec, tmp_path, monkeypatch, serial_export
     ):
-        """Kill worker 0 after one committed point; the retry resumes the
-        shard store and the merged export matches serial byte for byte."""
+        """Kill worker 0 inside its first planned point, before that point
+        commits; the retry resumes the shard store and the merged export
+        matches serial byte for byte."""
         report, exported, run_count = orchestrate_with_chaos(
             [spec],
             tmp_path,

@@ -21,12 +21,15 @@ from repro.tam.ports import PortDirection
 
 
 @st.composite
-def random_system(draw, benchmarks=None, min_terminals=1, min_patterns=1):
+def random_system(
+    draw, benchmarks=None, min_terminals=1, min_patterns=1, local_ports=st.just(True)
+):
     """Build a random small SocSystem.
 
     ``benchmarks`` (a strategy of :class:`SocBenchmark`) replaces the random
     modules; ``min_terminals``/``min_patterns`` of 0 admit terminal-less and
-    zero-pattern modules.
+    zero-pattern modules; ``local_ports`` draws the NoC's
+    ``exclusive_local_ports``.
     """
     width = draw(st.integers(min_value=2, max_value=4))
     height = draw(st.integers(min_value=2, max_value=4))
@@ -57,7 +60,13 @@ def random_system(draw, benchmarks=None, min_terminals=1, min_patterns=1):
                 )
             )
 
-    builder = SystemBuilder("rnd", NocConfig(width=width, height=height, flit_width=flit_width))
+    config = NocConfig(
+        width=width,
+        height=height,
+        flit_width=flit_width,
+        exclusive_local_ports=draw(local_ports),
+    )
+    builder = SystemBuilder("rnd", config)
     builder.add_benchmark(benchmark)
     if processor_count:
         builder.add_processors(plasma_processor(), processor_count)

@@ -3,30 +3,69 @@
 The straightforward event loop, kept as a test oracle: after every start it
 asks the policy again from scratch, and each policy rescans every available
 interface and every pending core, re-probing every link of every candidate
-job.  The jobs are built afresh with :func:`build_job` for every plan.  The
-library's loops remember what an instant already ruled out; they must return
-exactly the same assignments and raise exactly the same errors.
+job.  The jobs are built afresh with :func:`build_job` for every plan, and
+their links are reserved in a per-link "busy until" map
+(:class:`ReferenceLinkAllocator`) that reads ``job.resources`` and never the
+jobs' resource masks.  The library's loops remember what an instant already
+ruled out and answer link queries over masks; they must return exactly the
+same assignments and raise exactly the same errors.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import PowerBudgetError, SchedulingError
+from repro.noc.links import Link
 from repro.noc.network import Network
 from repro.schedule.greedy import GreedyScheduler, PriorityFactory
 from repro.schedule.job import TestJob, build_job
-from repro.schedule.pathalloc import LinkAllocator
 from repro.schedule.power import PowerConstraint, PowerTracker
 from repro.schedule.priority import distance_priority, priority_order
 from repro.schedule.result import Assignment, ScheduleResult
 from repro.schedule.variants import FastestCompletionScheduler
 from repro.tam.interfaces import TestInterface
 from repro.tam.pool import NEVER, ResourcePool
+
+
+@dataclass
+class ReferenceLinkAllocator:
+    """Busy-until bookkeeping per exclusive NoC resource, probed link by link."""
+
+    _busy_until: dict[Link, float] = field(default_factory=dict)
+    _holder: dict[Link, str] = field(default_factory=dict)
+
+    def is_free(self, resources: tuple[Link, ...], now: float) -> bool:
+        """True when every resource in ``resources`` is free at time ``now``."""
+        return self.earliest_free(resources) <= now
+
+    def earliest_free(self, resources: tuple[Link, ...]) -> float:
+        """The latest busy-until over ``resources``, or ``0.0``."""
+        bound = 0.0
+        for resource in resources:
+            bound = max(bound, self._busy_until.get(resource, 0.0))
+        return bound
+
+    def reserve(
+        self, job_id: str, resources: tuple[Link, ...], now: float, until: float
+    ) -> None:
+        """Hold ``resources`` for ``job_id`` from ``now`` until ``until``."""
+        if until < now:
+            raise SchedulingError("reservation end must not precede its start")
+        for resource in resources:
+            if self._busy_until.get(resource, 0.0) > now:
+                raise SchedulingError(
+                    f"resource {resource} is still held by "
+                    f"{self._holder.get(resource, 'unknown')!r} at time {now}, "
+                    f"cannot reserve it for {job_id!r}"
+                )
+        for resource in resources:
+            self._busy_until[resource] = until
+            self._holder[resource] = job_id
 
 
 @dataclass
@@ -48,7 +87,7 @@ class ReferenceEventLoop:
         now: int,
         pending: list[CoreUnderTest],
         pool: ResourcePool,
-        allocator: LinkAllocator,
+        allocator: ReferenceLinkAllocator,
         tracker: PowerTracker,
         jobs: dict[tuple[str, str], TestJob],
     ) -> tuple[CoreUnderTest, TestInterface] | None:
@@ -68,7 +107,7 @@ class ReferenceEventLoop:
         self._check_inputs(cores, interfaces)
 
         pool = ResourcePool(interfaces)
-        allocator = LinkAllocator()
+        allocator = ReferenceLinkAllocator()
         tracker = PowerTracker(power_constraint)
         jobs = self._build_jobs(cores, interfaces, network)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleValidationError
+from repro.noc.links import resource_mask
 from repro.schedule.job import TestJob
 from repro.schedule.power import PowerConstraint
 from repro.schedule.result import Assignment, ScheduleResult, validate_schedule
@@ -13,7 +14,7 @@ PORT_B = ((1, 1), (1, 1))
 LINK = ((0, 0), (1, 0))
 
 
-def job(core, interface, duration=100, power=10.0, resources=(PORT_A,)):
+def job(core, interface, duration=100, power=10.0, resources=(PORT_A,), mask=None):
     return TestJob(
         core_id=core,
         interface_id=interface,
@@ -25,6 +26,7 @@ def job(core, interface, duration=100, power=10.0, resources=(PORT_A,)):
         setup_cycles=5,
         patterns=3,
         cycles_per_pattern=30,
+        mask=resource_mask(resources, width=3) if mask is None else mask,
     )
 
 
@@ -162,6 +164,18 @@ class TestValidateSchedule:
             [
                 Assignment(job("a", "ext0", resources=(LINK,)), 0, 100),
                 Assignment(job("b", "proc0", resources=(LINK,)), 50, 150),
+            ],
+            interfaces=[external(), processor()],
+        )
+        with pytest.raises(ScheduleValidationError, match="used simultaneously"):
+            validate_schedule(result)
+
+    def test_resource_overlap_detected_without_masks(self):
+        """Validation checks ``resources``, never the allocator's masks."""
+        result = make_result(
+            [
+                Assignment(job("a", "ext0", resources=(LINK,), mask=0), 0, 100),
+                Assignment(job("b", "proc0", resources=(LINK,), mask=0), 50, 150),
             ],
             interfaces=[external(), processor()],
         )

@@ -167,6 +167,43 @@ class TestSelectionMatchesReference:
             expected = run(REFERENCES[scheduler_type.name](), **inputs)
             assert run(scheduler_type(), **inputs) == expected, scheduler_type.name
 
+    def test_zero_cycle_finish_frees_no_later_links(self):
+        """``z`` takes zero cycles, then ``b`` takes the shared router port at
+        the same instant.  ``z``'s finish, an event at that instant, must not
+        free the port: ``c`` needs it and waits for ``b``."""
+        network = Network(NocConfig(width=3, height=1, flit_width=16))
+        cores = []
+        for index, (name, node, patterns) in enumerate(
+            [("z", (1, 0), 0), ("b", (0, 0), 8), ("c", (2, 0), 2)]
+        ):
+            module = Module(
+                number=index + 1,
+                name=name,
+                inputs=4 if patterns else 0,
+                outputs=4 if patterns else 0,
+                patterns=patterns,
+                power=10.0,
+            )
+            core = build_core(module, flit_width=16)
+            core.place_at(node)
+            cores.append(core)
+        interfaces = [
+            TestInterface(
+                identifier=f"ext{index}",
+                kind=InterfaceKind.EXTERNAL,
+                source_node=(1, 0),
+                sink_node=(1, 0),
+            )
+            for index in range(2)
+        ]
+        inputs = {"cores": cores, "interfaces": interfaces, "network": network}
+        for scheduler_type in SCHEDULERS:
+            expected = run(REFERENCES[scheduler_type.name](), **inputs)
+            assert run(scheduler_type(), **inputs) == expected, scheduler_type.name
+            times = {core: (start, end) for core, _, start, end in expected}
+            assert times["z"] == (0, 0), scheduler_type.name
+            assert times["c"][0] == times["b"][1] > 0, scheduler_type.name
+
     @pytest.mark.parametrize("fraction", [None, 0.5, 0.3])
     def test_p93791_leon(self, fraction):
         system = build_paper_system("p93791_leon")
