@@ -101,15 +101,12 @@ class ServeClient:
         spec: Mapping,
         *,
         backend: str | None = None,
-        jobs: int | None = None,
         resume: bool | None = None,
     ) -> dict:
         """``POST /sweeps`` — enqueue one grid; returns the job snapshot."""
         body: dict = {"spec": dict(spec)}
         if backend is not None:
             body["backend"] = backend
-        if jobs is not None:
-            body["jobs"] = jobs
         if resume is not None:
             body["resume"] = resume
         return self._request("POST", "/sweeps", body=body)

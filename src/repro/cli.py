@@ -16,10 +16,10 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   tables (all six panels by default).
 * ``headline`` — recompute the paper's quoted reduction percentages.
 * ``sweep [SYSTEM...]`` — run an arbitrary experiment grid (reuse levels ×
-  power limits × schedulers) through the sweep engine on an in-process
-  execution backend (``--backend serial|pool``, ``--jobs``),
-  with build/characterisation caching (``--cache-dir``), a schema-versioned
-  JSON result store (``--out``, re-printable via ``--load``), a durable
+  power limits × schedulers) through the sweep engine, in-process and in
+  point order, with build/characterisation caching (``--cache-dir``), a
+  schema-versioned JSON result store (``--out``, re-printable via
+  ``--load``), a durable
   sqlite store with incremental re-runs (``--store``, ``--resume``),
   sliced execution of an explicit point list of each grid (``--points``,
   for distributing a sweep across hosts or CI jobs), chunked commits
@@ -91,8 +91,9 @@ if TYPE_CHECKING:
 #: the parser does not import the profiler (a test pins the two together).
 _PROFILE_SORTS = ("calls", "cumulative", "tottime")
 
-#: ``repro sweep --backend`` choices: the backends that plan in-process.
-#: Shard workers are reached through ``repro orchestrate``.
+#: ``repro sweep --backend`` choices.  The flag and ``--jobs`` are deprecated
+#: and only parsed: ``repro sweep`` always plans in-process, and shard
+#: workers are reached through ``repro orchestrate``.
 _SWEEP_BACKENDS = ("pool", "serial")
 
 
@@ -460,6 +461,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.devtools.chaos import on_worker_start
 
         on_worker_start()
+    for flag in ("--jobs", "--backend"):
+        if getattr(args, flag[2:]) is not None:
+            print(
+                f"warning: {flag} is deprecated and ignored; repro sweep plans "
+                "in-process, use `repro orchestrate --workers N` to plan on "
+                "N processes",
+                file=sys.stderr,
+            )
     if args.load:
         _reject_load_conflicts(args)
         for sweep in load_sweeps(args.load):
@@ -482,8 +491,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "chunks; it needs --store"
         )
     runner = SweepRunner(
-        jobs=args.jobs,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         characterize=not args.no_characterize,
         packet_count=args.packets,
@@ -514,8 +521,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"{characterizations['misses']} NoC characterisations "
         f"({characterizations['hits']} hits, "
         f"{characterizations['disk_hits']} from disk) "
-        f"for {planned_points} grid points "
-        f"on {runner.jobs} worker(s)"
+        f"for {planned_points} grid points"
     )
     return _worker_exit(0)
 
@@ -988,18 +994,10 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduces the Figure 1 grids of the selected systems.",
     )
     _add_grid_arguments(sweep)
+    # Deprecated spellings, parsed but ignored (_cmd_sweep warns).
+    sweep.add_argument("--jobs", type=int, default=None, help=argparse.SUPPRESS)
     sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (0 = one per CPU; default: 1, serial)",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=_SWEEP_BACKENDS,
-        default=None,
-        help="in-process execution backend (default: serial, or pool when "
-        "--jobs > 1); `repro orchestrate` fans a grid out over shard workers",
+        "--backend", choices=_SWEEP_BACKENDS, default=None, help=argparse.SUPPRESS
     )
     sweep.add_argument(
         "--out", default=None, help="write results as schema-versioned JSON to this file"

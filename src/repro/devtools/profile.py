@@ -16,8 +16,8 @@ and the campaigns; ``--no-characterize`` leaves the campaigns out.  The
 profiler tells you *where the time goes*; ``perfbench/`` tells you how
 long a user waits and how that time splits across the layers.
 
-The harness always executes in-process on the serial backend — a profile of
-a process pool would only show the parent waiting on its workers.
+The harness runs the grid in-process, as every ``SweepRunner`` does, so
+the whole planning path lands in one profile.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def profile_specs(
     import cProfile
     import pstats
 
-    runner = SweepRunner(jobs=1, characterize=characterize, packet_count=packet_count)
+    runner = SweepRunner(characterize=characterize, packet_count=packet_count)
     profiler = cProfile.Profile()
     profiler.enable()
     try:

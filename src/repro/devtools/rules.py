@@ -392,98 +392,29 @@ class ErrorModelRule(LintRule):
 
 
 class RegistryCompletenessRule(ProjectLintRule):
-    """RL005 — registries are complete and pinned to their docs.
+    """RL005 — the route table is resolved and pinned to its docs.
 
-    Every concrete :class:`ExecutionBackend` must be reachable through
-    ``BACKEND_FACTORIES`` (otherwise ``--backend <name>`` silently cannot
-    find it), and every ``ROUTES`` entry must resolve to a handler and carry
-    a ``docs/api.md`` heading, in table order — the contract the serve
+    Every ``ROUTES`` entry must resolve to a handler and carry a
+    ``docs/api.md`` heading, in table order — the contract the serve
     doc-pinning test established, now enforced statically.
     """
 
     rule_id = "RL005"
-    title = "backend registry complete; route table resolved and documented"
+    title = "route table resolved and documented"
     severity = "error"
     rationale = (
-        "an unregistered backend is unreachable from the CLI; an undocumented "
+        "a route without its handler fails only when called; an undocumented "
         "route (or a stale doc heading) breaks the published API contract"
     )
     fix_hint = (
-        "register the backend in BACKEND_FACTORIES; document every route as a "
+        "define the handler the route names; document every route as a "
         "'### `METHOD /path`' heading in docs/api.md, in route-table order"
     )
 
     def check_project(self, modules: Sequence[ModuleSource]) -> Iterator[Finding]:
-        """Check every registry-defining module of the linted file set."""
+        """Check every route-table-defining module of the linted file set."""
         for module in modules:
-            yield from self._check_backends(module)
             yield from self._check_routes(module)
-
-    # -- backend registry ---------------------------------------------------
-
-    def _check_backends(self, module: ModuleSource) -> Iterator[Finding]:
-        factories = self._assigned(module, "BACKEND_FACTORIES")
-        if not isinstance(factories, ast.Dict):
-            return
-        registered = {
-            dotted_name(value).rsplit(".", 1)[-1]
-            for value in factories.values
-            if dotted_name(value) is not None
-        }
-        for class_node in self._concrete_backends(module):
-            if class_node.name not in registered:
-                yield self.finding(
-                    module,
-                    class_node,
-                    f"concrete backend {class_node.name} is missing from "
-                    "BACKEND_FACTORIES",
-                )
-
-    def _concrete_backends(self, module: ModuleSource) -> Iterator[ast.ClassDef]:
-        """Classes transitively subclassing ``ExecutionBackend`` with a
-        concrete ``name`` class attribute."""
-        classes: dict[str, ast.ClassDef] = {
-            node.name: node
-            for node in module.tree.body
-            if isinstance(node, ast.ClassDef)
-        }
-        bases = {
-            name: {
-                dotted_name(base).rsplit(".", 1)[-1]
-                for base in node.bases
-                if dotted_name(base) is not None
-            }
-            for name, node in classes.items()
-        }
-
-        def descends(name: str, seen: frozenset[str] = frozenset()) -> bool:
-            if name in seen:
-                return False
-            for base in bases.get(name, set()):
-                if base == "ExecutionBackend" or descends(base, seen | {name}):
-                    return True
-            return False
-
-        for name, node in classes.items():
-            if not descends(name):
-                continue
-            backend_name = self._class_attr(node, "name")
-            if isinstance(backend_name, str) and backend_name != "abstract":
-                yield node
-
-    @staticmethod
-    def _class_attr(node: ast.ClassDef, attr: str) -> object | None:
-        for statement in node.body:
-            if (
-                isinstance(statement, ast.Assign)
-                and any(
-                    isinstance(target, ast.Name) and target.id == attr
-                    for target in statement.targets
-                )
-                and isinstance(statement.value, ast.Constant)
-            ):
-                return statement.value.value
-        return None
 
     # -- route table --------------------------------------------------------
 

@@ -17,8 +17,7 @@ directly and check the shapes the paper reports.
 Since the sweep-engine refactor every grid-shaped driver is a thin
 :class:`~repro.runner.spec.SweepSpec` definition executed by the shared
 :class:`~repro.runner.engine.SweepRunner` — pass a configured runner to any
-driver to share build/characterisation caches or to pick an execution
-backend (process pool, orchestrated shard workers).  The spec factories
+driver to share build/characterisation caches.  The spec factories
 (:func:`figure1_spec`, :func:`scheduler_comparison_spec`,
 :func:`pattern_penalty_spec`, :func:`flit_width_spec`) are exported
 separately so any backend can execute an experiment grid — e.g. dumped via

@@ -67,7 +67,7 @@ def scheduler_comparison_spec(
     """The declarative grid of the scheduler-policy ablation (claim T4).
 
     A thin spec like :func:`repro.experiments.figure1.figure1_spec`: a
-    runner executes it in-process or on a pool, or the shard-worker
+    runner executes it in-process, or the shard-worker
     orchestrator fans it out into a store (``repro sweep --spec-json`` /
     :meth:`ShardWorkerBackend.orchestrate
     <repro.runner.backends.ShardWorkerBackend.orchestrate>`).

@@ -117,8 +117,7 @@ def run_panel(
         scheduler: scheduling policy; defaults to the paper's greedy policy.
         flit_width: NoC flit width used to build the system.
         runner: sweep runner to execute the panel's grid on; defaults to a
-            fresh serial runner (pass a shared runner to reuse its caches or
-            to run the grid on a process pool).
+            fresh runner (pass a shared runner to reuse its caches).
     """
     spec = figure1_spec(
         system_name,

@@ -1,22 +1,21 @@
-"""Parallel experiment-sweep engine with result caching.
+"""Experiment-sweep engine with result caching.
 
 The runner package is the orchestration layer above the planner: declare a
-grid with :class:`SweepSpec`, execute it with :class:`SweepRunner` on an
-in-process :class:`ExecutionBackend` (serial or a process pool — always in
-deterministic point order), and persist the outcome as schema-versioned
-JSON with :func:`save_sweeps` / :func:`load_sweeps` or durably in a
-:class:`SweepDatabase` sqlite store (crash-safe, accumulates across runs,
-and enables incremental re-runs via :meth:`SweepRunner.run_stored`).  Grids
-also execute sharded: any list of point indices runs anywhere via
-:meth:`SweepRunner.run_points` into its own store, and
-:meth:`SweepDatabase.merge_all` folds the shard stores back into one
-database record-identical to a single-host run —
+grid with :class:`SweepSpec`, execute it in-process with
+:class:`SweepRunner` (always in deterministic point order), and persist the
+outcome as schema-versioned JSON with :func:`save_sweeps` /
+:func:`load_sweeps` or durably in a :class:`SweepDatabase` sqlite store
+(crash-safe, accumulates across runs, and enables incremental re-runs via
+:meth:`SweepRunner.run_stored`).  Grids also execute sharded: any list of
+point indices runs anywhere via :meth:`SweepRunner.run_points` into its own
+store, and :meth:`SweepDatabase.merge_all` folds the shard stores back into
+one database record-identical to a single-host run —
 :meth:`ShardWorkerBackend.orchestrate` (``repro orchestrate`` on the
 command line) automates that dispatch-monitor-merge cycle for a whole batch
 of grids in one round of subprocess workers, with a launcher hook for
-remote fan-out.  The paper's experiment drivers (:mod:`repro.experiments`)
-and the ``repro sweep``/``repro orchestrate`` CLI are thin layers over this
-package.
+remote fan-out; it is the one way to plan on several processes.  The
+paper's experiment drivers (:mod:`repro.experiments`) and the ``repro
+sweep``/``repro orchestrate`` CLI are thin layers over this package.
 
 Quickstart::
 
@@ -28,7 +27,7 @@ Quickstart::
         processor_counts=(0, 2, 4, 6),
         power_limits={"no power limit": None, "50% power limit": 0.5},
     )
-    outcomes = SweepRunner(jobs=4, characterize=True).run(spec)
+    outcomes = SweepRunner(characterize=True).run(spec)
     for outcome in outcomes:
         print(outcome.point.label, outcome.makespan)
 
@@ -43,14 +42,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.runner.atomic": ("atomic_write_text",),
         "repro.runner.backends": (
-            "BACKEND_FACTORIES",
-            "ExecutionBackend",
             "OrchestrationReport",
-            "ProcessPoolBackend",
             "SerialBackend",
             "ShardWorkerBackend",
             "WorkerPlan",
-            "make_backend",
         ),
         "repro.runner.cache": (
             "CacheStats",
@@ -64,7 +59,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "StoreRunReport",
             "SweepOutcome",
             "SweepRunner",
-            "execute_point",
         ),
         "repro.runner.schedulers": (
             "SCHEDULER_FACTORIES",

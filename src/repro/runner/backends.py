@@ -1,19 +1,12 @@
-"""Execution backends for the sweep engine, and the shard-worker orchestrator.
+"""In-process point execution for the sweep engine, and the shard-worker orchestrator.
 
-The :class:`~repro.runner.engine.SweepRunner` decides *what* to run — which
-points, what to characterise, what lands in which store — but delegates *how*
-the points execute in-process to an :class:`ExecutionBackend`.  Two ship,
-registered by name in :data:`BACKEND_FACTORIES`:
+:class:`SerialBackend` is how every :class:`~repro.runner.engine.SweepRunner`
+plans its points: in-process, one after the other, in point order, timing
+each plan so store-backed runs can record per-point costs.
+:class:`ProcessPoolBackend` survives only as a deprecated, empty subclass
+of it that nothing in the package instantiates; see its docstring.
 
-:class:`SerialBackend`
-    Plans every point in-process, one after the other.
-:class:`ProcessPoolBackend`
-    The ``jobs=N`` ``multiprocessing`` pool: order-preserving ``map`` over
-    the points, workers seeded with the parent's warm system cache, so a
-    pool run is byte-for-byte identical to a serial one.
-
-:class:`ShardWorkerBackend` is not an execution backend: callers invoke its
-:meth:`~ShardWorkerBackend.orchestrate` directly.  It splits a batch of
+:class:`ShardWorkerBackend` is the one parallel path.  It splits a batch of
 grids into one explicit point list per worker and grid with
 :func:`lpt_split` over the points' measured planning costs
 (:meth:`ShardWorkerBackend.plan_point_groups`; a resumed batch plans only
@@ -54,7 +47,7 @@ from repro.runner.spec import SweepPoint, SweepSpec
 
 # Imported lazily at runtime: db imports the store layer, the dispatch
 # supervisor (with subprocess) is only needed by a process that orchestrates,
-# and the planning core only by a process that plans (execute_point).
+# and the planning core only by a process that plans (SerialBackend.execute).
 if TYPE_CHECKING:
     from repro.runner.cache import SystemCache
     from repro.runner.db import MergeReport, SweepDatabase
@@ -66,7 +59,7 @@ if TYPE_CHECKING:
 
 
 def _planning_core() -> tuple[type[TestPlanner], Callable[[str], EventDrivenScheduler]]:
-    """The planner class and scheduler factory :func:`execute_point` uses.
+    """The planner class and scheduler factory the point loop uses.
 
     Imported on the first call: this module loads none of the planning
     core until a point is actually planned.
@@ -75,19 +68,6 @@ def _planning_core() -> tuple[type[TestPlanner], Callable[[str], EventDrivenSche
     from repro.schedule.planner import TestPlanner
 
     return TestPlanner, make_scheduler
-
-
-def execute_point(point: SweepPoint, system_cache: SystemCache) -> ScheduleResult:
-    """Plan one sweep point, building its system through ``system_cache``."""
-    return _plan_point(point, _point_system(point, system_cache))
-
-
-def _point_system(point: SweepPoint, system_cache: SystemCache) -> SocSystem:
-    return system_cache.get(
-        point.system,
-        flit_width=point.flit_width,
-        pattern_penalty=point.pattern_penalty,
-    )
 
 
 def _plan_point(point: SweepPoint, system: SocSystem) -> ScheduleResult:
@@ -110,21 +90,6 @@ def _plan_point(point: SweepPoint, system: SocSystem) -> ScheduleResult:
 
         on_point_planned()
     return result
-
-
-#: Per-process system cache used by pool workers.  The pool initializer
-#: sets it to a copy of the parent runner's warm cache, so workers never
-#: rebuild a system the parent already built.
-_WORKER_SYSTEM_CACHE: SystemCache | None = None
-
-
-def _init_worker(cache: SystemCache) -> None:
-    global _WORKER_SYSTEM_CACHE
-    _WORKER_SYSTEM_CACHE = cache
-
-
-def _pool_worker(point: SweepPoint) -> ScheduleResult:
-    return execute_point(point, _WORKER_SYSTEM_CACHE)
 
 
 def batch_dirname(specs: Sequence[SweepSpec]) -> str:
@@ -230,48 +195,18 @@ class OrchestrationReport:
     workdir: Path | None
 
 
-class ExecutionBackend:
-    """Strategy interface: how a sweep's points execute in-process.
-
-    A backend executes an arbitrary point sequence and returns the results
-    in point order; every :class:`~repro.runner.engine.SweepRunner` entry
-    point runs through one.  Concrete backends carry their
-    :data:`BACKEND_FACTORIES` key as ``name``.
-    """
-
-    @property
-    def worker_count(self) -> int:
-        """How many workers this backend runs points on."""
-        return 1
-
-    def execute(
-        self, points: Sequence[SweepPoint], *, system_cache: SystemCache
-    ) -> list[ScheduleResult]:
-        """Execute ``points`` in order and return one result per point."""
-        raise NotImplementedError
-
-    def measured_costs(self) -> dict[int, float] | None:
-        """Measured wall-clock seconds per point index of the last :meth:`execute`.
-
-        ``None`` when the backend does not measure (the default).  Costs
-        are control metadata for shard sizing — they never enter records,
-        exports or fingerprints.
-        """
-        return None
-
-
-class SerialBackend(ExecutionBackend):
+class SerialBackend:
     """Execute every point in-process, one after the other.
 
-    The serial backend also measures each point's wall-clock planning time
-    (:meth:`measured_costs`); store-backed runs persist the measurements to
-    the ``point_costs`` table, which is what sizes the shards of the next
-    orchestration of the same grid.  The clock covers the plan only: the
-    point's system build and the first import of the planning core are
-    one-off work that would otherwise land on whichever point comes first.
+    The one in-process loop: every :class:`~repro.runner.engine.SweepRunner`
+    plans its points here.  It also measures each point's wall-clock
+    planning time (:meth:`measured_costs`); store-backed runs persist the
+    measurements to the ``point_costs`` table, which is what sizes the
+    shards of the next orchestration of the same grid.  The clock covers the
+    plan only: the point's system build and the first import of the planning
+    core are one-off work that would otherwise land on whichever point comes
+    first.
     """
-
-    name = "serial"
 
     def __init__(self) -> None:
         self._last_costs: dict[int, float] = {}
@@ -284,7 +219,11 @@ class SerialBackend(ExecutionBackend):
         results = []
         _planning_core()
         for point in points:
-            system = _point_system(point, system_cache)
+            system = system_cache.get(
+                point.system,
+                flit_width=point.flit_width,
+                pattern_penalty=point.pattern_penalty,
+            )
             started = time.perf_counter()
             results.append(_plan_point(point, system))
             self._last_costs[point.index] = time.perf_counter() - started
@@ -295,55 +234,17 @@ class SerialBackend(ExecutionBackend):
         return dict(self._last_costs)
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Execute points on a ``multiprocessing`` pool, byte-identical to serial.
+class ProcessPoolBackend(SerialBackend):
+    """Deprecated: the process pool is gone, and this plans serially.
 
-    The parent pre-builds every distinct system so each worker starts from
-    the warm cache, and the order-preserving ``map`` returns results in
-    point order no matter which worker finishes first.
-
-    Args:
-        jobs: worker processes; ``None`` or 0 uses one per CPU.
-
-    Raises:
-        ConfigurationError: for a negative worker count.
+    Pool worker processes never paid for themselves on a planning step of a
+    few milliseconds per point, so every in-process run plans through
+    :class:`SerialBackend`.  The name is kept, without an ``execute`` of its
+    own, only because the repo benchmark's layer spans
+    (``perfbench/spans.py``) wrap it by name; nothing in the package
+    instantiates it, so its span counts no calls.  ``repro orchestrate
+    --workers N`` is the parallel path.
     """
-
-    name = "pool"
-
-    def __init__(self, jobs: int | None = None) -> None:
-        if jobs is not None and jobs < 0:
-            raise ConfigurationError(
-                f"jobs={jobs}: jobs must be a positive worker count (0 = one per CPU)"
-            )
-        self.jobs = jobs or os.cpu_count() or 1
-
-    @property
-    def worker_count(self) -> int:
-        """Resolved worker-process count (CPU count substituted for 0)."""
-        return self.jobs
-
-    def execute(
-        self, points: Sequence[SweepPoint], *, system_cache: SystemCache
-    ) -> list[ScheduleResult]:
-        """Plan the points on the pool, returning results in point order."""
-        if self.jobs == 1 or len(points) <= 1:
-            return [execute_point(point, system_cache) for point in points]
-        # Build every distinct system once in the parent so each worker
-        # starts from the warm cache (and the cache stats reflect one build
-        # per SoC, not one per worker).
-        for point in points:
-            _point_system(point, system_cache)
-        # Likewise the planner: forked workers inherit the parent's modules,
-        # so importing it here spares every worker its own import.
-        _planning_core()
-        import multiprocessing
-
-        workers = min(self.jobs, len(points))
-        with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(system_cache,)
-        ) as pool:
-            return pool.map(_pool_worker, points, chunksize=1)
 
 
 class ShardWorkerBackend:
@@ -733,37 +634,3 @@ class ShardWorkerBackend:
             base_env=self._worker_env(),
         )
         return supervisor.run()
-
-
-#: Execution backends a runner can name, keyed by their canonical name
-#: (mirroring :data:`repro.runner.schedulers.SCHEDULER_FACTORIES` for schedulers).
-BACKEND_FACTORIES: dict[str, type[ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-}
-
-
-def make_backend(name: str, *, jobs: int | None = 1) -> ExecutionBackend:
-    """Instantiate the execution backend called ``name``.
-
-    ``jobs`` is checked here as given, before the pool backend resolves 0
-    or ``None`` to the CPU count, so the same value gets the same answer on
-    every host.
-
-    Raises:
-        ConfigurationError: for an unknown backend name, a negative
-            ``jobs``, or the serial backend combined with any ``jobs``
-            value other than 1 (that contradiction almost certainly means
-            ``--backend pool`` was intended).
-    """
-    if name not in BACKEND_FACTORIES:
-        known = ", ".join(sorted(BACKEND_FACTORIES))
-        raise ConfigurationError(f"unknown backend {name!r}; known backends: {known}")
-    if name == SerialBackend.name:
-        if jobs != 1:
-            raise ConfigurationError(
-                f"the serial backend runs in-process; jobs={jobs} needs the "
-                "pool backend (--backend pool)"
-            )
-        return SerialBackend()
-    return ProcessPoolBackend(jobs=jobs)

@@ -12,8 +12,8 @@ Two expensive computations recur across the points of a sweep grid:
 :class:`SystemCache` memoises built systems in memory (a
 :class:`~repro.system.builder.SocSystem` is treated as read-only by the
 planner, so sharing one instance across points is safe) and — given a cache
-directory — persists them as schema/version-enveloped pickles, so pool and
-shard workers, and the serve daemon across restarts, share build artefacts
+directory — persists them as schema/version-enveloped pickles, so shard
+workers, and the serve daemon across restarts, share build artefacts
 instead of rebuilding per process.  :class:`CharacterizationCache` persists
 its results as schema-versioned JSON files the same way.  Both caches count
 hits and misses (:class:`CacheStats`) so tests, ``repro sweep`` and the
@@ -109,8 +109,8 @@ class SystemCache:
     than unpickled into a stale object graph.  Writes are atomic
     (:func:`~repro.runner.atomic.atomic_write_bytes`), and a build is a pure
     function of its key, so concurrent writers' last-writer-wins races are
-    content-identical — exactly the sharing pool workers, shard workers and
-    the serve daemon (across restarts) need.
+    content-identical — exactly the sharing shard workers and the serve
+    daemon (across restarts) need.
 
     The cache directory is trusted to the same degree as the process itself
     (records are pickles); it is the operator-provided ``--cache-dir``, never

@@ -192,7 +192,8 @@ class MergeReport:
 
     Attributes:
         spec_keys: spec keys of the source store's sweeps, in its order.
-        inserted: the source's current records the target did not hold.
+        inserted: the source's current records the target did not hold, or
+            held only under other characterisation settings.
         identical: the source's current records the target already held
             byte-identically.
         runs_carried: source runs copied into the target under fresh run
@@ -207,6 +208,13 @@ class MergeReport:
 
 def _canonical_record_json(record: Mapping) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _plan_part(record_json: str) -> dict:
+    """A canonical record without its characterisation settings and figures."""
+    record = json.loads(record_json)
+    record.pop("characterization", None)
+    return record
 
 
 def _run_fingerprint(
@@ -788,8 +796,12 @@ class SweepDatabase:
         * a point this store does not hold counts as **inserted**;
         * a point whose stored record is byte-identical to the incoming one
           counts as **identical**;
-        * a point whose record **differs** — from this store *or from an
-          earlier source of the same call* — raises
+        * a point whose record differs **only in** ``characterization`` (the
+          same plan under other characterisation settings) counts as
+          **inserted**: the carried run is newer, so it becomes the current
+          record, as a direct ``repro sweep`` with those settings would;
+        * a point whose record **differs** otherwise — from this store *or
+          from an earlier source of the same call* — raises
           :class:`ResultStoreError` before a single record lands, so a
           failed multi-shard merge leaves this store exactly as it was and
           conflicting shards never mix.
@@ -879,6 +891,9 @@ class SweepDatabase:
                     current[index] = incoming
                 elif mine == incoming:
                     identical += 1
+                elif _plan_part(mine) == _plan_part(incoming):
+                    fresh.append(record)
+                    current[index] = incoming
                 else:
                     raise ResultStoreError(
                         f"cannot merge {other.path} into {self._path}: sweep "

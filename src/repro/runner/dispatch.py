@@ -17,7 +17,7 @@ driven by :class:`WorkerSupervisor`:
 * **Heartbeats.**  Each spawned worker inherits ``REPRO_HEARTBEAT_FILE``
   and touches that file on startup and after every planned point
   (:func:`beat_heartbeat`, called from the worker entry point and
-  :func:`repro.runner.backends.execute_point`).  The supervisor watches the
+  :meth:`repro.runner.backends.SerialBackend.execute`).  The supervisor watches the
   file's mtime and declares a worker ``Lost`` once a previously observed
   heartbeat goes stale for longer than
   :attr:`DispatchPolicy.heartbeat_timeout` — a planner that stopped making

@@ -1,13 +1,9 @@
 """The sweep engine: executes a :class:`~repro.runner.spec.SweepSpec`.
 
 :class:`SweepRunner` expands a spec into its deterministic point sequence,
-plans what must run, and delegates *how* the points execute to an
-in-process :class:`~repro.runner.backends.ExecutionBackend` — serial
-(:class:`~repro.runner.backends.SerialBackend`) or a ``multiprocessing``
-pool (:class:`~repro.runner.backends.ProcessPoolBackend`; order-preserving
-``map``, so a parallel run is byte-for-byte equivalent to a serial one — see
-``tests/runner/test_engine.py``).  The output order is the spec's point
-order on every backend.
+works out what must run, and plans those points in-process, one after the
+other (:class:`~repro.runner.backends.SerialBackend`).  The output order is the
+spec's point order.
 
 Grids can also be executed in pieces: :meth:`SweepRunner.run_points` runs one
 slice of the point order (any index subset) into its own sqlite store, and
@@ -17,14 +13,13 @@ building block of distributed sweeps, and what
 :meth:`ShardWorkerBackend.orchestrate
 <repro.runner.backends.ShardWorkerBackend.orchestrate>` automates end to end
 (each of its workers is a ``repro sweep --points`` process running a
-:class:`SweepRunner`).
+:class:`SweepRunner`).  Orchestration is the one way to plan a grid on
+several processes.
 
 System builds go through a :class:`~repro.runner.cache.SystemCache` — one
-build per SoC instead of one per point; parallel runs pre-build in the
-parent and hand workers the warm cache through the pool initializer — and
-each distinct NoC is characterised once through a
-:class:`~repro.runner.cache.CharacterizationCache`, optionally persisted
-under ``cache_dir``.
+build per SoC instead of one per point — and each distinct NoC is
+characterised once through a :class:`~repro.runner.cache.CharacterizationCache`,
+optionally persisted under ``cache_dir``.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
-from repro.runner.backends import ExecutionBackend, execute_point, make_backend
+from repro.runner.backends import SerialBackend
 from repro.runner.spec import SweepPoint, SweepSpec
 
 # Imported lazily at runtime: db imports the store layer, and the caches and
@@ -50,7 +45,6 @@ __all__ = [
     "StoreRunReport",
     "SweepOutcome",
     "SweepRunner",
-    "execute_point",
 ]
 
 
@@ -136,22 +130,9 @@ class StoreRunReport:
 
 
 class SweepRunner:
-    """Executes sweep specs with caching through an in-process backend.
+    """Executes sweep specs in-process, with caching.
 
     Args:
-        jobs: worker processes; 1 (default) runs in-process, ``None`` or 0
-            uses one worker per CPU.  Shorthand for the default backend
-            selection: ``jobs == 1`` picks the serial backend, anything
-            else the process pool.  Passed to
-            :func:`~repro.runner.backends.make_backend` as given, which is
-            the one place it is validated and resolved.
-        backend: the execution backend — an
-            :class:`~repro.runner.backends.ExecutionBackend` instance or a
-            registered backend name (see
-            :data:`~repro.runner.backends.BACKEND_FACTORIES`); overrides
-            the ``jobs`` shorthand.  A
-            :class:`~repro.runner.backends.ShardWorkerBackend` is not one:
-            call its ``orchestrate`` directly.
         cache_dir: directory for persisted characterisation and system-build
             records (``None`` keeps both caches in memory only).
         characterize: characterise each distinct NoC once and attach the
@@ -171,17 +152,12 @@ class SweepRunner:
             historical single-transaction commit.
 
     Raises:
-        ConfigurationError: for a negative worker count, a backend that is
-            neither an :class:`~repro.runner.backends.ExecutionBackend` nor
-            a registered name, a non-positive ``checkpoint_every``, or a
-            backend/jobs contradiction (serial backend with ``jobs != 1``).
+        ConfigurationError: for a non-positive ``checkpoint_every``.
     """
 
     def __init__(
         self,
         *,
-        jobs: int | None = 1,
-        backend: ExecutionBackend | str | None = None,
         cache_dir: str | Path | None = None,
         characterize: bool = False,
         packet_count: int = 200,
@@ -194,18 +170,7 @@ class SweepRunner:
                 "checkpoint_every must be a positive number of points (or None)"
             )
         self.checkpoint_every = checkpoint_every
-        if backend is None:
-            backend = "serial" if jobs == 1 else "pool"
-        if isinstance(backend, str):
-            backend = make_backend(backend, jobs=jobs)
-        if not isinstance(backend, ExecutionBackend):
-            raise ConfigurationError(
-                f"backend must be an ExecutionBackend or a registered backend "
-                f"name, not {type(backend).__name__}; a ShardWorkerBackend "
-                "orchestrates on its own (call its orchestrate())"
-            )
-        self.backend = backend
-        self.jobs = backend.worker_count
+        self._executor = SerialBackend()
         self.characterize = characterize
         self.packet_count = packet_count
         self.cache_dir = cache_dir
@@ -274,16 +239,15 @@ class SweepRunner:
 
         With ``resume``, points whose ``(spec_key, point_index)`` already
         hold a *compatible* record are skipped and served from the store;
-        only the rest is executed (serially or on the pool, like
-        :meth:`run`).  Compatible means produced under this runner's
-        characterisation settings
+        only the rest is executed.  Compatible means produced under this
+        runner's characterisation settings
         (:meth:`SweepDatabase.reusable_indices
         <repro.runner.db.SweepDatabase.reusable_indices>`, the resume rule
         ``repro orchestrate --resume`` applies too).  Because every point is
         planned independently and records are keyed by point index, a
-        resumed — even parallel — run yields records identical to a
-        from-scratch serial run of the full grid.  Without ``resume``, the
-        whole grid is executed and re-recorded.
+        resumed run yields records identical to a from-scratch run of the
+        full grid.  Without ``resume``, the whole grid is executed and
+        re-recorded.
 
         The executed records are committed to the store in one transaction
         together with a ``runs`` row holding the executed/skipped counters
@@ -376,7 +340,7 @@ class SweepRunner:
                     # it rides on the first chunk so per-run sums stay right.
                     skipped=skipped if start == 0 else 0,
                     source=source,
-                    point_costs=self.backend.measured_costs(),
+                    point_costs=self._executor.measured_costs(),
                 )
         # Restricted to this run's points: when several shards land in the
         # same store, a shard's report must not leak the other shards' rows.
@@ -400,7 +364,7 @@ class SweepRunner:
         """Characterise and execute ``points``, returning outcomes in order."""
         characterizations = self._characterize_systems(points)
         system_cache = self.system_cache
-        results = self.backend.execute(points, system_cache=system_cache)
+        results = self._executor.execute(points, system_cache=system_cache)
         return [
             SweepOutcome(
                 point=point,

@@ -33,7 +33,7 @@ def beat_heartbeat() -> None:
     """Touch the heartbeat file named by ``REPRO_HEARTBEAT_FILE``, if set.
 
     Called from the worker entry point (startup beat) and after every
-    planned point (:func:`repro.runner.backends.execute_point`), so the
+    planned point (:meth:`repro.runner.backends.SerialBackend.execute`), so the
     beat tracks *progress*: a hung planner stops beating and the
     supervisor's staleness check catches it.  A no-op outside dispatched
     workers; a failed touch is deliberately ignored — losing a beat must

@@ -2,8 +2,9 @@
 
 A :class:`~repro.runner.spec.SweepSpec` holds scheduler *names* as plain
 data, so declaring, validating or resuming a grid never imports a
-scheduler.  Whatever plans a point (:func:`repro.runner.backends.execute_point`,
-the serve daemon's ``/plan``) turns the name into a policy here.
+scheduler.  Whatever plans a point
+(:meth:`repro.runner.backends.SerialBackend.execute`, the serve daemon's
+``/plan``) turns the name into a policy here.
 """
 
 from __future__ import annotations

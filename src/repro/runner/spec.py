@@ -5,8 +5,8 @@ A :class:`SweepSpec` names a grid of planning configurations — paper systems
 × processor pattern penalties for the ablations) — without saying anything
 about *how* the grid is executed.  :meth:`SweepSpec.points` expands the grid
 into a deterministic, totally ordered sequence of :class:`SweepPoint`
-records; the :class:`~repro.runner.engine.SweepRunner` executes them serially
-or on a process pool and always reports results in point order.
+records; the :class:`~repro.runner.engine.SweepRunner` executes them
+in-process and always reports results in point order.
 
 Every experiment of the paper is a thin spec over this module (see
 :mod:`repro.experiments.figure1` and :mod:`repro.experiments.ablation`), and

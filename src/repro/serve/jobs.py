@@ -26,10 +26,10 @@ overload sheds load at the door instead of growing an unbounded backlog.
 
 Jobs carry no planning logic of their own: a job is a
 :class:`~repro.runner.spec.SweepSpec` plus one of the :data:`JOB_BACKENDS`
-names.  ``serial`` and ``pool`` run via :meth:`SweepRunner.run_stored
-<repro.runner.engine.SweepRunner.run_stored>`, with the run recorded under
-source ``serve:<job id>`` so ``repro history`` attributes API-submitted
-runs; ``shard-workers`` and ``remote`` are mapped here to a
+names.  ``serial`` runs on the worker thread via
+:meth:`SweepRunner.run_stored <repro.runner.engine.SweepRunner.run_stored>`,
+with the run recorded under source ``serve:<job id>`` so ``repro history``
+attributes API-submitted runs; ``shard-workers`` and ``remote`` are mapped here to a
 :class:`~repro.runner.backends.ShardWorkerBackend` whose
 :meth:`~repro.runner.backends.ShardWorkerBackend.orchestrate` runs the job
 (local workers, or the daemon's host pool).  Jobs may only ask for
@@ -49,12 +49,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.errors import ApiError, ConfigurationError, ReproError
-from repro.runner.backends import (
-    BACKEND_FACTORIES,
-    ExecutionBackend,
-    ShardWorkerBackend,
-    make_backend,
-)
+from repro.runner.backends import ShardWorkerBackend
 from repro.runner.cache import CharacterizationCache, SystemCache
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
@@ -73,10 +68,10 @@ JOB_STATES: tuple[str, ...] = (
 #: ``Retry-After`` value (seconds) a full queue answers 503 with.
 RETRY_AFTER_SECONDS = 2
 
-#: The ``backend`` names ``POST /sweeps`` accepts: the runner's in-process
-#: backends, then the two that orchestrate shard workers (``remote`` over
-#: the daemon's ``--dispatch-hosts``).
-JOB_BACKENDS: tuple[str, ...] = (*BACKEND_FACTORIES, "shard-workers", "remote")
+#: The ``backend`` names ``POST /sweeps`` accepts: in-process ``serial``,
+#: then the two that orchestrate shard workers (``remote`` over the
+#: daemon's ``--dispatch-hosts``).
+JOB_BACKENDS: tuple[str, ...] = ("serial", "shard-workers", "remote")
 
 
 def _utcnow() -> str:
@@ -98,7 +93,6 @@ class SweepJob:
         spec: the submitted grid.
         spec_key: the spec's content key (how the store indexes it).
         backend: execution backend name (a :data:`JOB_BACKENDS` entry).
-        pool_jobs: worker processes for the pool backend (1 otherwise).
         resume: whether points already stored are skipped instead of re-run.
         status: one of :data:`JOB_STATES`.
         submitted_at / started_at / finished_at: ISO UTC timestamps.
@@ -113,7 +107,6 @@ class SweepJob:
     spec: SweepSpec
     spec_key: str
     backend: str
-    pool_jobs: int
     resume: bool
     status: str = "queued"
     submitted_at: str = field(default_factory=_utcnow)
@@ -136,7 +129,10 @@ class SweepJob:
             "job_number": self.job_number,
             "status": self.status,
             "backend": self.backend,
-            "pool_jobs": self.pool_jobs,
+            # The process pool is gone; the field stays in the wire format
+            # and the jobs table, where an older daemon's pool job keeps
+            # its count.
+            "pool_jobs": 1,
             "resume": self.resume,
             "spec_name": self.spec.name,
             "spec_key": self.spec_key,
@@ -253,31 +249,28 @@ class SweepJobQueue:
     # Submission and lookup (called from HTTP threads).
     # ------------------------------------------------------------------
     def submit(
-        self, spec: SweepSpec, *, backend: str = "serial", jobs: int = 1, resume: bool = False
+        self, spec: SweepSpec, *, backend: str = "serial", resume: bool = False
     ) -> dict:
         """Enqueue one grid for background execution; returns the job snapshot.
 
         Args:
             spec: the grid to execute.
             backend: execution backend name (a :data:`JOB_BACKENDS`
-                entry; ``shard-workers`` and ``remote`` orchestrate, the
-                others run in-process on the worker thread).
-            jobs: worker processes for the pool backend; every other
-                backend takes only 1.
+                entry; ``shard-workers`` and ``remote`` orchestrate,
+                ``serial`` runs in-process on the worker thread).
             resume: skip points the store already holds compatible records
                 for (see :meth:`SweepRunner.run_stored
                 <repro.runner.engine.SweepRunner.run_stored>`).
 
         Raises:
             ApiError: for an unknown backend name (400), the remote
-                backend without configured dispatch hosts (400), a
-                ``jobs`` value the backend cannot use (400), a full queue
-                (503 with ``Retry-After``), or a queue that is shutting
-                down (503).
+                backend without configured dispatch hosts (400), a full
+                queue (503 with ``Retry-After``), or a queue that is
+                shutting down (503).
         """
         # Built once here only to validate, so a job the worker thread
         # could never run is refused before anything is queued or persisted.
-        self._make_backend(backend, jobs)
+        self._orchestrator(backend)
         with self._lock:
             if self._closed:
                 raise ApiError("the job queue is shutting down", status=503)
@@ -297,7 +290,6 @@ class SweepJobQueue:
                 spec=spec,
                 spec_key=spec_key,
                 backend=backend,
-                pool_jobs=jobs,
                 resume=resume,
             )
             self._jobs[job.job_id] = job
@@ -380,20 +372,18 @@ class SweepJobQueue:
         with SweepDatabase(self.store_path) as db:
             db.upsert_job(snapshot, spec_json=spec_json)
 
-    def _make_backend(
-        self, name: str, jobs: int
-    ) -> ExecutionBackend | ShardWorkerBackend:
-        """What a job named ``name`` with ``jobs`` runs on.
+    def _orchestrator(self, name: str) -> ShardWorkerBackend | None:
+        """The orchestrator a job named ``name`` runs on.
 
-        ``serial``/``pool`` are built by the runner registry; the two
-        orchestrating names map to a :class:`ShardWorkerBackend` — remote
-        jobs dispatch onto the daemon's ``--dispatch-hosts`` through its
-        ``--dispatch-launcher``.
+        ``None`` for ``serial``, which runs in-process on the worker thread;
+        the two orchestrating names map to a :class:`ShardWorkerBackend` —
+        remote jobs dispatch onto the daemon's ``--dispatch-hosts`` through
+        its ``--dispatch-launcher``.
 
         Raises:
-            ApiError: (400) for an unknown backend name, the remote backend
-                without configured dispatch hosts, or a ``jobs`` value the
-                backend cannot use.
+            ApiError: (400) for an unknown backend name (``pool`` among
+                them) or the remote backend without configured dispatch
+                hosts.
         """
         if name not in JOB_BACKENDS:
             known = ", ".join(sorted(JOB_BACKENDS))
@@ -403,14 +393,9 @@ class SweepJobQueue:
                 "the remote backend needs a host list; start the daemon "
                 "with --dispatch-hosts"
             )
-        if name not in BACKEND_FACTORIES and jobs != 1:
-            raise ApiError(
-                f"the {name} backend is sized with workers, not jobs={jobs}; "
-                "use --workers (jobs configures the in-process backends)"
-            )
+        if name == "serial":
+            return None
         try:
-            if name in BACKEND_FACTORIES:
-                return make_backend(name, jobs=jobs)
             if name == "remote":
                 return ShardWorkerBackend(
                     hosts=self.dispatch_hosts, launcher=self.dispatch_launcher
@@ -426,8 +411,8 @@ class SweepJobQueue:
             job.started_at = _utcnow()
             self._persist(job, store)
         try:
-            backend = self._make_backend(job.backend, job.pool_jobs)
-            if isinstance(backend, ShardWorkerBackend):
+            backend = self._orchestrator(job.backend)
+            if backend is not None:
                 report = backend.orchestrate(
                     [job.spec],
                     store,
@@ -441,7 +426,6 @@ class SweepJobQueue:
                 run_id = None
             else:
                 runner = SweepRunner(
-                    backend=backend,
                     cache_dir=self.cache_dir,
                     characterize=self.characterize,
                     packet_count=self.packet_count,

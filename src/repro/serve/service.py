@@ -62,7 +62,7 @@ PLAN_FIELDS: frozenset[str] = frozenset(
 MAX_BATCH_POINTS = 256
 
 #: Fields :meth:`PlanningService.submit_sweep` accepts.
-SWEEP_FIELDS: frozenset[str] = frozenset({"spec", "backend", "jobs", "resume"})
+SWEEP_FIELDS: frozenset[str] = frozenset({"spec", "backend", "resume"})
 
 
 def _require_type(payload: Mapping, name: str, kinds: tuple[type, ...], note: str) -> object:
@@ -348,7 +348,7 @@ class PlanningService:
         Args:
             payload: the request object — ``spec`` (a
                 :meth:`SweepSpec.to_dict <repro.runner.spec.SweepSpec.to_dict>`
-                object, required), ``backend``, ``jobs``, ``resume``.
+                object, required), ``backend``, ``resume``.
 
         Raises:
             ApiError: for unknown fields, a malformed spec, or an unknown
@@ -372,13 +372,10 @@ class PlanningService:
         backend = payload.get("backend", "serial")
         if not isinstance(backend, str):
             raise ApiError("field 'backend' must be a backend name")
-        jobs = payload.get("jobs", 1)
-        if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
-            raise ApiError("field 'jobs' must be a non-negative integer (0 = one per CPU)")
         resume = payload.get("resume", False)
         if not isinstance(resume, bool):
             raise ApiError("field 'resume' must be a boolean")
-        snapshot = self.jobs.submit(spec, backend=backend, jobs=jobs, resume=resume)
+        snapshot = self.jobs.submit(spec, backend=backend, resume=resume)
         snapshot["url"] = f"/sweeps/{snapshot['job_id']}"
         return snapshot
 

@@ -132,7 +132,7 @@ class TestHistoryReport:
             schedulers=("greedy", "fastest-completion"),
         )
         db = SweepDatabase(path)
-        SweepRunner(jobs=1).run_stored(spec, db)
+        SweepRunner().run_stored(spec, db)
         yield db
         db.close()
 
@@ -171,7 +171,7 @@ class TestSqlAggregation:
             processor_counts=(0, 2),
             schedulers=("greedy",),
         )
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         db = SweepDatabase(path)
         runner.run_stored(contested, db)
         runner.run_stored(contested, db)

@@ -268,38 +268,6 @@ class TestRL004ErrorModel:
 
 
 class TestRL005RegistryCompleteness:
-    BACKENDS_OK = """\
-    class ExecutionBackend:
-        name = "abstract"
-
-    class SerialBackend(ExecutionBackend):
-        name = "serial"
-
-    BACKEND_FACTORIES = {SerialBackend.name: SerialBackend}
-    """
-
-    def test_flags_unregistered_concrete_backend(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "repro/runner/backends.py": """\
-                class ExecutionBackend:
-                    name = "abstract"
-
-                class SerialBackend(ExecutionBackend):
-                    name = "serial"
-
-                class ForgottenBackend(SerialBackend):
-                    name = "forgotten"
-
-                BACKEND_FACTORIES = {SerialBackend.name: SerialBackend}
-                """
-            },
-            rules=["RL005"],
-        )
-        assert rule_ids(findings) == ["RL005"]
-        assert "ForgottenBackend" in findings[0].message
-
     def test_flags_missing_handler_and_missing_docs(self, tmp_path):
         findings = lint(
             tmp_path,
@@ -325,7 +293,6 @@ class TestRL005RegistryCompleteness:
         findings = lint(
             tmp_path,
             {
-                "repro/runner/backends.py": self.BACKENDS_OK,
                 "repro/serve/http.py": """\
                 ROUTES = (
                     Route("GET", "/healthz", "_handle_healthz"),
@@ -362,17 +329,15 @@ class TestRL005RegistryCompleteness:
         assert "diverge" in findings[0].message
 
     def test_suppression_is_honoured(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text("### `GET /healthz`\n", encoding="utf-8")
         findings = lint(
             tmp_path,
             {
-                "repro/runner/backends.py": """\
-                class ExecutionBackend:
-                    name = "abstract"
-
-                class ForgottenBackend(ExecutionBackend):  # repro-lint: disable=RL005
-                    name = "forgotten"
-
-                BACKEND_FACTORIES = {}
+                "repro/serve/http.py": """\
+                ROUTES = (
+                    Route("GET", "/healthz", "_handle_missing"),  # repro-lint: disable=RL005
+                )
                 """
             },
             rules=["RL005"],

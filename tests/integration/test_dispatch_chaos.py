@@ -29,7 +29,7 @@ def spec():
 def serial_export(spec, tmp_path_factory):
     """The ground truth every chaos-ridden orchestration must reproduce."""
     out = tmp_path_factory.mktemp("serial") / "serial.json"
-    return save_sweeps(out, [(spec, SweepRunner(jobs=1).run(spec))]).read_bytes()
+    return save_sweeps(out, [(spec, SweepRunner().run(spec))]).read_bytes()
 
 
 def orchestrate_with_chaos(specs, tmp_path, monkeypatch, faults, **backend_kwargs):
@@ -114,7 +114,7 @@ class TestBatchCrashRequeue:
         the first grid, then crashes; its one retry resumes the shard of
         both grids and the export still matches serial byte for byte."""
         specs = [figure1_spec("d695_leon"), figure1_spec("d695_plasma")]
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         serial = save_sweeps(
             tmp_path / "serial.json", [(spec, runner.run(spec)) for spec in specs]
         ).read_bytes()

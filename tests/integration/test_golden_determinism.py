@@ -4,8 +4,8 @@ The fixtures under ``tests/golden/`` were generated by the pre-optimisation
 planner (before the route tables, job memoisation, allocator bounds and
 power-total caching existed).  Every test here re-runs the same grids
 through today's code and requires the exported JSON to be byte-identical —
-the memoisation layers must be invisible in the results, on every backend,
-with and without the disk-backed system cache.
+the memoisation layers must be invisible in the results, in-process and
+orchestrated, with and without the disk-backed system cache.
 """
 
 from __future__ import annotations
@@ -39,24 +39,14 @@ def test_serial_export_matches_golden(tmp_path, capsys, fixture):
     assert out.read_bytes() == (GOLDEN / fixture).read_bytes()
 
 
-def test_pool_backend_with_disk_cache_matches_golden(tmp_path, capsys):
-    """Pool workers sharing a disk-backed system cache change nothing —
-    neither on the cold run that writes the cache nor on the warm run that
-    plans entirely from reloaded builds."""
+def test_disk_cache_cold_and_warm_match_golden(tmp_path, capsys):
+    """A disk-backed system cache changes nothing — neither on the cold run
+    that writes the cache nor on the warm run that plans entirely from
+    reloaded builds."""
     cache_dir = tmp_path / "cache"
     for attempt in ("cold", "warm"):
         out = tmp_path / f"{attempt}.json"
-        run_sweep(
-            "d695_leon",
-            "--backend",
-            "pool",
-            "--jobs",
-            "2",
-            "--cache-dir",
-            str(cache_dir),
-            "--out",
-            str(out),
-        )
+        run_sweep("d695_leon", "--cache-dir", str(cache_dir), "--out", str(out))
         capsys.readouterr()
         assert out.read_bytes() == (GOLDEN / "d695_serial.json").read_bytes()
     assert list(cache_dir.glob("system-build-*.pkl")), "no persisted build"

@@ -1,6 +1,5 @@
-"""Tests of the in-process execution backends and the shard-worker orchestrator."""
+"""Tests of the in-process point loop and the shard-worker orchestrator."""
 
-import os
 import sys
 import tempfile
 from collections import Counter
@@ -9,18 +8,16 @@ import pytest
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.backends import (
-    BACKEND_FACTORIES,
     ProcessPoolBackend,
     SerialBackend,
     ShardWorkerBackend,
     batch_dirname,
-    make_backend,
 )
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
 from repro.runner.launch import local_launcher, ssh_launcher
 from repro.runner.spec import SweepSpec
-from repro.runner.store import dump_sweep, save_sweeps
+from repro.runner.store import save_sweeps
 from repro.serve.jobs import SweepJobQueue
 
 
@@ -51,7 +48,7 @@ def batch_specs():
 @pytest.fixture(scope="module")
 def batch_serial_export(batch_specs, tmp_path_factory):
     """The serial export of the batch, every spec run in batch order."""
-    runner = SweepRunner(jobs=1)
+    runner = SweepRunner()
     out = tmp_path_factory.mktemp("batch-serial") / "serial.json"
     return save_sweeps(out, [(spec, runner.run(spec)) for spec in batch_specs]).read_bytes()
 
@@ -69,49 +66,12 @@ def orchestrated_batch(batch_specs, tmp_path_factory):
 
 
 class TestRegistry:
-    def test_all_backends_registered(self):
-        """The registry holds the in-process backends only; shard workers
-        are an orchestrator, not something a runner can name."""
-        assert set(BACKEND_FACTORIES) == {"serial", "pool"}
-
-    def test_make_backend_by_name(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        pool = make_backend("pool", jobs=3)
-        assert isinstance(pool, ProcessPoolBackend)
-        assert pool.worker_count == 3
-
-    def test_unknown_backend_rejected(self):
-        for name in ("quantum", "shard-workers", "remote"):
-            with pytest.raises(ConfigurationError, match="unknown backend"):
-                make_backend(name)
+    """What the shard-worker orchestrator refuses to be built with."""
 
     def test_host_pool_needs_a_host(self):
         for hosts in ([], ["  ", ""]):
             with pytest.raises(ConfigurationError, match="at least one host"):
                 ShardWorkerBackend(hosts=hosts)
-
-    def test_serial_with_multiple_jobs_rejected(self):
-        """jobs > 1 next to the serial backend is a contradiction, not a
-        silently ignored flag."""
-        with pytest.raises(ConfigurationError, match="pool"):
-            make_backend("serial", jobs=4)
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_serial_with_jobs_zero_rejected_on_every_host(self, monkeypatch, cpus):
-        """jobs=0 means one worker per CPU, which the serial backend cannot
-        honour: the answer names the value given, whatever the CPU count."""
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        with pytest.raises(ConfigurationError, match=r"jobs=0 needs the pool backend"):
-            make_backend("serial", jobs=0)
-        with pytest.raises(ConfigurationError, match=r"jobs=0 needs the pool backend"):
-            SweepRunner(backend="serial", jobs=0)
-        assert SweepRunner(jobs=0).jobs == cpus
-
-    def test_pool_jobs_resolution(self):
-        assert make_backend("pool", jobs=None).worker_count >= 1
-        assert make_backend("pool", jobs=5).worker_count == 5
-        with pytest.raises(ConfigurationError, match="positive"):
-            make_backend("pool", jobs=-1)
 
     def test_shard_worker_validation(self):
         with pytest.raises(ConfigurationError, match="positive"):
@@ -144,7 +104,7 @@ def serve_remote_backend(tmp_path, **queue_options):
     """The backend a ``"backend": "remote"`` serve job runs on."""
     queue = SweepJobQueue(tmp_path / "jobs.db", dispatch_hosts=POOL_HOSTS, **queue_options)
     try:
-        return queue._make_backend("remote", 1)
+        return queue._orchestrator("remote")
     finally:
         queue.close()
 
@@ -214,45 +174,20 @@ class TestHostPoolDefaults:
         }
 
 
-class TestRunnerBackendSelection:
-    def test_jobs_shorthand_selects_backend(self):
-        assert SweepRunner(jobs=1).backend.name == "serial"
-        assert SweepRunner(jobs=3).backend.name == "pool"
-        assert SweepRunner(jobs=3).jobs == 3
-
-    def test_backend_name_accepted(self):
-        assert SweepRunner(backend="serial").backend.name == "serial"
-        assert SweepRunner(jobs=2, backend="pool").jobs == 2
-
-    def test_backend_instance_accepted(self):
-        backend = ProcessPoolBackend(jobs=3)
-        runner = SweepRunner(backend=backend)
-        assert runner.backend is backend
-        assert runner.jobs == 3
-
-
 class TestBackendEquivalence:
     def test_pool_backend_byte_identical_to_serial(self, small_spec):
-        serial = SweepRunner(backend=SerialBackend()).run(small_spec)
-        pooled = SweepRunner(backend=ProcessPoolBackend(jobs=2)).run(small_spec)
-        assert dump_sweep(small_spec, pooled) == dump_sweep(small_spec, serial)
+        """The deprecated pool name is the serial loop under another name:
+        it has no execute of its own and plans the same results."""
+        from repro.runner.cache import SystemCache
 
-    def test_pool_backend_with_one_job_runs_inline(self, small_spec):
-        """jobs=1 on the pool backend must not spawn a pool (the serial
-        shortcut the engine used to apply lives in the backend now)."""
-        runner = SweepRunner(backend=ProcessPoolBackend(jobs=1))
-        outcomes = runner.run(small_spec)
-        assert len(outcomes) == small_spec.point_count
-
-
-class TestCapabilityChecks:
-    def test_shard_workers_cannot_run_inline(self):
-        """A runner takes only in-process backends: handing it the shard-worker
-        orchestrator fails at construction, before any entry point runs."""
-        with pytest.raises(ConfigurationError, match="orchestrate"):
-            SweepRunner(backend=ShardWorkerBackend(workers=2))
-        with pytest.raises(ConfigurationError, match="ExecutionBackend"):
-            SweepRunner(backend=object())
+        assert issubclass(ProcessPoolBackend, SerialBackend)
+        assert "execute" not in vars(ProcessPoolBackend)
+        points = small_spec.points()
+        serial = SerialBackend().execute(points, system_cache=SystemCache())
+        pooled = ProcessPoolBackend().execute(points, system_cache=SystemCache())
+        assert [result.assignments for result in pooled] == [
+            result.assignments for result in serial
+        ]
 
 
 class TestWorkerPlanning:
@@ -318,7 +253,7 @@ class TestShardWorkerOrchestration:
 
         spec = figure1_spec("d695_leon")
         serial = save_sweeps(
-            tmp_path / "serial.json", [(spec, SweepRunner(jobs=1).run(spec))]
+            tmp_path / "serial.json", [(spec, SweepRunner().run(spec))]
         )
         backend = ShardWorkerBackend(workers=3)
         with SweepDatabase(tmp_path / "merged.db") as db:
@@ -339,7 +274,7 @@ class TestShardWorkerOrchestration:
         """An over-provisioned fleet spawns only the workers that hold
         points, and still merges byte-identical to a serial run."""
         serial = save_sweeps(
-            tmp_path / "serial.json", [(small_spec, SweepRunner(jobs=1).run(small_spec))]
+            tmp_path / "serial.json", [(small_spec, SweepRunner().run(small_spec))]
         )
         backend = ShardWorkerBackend(workers=4)
         with SweepDatabase(tmp_path / "merged.db") as db:
@@ -449,7 +384,7 @@ class TestShardWorkerOrchestration:
                 assert again.inserted == 0
             assert db.run_count() == run_count
             assert db.records(report.spec_keys[0]) == [
-                o.record() for o in SweepRunner(jobs=1).run(small_spec)
+                o.record() for o in SweepRunner().run(small_spec)
             ]
 
 
@@ -551,7 +486,7 @@ class TestCostBasedSharding:
         """End to end: measure costs with a serial store-backed run, then
         orchestrate the same grid cost-sized — records identical to serial."""
         with SweepDatabase(tmp_path / "merged.db") as db:
-            SweepRunner(jobs=1).run_stored(small_spec, db)
+            SweepRunner().run_stored(small_spec, db)
             assert db.point_cost_rows(small_spec.content_key())
             backend = ShardWorkerBackend(workers=2)
             report = backend.orchestrate(
@@ -559,7 +494,7 @@ class TestCostBasedSharding:
             )
             records = db.records(small_spec.content_key())
         assert report.record_count == small_spec.point_count
-        assert records == [o.record() for o in SweepRunner(jobs=1).run(small_spec)]
+        assert records == [o.record() for o in SweepRunner().run(small_spec)]
 
     def test_unmeasured_spec_of_a_batch_keeps_its_shard_slices(
         self, small_spec, tmp_path
@@ -606,7 +541,7 @@ class TestCostBasedSharding:
         costs = {}
         with SweepDatabase(tmp_path / "measured.db") as measured:
             for spec in batch_specs:
-                SweepRunner(jobs=1).run_stored(spec, measured)
+                SweepRunner().run_stored(spec, measured)
                 costs[spec] = measured.point_cost_rows(spec.content_key())
         seen = []
 
@@ -649,7 +584,7 @@ class TestResumedOrchestration:
         backend = ShardWorkerBackend(workers=3, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
             for spec in batch_specs:
-                SweepRunner(jobs=1).run_points(spec, db, [])
+                SweepRunner().run_points(spec, db, [])
                 db.record_run(
                     spec.content_key(),
                     [],
@@ -680,7 +615,7 @@ class TestResumedOrchestration:
 
         spec = figure1_spec("d695_leon")
         serial = save_sweeps(
-            tmp_path / "serial.json", [(spec, SweepRunner(jobs=1).run(spec))]
+            tmp_path / "serial.json", [(spec, SweepRunner().run(spec))]
         ).read_bytes()
         spawned = []
 
@@ -690,7 +625,7 @@ class TestResumedOrchestration:
 
         backend = ShardWorkerBackend(workers=2, launcher=passthrough)
         with SweepDatabase(tmp_path / "merged.db") as db:
-            SweepRunner(jobs=1).run_points(spec, db, [0, 1, 2])
+            SweepRunner().run_points(spec, db, [0, 1, 2])
             report = backend.orchestrate([spec], db, resume=True)
             exported = db.export_document(tmp_path / "merged.json").read_bytes()
         assert (report.executed_count, report.skipped_count) == (5, 3)

@@ -24,7 +24,7 @@ def spec():
 @pytest.fixture(scope="module")
 def serial_records(spec):
     """Records of a from-scratch serial full run — the equivalence baseline."""
-    return [outcome.record() for outcome in SweepRunner(jobs=1).run(spec)]
+    return [outcome.record() for outcome in SweepRunner().run(spec)]
 
 
 def shard_store(spec, path, index, count, *, resume=False):
@@ -32,7 +32,7 @@ def shard_store(spec, path, index, count, *, resume=False):
     ``path`` as ``repro sweep --points`` does."""
     indices = tuple(range(spec.point_count))[index::count]
     with SweepDatabase(path) as db:
-        SweepRunner(jobs=1).run_points(spec, db, indices, resume=resume)
+        SweepRunner().run_points(spec, db, indices, resume=resume)
     return path
 
 
@@ -114,7 +114,7 @@ class TestIntegrityChecks:
 
 class TestResume:
     def test_resume_skips_existing_points(self, spec, tmp_path):
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             first = runner.run_stored(spec, db, resume=True)
             assert first.executed_count == spec.point_count
@@ -129,9 +129,9 @@ class TestResume:
         the records the cold run wrote."""
         path = tmp_path / "sweeps.db"
         with SweepDatabase(path) as db:
-            cold = SweepRunner(jobs=1).run_stored(spec, db, resume=True)
+            cold = SweepRunner().run_stored(spec, db, resume=True)
         with SweepDatabase(path) as db:
-            warm = SweepRunner(jobs=1).run_stored(spec, db, resume=True)
+            warm = SweepRunner().run_stored(spec, db, resume=True)
         assert warm.executed_count == 0
         assert warm.skipped_count == spec.point_count
         assert warm.records == cold.records
@@ -144,24 +144,13 @@ class TestResume:
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             spec_key = db.ensure_sweep(spec)
             db.record_run(spec_key, partial, executed=len(partial), skipped=0)
-            report = SweepRunner(jobs=1).run_stored(spec, db, resume=True)
+            report = SweepRunner().run_stored(spec, db, resume=True)
             assert report.executed_indices == (1, 3, 4)
             assert report.skipped_indices == (0, 2, 5)
             assert list(report.records) == serial_records
 
-    def test_parallel_resumed_equals_serial_full(self, spec, serial_records, tmp_path):
-        """A parallel resumed run over a partial store must be record-identical
-        to a from-scratch serial run — the PR's acceptance criterion."""
-        partial = [r for r in serial_records if r["index"] % 2 == 0]
-        with SweepDatabase(tmp_path / "sweeps.db") as db:
-            spec_key = db.ensure_sweep(spec)
-            db.record_run(spec_key, partial, executed=len(partial), skipped=0)
-            report = SweepRunner(jobs=2).run_stored(spec, db, resume=True)
-            assert report.executed_count == spec.point_count - len(partial)
-            assert list(report.records) == serial_records
-
     def test_without_resume_reexecutes_everything(self, spec, tmp_path):
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             runner.run_stored(spec, db)
             report = runner.run_stored(spec, db)
@@ -174,9 +163,9 @@ class TestResume:
         packet count) must not satisfy a characterising resume — reusing
         them would diverge from a from-scratch run."""
         with SweepDatabase(tmp_path / "sweeps.db") as db:
-            SweepRunner(jobs=1).run_stored(spec, db)  # characterize=False
+            SweepRunner().run_stored(spec, db)  # characterize=False
             report = SweepRunner(
-                jobs=1, characterize=True, packet_count=40
+                characterize=True, packet_count=40
             ).run_stored(spec, db, resume=True)
             assert report.executed_count == spec.point_count
             assert report.skipped_count == 0
@@ -186,19 +175,19 @@ class TestResume:
             )
             # ...and a matching resume then reuses everything.
             again = SweepRunner(
-                jobs=1, characterize=True, packet_count=40
+                characterize=True, packet_count=40
             ).run_stored(spec, db, resume=True)
             assert again.executed_count == 0
             # A different packet count is again incompatible.
             other = SweepRunner(
-                jobs=1, characterize=True, packet_count=60
+                characterize=True, packet_count=60
             ).run_stored(spec, db, resume=True)
             assert other.executed_count == spec.point_count
 
     def test_earlier_runs_stay_in_history(self, spec, tmp_path):
         """Records append per run: re-running a grid must not erase the
         previous run's rows from the history (the makespan trajectory)."""
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             runner.run_stored(spec, db)
             runner.run_stored(spec, db)
@@ -210,7 +199,7 @@ class TestResume:
             assert db.record_count() == spec.point_count
 
     def test_runs_table_records_counters(self, spec, tmp_path):
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             runner.run_stored(spec, db, resume=True)
             runner.run_stored(spec, db, resume=True)
@@ -225,7 +214,7 @@ class TestResume:
 
 class TestMigration:
     def test_json_to_sqlite_to_json_round_trip(self, spec, tmp_path):
-        outcomes = SweepRunner(jobs=1).run(spec)
+        outcomes = SweepRunner().run(spec)
         document = save_sweeps(tmp_path / "results.json", [(spec, outcomes)])
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             imported = db.import_document(document)
@@ -235,7 +224,7 @@ class TestMigration:
 
     def test_import_records_run_source(self, spec, serial_records, tmp_path):
         document = tmp_path / "results.json"
-        outcomes = SweepRunner(jobs=1).run(spec)
+        outcomes = SweepRunner().run(spec)
         save_sweeps(document, [(spec, outcomes)])
         with SweepDatabase(tmp_path / "sweeps.db") as db:
             db.import_document(document)
@@ -245,10 +234,10 @@ class TestMigration:
     def test_export_matches_direct_save(self, spec, tmp_path):
         """Executing into the store then exporting equals saving the outcomes
         as JSON directly — byte for byte."""
-        outcomes = SweepRunner(jobs=1).run(spec)
+        outcomes = SweepRunner().run(spec)
         direct = save_sweeps(tmp_path / "direct.json", [(spec, outcomes)])
         with SweepDatabase(tmp_path / "sweeps.db") as db:
-            SweepRunner(jobs=1).run_stored(spec, db)
+            SweepRunner().run_stored(spec, db)
             exported = db.export_document(tmp_path / "exported.json")
         assert exported.read_bytes() == direct.read_bytes()
 
@@ -262,7 +251,7 @@ class TestMerge:
 
         spec = figure1_spec("d695_leon")
         serial = save_sweeps(
-            tmp_path / "serial.json", [(spec, SweepRunner(jobs=1).run(spec))]
+            tmp_path / "serial.json", [(spec, SweepRunner().run(spec))]
         )
         with SweepDatabase(tmp_path / "merged.db") as merged:
             for index in range(3):
@@ -332,6 +321,44 @@ class TestMerge:
             assert target.records(spec_key) == serial_records
             assert len(target.runs()) == runs_before
 
+    @pytest.mark.parametrize(
+        "change, supersedes",
+        [
+            ({}, True),
+            ({"makespan": 1}, False),
+        ],
+        ids=["characterization-only", "makespan-too"],
+    )
+    def test_merge_supersedes_only_a_characterization_difference(
+        self, spec, serial_records, tmp_path, change, supersedes
+    ):
+        """An incoming record that differs from the stored one only in its
+        characterisation is the same plan under other settings: it counts as
+        inserted and, carried in a later run, becomes current.  Any other
+        difference is still a conflict that leaves the target untouched."""
+        characterised = [
+            {**record, "characterization": {"packet_count": 40}} for record in serial_records
+        ]
+        incoming = [dict(record) for record in serial_records]
+        for key, delta in change.items():
+            incoming[2][key] += delta
+        with SweepDatabase(tmp_path / "shard.db") as shard:
+            spec_key = shard.ensure_sweep(spec)
+            shard.record_run(spec_key, incoming, executed=6, skipped=0)
+        with SweepDatabase(tmp_path / "target.db") as target:
+            spec_key = target.ensure_sweep(spec)
+            target.record_run(spec_key, characterised, executed=6, skipped=0)
+            with SweepDatabase(tmp_path / "shard.db") as shard:
+                if supersedes:
+                    (report,) = target.merge_all([shard])
+                    assert (report.inserted, report.identical) == (len(incoming), 0)
+                    assert target.records(spec_key) == incoming
+                else:
+                    with pytest.raises(ResultStoreError, match="point 2 conflicts"):
+                        target.merge_all([shard])
+                    assert target.records(spec_key) == characterised
+                    assert len(target.runs()) == 1
+
     def test_merge_mismatched_spec_key_rejected(self, spec, serial_records, tmp_path):
         """With expect_spec_keys, a shard of a grid outside the batch is refused."""
         other_spec = SweepSpec(
@@ -372,7 +399,7 @@ class TestMerge:
             name="other-grid", systems=("d695_plasma",), processor_counts=(0,)
         )
         other_records = [
-            outcome.record() for outcome in SweepRunner(jobs=1).run(other_spec)
+            outcome.record() for outcome in SweepRunner().run(other_spec)
         ]
         with SweepDatabase(tmp_path / "a.db") as a:
             a.record_run(a.ensure_sweep(spec), serial_records, executed=6, skipped=0)
@@ -622,7 +649,7 @@ class TestPointCosts:
         """The serial backend measures per-point planning time and the
         engine persists it — the feedback loop cost-based sharding reads."""
         with SweepDatabase(tmp_path / "measured.db") as db:
-            report = SweepRunner(jobs=1).run_stored(spec, db)
+            report = SweepRunner().run_stored(spec, db)
             costs = db.point_cost_rows(report.spec_key)
         assert set(costs) == {p.index for p in spec.points()}
         assert all(seconds >= 0.0 for seconds in costs.values())
@@ -652,7 +679,7 @@ class TestPointCosts:
 
     def test_history_carrying_merge_carries_costs(self, spec, tmp_path):
         with SweepDatabase(tmp_path / "shard.db") as shard:
-            report = SweepRunner(jobs=1).run_stored(spec, shard)
+            report = SweepRunner().run_stored(spec, shard)
             shard_costs = shard.point_cost_rows(report.spec_key)
             with SweepDatabase(tmp_path / "target.db") as target:
                 target.merge_all([shard])

@@ -22,7 +22,7 @@ def spec():
 
 @pytest.fixture(scope="module")
 def serial_records(spec):
-    return [outcome.record() for outcome in SweepRunner(jobs=1).run(spec)]
+    return [outcome.record() for outcome in SweepRunner().run(spec)]
 
 
 class TestDataVersionEdges:

@@ -1,4 +1,4 @@
-"""Tests of the sweep engine: determinism, caching, parallel equivalence."""
+"""Tests of the sweep engine: determinism, caching, sliced and checkpointed runs."""
 
 import pytest
 
@@ -23,7 +23,7 @@ def d695_spec():
 
 @pytest.fixture(scope="module")
 def serial_outcomes(d695_spec):
-    return SweepRunner(jobs=1).run(d695_spec)
+    return SweepRunner().run(d695_spec)
 
 
 def shard_indices(spec, shard_index, shard_count, strided=False):
@@ -39,7 +39,7 @@ def shard_indices(spec, shard_index, shard_count, strided=False):
 
 def shard_run(spec, db, *, shard_index, shard_count, strided=False, resume=False):
     """Run one worker's list of ``spec`` into ``db`` as ``repro sweep --points`` does."""
-    return SweepRunner(jobs=1).run_points(
+    return SweepRunner().run_points(
         spec, db, shard_indices(spec, shard_index, shard_count, strided), resume=resume
     )
 
@@ -67,7 +67,7 @@ class TestSerialExecution:
             ] == [(a.core_id, a.start, a.interface_id) for a in direct.assignments]
 
     def test_system_built_once_per_soc(self, d695_spec):
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         runner.run(d695_spec)
         assert runner.system_cache.stats.misses == 1
         assert runner.system_cache.stats.hits == d695_spec.point_count - 1
@@ -75,7 +75,7 @@ class TestSerialExecution:
     def test_system_built_once_across_specs(self, d695_spec, serial_outcomes):
         """Related grids on one runner share the build: one per distinct
         SoC, not one per spec, and a re-run plans identically."""
-        runner = SweepRunner(jobs=1)
+        runner = SweepRunner()
         runner.run(
             SweepSpec(
                 name="d695-other-grid",
@@ -91,46 +91,20 @@ class TestSerialExecution:
 
 class TestDeterminism:
     def test_same_spec_gives_byte_identical_store_json(self, d695_spec):
-        first = dump_sweep(d695_spec, SweepRunner(jobs=1).run(d695_spec))
-        second = dump_sweep(d695_spec, SweepRunner(jobs=1).run(d695_spec))
+        first = dump_sweep(d695_spec, SweepRunner().run(d695_spec))
+        second = dump_sweep(d695_spec, SweepRunner().run(d695_spec))
         assert first == second
 
     def test_characterized_run_is_deterministic(self, d695_spec, tmp_path):
         first = dump_sweep(
             d695_spec,
-            SweepRunner(jobs=1, characterize=True, packet_count=40).run(d695_spec),
+            SweepRunner(characterize=True, packet_count=40).run(d695_spec),
         )
         second = dump_sweep(
             d695_spec,
-            SweepRunner(
-                jobs=1, characterize=True, packet_count=40, cache_dir=tmp_path
-            ).run(d695_spec),
+            SweepRunner(characterize=True, packet_count=40, cache_dir=tmp_path).run(d695_spec),
         )
         assert first == second
-
-
-class TestParallelExecution:
-    def test_parallel_equals_serial(self, d695_spec, serial_outcomes):
-        parallel = SweepRunner(jobs=2).run(d695_spec)
-        assert [o.point for o in parallel] == [o.point for o in serial_outcomes]
-        for par, ser in zip(parallel, serial_outcomes):
-            assert par.makespan == ser.makespan
-            assert [
-                (a.core_id, a.start, a.interface_id) for a in par.result.assignments
-            ] == [(a.core_id, a.start, a.interface_id) for a in ser.result.assignments]
-
-    def test_parallel_store_json_identical(self, d695_spec, serial_outcomes):
-        parallel = SweepRunner(jobs=2).run(d695_spec)
-        assert dump_sweep(d695_spec, parallel) == dump_sweep(
-            d695_spec, serial_outcomes
-        )
-
-    def test_parallel_builds_once_per_soc_in_parent(self, d695_spec):
-        """The parent pre-builds and seeds the workers, so the cache stats
-        reflect one build per SoC even on the pool path."""
-        runner = SweepRunner(jobs=2)
-        runner.run(d695_spec)
-        assert runner.system_cache.stats.misses == 1
 
 
 class TestCharacterization:
@@ -138,7 +112,7 @@ class TestCharacterization:
         assert all(o.characterization is None for o in serial_outcomes)
 
     def test_one_characterization_per_soc(self, d695_spec):
-        runner = SweepRunner(jobs=1, characterize=True, packet_count=40)
+        runner = SweepRunner(characterize=True, packet_count=40)
         outcomes = runner.run(d695_spec)
         assert runner.characterization_cache.stats.misses == 1
         characterizations = {id(o.characterization) for o in outcomes}
@@ -146,7 +120,7 @@ class TestCharacterization:
         assert outcomes[0].characterization.packet_count == 40
 
     def test_record_shape(self, d695_spec):
-        runner = SweepRunner(jobs=1, characterize=True, packet_count=40)
+        runner = SweepRunner(characterize=True, packet_count=40)
         record = runner.run(d695_spec)[0].record()
         assert record["system"] == "d695_leon"
         assert record["makespan"] > 0
@@ -155,19 +129,12 @@ class TestCharacterization:
 
 
 class TestRunnerConfiguration:
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ConfigurationError, match="jobs"):
-            SweepRunner(jobs=-2)
-
-    def test_jobs_zero_means_cpu_count(self):
-        assert SweepRunner(jobs=0).jobs >= 1
-
     def test_shared_system_cache(self, d695_spec):
         from repro.runner.cache import SystemCache
 
         shared = SystemCache()
-        SweepRunner(jobs=1, system_cache=shared).run(d695_spec)
-        SweepRunner(jobs=1, system_cache=shared).run(d695_spec)
+        SweepRunner(system_cache=shared).run(d695_spec)
+        SweepRunner(system_cache=shared).run(d695_spec)
         assert shared.stats.misses == 1
 
 
@@ -236,7 +203,7 @@ class TestShardExecution:
 
         with SweepDatabase(tmp_path / "shard.db") as db:
             with pytest.raises(ConfigurationError, match="out of range"):
-                SweepRunner(jobs=1).run_points(d695_spec, db, [0, d695_spec.point_count])
+                SweepRunner().run_points(d695_spec, db, [0, d695_spec.point_count])
 
     def test_empty_shards_run_merge_and_export_end_to_end(
         self, d695_spec, serial_outcomes, tmp_path
@@ -300,7 +267,7 @@ class TestCheckpointedRuns:
         # 6 points in chunks of 2 -> 3 run rows, executed counters intact.
         assert [run.executed_points for run in runs] == [2, 2, 2]
         assert sum(run.skipped_points for run in runs) == 0
-        serial = [o.record() for o in SweepRunner(jobs=1).run(d695_spec)]
+        serial = [o.record() for o in SweepRunner().run(d695_spec)]
         assert records == serial
 
     def test_partial_checkpointed_run_resumes_to_the_serial_records(
@@ -318,7 +285,7 @@ class TestCheckpointedRuns:
             assert len(report.executed_indices) == d695_spec.point_count - 2
             assert report.skipped_indices == (0, 1)
             records = db.records(d695_spec.content_key())
-        serial = [o.record() for o in SweepRunner(jobs=1).run(d695_spec)]
+        serial = [o.record() for o in SweepRunner().run(d695_spec)]
         assert records == serial
 
 
@@ -345,10 +312,3 @@ class TestPointSubsetRuns:
             assert report.executed_indices == (2,)
             assert report.skipped_indices == (0, 1)
 
-    def test_shard_worker_backend_cannot_run_points_inline(self):
-        """The shard-worker orchestrator is no execution backend: a runner
-        refuses it when built, so no entry point can mis-execute it."""
-        from repro.runner.backends import ShardWorkerBackend
-
-        with pytest.raises(ConfigurationError, match="ShardWorkerBackend"):
-            SweepRunner(backend=ShardWorkerBackend(workers=2))

@@ -24,7 +24,7 @@ def seeded_store(path):
         systems=("d695_plasma",),
         processor_counts=(0, 2),
     )
-    records = [outcome.record() for outcome in SweepRunner(jobs=1).run(spec)]
+    records = [outcome.record() for outcome in SweepRunner().run(spec)]
     with SweepDatabase(path) as db:
         spec_key = db.ensure_sweep(spec)
         db.record_run(spec_key, records, executed=len(records), skipped=0)

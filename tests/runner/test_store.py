@@ -23,7 +23,7 @@ def executed():
         processor_counts=(0, 6),
         power_limits={"no power limit": None},
     )
-    outcomes = SweepRunner(jobs=1).run(spec)
+    outcomes = SweepRunner().run(spec)
     return spec, outcomes
 
 

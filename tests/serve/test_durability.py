@@ -136,6 +136,30 @@ class TestQueueRestart:
         finally:
             queue.close()
 
+    def test_an_older_daemons_pool_job_still_reads_back(self, tmp_path):
+        """Daemons that still ran the process pool persisted its worker
+        count in ``pool_jobs``; the column stays, so such a job reads back
+        unchanged while new jobs write 1."""
+        path = tmp_path / "pool.db"
+        row = job_row("job-4-bbbbbbbb", 4, status="finished")
+        row.update(backend="pool", pool_jobs=2)
+        with SweepDatabase(path) as db:
+            db.upsert_job(row, spec_json="{}")
+        waiter = Waiter()
+        queue = SweepJobQueue(path, characterize=False, on_finished=waiter)
+        try:
+            restored = queue.get("job-4-bbbbbbbb")
+            assert (restored["backend"], restored["pool_jobs"]) == ("pool", 2)
+            assert restored["status"] == "finished"
+            fresh = queue.submit(small_spec())
+            assert fresh["pool_jobs"] == 1
+            waiter.wait()
+        finally:
+            queue.close()
+        with SweepDatabase(path) as db:
+            rows = {row["job_id"]: row for row in db.job_rows()}
+        assert rows[fresh["job_id"]]["pool_jobs"] == 1
+
 
 DAEMON_SCRIPT = """
 import sys

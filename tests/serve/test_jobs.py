@@ -8,6 +8,7 @@ from repro.errors import ApiError
 from repro.runner.db import SweepDatabase
 from repro.runner.spec import SweepSpec
 from repro.serve.jobs import JOB_STATES, SweepJobQueue
+from repro.serve.service import PlanningService
 
 
 def small_spec(name="serve-jobs", power_limits=None):
@@ -139,29 +140,47 @@ class TestValidation:
         assert "quantum" in str(excinfo.value)
 
     @pytest.mark.parametrize("backend, jobs", [("serial", 4), ("shard-workers", 3)])
-    def test_jobs_the_backend_cannot_use_rejected_at_submit(
-        self, queue_factory, tmp_path, backend, jobs
-    ):
-        """A jobs value the backend cannot use is a client error at submit
-        time, not a job that fails in the background: nothing is queued or
-        persisted."""
-        queue = queue_factory()
-        with pytest.raises(ApiError) as excinfo:
-            queue.submit(small_spec(), backend=backend, jobs=jobs)
-        assert excinfo.value.status == 400
-        assert f"jobs={jobs}" in str(excinfo.value)
-        assert queue.jobs() == []
+    def test_jobs_the_backend_cannot_use_rejected_at_submit(self, tmp_path, backend, jobs):
+        """No backend takes a ``jobs`` value any more: the field is an unknown
+        one, a client error at submit time rather than a job that fails in
+        the background, so nothing is queued or persisted."""
+        service = PlanningService(tmp_path / "jobs.db", characterize=False)
+        try:
+            with pytest.raises(ApiError) as excinfo:
+                service.submit_sweep(
+                    {"spec": small_spec().to_dict(), "backend": backend, "jobs": jobs}
+                )
+            assert excinfo.value.status == 400
+            assert "unknown sweep field(s) 'jobs'" in str(excinfo.value)
+            assert service.jobs.jobs() == []
+        finally:
+            service.close()
         with SweepDatabase(tmp_path / "jobs.db") as db:
             assert db.job_rows() == []
 
     def test_unknown_backend_lists_every_api_name(self, queue_factory):
-        """The runner registry holds only serial/pool; the 400 still names
-        the two orchestrating backends the API accepts."""
+        """The 400 names every backend the API accepts: in-process serial
+        and the two orchestrating ones."""
         queue = queue_factory()
         with pytest.raises(ApiError) as excinfo:
             queue.submit(small_spec(), backend="quantum")
         assert excinfo.value.status == 400
-        assert "known backends: pool, remote, serial, shard-workers" in str(excinfo.value)
+        assert "known backends: remote, serial, shard-workers" in str(excinfo.value)
+
+    def test_pool_backend_is_rejected_before_anything_is_persisted(
+        self, queue_factory, tmp_path
+    ):
+        """The process pool is gone: asking for it is a typed 400 that names
+        the backends to use instead, and no job is queued or persisted."""
+        queue = queue_factory()
+        with pytest.raises(ApiError) as excinfo:
+            queue.submit(small_spec(), backend="pool")
+        assert excinfo.value.status == 400
+        assert "'pool'" in str(excinfo.value)
+        assert "serial" in str(excinfo.value) and "shard-workers" in str(excinfo.value)
+        assert queue.jobs() == []
+        with SweepDatabase(tmp_path / "jobs.db") as db:
+            assert db.job_rows() == []
 
     def test_unknown_job_id_is_404(self, queue_factory):
         queue = queue_factory()

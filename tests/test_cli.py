@@ -1,6 +1,5 @@
 """Tests of the command-line interface."""
 
-import os
 import tempfile
 
 import pytest
@@ -91,8 +90,8 @@ class TestCommands:
 
 class TestSweepCommand:
     def test_sweep_matches_figure1(self, capsys, tmp_path):
-        """`repro sweep` on the parallel runner with the characterisation
-        cache must reproduce the Figure 1 panel for d695 exactly."""
+        """`repro sweep` with the characterisation cache must reproduce the
+        Figure 1 panel for d695 exactly."""
         from repro.experiments.figure1 import run_panel
 
         out_file = tmp_path / "results.json"
@@ -101,8 +100,6 @@ class TestSweepCommand:
                 [
                     "sweep",
                     "d695_leon",
-                    "--jobs",
-                    "2",
                     "--packets",
                     "40",
                     "--cache-dir",
@@ -496,40 +493,33 @@ class TestShardAndMergeCommands:
 
 class TestBackendSelection:
     def test_pool_backend_flag(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--backend",
-                    "pool",
-                    "--jobs",
-                    "2",
-                    "--counts",
-                    "0,2",
-                    "--power-limits",
-                    "none",
-                    "--no-characterize",
-                ]
-            )
-            == 0
+        """``--backend pool --jobs 2`` is a deprecated spelling: each flag
+        warns once on stderr and the grid plans in-process, with the same
+        export as a plain run."""
+        base = [
+            "sweep",
+            "d695_leon",
+            "--counts",
+            "0,2",
+            "--power-limits",
+            "none",
+            "--no-characterize",
+        ]
+        assert main([*base, "--out", str(tmp_path / "serial.json")]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        pooled = tmp_path / "pool.json"
+        assert main([*base, "--backend", "pool", "--jobs", "2", "--out", str(pooled)]) == 0
+        captured = capsys.readouterr()
+        warnings = captured.err.splitlines()
+        assert len(warnings) == 2
+        assert all("repro orchestrate --workers N" in line for line in warnings)
+        assert "--jobs" in warnings[0] and "--backend" in warnings[1]
+        assert captured.out.replace(str(pooled), "") == plain.out.replace(
+            str(tmp_path / "serial.json"), ""
         )
-        assert "on 2 worker(s)" in capsys.readouterr().out
-
-    def test_serial_backend_with_jobs_conflicts(self, capsys):
-        assert main(["sweep", "d695_leon", "--backend", "serial", "--jobs", "4"]) == 1
-        assert "pool" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_serial_backend_with_jobs_zero_fails_on_every_host(
-        self, capsys, monkeypatch, cpus
-    ):
-        """--jobs 0 means one worker per CPU; the serial conflict names the
-        value the user gave, however many CPUs the host has."""
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert main(["sweep", "d695_leon", "--backend", "serial", "--jobs", "0"]) == 1
-        err = capsys.readouterr().err
-        assert "jobs=0 needs the pool backend" in err
+        assert "2 grid points\n" in captured.out
+        assert pooled.read_bytes() == (tmp_path / "serial.json").read_bytes()
 
     @pytest.mark.parametrize(
         "retired",
@@ -556,6 +546,12 @@ class TestBackendSelection:
         commands = next(a for a in build_parser()._actions if a.dest == "command")
         backend = next(a for a in commands.choices["sweep"]._actions if a.dest == "backend")
         assert backend.choices == ("pool", "serial")
+
+    def test_deprecated_flags_are_hidden_from_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        assert "--backend" not in out and "--jobs" not in out
 
     def test_strided_shards_merge_byte_identical(self, capsys, tmp_path):
         """Strided --points lists (the split orchestrate deals when every
@@ -782,6 +778,35 @@ class TestOrchestrateCommand:
         assert main(["sweep", *grid, "--out", str(serial)]) == 0
         assert exported.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    def test_orchestrate_no_characterize_re_records_a_characterised_grid(
+        self, capsys, tmp_path, resume
+    ):
+        """A grid stored with characterisation is re-recorded without it by
+        `repro orchestrate --no-characterize` exactly as by `repro sweep
+        --no-characterize`: the merge lets the newer run supersede records
+        that differ only in their characterisation."""
+        import shutil
+
+        grid = ["d695_leon", "--counts", "0,2", "--power-limits", "none"]
+        characterised = tmp_path / "C.db"
+        assert main(["sweep", *grid, "--packets", "40", "--store", str(characterised)]) == 0
+        direct = tmp_path / "D.db"
+        shutil.copyfile(characterised, direct)
+        orchestrated = tmp_path / "orchestrated.json"
+        argv = ["orchestrate", *grid, "--no-characterize", "--workers", "2"]
+        argv += ["--store", str(characterised), "--export-json", str(orchestrated)]
+        assert main([*argv, "--resume"] if resume else argv) == 0
+        assert "2 records, 3 run(s) across 1 sweep(s) orchestrated on 2 shard worker(s)" in (
+            capsys.readouterr().out
+        )
+        assert main(["sweep", *grid, "--no-characterize", "--store", str(direct)]) == 0
+        swept = tmp_path / "swept.json"
+        assert main(["history", str(direct), "--export-json", str(swept)]) == 0
+        capsys.readouterr()
+        assert orchestrated.read_bytes() == swept.read_bytes()
+        assert '"characterization": null' in orchestrated.read_text()
+
     def test_cost_shards_flag_is_gone(self, capsys, tmp_path):
         """Measured costs always size the split; the old opt-in flag is an
         argparse error."""
@@ -802,7 +827,7 @@ class TestMergeConflictCleanup:
         from repro.runner.spec import SweepSpec
 
         spec = SweepSpec(name="conflict", systems=("d695_leon",), processor_counts=(0,))
-        records = [o.record() for o in SweepRunner(jobs=1).run(spec)]
+        records = [o.record() for o in SweepRunner().run(spec)]
         good, bad = tmp_path / "good.db", tmp_path / "bad.db"
         with SweepDatabase(good) as db:
             db.record_run(db.ensure_sweep(spec), records, executed=1, skipped=0)
@@ -826,7 +851,7 @@ class TestMergeConflictCleanup:
         spec = SweepSpec(name="keep", systems=("d695_leon",), processor_counts=(0,))
         shard = tmp_path / "shard.db"
         with SweepDatabase(shard) as db:
-            SweepRunner(jobs=1).run_stored(spec, db)
+            SweepRunner().run_stored(spec, db)
         merged = tmp_path / "merged.db"
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory", encoding="utf-8")

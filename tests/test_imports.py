@@ -3,9 +3,10 @@
 Package ``__init__`` modules re-export their names lazily (PEP 562) and the
 CLI imports what a single subcommand needs inside that subcommand's
 handler, so a plain sweep never loads the HTTP daemon, the lint analyzer,
-the profiler, the process pool or the dispatch supervisor.  The serve,
-lint, profile, pool and orchestrate tests prove those paths still import
-what they need.
+the profiler, ``multiprocessing`` or the dispatch supervisor.  The serve,
+lint, profile and orchestrate tests prove those paths still import what
+they need, and the deprecated ``--backend pool`` spelling proves it plans
+in-process.
 
 The data side (specs, paper names, the JSON and sqlite stores, the CLI and
 its parser) never loads the planning core at module level either: a
@@ -192,8 +193,9 @@ class TestColdImportSet:
             assert "store s.db: 0 executed, 8 skipped across 1 sweep(s) [resume]" in text, text
             assert (
                 "cache: 0 system builds (0 hits, 0 from disk), 0 NoC characterisations "
-                "(0 hits, 0 from disk) for 8 grid points on 1 worker(s)"
+                "(0 hits, 0 from disk) for 8 grid points"
             ) in text, text
+            assert "worker" not in text, text
             """,
             stored_sweep,
         )
@@ -236,6 +238,32 @@ class TestColdImportSet:
         )
         assert "repro.runner.dispatch" in loaded
         assert_none_loaded(loaded, PLANNING_CORE)
+
+    def test_deprecated_pool_spelling_plans_in_process(self, tmp_path):
+        """``--backend pool --jobs 2`` warns, then plans in this process like
+        any sweep: no ``multiprocessing``, and every executed point leaves
+        its measured cost for the next orchestration's split."""
+        loaded = loaded_modules(
+            """
+            import contextlib, io
+            from repro.cli import main
+            argv = ["sweep", "d695_leon", "--no-characterize", "--backend", "pool",
+                    "--jobs", "2", "--store", "S.db"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 0
+            assert "repro orchestrate --workers N" in err.getvalue(), err.getvalue()
+            """,
+            tmp_path,
+        )
+        assert_none_loaded(loaded, ("multiprocessing",))
+        from repro.runner.db import SweepDatabase
+
+        with SweepDatabase.open_reader(tmp_path / "S.db") as store:
+            (run,) = store.runs()
+            costs = store.run_point_costs(run.run_id)
+        assert run.executed_points == 8
+        assert sorted(costs) == list(range(8))
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
