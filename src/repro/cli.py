@@ -988,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep",
-        help="run an experiment grid through the parallel sweep engine",
+        help="run an experiment grid in-process (orchestrate fans it out)",
         description="Run a (system x reuse level x power limit x scheduler) "
         "grid through the caching sweep runner.  Without options this "
         "reproduces the Figure 1 grids of the selected systems.",

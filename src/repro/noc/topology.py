@@ -59,45 +59,8 @@ class GridTopology:
             )
         return node
 
-    def neighbors(self, node: NodeCoordinate) -> list[NodeCoordinate]:
-        """The up to four mesh neighbours of ``node``."""
-        self.require(node)
-        x, y = node
-        candidates = [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-        return [candidate for candidate in candidates if self.contains(candidate)]
-
-    def are_adjacent(self, first: NodeCoordinate, second: NodeCoordinate) -> bool:
-        """True when the two nodes are connected by a single mesh channel."""
-        self.require(first)
-        self.require(second)
-        dx = abs(first[0] - second[0])
-        dy = abs(first[1] - second[1])
-        return dx + dy == 1
-
     def manhattan_distance(self, first: NodeCoordinate, second: NodeCoordinate) -> int:
         """Hop distance between two nodes under minimal (XY) routing."""
         self.require(first)
         self.require(second)
         return abs(first[0] - second[0]) + abs(first[1] - second[1])
-
-    def boundary_nodes(self) -> list[NodeCoordinate]:
-        """Nodes on the grid boundary, where external I/O ports can attach."""
-        return [
-            node
-            for node in self.nodes()
-            if node[0] in (0, self.width - 1) or node[1] in (0, self.height - 1)
-        ]
-
-    def node_index(self, node: NodeCoordinate) -> int:
-        """Row-major linear index of ``node`` (useful for compact tables)."""
-        self.require(node)
-        x, y = node
-        return y * self.width + x
-
-    def node_at(self, index: int) -> NodeCoordinate:
-        """Inverse of :meth:`node_index`."""
-        if not 0 <= index < self.node_count:
-            raise TopologyError(
-                f"node index {index} out of range for {self.width}x{self.height} grid"
-            )
-        return (index % self.width, index // self.width)

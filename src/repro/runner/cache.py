@@ -86,8 +86,8 @@ def build_point_system(
 ) -> SocSystem:
     """Build the paper system a sweep point needs (uncached).
 
-    ``pattern_penalty`` overrides the processors' cycles-per-pattern figure,
-    reproducing the ablation's BIST-kernel-quality sweep.
+    ``pattern_penalty`` overrides the processors' cycles-per-pattern figure
+    (a spec's ``pattern_penalties`` axis sweeps the BIST kernel's quality).
     """
     processor = None
     if pattern_penalty is not None:

@@ -9,10 +9,8 @@ scheduler.  Whatever plans a point
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError
 from repro.runner.spec import canonical_scheduler_name
 from repro.schedule.greedy import EventDrivenScheduler, GreedyScheduler
-from repro.schedule.priority import distance_priority
 from repro.schedule.variants import FastestCompletionScheduler
 
 #: Scheduler policies a spec can name, keyed by their canonical spec name
@@ -36,17 +34,8 @@ def scheduler_spec_name(scheduler: EventDrivenScheduler | None) -> str:
     """Canonical spec name for a scheduler instance (``None`` = greedy).
 
     Raises:
-        ConfigurationError: when the instance cannot be expressed as a spec
-            name — an unregistered policy, or a registered policy configured
-            with a non-default priority factory (a sweep point only records
-            the policy name, so instance state would be silently dropped).
+        ConfigurationError: for an unregistered policy.
     """
     if scheduler is None:
         return "greedy"
-    name = canonical_scheduler_name(scheduler.name)
-    if getattr(scheduler, "_priority_factory", distance_priority) is not distance_priority:
-        raise ConfigurationError(
-            f"scheduler {scheduler.name!r} uses a custom priority factory, which "
-            "a sweep spec cannot express; plan through TestPlanner directly"
-        )
-    return name
+    return canonical_scheduler_name(scheduler.name)

@@ -2,15 +2,15 @@
 
 A :class:`SweepSpec` names a grid of planning configurations — paper systems
 × reused-processor counts × power limits × scheduler policies (× flit widths
-× processor pattern penalties for the ablations) — without saying anything
-about *how* the grid is executed.  :meth:`SweepSpec.points` expands the grid
+× processor pattern penalties) — without saying anything about *how* the
+grid is executed.  :meth:`SweepSpec.points` expands the grid
 into a deterministic, totally ordered sequence of :class:`SweepPoint`
 records; the :class:`~repro.runner.engine.SweepRunner` executes them
 in-process and always reports results in point order.
 
 Every experiment of the paper is a thin spec over this module (see
-:mod:`repro.experiments.figure1` and :mod:`repro.experiments.ablation`), and
-``repro sweep`` builds specs straight from the command line.
+:mod:`repro.experiments.figure1`), and ``repro sweep`` builds specs straight
+from the command line or reads them with ``--spec-json``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ system test takes.
   and router local ports.
 * :mod:`repro.schedule.greedy` implements the paper's greedy scheduler;
   :mod:`repro.schedule.variants` implements the look-ahead variant used to
-  explain the p22810 irregularity; :mod:`repro.schedule.baseline` builds the
-  no-processor-reuse baseline.
+  explain the p22810 irregularity.  The no-processor-reuse baseline is a
+  plan that reuses 0 processors.
 * :mod:`repro.schedule.result` defines the schedule data structure and checks
   its invariants; :mod:`repro.schedule.planner` is the one-call public entry
   point.
@@ -34,7 +34,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.schedule.result": ("Assignment", "ScheduleResult", "validate_schedule"),
         "repro.schedule.greedy": ("GreedyScheduler",),
         "repro.schedule.variants": ("FastestCompletionScheduler",),
-        "repro.schedule.baseline": ("external_only_schedule",),
         "repro.schedule.planner": ("PlanRequest", "TestPlanner"),
     },
 )

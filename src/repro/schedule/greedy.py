@@ -9,9 +9,10 @@ few cycles later.
 :class:`EventDrivenScheduler` implements the shared machinery (event loop,
 resource/power bookkeeping, processor enablement, schedule assembly) and
 delegates the actual pairing decision to :meth:`select_assignment`, so the
-paper's policy (:class:`GreedyScheduler`) and the look-ahead variant used by
-the ablation study (:class:`~repro.schedule.variants.FastestCompletionScheduler`)
-share every other line of code.
+paper's policy (:class:`GreedyScheduler`) and the look-ahead variant
+(:class:`~repro.schedule.variants.FastestCompletionScheduler`) share every
+other line of code.  Both order the cores by the paper's
+:func:`~repro.schedule.priority.distance_priority`.
 
 Each plan hands the policy a fresh memo (:meth:`selection_memo`), so a policy
 can skip the checks whose inputs have not changed.  Within one event a start
@@ -29,7 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import PowerBudgetError, SchedulingError
@@ -37,15 +38,10 @@ from repro.noc.network import Network
 from repro.schedule.job import JobRow, job_rows
 from repro.schedule.pathalloc import LinkAllocator
 from repro.schedule.power import PowerConstraint, PowerTracker
-from repro.schedule.priority import PriorityKey, distance_priority, priority_order
+from repro.schedule.priority import distance_priority, priority_order
 from repro.schedule.result import Assignment, ScheduleResult
 from repro.tam.interfaces import TestInterface
 from repro.tam.pool import InterfaceState, ResourcePool
-
-#: Factory signature for priority keys; receives cores, interfaces, network.
-PriorityFactory = Callable[
-    [Sequence[CoreUnderTest], Sequence[TestInterface], Network], PriorityKey
-]
 
 
 @dataclass
@@ -61,9 +57,6 @@ class EventDrivenScheduler:
 
     #: Human readable policy name recorded in the produced schedules.
     name = "event-driven"
-
-    def __init__(self, priority_factory: PriorityFactory = distance_priority):
-        self._priority_factory = priority_factory
 
     # ------------------------------------------------------------------
     # Policy hooks.
@@ -149,7 +142,7 @@ class EventDrivenScheduler:
         jobs = job_rows(cores, interfaces, network)
         memo = self.selection_memo()
 
-        key = self._priority_factory(cores, interfaces, network)
+        key = distance_priority(cores, interfaces, network)
         pending = priority_order(cores, key)
 
         assignments: list[Assignment] = []

@@ -3,8 +3,7 @@
 The paper states that "the position of the CUTs, processors and IO ports
 determine the order and priority of the test.  The cores closer to IO ports or
 processors are tested first."  :func:`distance_priority` implements exactly
-that ordering; :func:`priority_order` additionally lets callers plug in their
-own key, which the ablation experiments use.
+that ordering and :func:`priority_order` sorts the cores by it.
 """
 
 from __future__ import annotations
@@ -45,27 +44,6 @@ def distance_priority(
             )
         distance = min(network.hops(node, core.node) for node in source_nodes)
         return (distance, -core.application_time, core.identifier)
-
-    return key
-
-
-def processor_first_priority(
-    cores: Sequence[CoreUnderTest],
-    interfaces: Sequence[TestInterface],
-    network: Network,
-) -> PriorityKey:
-    """Variant priority that schedules processor cores strictly first.
-
-    Reused processors only start contributing after their own test completes,
-    so pulling their tests to the front of the queue maximises the time window
-    in which they are useful.  This is not what the paper's greedy tool does
-    (it relies on distance alone), but it is a natural design alternative and
-    is evaluated by the ablation experiments.
-    """
-    base = distance_priority(cores, interfaces, network)
-
-    def key(core: CoreUnderTest) -> tuple:
-        return (0 if core.is_processor else 1, *base(core))
 
     return key
 

@@ -1,4 +1,4 @@
-"""Scheduler variants used by the ablation experiments.
+"""The look-ahead scheduler variant the paper suggests for p22810.
 
 The paper itself points out the weakness of its greedy policy: "if a processor
 is available in a given instant and an external tester is available a few
@@ -38,7 +38,6 @@ from repro.schedule.greedy import EventDrivenScheduler
 from repro.schedule.job import JobRow, TestJob
 from repro.schedule.pathalloc import LinkAllocator
 from repro.schedule.power import PowerTracker
-from repro.schedule.priority import distance_priority
 from repro.tam.interfaces import TestInterface
 from repro.tam.pool import NEVER, InterfaceState, ResourcePool
 
@@ -78,9 +77,6 @@ class FastestCompletionScheduler(EventDrivenScheduler):
     """
 
     name = "fastest-completion"
-
-    def __init__(self, priority_factory=distance_priority):
-        super().__init__(priority_factory)
 
     def selection_memo(self) -> _FastestCompletionMemo:
         return _FastestCompletionMemo()

@@ -24,7 +24,7 @@ from repro.noc.network import Network, NocConfig
 from repro.noc.topology import NodeCoordinate
 from repro.processors.characterization import ProcessorCharacterization, characterize
 from repro.processors.model import EmbeddedProcessor
-from repro.system.placement import PlacementStrategy, spread_placement, verify_placement
+from repro.system.placement import spread_placement, verify_placement
 from repro.tam.interfaces import (
     TestInterface,
     external_interface,
@@ -181,7 +181,6 @@ class SystemBuilder:
         self._cores: list[CoreUnderTest] = []
         self._io_ports: list[IoPort] = []
         self._characterizations: dict[str, ProcessorCharacterization] = {}
-        self._placement: PlacementStrategy = spread_placement
 
     # ------------------------------------------------------------------
     # Content.
@@ -242,11 +241,6 @@ class SystemBuilder:
         self._io_ports.append(IoPort(name=name, node=node, direction=direction, power=power))
         return self
 
-    def with_placement(self, strategy: PlacementStrategy) -> "SystemBuilder":
-        """Use a custom placement strategy (default: spread placement)."""
-        self._placement = strategy
-        return self
-
     # ------------------------------------------------------------------
     # Assembly.
     # ------------------------------------------------------------------
@@ -260,7 +254,7 @@ class SystemBuilder:
         if not self._cores:
             raise ConfigurationError(f"system {self._name!r} has no cores")
         pair_external_interfaces(self._io_ports)  # raises when no pair exists
-        self._placement(self._cores, self._network.topology)
+        spread_placement(self._cores, self._network.topology)
         verify_placement(self._cores, self._network.topology)
         return SocSystem(
             name=self._name,

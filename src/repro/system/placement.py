@@ -1,32 +1,24 @@
 """Deterministic placement of cores onto the NoC grid.
 
 The paper treats core positions as designer input ("the position of each core,
-including the processors reused for test").  For reproducibility this module
-provides two deterministic strategies:
+including the processors reused for test").  For reproducibility
+:func:`spread_placement` places them deterministically: processors are spread
+as evenly as possible over the grid (so that reused processors cover different
+regions of the chip) and the remaining cores fill the remaining slots row by
+row.  This mirrors how a designer would place programmable cores in a
+NoC-based multiprocessor.
 
-* :func:`row_major_placement` — cores fill the grid row by row in the order
-  they are given; simple and useful for unit tests.
-* :func:`spread_placement` — processors are spread as evenly as possible over
-  the grid (so that reused processors cover different regions of the chip) and
-  the remaining cores fill the remaining slots row by row.  This mirrors how a
-  designer would place programmable cores in a NoC-based multiprocessor and is
-  the strategy used by the paper-reproduction presets.
-
-Both strategies allow several cores per router when the core count exceeds the
-router count (as in the paper's p22810 on a 5x6 grid and p93791 on a 5x5
-grid).
+Several cores may share a router when the core count exceeds the router count
+(as in the paper's p22810 on a 5x6 grid and p93791 on a 5x5 grid).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import PlacementError
 from repro.noc.topology import GridTopology, NodeCoordinate
-
-#: A placement strategy mutates the cores in place, assigning each a node.
-PlacementStrategy = Callable[[Sequence[CoreUnderTest], GridTopology], None]
 
 
 def _node_capacity(core_count: int, node_count: int) -> int:
@@ -34,22 +26,6 @@ def _node_capacity(core_count: int, node_count: int) -> int:
     if node_count <= 0:
         raise PlacementError("the topology has no nodes")
     return -(-core_count // node_count)
-
-
-def row_major_placement(cores: Sequence[CoreUnderTest], topology: GridTopology) -> None:
-    """Place cores row by row, in the order given, one slot at a time."""
-    nodes = list(topology.nodes())
-    capacity = _node_capacity(len(cores), len(nodes))
-    slots: list[NodeCoordinate] = []
-    for layer in range(capacity):
-        slots.extend(nodes)
-    if len(cores) > len(slots):
-        raise PlacementError(
-            f"cannot place {len(cores)} cores on {len(nodes)} nodes "
-            f"with capacity {capacity}"
-        )
-    for core, node in zip(cores, slots):
-        core.place_at(node)
 
 
 def spread_placement(cores: Sequence[CoreUnderTest], topology: GridTopology) -> None:

@@ -7,14 +7,10 @@ The paper's tool works in three unit systems:
   literature where per-core test power is a dimensionless weight.
 * **data volume** — bits transported over the NoC.
 
-The helpers below keep conversions explicit and give a single place to round
-cycle counts (always *up*: a partially used cycle is a used cycle).
+The helpers below keep the conversions between them explicit.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 #: Number of clock cycles the external tester needs to produce one pattern.
 #: The paper assumes the ATE streams patterns with no generation overhead.
@@ -23,19 +19,6 @@ EXTERNAL_TESTER_CYCLES_PER_PATTERN = 0
 #: Number of clock cycles an embedded processor needs to generate one BIST
 #: pattern (the paper's stated assumption in Section 3).
 PROCESSOR_CYCLES_PER_PATTERN = 10
-
-
-def cycles(value: float) -> int:
-    """Round a (possibly fractional) cycle count up to a whole cycle.
-
-    >>> cycles(10.0)
-    10
-    >>> cycles(10.01)
-    11
-    """
-    if value < 0:
-        raise ValueError(f"cycle counts cannot be negative, got {value!r}")
-    return int(math.ceil(value - 1e-12))
 
 
 def flits_for_bits(bits: int, flit_width: int) -> int:
@@ -55,13 +38,6 @@ def flits_for_bits(bits: int, flit_width: int) -> int:
     return (bits + flit_width - 1) // flit_width
 
 
-def percentage(part: float, whole: float) -> float:
-    """Return ``part`` as a percentage of ``whole`` (0.0 when whole is 0)."""
-    if whole == 0:
-        return 0.0
-    return 100.0 * part / whole
-
-
 def reduction_percent(baseline: float, improved: float) -> float:
     """Test-time reduction of ``improved`` relative to ``baseline`` in percent.
 
@@ -71,30 +47,3 @@ def reduction_percent(baseline: float, improved: float) -> float:
     if baseline <= 0:
         return 0.0
     return 100.0 * (baseline - improved) / baseline
-
-
-@dataclass(frozen=True)
-class PowerValue:
-    """A power figure together with the unit it is expressed in.
-
-    The library itself only ever compares and sums power values, so the unit
-    is carried along purely for reporting purposes.
-    """
-
-    value: float
-    unit: str = "pu"
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"power cannot be negative, got {self.value}")
-
-    def __add__(self, other: "PowerValue") -> "PowerValue":
-        if self.unit != other.unit:
-            raise ValueError(f"cannot add power in {self.unit!r} and {other.unit!r}")
-        return PowerValue(self.value + other.value, self.unit)
-
-    def scaled(self, factor: float) -> "PowerValue":
-        """Return this power value scaled by ``factor`` (e.g. a percentage)."""
-        if factor < 0:
-            raise ValueError(f"scale factor cannot be negative, got {factor}")
-        return PowerValue(self.value * factor, self.unit)

@@ -28,38 +28,10 @@ class TestGridTopology:
         with pytest.raises(TopologyError):
             grid.require((2, 0))
 
-    def test_neighbors_interior_and_corner(self):
-        grid = GridTopology(3, 3)
-        assert sorted(grid.neighbors((1, 1))) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-        assert sorted(grid.neighbors((0, 0))) == [(0, 1), (1, 0)]
-
-    def test_adjacency(self):
-        grid = GridTopology(3, 3)
-        assert grid.are_adjacent((0, 0), (0, 1))
-        assert not grid.are_adjacent((0, 0), (1, 1))
-        assert not grid.are_adjacent((0, 0), (0, 0))
-
     def test_manhattan_distance(self):
         grid = GridTopology(5, 5)
         assert grid.manhattan_distance((0, 0), (4, 4)) == 8
         assert grid.manhattan_distance((2, 3), (2, 3)) == 0
-
-    def test_boundary_nodes(self):
-        grid = GridTopology(3, 3)
-        boundary = grid.boundary_nodes()
-        assert (1, 1) not in boundary
-        assert len(boundary) == 8
-
-    def test_boundary_of_single_row(self):
-        grid = GridTopology(4, 1)
-        assert len(grid.boundary_nodes()) == 4
-
-    def test_node_index_roundtrip(self):
-        grid = GridTopology(4, 3)
-        for node in grid.nodes():
-            assert grid.node_at(grid.node_index(node)) == node
-        with pytest.raises(TopologyError):
-            grid.node_at(12)
 
     def test_paper_grid_sizes(self):
         # The paper's systems use 4x4, 5x6 and 5x5 grids.

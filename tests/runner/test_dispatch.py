@@ -2,7 +2,6 @@
 retry/requeue, launchers) underneath the shard-worker backend."""
 
 import dataclasses
-import os
 import sys
 import textwrap
 

@@ -47,16 +47,6 @@ class TestSchedulerRegistry:
         assert scheduler_spec_name(GreedyScheduler()) == "greedy"
         assert scheduler_spec_name(FastestCompletionScheduler()) == "fastest-completion"
 
-    def test_scheduler_with_custom_priority_rejected(self):
-        """Instance state a spec cannot record must fail loudly, not be
-        silently replaced by the default policy."""
-
-        def custom_priority(cores, interfaces, network):
-            raise NotImplementedError
-
-        with pytest.raises(ConfigurationError, match="priority factory"):
-            scheduler_spec_name(GreedyScheduler(priority_factory=custom_priority))
-
 
 class TestPowerSeriesLabel:
     def test_paper_labels(self):

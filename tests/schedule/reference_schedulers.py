@@ -22,7 +22,7 @@ from repro.cores.core import CoreUnderTest
 from repro.errors import PowerBudgetError, SchedulingError
 from repro.noc.links import Link
 from repro.noc.network import Network
-from repro.schedule.greedy import GreedyScheduler, PriorityFactory
+from repro.schedule.greedy import GreedyScheduler
 from repro.schedule.job import TestJob, build_job
 from repro.schedule.power import PowerConstraint, PowerTracker
 from repro.schedule.priority import distance_priority, priority_order
@@ -79,9 +79,6 @@ class ReferenceEventLoop:
 
     name = "event-driven"
 
-    def __init__(self, priority_factory: PriorityFactory = distance_priority):
-        self._priority_factory = priority_factory
-
     def select_assignment(
         self,
         now: int,
@@ -111,7 +108,7 @@ class ReferenceEventLoop:
         tracker = PowerTracker(power_constraint)
         jobs = self._build_jobs(cores, interfaces, network)
 
-        key = self._priority_factory(cores, interfaces, network)
+        key = distance_priority(cores, interfaces, network)
         pending = priority_order(cores, key)
 
         assignments: list[Assignment] = []
@@ -263,7 +260,7 @@ class ReferenceGreedy(ReferenceEventLoop):
 
 
 class ReferenceFastestCompletion(ReferenceEventLoop):
-    """The ablation's look-ahead: start a core only on its best interface."""
+    """The look-ahead policy: start a core only on its best interface."""
 
     name = FastestCompletionScheduler.name
 

@@ -24,8 +24,10 @@ def grid_resources(topology):
     """Every local port and directed channel of ``topology``."""
     for node in topology.nodes():
         yield local_port(node)
-        for neighbor in topology.neighbors(node):
-            yield (node, neighbor)
+        x, y = node
+        for neighbor in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
+            if topology.contains(neighbor):
+                yield (node, neighbor)
 
 
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,11 +5,7 @@ import pytest
 from repro.cores.core import build_core
 from repro.errors import SchedulingError
 from repro.noc.network import Network, NocConfig
-from repro.schedule.priority import (
-    distance_priority,
-    priority_order,
-    processor_first_priority,
-)
+from repro.schedule.priority import distance_priority, priority_order
 from repro.tam.interfaces import InterfaceKind, TestInterface
 
 from tests.conftest import make_module
@@ -26,13 +22,8 @@ def external_at(source, sink):
     )
 
 
-def placed_core(name, node, patterns=10, is_processor=False):
-    core = build_core(
-        make_module(name, patterns=patterns),
-        flit_width=16,
-        is_processor=is_processor,
-        processor_name=name if is_processor else None,
-    )
+def placed_core(name, node, patterns=10):
+    core = build_core(make_module(name, patterns=patterns), flit_width=16)
     core.place_at(node)
     return core
 
@@ -77,12 +68,3 @@ class TestDistancePriority:
         first = priority_order(cores, key)
         second = priority_order(list(reversed(cores)), key)
         assert [c.identifier for c in first] == [c.identifier for c in second]
-
-
-class TestProcessorFirstPriority:
-    def test_processors_lead(self, network):
-        cpu = placed_core("cpu", (3, 3), is_processor=True)
-        near_core = placed_core("near", (0, 0))
-        interfaces = [external_at((0, 0), (0, 0))]
-        key = processor_first_priority([cpu, near_core], interfaces, network)
-        assert priority_order([near_core, cpu], key) == [cpu, near_core]

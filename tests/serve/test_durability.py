@@ -7,11 +7,9 @@ same store still serves the job — marked ``interrupted``.
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
-import time
 import urllib.request
 from pathlib import Path
 

@@ -1,15 +1,11 @@
-"""Tests of core placement strategies."""
+"""Tests of core placement."""
 
 import pytest
 
 from repro.cores.core import build_core
 from repro.errors import PlacementError
 from repro.noc.topology import GridTopology
-from repro.system.placement import (
-    row_major_placement,
-    spread_placement,
-    verify_placement,
-)
+from repro.system.placement import spread_placement, verify_placement
 
 from tests.conftest import make_module
 
@@ -28,24 +24,6 @@ def cores(count, processors=0):
             )
         )
     return result
-
-
-class TestRowMajorPlacement:
-    def test_one_core_per_node(self):
-        grid = GridTopology(3, 3)
-        batch = cores(9)
-        row_major_placement(batch, grid)
-        assert [core.node for core in batch] == list(grid.nodes())
-
-    def test_wraps_when_more_cores_than_nodes(self):
-        grid = GridTopology(2, 2)
-        batch = cores(7)
-        row_major_placement(batch, grid)
-        verify_placement(batch, grid)
-        per_node = {}
-        for core in batch:
-            per_node[core.node] = per_node.get(core.node, 0) + 1
-        assert max(per_node.values()) == 2  # ceil(7/4)
 
 
 class TestSpreadPlacement:

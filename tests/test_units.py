@@ -5,10 +5,7 @@ import pytest
 from repro.units import (
     EXTERNAL_TESTER_CYCLES_PER_PATTERN,
     PROCESSOR_CYCLES_PER_PATTERN,
-    PowerValue,
-    cycles,
     flits_for_bits,
-    percentage,
     reduction_percent,
 )
 
@@ -17,17 +14,6 @@ class TestConstants:
     def test_paper_assumptions(self):
         assert EXTERNAL_TESTER_CYCLES_PER_PATTERN == 0
         assert PROCESSOR_CYCLES_PER_PATTERN == 10
-
-
-class TestCycles:
-    def test_rounds_up(self):
-        assert cycles(10.0) == 10
-        assert cycles(10.01) == 11
-        assert cycles(0.0) == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            cycles(-1.0)
 
 
 class TestFlitsForBits:
@@ -46,29 +32,7 @@ class TestFlitsForBits:
 
 
 class TestPercentages:
-    def test_percentage(self):
-        assert percentage(25, 50) == pytest.approx(50.0)
-        assert percentage(1, 0) == 0.0
-
     def test_reduction_percent(self):
         assert reduction_percent(100, 72) == pytest.approx(28.0)
         assert reduction_percent(0, 10) == 0.0
         assert reduction_percent(100, 120) == pytest.approx(-20.0)
-
-
-class TestPowerValue:
-    def test_addition(self):
-        assert (PowerValue(3.0) + PowerValue(4.0)).value == pytest.approx(7.0)
-
-    def test_unit_mismatch(self):
-        with pytest.raises(ValueError):
-            PowerValue(1.0, "mW") + PowerValue(1.0, "pu")
-
-    def test_scaling(self):
-        assert PowerValue(10.0).scaled(0.5).value == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            PowerValue(10.0).scaled(-1.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            PowerValue(-1.0)
