@@ -1,10 +1,7 @@
-"""Tests of the Figure 1 experiment driver (shape checks on d695), and of
-the Figure 1 claims on the grid axes the paper fixes: the scheduler policy,
-the processors' pattern penalty, the flit width and the ATE port count."""
+"""Tests of the Figure 1 experiment driver (shape checks on d695)."""
 
 import pytest
 
-from repro.cores.power import PowerModel, assign_power
 from repro.errors import ConfigurationError
 from repro.experiments.figure1 import (
     PAPER_POWER_SERIES,
@@ -12,17 +9,7 @@ from repro.experiments.figure1 import (
     run_figure1,
     run_panel,
 )
-from repro.itc02.library import load_benchmark
-from repro.noc.network import NocConfig
-from repro.runner.engine import SweepRunner
-from repro.runner.spec import SweepSpec
-from repro.schedule.planner import TestPlanner
 from repro.schedule.result import validate_schedule
-from repro.system.builder import SystemBuilder
-from repro.system.paper import PAPER_SYSTEMS
-from repro.system.presets import processor_prototype
-from repro.tam.ports import PortDirection
-from repro.units import reduction_percent
 
 
 class TestPaperConstants:
@@ -123,120 +110,3 @@ class TestRunFigure1Subset:
     def test_subset_of_systems(self):
         panels = run_figure1(systems=("d695_leon",))
         assert set(panels) == {"d695_leon"}
-
-
-def grid_makespans(spec, *axes):
-    """Run ``spec`` in-process; its makespans keyed by the ``axes`` point fields."""
-    return {
-        tuple(getattr(outcome.point, axis) for axis in axes): outcome.makespan
-        for outcome in SweepRunner().run(spec)
-    }
-
-
-@pytest.mark.parametrize("system", ["d695_leon", "p22810_leon"])
-def test_lookahead_recovers_greedy_losses(system):
-    """Claim T4: the look-ahead policy the paper suggests for p22810's
-    irregular bars ties without processors, wins somewhere and never loses
-    by more than 5 %."""
-    counts = PAPER_PROCESSOR_COUNTS[system.split("_")[0]]
-    spec = SweepSpec(
-        name="scheduler-policy",
-        systems=(system,),
-        processor_counts=counts,
-        schedulers=("greedy", "fastest-completion"),
-    )
-    makespans = grid_makespans(spec, "reused_processors", "scheduler")
-    greedy = [makespans[(count, "greedy")] for count in counts]
-    lookahead = [makespans[(count, "fastest-completion")] for count in counts]
-    assert lookahead[0] == greedy[0]
-    assert any(ahead < first for ahead, first in zip(lookahead[1:], greedy[1:]))
-    for ahead, first in zip(lookahead, greedy):
-        assert ahead <= first * 1.05
-
-
-@pytest.mark.parametrize(
-    "system,penalties",
-    [("d695_plasma", (0, 10, 40)), ("d695_leon", (0, 5, 10, 20, 40))],
-    ids=["d695_plasma", "d695_leon"],
-)
-def test_pattern_penalty_moves_only_the_reuse_bar(system, penalties):
-    """Study A1: the processors' cycles per pattern (the paper fixes 10)
-    cannot change the no-reuse bar, reuse helps at every penalty, and a
-    cheaper pattern generator helps at least as much as a dearer one
-    (2 % greedy slack)."""
-    spec = SweepSpec(
-        name="pattern-penalty",
-        systems=(system,),
-        processor_counts=(0, None),
-        pattern_penalties=penalties,
-    )
-    makespans = grid_makespans(spec, "pattern_penalty", "reused_processors")
-    assert len({makespans[(penalty, 0)] for penalty in penalties}) == 1
-    reuse = [makespans[(penalty, None)] for penalty in penalties]
-    for penalty, makespan in zip(penalties, reuse):
-        assert makespan < makespans[(penalty, 0)]
-    for cheaper, dearer in zip(reuse, reuse[1:]):
-        assert cheaper <= dearer * 1.02
-
-
-@pytest.mark.parametrize(
-    "system,flit_widths",
-    [("d695_plasma", (16, 32, 64)), ("d695_leon", (8, 16, 32, 64))],
-    ids=["d695_plasma", "d695_leon"],
-)
-def test_wider_flits_shorten_both_series(system, flit_widths):
-    """Study A3: the flit width (the paper does not publish it) scales both
-    series, and reuse helps at every width by a similar fraction, so the
-    32-bit default does not decide the reproduction's reductions."""
-    spec = SweepSpec(
-        name="flit-width",
-        systems=(system,),
-        processor_counts=(0, None),
-        flit_widths=flit_widths,
-    )
-    makespans = grid_makespans(spec, "flit_width", "reused_processors")
-    baseline = [makespans[(width, 0)] for width in flit_widths]
-    reuse = [makespans[(width, None)] for width in flit_widths]
-    assert baseline == sorted(baseline, reverse=True)
-    assert reuse == sorted(reuse, reverse=True)
-    reductions = [reduction_percent(*pair) for pair in zip(baseline, reuse)]
-    assert min(reductions) > 0.0
-    assert max(reductions) - min(reductions) < 20.0
-
-
-def system_with_port_pairs(name, pairs):
-    """A paper system with ``pairs`` ATE port pairs: inputs spread along the
-    bottom edge of the grid, outputs mirrored along the top edge."""
-    spec = PAPER_SYSTEMS[name]
-    builder = (
-        SystemBuilder(f"{name}_x{pairs}ext", NocConfig(spec.grid_width, spec.grid_height))
-        .add_benchmark(assign_power(load_benchmark(spec.benchmark), PowerModel()))
-        .add_processors(processor_prototype(spec.processor_model), spec.processor_count)
-    )
-    stride = max(1, spec.grid_width // pairs)
-    for index in range(pairs):
-        in_x = index * stride % spec.grid_width
-        out_x = spec.grid_width - 1 - in_x
-        builder.add_io_port(f"ext_in{index}", (in_x, 0), PortDirection.INPUT)
-        builder.add_io_port(
-            f"ext_out{index}", (out_x, spec.grid_height - 1), PortDirection.OUTPUT
-        )
-    return builder.build()
-
-
-@pytest.mark.parametrize(
-    "system,max_pairs",
-    [("d695_leon", 2), ("p93791_leon", 3)],
-    ids=["d695_leon", "p93791_leon"],
-)
-def test_extra_ate_pairs_help_and_reuse_still_helps(system, max_pairs):
-    """Study A2: more tester channels shorten the no-reuse bar, and reusing
-    every processor still helps on top of them."""
-    baseline, reuse = [], []
-    for pairs in range(1, max_pairs + 1):
-        planner = TestPlanner(system_with_port_pairs(system, pairs))
-        baseline.append(planner.plan(reused_processors=0).makespan)
-        reuse.append(planner.plan(reused_processors=None).makespan)
-    assert baseline[-1] <= baseline[0]
-    for shared, alone in zip(reuse, baseline):
-        assert shared <= alone
