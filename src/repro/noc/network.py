@@ -80,6 +80,8 @@ class Network:
         )
         self.power = NocPowerModel(mean_packet_power=config.mean_packet_power)
         self._reservations: dict[EndpointPair, tuple[Link, ...]] = {}
+        #: One object per link across every reservation list (they share most).
+        self._links: dict[Link, Link] = {}
 
     # ------------------------------------------------------------------
     # Topology / routing queries.
@@ -108,18 +110,23 @@ class Network:
     ) -> list[Link]:
         """Exclusive resources a dedicated ``source``→``destination`` path claims.
 
-        Each call returns a fresh list (memoised per endpoint pair).
+        Each call returns a fresh list (memoised per endpoint pair) of links
+        interned per network: every list naming a link holds the same tuple.
         """
         cached = self._reservations.get((source, destination))
         if cached is not None:
             return list(cached)
         path = self.route(source, destination)
         include_ports = self.config.exclusive_local_ports
-        resources = path_resources(
-            path,
-            include_source_port=include_ports,
-            include_destination_port=include_ports,
-        )
+        links = self._links
+        resources = [
+            links.setdefault(link, link)
+            for link in path_resources(
+                path,
+                include_source_port=include_ports,
+                include_destination_port=include_ports,
+            )
+        ]
         self._reservations[(source, destination)] = tuple(resources)
         return resources
 

@@ -151,6 +151,11 @@ CREATE TABLE IF NOT EXISTS point_costs (
 #: ``interrupted`` (see :meth:`SweepDatabase.mark_interrupted_jobs`).
 _LIVE_JOB_STATES = ("queued", "running")
 
+#: Page-cache bound of a read-only connection, in KiB.  A reader runs a few
+#: aggregations that each read a page once; sqlite's default 2 MB cache only
+#: raises a long-lived daemon's peak memory as its store grows.
+READER_CACHE_KIB = 128
+
 #: Columns of the ``jobs`` table, in schema order (the upsert contract).
 _JOB_COLUMNS = (
     "job_id",
@@ -284,6 +289,8 @@ class SweepDatabase:
                 # the serve daemon's tiny job-state upserts may overlap a
                 # run commit from the job worker thread.
                 self._connection.execute("PRAGMA busy_timeout=30000")
+            else:
+                self._connection.execute(f"PRAGMA cache_size=-{READER_CACHE_KIB}")
             self._connection.execute("PRAGMA foreign_keys=ON")
             self._init_schema()
         except sqlite3.DatabaseError as exc:
@@ -676,10 +683,9 @@ class SweepDatabase:
         ).fetchone()
         return self._job_row_to_dict(row) if row is not None else None
 
-    def job_rows(self) -> list[dict]:
-        """Every persisted job row, in submission (job-number) order."""
-        rows = self._connection.execute("SELECT * FROM jobs ORDER BY job_number")
-        return [self._job_row_to_dict(row) for row in rows]
+    def job_count(self) -> int:
+        """How many job rows the store holds."""
+        return int(self._connection.execute("SELECT COUNT(*) FROM jobs").fetchone()[0])
 
     def max_job_number(self) -> int:
         """Highest persisted job number (0 for a store without jobs)."""

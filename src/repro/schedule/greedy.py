@@ -23,6 +23,21 @@ interfaces per event: its memo keeps the list and a cursor, and an
 interface whose scan found no startable core is never scanned again in that
 event.  A test of zero cycles leaves its interface available at the same
 instant; the pass then starts over, as a loop without a memo would.
+
+A plan whose power checks all passed is replayed, not re-run.  The tracker
+records the largest total it checked (``peak_checked``) and whether any check
+failed (``refused``).  A plan with no refusal is the unconstrained plan: by
+induction over the loop's decisions, both runs take the same decisions from
+the same state, so they ask the same power questions, and every answer is
+yes in both.  :meth:`EventDrivenScheduler.schedule` stores such a plan's
+``peak_checked`` and assignments per policy class, core ids and interfaces.
+A later plan for the same key under a ceiling that allows ``peak_checked``
+(every unconstrained plan among them) would again pass every check, each of
+which asks about a total no larger than ``peak_checked``; so it is that same
+plan, and the stored assignments are returned without building job rows,
+priorities or running the loop.  Any other plan runs the loop.  The compared
+peak is the tracker's, not :meth:`ScheduleResult.peak_power`: a zero-cycle
+test counts in the checks but nets to zero in the power profile.
 """
 
 from __future__ import annotations
@@ -31,6 +46,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from repro.cores.core import CoreUnderTest
 from repro.errors import PowerBudgetError, SchedulingError
@@ -42,6 +58,18 @@ from repro.schedule.priority import distance_priority, priority_order
 from repro.schedule.result import Assignment, ScheduleResult
 from repro.tam.interfaces import TestInterface
 from repro.tam.pool import InterfaceState, ResourcePool
+
+
+#: A plan no power check refused: its tracker's ``peak_checked`` and its
+#: assignments by ``(start, core id)``.
+_CleanPlan = tuple[float, tuple[Assignment, ...]]
+
+#: Per-network store of clean plans, keyed by policy class, core ids and
+#: interfaces.  It relies on the invariant behind the job table
+#: (:data:`repro.schedule.job._JOB_TABLES`): a built system's cores and
+#: network are read-only, so a plan is a pure function of that key and the
+#: ceiling, and the store lives exactly as long as the network.
+_CLEAN_PLANS: "WeakKeyDictionary[Network, dict[tuple, _CleanPlan]]" = WeakKeyDictionary()
 
 
 @dataclass
@@ -136,6 +164,38 @@ class EventDrivenScheduler:
         power_constraint = power_constraint or PowerConstraint.unconstrained()
         self._check_inputs(cores, interfaces)
 
+        plans = _CLEAN_PLANS.setdefault(network, {})
+        key = (type(self), tuple(core.identifier for core in cores), tuple(interfaces))
+        clean = plans.get(key)
+        if clean is not None and power_constraint.allows(clean[0]):
+            assignments = clean[1]
+        else:
+            assignments, tracker = self._run(cores, interfaces, network, power_constraint)
+            if not tracker.refused:
+                plans[key] = (tracker.peak_checked, assignments)
+
+        metadata = dict(metadata or {})
+        metadata.setdefault("scheduler", self.name)
+        metadata.setdefault("interface_count", len(interfaces))
+        result = ScheduleResult(
+            system_name=system_name,
+            scheduler_name=self.name,
+            assignments=list(assignments),
+            interfaces=list(interfaces),
+            power_constraint=power_constraint,
+            metadata=metadata,
+        )
+        return result
+
+    def _run(
+        self,
+        cores: Sequence[CoreUnderTest],
+        interfaces: Sequence[TestInterface],
+        network: Network,
+        power_constraint: PowerConstraint,
+    ) -> tuple[tuple[Assignment, ...], PowerTracker]:
+        """Run the event loop: the assignments by ``(start, core id)`` and the
+        tracker that checked every start against ``power_constraint``."""
         pool = ResourcePool(interfaces)
         allocator = LinkAllocator()
         tracker = PowerTracker(power_constraint)
@@ -193,18 +253,8 @@ class EventDrivenScheduler:
                     for state in pool.processor_interfaces_for(finished.core.identifier):
                         pool.enable(state.identifier, now)
 
-        metadata = dict(metadata or {})
-        metadata.setdefault("scheduler", self.name)
-        metadata.setdefault("interface_count", len(interfaces))
-        result = ScheduleResult(
-            system_name=system_name,
-            scheduler_name=self.name,
-            assignments=sorted(assignments, key=lambda a: (a.start, a.core_id)),
-            interfaces=list(interfaces),
-            power_constraint=power_constraint,
-            metadata=metadata,
-        )
-        return result
+        ordered = tuple(sorted(assignments, key=lambda a: (a.start, a.core_id)))
+        return ordered, tracker
 
     # ------------------------------------------------------------------
     # Helpers.

@@ -44,7 +44,7 @@ from repro.noc.network import Network
 from repro.tam.interfaces import TestInterface
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestJob:
     """A fully characterised (core, interface) test pairing.
 

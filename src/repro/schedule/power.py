@@ -7,7 +7,10 @@ exceed half of the sum of the test power of every core in the system.
 
 :class:`PowerConstraint` captures the limit; :class:`PowerTracker` maintains
 the set of currently running jobs and answers "can this job start now without
-busting the ceiling?".
+busting the ceiling?".  It also remembers the largest total it was ever asked
+about (``peak_checked``) and whether it ever said no (``refused``): the
+schedulers replay a plan that was never refused under any ceiling that allows
+its ``peak_checked`` (see :mod:`repro.schedule.greedy`).
 """
 
 from __future__ import annotations
@@ -95,9 +98,20 @@ class PowerTracker:
     non-caching tracker would run (never an incremental add/subtract, which
     could drift in floating point), so cached and uncached totals are
     bit-identical.
+
+    Attributes:
+        constraint: the ceiling every :meth:`can_start` checks against.
+        peak_checked: the largest ``current_power + power`` any
+            :meth:`can_start` compared against the ceiling.  A zero-cycle
+            test counts here while it is registered, although it nets to
+            zero in :meth:`ScheduleResult.power_profile
+            <repro.schedule.result.ScheduleResult.power_profile>`.
+        refused: whether any :meth:`can_start` answered no.
     """
 
     constraint: PowerConstraint
+    peak_checked: float = 0.0
+    refused: bool = False
     _active: dict[str, float] = field(default_factory=dict)
     _cached_total: float | None = field(default=0.0, repr=False)
 
@@ -110,7 +124,13 @@ class PowerTracker:
 
     def can_start(self, job_id: str, power: float) -> bool:
         """True when starting a job drawing ``power`` respects the ceiling."""
-        return self.constraint.allows(self.current_power + power)
+        total = self.current_power + power
+        if total > self.peak_checked:
+            self.peak_checked = total
+        if self.constraint.allows(total):
+            return True
+        self.refused = True
+        return False
 
     def start(self, job_id: str, power: float) -> None:
         """Register a job as running."""

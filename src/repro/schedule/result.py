@@ -11,16 +11,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import ScheduleValidationError
-from repro.noc.links import Link
 from repro.schedule.job import TestJob
 from repro.schedule.power import PowerConstraint
 from repro.tam.interfaces import TestInterface
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """One scheduled core test.
 
@@ -197,19 +197,14 @@ def validate_schedule(
     _check_power(result)
 
 
-def _intervals_overlap(first: tuple[int, int], second: tuple[int, int]) -> bool:
-    return first[0] < second[1] and second[0] < first[1]
-
-
 def _check_interface_overlaps(result: ScheduleResult) -> None:
-    for interface_id, assignments in result.assignments_by_interface().items():
-        ordered = sorted(assignments, key=lambda a: a.start)
-        for earlier, later in zip(ordered, ordered[1:]):
-            if _intervals_overlap((earlier.start, earlier.end), (later.start, later.end)):
-                raise ScheduleValidationError(
-                    f"interface {interface_id!r} runs {earlier.core_id!r} and "
-                    f"{later.core_id!r} at the same time"
-                )
+    overlap = _first_overlap(result, lambda assignment: (assignment.job.interface_id,))
+    if overlap is not None:
+        interface_id, earlier, later = overlap
+        raise ScheduleValidationError(
+            f"interface {interface_id!r} runs {earlier.core_id!r} and "
+            f"{later.core_id!r} at the same time"
+        )
 
 
 def _check_resource_overlaps(result: ScheduleResult) -> None:
@@ -219,18 +214,45 @@ def _check_resource_overlaps(result: ScheduleResult) -> None:
     is the independent check of the schedulers, whose link allocator works
     on the masks alone.
     """
-    usage: dict[Link, list[Assignment]] = defaultdict(list)
-    for assignment in result.assignments:
-        for resource in assignment.job.resources:
-            usage[resource].append(assignment)
-    for resource, assignments in usage.items():
-        ordered = sorted(assignments, key=lambda a: a.start)
-        for earlier, later in zip(ordered, ordered[1:]):
-            if _intervals_overlap((earlier.start, earlier.end), (later.start, later.end)):
-                raise ScheduleValidationError(
-                    f"NoC resource {resource} is used simultaneously by "
-                    f"{earlier.core_id!r} and {later.core_id!r}"
-                )
+    overlap = _first_overlap(result, lambda assignment: assignment.job.resources)
+    if overlap is not None:
+        resource, earlier, later = overlap
+        raise ScheduleValidationError(
+            f"NoC resource {resource} is used simultaneously by "
+            f"{earlier.core_id!r} and {later.core_id!r}"
+        )
+
+
+def _first_overlap(
+    result: ScheduleResult, keys_of: Callable[[Assignment], Iterable[Hashable]]
+) -> tuple[Hashable, Assignment, Assignment] | None:
+    """The first two assignments that hold one key at the same time.
+
+    One sweep over the assignments by start time compares each with the
+    key's holder that frees it last, which records a clash on every key
+    that has an overlap.  A key's first clash pairs the earliest
+    assignment that overlaps an earlier one with that holder, and keys are
+    taken in the order the schedule first uses them.
+    """
+    holders: dict[Hashable, Assignment] = {}
+    clashes: dict[Hashable, tuple[Assignment, Assignment]] = {}
+    for assignment in sorted(result.assignments, key=attrgetter("start")):
+        start = assignment.start
+        end = assignment.end
+        for key in keys_of(assignment):
+            holder = holders.get(key)
+            if holder is None or end > holder.end:
+                holders[key] = assignment
+            if holder is not None and holder.start < end and start < holder.end:
+                clashes.setdefault(key, (holder, assignment))
+    if not clashes:
+        return None
+    return next(
+        (key, *clashes[key])
+        for assignment in result.assignments
+        for key in keys_of(assignment)
+        if key in clashes
+    )
 
 
 def _check_processor_enablement(result: ScheduleResult) -> None:

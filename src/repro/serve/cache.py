@@ -11,7 +11,7 @@ invalidation mechanisms stacked on top of each other:
   changes the key and the next read recomputes immediately;
 * **temporal** — entries expire ``ttl_seconds`` after they were stored,
   which bounds memory for long-lived daemons whose version keys keep
-  moving (every expired or superseded entry is dropped on the next write).
+  moving (expired entries are dropped on the next write).
 
 Hit/miss counters reuse :class:`repro.runner.cache.CacheStats`, the same
 observability shape as the sweep engine's build caches.
@@ -37,18 +37,27 @@ class TTLCache:
         ttl_seconds: lifetime of an entry; 0 disables caching entirely
             (every ``get`` misses), which is how ``repro serve
             --cache-ttl 0`` turns the cache off.
+        max_entries: most entries held at once; a write beyond it evicts
+            the oldest (default: no bound but the TTL).
         clock: monotonic time source, injectable for tests.
 
     Raises:
-        ConfigurationError: for a negative TTL.
+        ConfigurationError: for a negative TTL or a ``max_entries`` below 1.
     """
 
     def __init__(
-        self, ttl_seconds: float = 2.0, *, clock: Callable[[], float] = time.monotonic
+        self,
+        ttl_seconds: float = 2.0,
+        *,
+        max_entries: int | None = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if ttl_seconds < 0:
             raise ConfigurationError("ttl_seconds must be >= 0")
+        if max_entries is not None and max_entries < 1:
+            raise ConfigurationError("max_entries must be >= 1")
         self.ttl_seconds = ttl_seconds
+        self.max_entries = max_entries
         self._clock = clock
         self._entries: dict[Hashable, tuple[float, object]] = {}
         self._lock = threading.Lock()
@@ -73,22 +82,31 @@ class TTLCache:
             return None
 
     def put(self, key: Hashable, value: object) -> None:
-        """Store ``value`` under ``key`` and evict every expired entry.
+        """Store ``value`` under ``key``, evicting every expired entry and,
+        at ``max_entries``, the oldest live ones.
 
         Eviction on write keeps the cache bounded for a daemon whose keys
         embed an ever-advancing store version: superseded entries are
         unreachable (their version no longer matches) and age out here.
+        Entries sit in the order they were stored (a re-put key moves to
+        the end), so the evicted ones are a prefix: the write drops it and
+        stops at the first entry that stays.
         """
         if self.ttl_seconds == 0:
             return
         now = self._clock()
         with self._lock:
-            self._entries = {
-                k: (stored_at, v)
-                for k, (stored_at, v) in self._entries.items()
-                if now - stored_at < self.ttl_seconds
-            }
-            self._entries[key] = (now, value)
+            entries = self._entries
+            entries.pop(key, None)
+            room = len(entries) if self.max_entries is None else self.max_entries - 1
+            evicted = []
+            for stored_key, (stored_at, _) in entries.items():
+                if now - stored_at < self.ttl_seconds and len(entries) - len(evicted) <= room:
+                    break
+                evicted.append(stored_key)
+            for stored_key in evicted:
+                del entries[stored_key]
+            entries[key] = (now, value)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""

@@ -79,7 +79,7 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepJob:
     """One submitted sweep grid and its execution state.
 
@@ -230,12 +230,13 @@ class SweepJobQueue:
             self.interrupted_on_boot = tuple(
                 db.mark_interrupted_jobs(finished_at=_utcnow())
             )
-            self._restored: dict[str, dict] = {}
-            for row in db.job_rows():
-                row.pop("spec_json", None)
-                self._restored[row["job_id"]] = row
+            self._job_total = db.job_count()
             next_number = db.max_job_number() + 1
+        #: The queued and running jobs; a job leaves once its terminal state
+        #: is persisted, and is read back from the store from then on.
         self._jobs: dict[str, SweepJob] = {}
+        #: Jobs submitted but not yet picked up by the worker thread.
+        self._waiting = 0
         self._lock = threading.Lock()
         self._queue: "queue.Queue[SweepJob | None]" = queue.Queue()
         self._counter = itertools.count(next_number)
@@ -274,10 +275,9 @@ class SweepJobQueue:
         with self._lock:
             if self._closed:
                 raise ApiError("the job queue is shutting down", status=503)
-            waiting = sum(1 for job in self._jobs.values() if job.status == "queued")
-            if self.max_queue and waiting >= self.max_queue:
+            if self.max_queue and self._waiting >= self.max_queue:
                 raise ApiError(
-                    f"job queue is full ({waiting} job(s) waiting, "
+                    f"job queue is full ({self._waiting} job(s) waiting, "
                     f"max_queue={self.max_queue}); retry later",
                     status=503,
                     headers={"Retry-After": str(RETRY_AFTER_SECONDS)},
@@ -293,6 +293,7 @@ class SweepJobQueue:
                 resume=resume,
             )
             self._jobs[job.job_id] = job
+            self._job_total += 1
             # Persist the queued state before acknowledging: a job the
             # client was told about must be visible after a restart (as
             # `interrupted` if the daemon dies before it finishes).  A
@@ -300,10 +301,12 @@ class SweepJobQueue:
             # handler queues it behind the worker's run commits.
             self._persist(job)
             self._queue.put(job)
+            self._waiting += 1
             return job.snapshot()
 
     def get(self, job_id: str) -> dict:
-        """Snapshot of one job, live or persisted by an earlier daemon.
+        """Snapshot of one job: live, or as the store holds it once it ended
+        (in this daemon or an earlier one).
 
         Raises:
             ApiError: for an unknown job id (404).
@@ -312,17 +315,17 @@ class SweepJobQueue:
             job = self._jobs.get(job_id)
             if job is not None:
                 return job.snapshot()
-            restored = self._restored.get(job_id)
-            if restored is not None:
-                return dict(restored)
+        with SweepDatabase.open_reader(self.store_path) as db:
+            row = db.job_row(job_id)
+        if row is None:
             raise ApiError(f"no sweep job {job_id!r}", status=404)
+        del row["spec_json"]
+        return row
 
-    def jobs(self) -> list[dict]:
-        """Snapshots of every job — restored then live — in submission order."""
+    def job_count(self) -> int:
+        """How many jobs the store and the queue hold, live or ended."""
         with self._lock:
-            restored = [dict(row) for row in self._restored.values()]
-            live = [job.snapshot() for job in self._jobs.values()]
-            return sorted(restored + live, key=lambda job: job["job_number"])
+            return self._job_total
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -347,6 +350,8 @@ class SweepJobQueue:
                 job = self._queue.get()
                 if job is None:
                     return
+                with self._lock:
+                    self._waiting -= 1
                 if store is None:
                     # The one writer connection, opened in the thread that
                     # uses it (sqlite connections are thread-bound).
@@ -444,6 +449,7 @@ class SweepJobQueue:
                 job.error = str(error)
                 job.finished_at = _utcnow()
                 self._persist(job, store)
+                del self._jobs[job.job_id]
         else:
             with self._lock:
                 job.status = "finished"
@@ -452,5 +458,6 @@ class SweepJobQueue:
                 job.run_id = run_id
                 job.finished_at = _utcnow()
                 self._persist(job, store)
+                del self._jobs[job.job_id]
         if self._on_finished is not None:
             self._on_finished(job)

@@ -61,6 +61,23 @@ PLAN_FIELDS: frozenset[str] = frozenset(
 #: parsing; batch clients should chunk above this.
 MAX_BATCH_POINTS = 256
 
+#: Most plan answers the plan cache holds (a few hundred bytes each).  A
+#: miss on a point whose ceiling does not bind replays a stored plan
+#: (:mod:`repro.schedule.greedy`), so the cache need not hold more than the
+#: points clients repeat soon.
+PLAN_CACHE_ENTRIES = 512
+
+#: The planned fields of a plan answer, in the order the plan cache stores
+#: their values: one tuple per entry, not a dict, and nothing the request
+#: itself names.  ``assignments`` is present only when the point asked for it.
+PLANNED_FIELDS: tuple[str, ...] = (
+    "makespan",
+    "test_count",
+    "peak_power",
+    "average_parallelism",
+    "assignments",
+)
+
 #: Fields :meth:`PlanningService.submit_sweep` accepts.
 SWEEP_FIELDS: frozenset[str] = frozenset({"spec", "backend", "resume"})
 
@@ -117,11 +134,15 @@ class PlanningService:
         self.characterization_cache = CharacterizationCache(cache_dir)
         self._system_lock = threading.Lock()
         self.read_cache = TTLCache(cache_ttl)
+        #: The newest store version a history read has seen.
+        self._read_version: tuple[int, int] | None = None
+        self._read_version_lock = threading.Lock()
         # Plans are pure functions of their request (RL001 keeps the
         # planner deterministic), so identical points can be served from
-        # cache; the TTL only bounds staleness of nothing — it is reused
-        # here purely as a memory bound.
-        self.plan_cache = TTLCache(cache_ttl)
+        # cache; the TTL only bounds staleness of nothing.  It bounds
+        # memory only per unit of request rate, so an entry cap bounds it
+        # outright.
+        self.plan_cache = TTLCache(cache_ttl, max_entries=PLAN_CACHE_ENTRIES)
         self.jobs = SweepJobQueue(
             self.store_path,
             characterize=characterize,
@@ -164,7 +185,7 @@ class PlanningService:
             },
             "system_cache": self.system_cache.stats.as_dict(),
             "characterization_cache": self.characterization_cache.stats.as_dict(),
-            "jobs": len(self.jobs.jobs()),
+            "jobs": self.jobs.job_count(),
             "max_queue": self.jobs.max_queue,
             "interrupted_on_boot": list(self.jobs.interrupted_on_boot),
         }
@@ -300,11 +321,26 @@ class PlanningService:
             fields["flit_width"],
             fields["include_assignments"],
         )
-        cached = self.plan_cache.get(key)
-        if cached is not None:
-            response = dict(cached, cached=True)
-            response["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-            return response
+        planned = self.plan_cache.get(key)
+        hit = planned is not None
+        if not hit:
+            planned = self._planned(fields)
+            self.plan_cache.put(key, planned)
+        response = {
+            "system": fields["system"],
+            "scheduler": fields["scheduler"],
+            "reused_processors": fields["reused"],
+            "power_limit_fraction": fields["fraction"],
+            "power_label": power_series_label(fields["fraction"]),
+            "flit_width": fields["flit_width"],
+            **dict(zip(PLANNED_FIELDS, planned)),
+            "cached": hit,
+        }
+        response["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+        return response
+
+    def _planned(self, fields: dict) -> tuple:
+        """Plan one validated point: the values of its :data:`PLANNED_FIELDS`."""
         with self._system_lock:
             system = self.system_cache.get(fields["system"], flit_width=fields["flit_width"])
         planner = TestPlanner(system, scheduler=make_scheduler(fields["scheduler"]))
@@ -317,27 +353,18 @@ class PlanningService:
             # An infeasible request (e.g. a power ceiling below any single
             # test) is the caller's input problem, not a server fault.
             raise ApiError(f"planning failed: {exc}") from exc
-        payload = {
-            "system": fields["system"],
-            "scheduler": fields["scheduler"],
-            "reused_processors": fields["reused"],
-            "power_limit_fraction": fields["fraction"],
-            "power_label": power_series_label(fields["fraction"]),
-            "flit_width": fields["flit_width"],
-            "makespan": result.makespan,
-            "test_count": result.test_count,
-            "peak_power": round(result.peak_power(), 6),
-            "average_parallelism": round(result.average_parallelism(), 6),
-        }
-        if fields["include_assignments"]:
-            rows = schedule_to_rows(result)
-            for row in rows:
-                row["power"] = round(float(row["power"]), 6)
-            payload["assignments"] = rows
-        self.plan_cache.put(key, payload)
-        response = dict(payload, cached=False)
-        response["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-        return response
+        planned = (
+            result.makespan,
+            result.test_count,
+            round(result.peak_power(), 6),
+            round(result.average_parallelism(), 6),
+        )
+        if not fields["include_assignments"]:
+            return planned
+        rows = schedule_to_rows(result)
+        for row in rows:
+            row["power"] = round(float(row["power"]), 6)
+        return (*planned, rows)
 
     # ------------------------------------------------------------------
     # Background sweeps.
@@ -412,15 +439,12 @@ class PlanningService:
 
         Rows are exactly :meth:`SweepDatabase.win_rate_rows
         <repro.runner.db.SweepDatabase.win_rate_rows>` — the same SQL
-        aggregation ``repro history`` prints — cached per
-        ``(query, store version)``.
+        aggregation ``repro history`` prints — cached per store version.
 
         Raises:
             ApiError: for an unknown ``system`` filter (400).
         """
-        return self._cached_history(
-            "win-rates", system, lambda db, wanted: db.win_rate_rows(system=wanted)
-        )
+        return self._cached_history("win-rates", system, lambda db: db.win_rate_rows())
 
     def trajectory(self, *, system: str | None = None) -> dict:
         """Makespan-over-runs rows (``GET /history/trajectory``).
@@ -428,38 +452,52 @@ class PlanningService:
         Rows are :meth:`SweepDatabase.trajectory_rows
         <repro.runner.db.SweepDatabase.trajectory_rows>` with the mean
         derived the same way :func:`repro.analysis.history.makespan_trajectory_sql`
-        derives it, cached per ``(query, store version)``.
+        derives it, cached per store version.
 
         Raises:
             ApiError: for an unknown ``system`` filter (400).
         """
 
-        def rows(db: SweepDatabase, wanted: str | None) -> list[dict]:
-            out = []
-            for row in db.trajectory_rows(system=wanted):
-                row = dict(row)
+        def rows(db: SweepDatabase) -> list[dict]:
+            out = db.trajectory_rows()
+            for row in out:
                 row["mean_makespan"] = row["total_makespan"] / row["record_count"]
-                out.append(row)
             return out
 
         return self._cached_history("trajectory", system, rows)
 
     def _cached_history(self, what: str, system: str | None, query) -> dict:
-        """Serve one history aggregation through the TTL cache."""
+        """Serve one history aggregation through the TTL cache.
+
+        The cache holds the aggregation's rows over every system, per store
+        version.  Both aggregations group by system and keep each system's
+        rows in the order the SQL filtered to it returns them, so a request
+        filtered to one system takes that system's rows: one query per
+        store version serves every filter.
+        """
         wanted = self._validate_system(system)
         with self._reader() as db:
             version = db.data_version()
-            key = (what, wanted, version)
-            cached = self.read_cache.get(key)
-            if cached is not None:
-                return dict(cached, cached=True)
-            payload = {
-                "rows": query(db, wanted),
-                "system": wanted,
-                "store_version": {"records": version[0], "runs": version[1]},
-            }
-        self.read_cache.put(key, payload)
-        return dict(payload, cached=False)
+            with self._read_version_lock:
+                if self._read_version is None or version > self._read_version:
+                    # Every entry holds an older store version: none can hit again.
+                    self.read_cache.clear()
+                    self._read_version = version
+            key = (what, version)
+            rows = self.read_cache.get(key)
+            cached = rows is not None
+            if not cached:
+                rows = query(db)
+        if not cached:
+            self.read_cache.put(key, rows)
+        if wanted is not None:
+            rows = [row for row in rows if row["system"] == wanted]
+        return {
+            "rows": rows,
+            "system": wanted,
+            "store_version": {"records": version[0], "runs": version[1]},
+            "cached": cached,
+        }
 
     def _validate_system(self, system: str | None) -> str | None:
         """Normalise an optional ``system`` query parameter.

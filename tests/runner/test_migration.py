@@ -78,7 +78,7 @@ class TestMigration:
         with SweepDatabase(path) as db:
             # The upgrade happened on open: jobs table present and empty,
             # and the store's data came through untouched.
-            assert db.job_rows() == []
+            assert db.job_count() == 0
             assert db.records(spec_key) == records
             assert db.data_version() == (len(records), 1)
         assert meta_value(path, "schema_version") == str(DB_SCHEMA_VERSION)
@@ -92,7 +92,7 @@ class TestMigration:
             pass
         # Second open of the now-v3 store must not re-migrate or complain.
         with SweepDatabase(path) as db:
-            assert db.job_rows() == []
+            assert db.job_count() == 0
         with SweepDatabase.open_reader(path) as reader:
             assert reader.read_only
 

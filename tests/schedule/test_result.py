@@ -1,12 +1,21 @@
 """Tests of the schedule result container and its invariant checker."""
 
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import ScheduleValidationError
 from repro.noc.links import resource_mask
 from repro.schedule.job import TestJob
 from repro.schedule.power import PowerConstraint
-from repro.schedule.result import Assignment, ScheduleResult, validate_schedule
+from repro.schedule.result import (
+    Assignment,
+    ScheduleResult,
+    _check_interface_overlaps,
+    _check_resource_overlaps,
+    validate_schedule,
+)
 from repro.tam.interfaces import InterfaceKind, TestInterface
 
 PORT_A = ((0, 0), (0, 0))
@@ -156,7 +165,10 @@ class TestValidateSchedule:
                 Assignment(job("b", "ext0", resources=(PORT_B,)), 50, 150),
             ]
         )
-        with pytest.raises(ScheduleValidationError, match="at the same time"):
+        with pytest.raises(
+            ScheduleValidationError,
+            match="^interface 'ext0' runs 'a' and 'b' at the same time$",
+        ):
             validate_schedule(result)
 
     def test_resource_overlap_detected(self):
@@ -167,7 +179,13 @@ class TestValidateSchedule:
             ],
             interfaces=[external(), processor()],
         )
-        with pytest.raises(ScheduleValidationError, match="used simultaneously"):
+        with pytest.raises(
+            ScheduleValidationError,
+            match=(
+                r"^NoC resource \(\(0, 0\), \(1, 0\)\) is used simultaneously "
+                r"by 'a' and 'b'$"
+            ),
+        ):
             validate_schedule(result)
 
     def test_resource_overlap_detected_without_masks(self):
@@ -223,3 +241,94 @@ class TestValidateSchedule:
         result = make_result([Assignment(job("a", "ext0", duration=10), -5, 5)])
         with pytest.raises(ScheduleValidationError, match="inconsistent"):
             validate_schedule(result)
+
+
+def scan_overlaps(assignments, keys_of):
+    """The key-by-key scan the sweep replaced: per key in order of first use,
+    the holders by start, consecutive pairs only; the first overlap found."""
+    usage = {}
+    for assignment in assignments:
+        for key in keys_of(assignment):
+            usage.setdefault(key, []).append(assignment)
+    for key, holders in usage.items():
+        ordered = sorted(holders, key=lambda a: a.start)
+        for earlier, later in zip(ordered, ordered[1:]):
+            if earlier.start < later.end and later.start < earlier.end:
+                return key, earlier.core_id, later.core_id
+    return None
+
+
+def overlaps(first, second):
+    return first.start < second.end and second.start < first.end
+
+
+@st.composite
+def overlapping_schedules(draw):
+    """Up to eight tests on two interfaces and three resources; short
+    windows so that overlaps, shared starts and zero-cycle tests abound."""
+    assignments = []
+    for index in range(draw(st.integers(min_value=1, max_value=8))):
+        start = draw(st.integers(min_value=0, max_value=12))
+        duration = draw(st.integers(min_value=0, max_value=6))
+        resources = draw(st.lists(st.sampled_from([PORT_A, PORT_B, LINK]), unique=True))
+        interface = draw(st.sampled_from(["ext0", "ext1"]))
+        assignments.append(
+            Assignment(
+                job(f"c{index}", interface, duration=duration, resources=resources, mask=0),
+                start,
+                start + duration,
+            )
+        )
+    return assignments
+
+
+class TestOverlapSweep:
+    """The one-pass sweeps against the key-by-key scan they replaced."""
+
+    @given(assignments=overlapping_schedules())
+    def test_sweep_reports_what_the_scan_reports(self, assignments):
+        result = make_result(assignments, interfaces=[external(), external("ext1")])
+        for check, keys_of, message in (
+            (
+                _check_interface_overlaps,
+                lambda a: (a.interface_id,),
+                "interface {0!r} runs {1!r} and {2!r} at the same time",
+            ),
+            (
+                _check_resource_overlaps,
+                lambda a: a.job.resources,
+                "NoC resource {0} is used simultaneously by {1!r} and {2!r}",
+            ),
+        ):
+            scanned = scan_overlaps(assignments, keys_of)
+            try:
+                check(result)
+            except ScheduleValidationError as exc:
+                swept = str(exc)
+            else:
+                swept = None
+            if all(a.duration for a in assignments):
+                assert swept == (None if scanned is None else message.format(*scanned))
+            elif scanned is not None:
+                # The scan misses an overlap hidden behind a zero-cycle
+                # test; the sweep may report that one first, never nothing.
+                assert swept is not None
+            if swept is not None:
+                by_core = {a.core_id: a for a in assignments}
+                first, second = (by_core[c] for c in re.findall(r"'(c\d+)'", swept))
+                assert overlaps(first, second)
+
+    def test_overlap_behind_a_zero_cycle_test_is_found(self):
+        """``z`` takes no time and sorts between ``a`` and ``c``: comparing
+        consecutive holders only pairs ``a`` with ``z`` and ``z`` with ``c``."""
+        result = make_result(
+            [
+                Assignment(job("a", "ext0", duration=10, resources=(LINK,)), 0, 10),
+                Assignment(job("z", "ext1", duration=0, resources=(LINK,)), 0, 0),
+                Assignment(job("c", "proc0", duration=2, resources=(LINK,)), 5, 7),
+            ],
+            interfaces=[external(), external("ext1"), processor()],
+        )
+        assert scan_overlaps(result.assignments, lambda a: a.job.resources) is None
+        with pytest.raises(ScheduleValidationError, match="by 'a' and 'c'$"):
+            _check_resource_overlaps(result)

@@ -81,6 +81,46 @@ class TestTTLCache:
         assert cache.get(("win-rates", None, (1, 1))) == "v1"
         assert cache.get(("win-rates", None, (2, 1))) == "v2"
 
+    def test_put_drops_the_expired_prefix_only(self, clock):
+        cache = TTLCache(10.0, clock=clock)
+        cache.put("a", 1)
+        clock.advance(5.0)
+        cache.put("b", 2)
+        clock.advance(6.0)
+        cache.put("c", 3)
+        assert len(cache) == 2
+        assert cache.get("b") == 2 and cache.get("c") == 3
+
+    def test_reput_key_moves_behind_older_entries(self, clock):
+        cache = TTLCache(10.0, clock=clock)
+        cache.put("a", 1)
+        clock.advance(2.0)
+        cache.put("b", 2)
+        clock.advance(2.0)
+        cache.put("a", 3)
+        clock.advance(8.5)
+        cache.put("c", 4)
+        # "b" expired behind the refreshed "a": evicting the expired
+        # prefix reaches it only if the re-put moved "a" to the end.
+        assert len(cache) == 2
+        assert cache.get("a") == 3
+
+    def test_max_entries_evicts_the_oldest(self, clock):
+        cache = TTLCache(10.0, max_entries=2, clock=clock)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 3)
+        cache.put("c", 4)
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.get("a") == 3 and cache.get("c") == 4
+
+    def test_max_entries_below_one_rejected(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError):
+            TTLCache(10.0, max_entries=0)
+
     def test_negative_ttl_rejected(self):
         from repro.errors import ConfigurationError
 

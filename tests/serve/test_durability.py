@@ -96,11 +96,9 @@ class TestQueueRestart:
             second = revived.submit(small_spec("second"))
             assert second["job_number"] == first["job_number"] + 1
             assert second["job_id"] != first["job_id"]
-            listed = revived.jobs()
-            assert [job["job_id"] for job in listed] == [
-                first["job_id"],
-                second["job_id"],
-            ]
+            assert revived.job_count() == 2
+            assert revived.get(first["job_id"])["job_number"] == first["job_number"]
+            assert revived.get(second["job_id"])["job_number"] == second["job_number"]
             revived_waiter.wait()
         finally:
             revived.close()
@@ -155,8 +153,7 @@ class TestQueueRestart:
         finally:
             queue.close()
         with SweepDatabase(path) as db:
-            rows = {row["job_id"]: row for row in db.job_rows()}
-        assert rows[fresh["job_id"]]["pool_jobs"] == 1
+            assert db.job_row(fresh["job_id"])["pool_jobs"] == 1
 
 
 DAEMON_SCRIPT = """

@@ -152,11 +152,11 @@ class TestValidation:
                 )
             assert excinfo.value.status == 400
             assert "unknown sweep field(s) 'jobs'" in str(excinfo.value)
-            assert service.jobs.jobs() == []
+            assert service.jobs.job_count() == 0
         finally:
             service.close()
         with SweepDatabase(tmp_path / "jobs.db") as db:
-            assert db.job_rows() == []
+            assert db.job_count() == 0
 
     def test_unknown_backend_lists_every_api_name(self, queue_factory):
         """The 400 names every backend the API accepts: in-process serial
@@ -178,9 +178,9 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "'pool'" in str(excinfo.value)
         assert "serial" in str(excinfo.value) and "shard-workers" in str(excinfo.value)
-        assert queue.jobs() == []
+        assert queue.job_count() == 0
         with SweepDatabase(tmp_path / "jobs.db") as db:
-            assert db.job_rows() == []
+            assert db.job_count() == 0
 
     def test_unknown_job_id_is_404(self, queue_factory):
         queue = queue_factory()
@@ -206,9 +206,9 @@ class TestSnapshots:
         import json
 
         queue = queue_factory()
-        queue.submit(small_spec())
+        submitted = queue.submit(small_spec())
         waiter.wait()
-        snapshot = queue.jobs()[0]
+        snapshot = queue.get(submitted["job_id"])
         assert json.loads(json.dumps(snapshot)) == snapshot
         assert snapshot["status"] in JOB_STATES
         assert snapshot["spec_name"] == "serve-jobs"
@@ -241,3 +241,16 @@ class TestRemoteDispatch:
         assert finished.status == "finished", finished.error
         with SweepDatabase(tmp_path / "jobs.db") as db:
             assert db.record_count(spec.content_key()) == spec.point_count
+
+    def test_a_finished_job_is_read_back_from_the_store(self, queue_factory, waiter):
+        """Only queued and running jobs stay in memory; an ended one is
+        served from its persisted row, with the same snapshot fields."""
+        queue = queue_factory()
+        submitted = queue.submit(small_spec())
+        waiter.wait()
+        assert queue._jobs == {}
+        snapshot = queue.get(submitted["job_id"])
+        assert snapshot.keys() == submitted.keys()
+        assert snapshot["status"] == "finished"
+        assert snapshot["executed_points"] == 2
+        assert queue.job_count() == 1

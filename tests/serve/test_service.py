@@ -19,7 +19,9 @@ def service(tmp_path):
     service.close()
 
 
-def run_small_sweep(service, name="service-grid", schedulers=("greedy",)):
+def run_small_sweep(
+    service, name="service-grid", schedulers=("greedy",), systems=("d695_plasma",)
+):
     """Submit a small grid and block until its job reaches a terminal state."""
     done = threading.Event()
     service.jobs._on_finished = lambda job: done.set()
@@ -27,7 +29,7 @@ def run_small_sweep(service, name="service-grid", schedulers=("greedy",)):
         {
             "spec": {
                 "name": name,
-                "systems": ["d695_plasma"],
+                "systems": list(systems),
                 "processor_counts": [0, 2],
                 "power_limits": [["no power limit", None]],
                 "schedulers": list(schedulers),
@@ -171,6 +173,38 @@ class TestHistory:
         assert after["cached"] is False
         assert after["store_version"] != before["store_version"]
         assert len(after["rows"]) > len(before["rows"])
+
+    def test_filtered_rows_equal_library_sql_filtered(self, service, tmp_path):
+        """A filtered read takes its system's rows from the cached rows over
+        every system; they must be what the SQL filtered to it returns."""
+        run_small_sweep(
+            service,
+            schedulers=("greedy", "fastest-completion"),
+            systems=("d695_plasma", "d695_leon"),
+        )
+        run_small_sweep(service, name="second", systems=("d695_leon",))
+        assert service.win_rates()["cached"] is False
+        assert service.trajectory()["cached"] is False
+        with SweepDatabase(tmp_path / "serve.db") as db:
+            for system in ("d695_plasma", "d695_leon", "p22810_leon"):
+                win = service.win_rates(system=system)
+                trajectory = service.trajectory(system=system)
+                assert win["cached"] is trajectory["cached"] is True
+                assert win["system"] == trajectory["system"] == system
+                assert win["rows"] == db.win_rate_rows(system=system)
+                assert [
+                    {key: value for key, value in row.items() if key != "mean_makespan"}
+                    for row in trajectory["rows"]
+                ] == db.trajectory_rows(system=system)
+
+    def test_a_new_store_version_drops_the_older_entries(self, service):
+        run_small_sweep(service, name="before")
+        service.win_rates()
+        service.trajectory()
+        assert len(service.read_cache) == 2
+        run_small_sweep(service, name="after")
+        service.trajectory(system="d695_plasma")
+        assert len(service.read_cache) == 1
 
     def test_system_filter_validated(self, service):
         with pytest.raises(ApiError) as excinfo:

@@ -80,9 +80,9 @@ def test_non_finite_power_fraction_rejected(daemon, tmp_path, capsys, token, lit
     assert status == 400
     assert "finite" in body
     assert "Infinity" not in body and "NaN" not in body
-    assert daemon.service.jobs.jobs() == []
+    assert daemon.service.jobs.job_count() == 0
     with SweepDatabase.open_reader(daemon.service.store_path) as db:
-        assert db.job_rows() == []
+        assert db.job_count() == 0
 
     out = tmp_path / "x.json"
     assert main(["sweep", "d695_leon", "--power-limits", token, "--out", str(out)]) == 1
