@@ -222,6 +222,21 @@ def _plan_part(record_json: str) -> dict:
     return record
 
 
+def system_rows(rows: list[dict], system: str | None) -> list[dict]:
+    """The rows of ``system`` among history rows over every system (all of
+    them for ``None``), in their order.
+
+    This is the one system filter of :meth:`SweepDatabase.win_rate_rows` and
+    :meth:`SweepDatabase.trajectory_rows`.  Both aggregations group by
+    system, and a system's rows depend on its own records only (a point, and
+    so its latest run, belongs to one system), so a filtered read is exactly
+    the unfiltered aggregation restricted to that system.
+    """
+    if system is None:
+        return rows
+    return [row for row in rows if row["system"] == system]
+
+
 def _run_fingerprint(
     spec_key: str,
     source: str,
@@ -1046,7 +1061,7 @@ class SweepDatabase:
 
         Returns dicts with keys ``system``, ``scheduler``, ``contests``,
         ``wins`` and ``ties``, ordered by system, then descending win rate,
-        then scheduler.
+        then scheduler; ``system`` keeps one system's rows (:func:`system_rows`).
         """
         rows = self._connection.execute(
             """
@@ -1067,7 +1082,6 @@ class SweepDatabase:
                 JOIN latest ON records.spec_key = latest.spec_key
                            AND records.point_index = latest.point_index
                            AND records.run_id = latest.run_id
-                WHERE (:system IS NULL OR records.system = :system)
             ),
             best AS (
                 SELECT system, reused_processors, power_label, flit_width,
@@ -1103,10 +1117,9 @@ class SweepDatabase:
             ORDER BY system,
                      CAST(SUM(makespan = winning) AS REAL) / COUNT(*) DESC,
                      scheduler
-            """,
-            {"system": system},
+            """
         )
-        return [dict(row) for row in rows]
+        return system_rows([dict(row) for row in rows], system)
 
     def trajectory_rows(self, *, system: str | None = None) -> list[dict]:
         """Per-run, per-system makespan summaries, aggregated in SQL.
@@ -1116,7 +1129,8 @@ class SweepDatabase:
         by tests): grouped by run and system over *all* stored runs — the
         history time axis — without loading record JSON.  ``total_makespan``
         is returned instead of a mean so the caller can divide in Python
-        and match the pure-Python float arithmetic bit for bit.
+        and match the pure-Python float arithmetic bit for bit.  ``system``
+        keeps one system's rows (:func:`system_rows`).
         """
         rows = self._connection.execute(
             """
@@ -1128,13 +1142,11 @@ class SweepDatabase:
             FROM records
             JOIN runs ON records.run_id = runs.run_id
             JOIN sweeps ON records.spec_key = sweeps.spec_key
-            WHERE (:system IS NULL OR records.system = :system)
             GROUP BY runs.run_id, runs.created_at, sweeps.name, records.system
             ORDER BY runs.run_id, runs.created_at, sweeps.name, records.system
-            """,
-            {"system": system},
+            """
         )
-        return [dict(row) for row in rows]
+        return system_rows([dict(row) for row in rows], system)
 
     # ------------------------------------------------------------------
     # JSON migration path.

@@ -164,7 +164,9 @@ class EventDrivenScheduler:
         power_constraint = power_constraint or PowerConstraint.unconstrained()
         self._check_inputs(cores, interfaces)
 
-        plans = _CLEAN_PLANS.setdefault(network, {})
+        plans = _CLEAN_PLANS.get(network)
+        if plans is None:
+            plans = _CLEAN_PLANS[network] = {}
         key = (type(self), tuple(core.identifier for core in cores), tuple(interfaces))
         clean = plans.get(key)
         if clean is not None and power_constraint.allows(clean[0]):

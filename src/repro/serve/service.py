@@ -35,7 +35,7 @@ from repro import __version__
 from repro.analysis.export import schedule_to_rows
 from repro.errors import ApiError, ConfigurationError, ReproError
 from repro.runner.cache import CharacterizationCache, SystemCache
-from repro.runner.db import SweepDatabase
+from repro.runner.db import SweepDatabase, system_rows
 from repro.runner.schedulers import make_scheduler
 from repro.runner.spec import SweepSpec, canonical_scheduler_name, power_series_label
 from repro.schedule.planner import TestPlanner
@@ -60,12 +60,6 @@ PLAN_FIELDS: frozenset[str] = frozenset(
 #: per-request work the same way ``max_body_bytes`` bounds per-request
 #: parsing; batch clients should chunk above this.
 MAX_BATCH_POINTS = 256
-
-#: Most plan answers the plan cache holds (a few hundred bytes each).  A
-#: miss on a point whose ceiling does not bind replays a stored plan
-#: (:mod:`repro.schedule.greedy`), so the cache need not hold more than the
-#: points clients repeat soon.
-PLAN_CACHE_ENTRIES = 512
 
 #: The planned fields of a plan answer, in the order the plan cache stores
 #: their values: one tuple per entry, not a dict, and nothing the request
@@ -139,10 +133,9 @@ class PlanningService:
         self._read_version_lock = threading.Lock()
         # Plans are pure functions of their request (RL001 keeps the
         # planner deterministic), so identical points can be served from
-        # cache; the TTL only bounds staleness of nothing.  It bounds
-        # memory only per unit of request rate, so an entry cap bounds it
-        # outright.
-        self.plan_cache = TTLCache(cache_ttl, max_entries=PLAN_CACHE_ENTRIES)
+        # cache; the TTL only bounds staleness of nothing — it is reused
+        # here purely as a memory bound.
+        self.plan_cache = TTLCache(cache_ttl)
         self.jobs = SweepJobQueue(
             self.store_path,
             characterize=characterize,
@@ -439,12 +432,13 @@ class PlanningService:
 
         Rows are exactly :meth:`SweepDatabase.win_rate_rows
         <repro.runner.db.SweepDatabase.win_rate_rows>` — the same SQL
-        aggregation ``repro history`` prints — cached per store version.
+        aggregation ``repro history`` prints — cached per
+        ``(query, store version)``.
 
         Raises:
             ApiError: for an unknown ``system`` filter (400).
         """
-        return self._cached_history("win-rates", system, lambda db: db.win_rate_rows())
+        return self._cached_history("win-rates", system, SweepDatabase.win_rate_rows)
 
     def trajectory(self, *, system: str | None = None) -> dict:
         """Makespan-over-runs rows (``GET /history/trajectory``).
@@ -452,7 +446,7 @@ class PlanningService:
         Rows are :meth:`SweepDatabase.trajectory_rows
         <repro.runner.db.SweepDatabase.trajectory_rows>` with the mean
         derived the same way :func:`repro.analysis.history.makespan_trajectory_sql`
-        derives it, cached per store version.
+        derives it, cached per ``(query, store version)``.
 
         Raises:
             ApiError: for an unknown ``system`` filter (400).
@@ -469,11 +463,12 @@ class PlanningService:
     def _cached_history(self, what: str, system: str | None, query) -> dict:
         """Serve one history aggregation through the TTL cache.
 
-        The cache holds the aggregation's rows over every system, per store
-        version.  Both aggregations group by system and keep each system's
-        rows in the order the SQL filtered to it returns them, so a request
-        filtered to one system takes that system's rows: one query per
-        store version serves every filter.
+        Rows over every system are cached per ``(query, store version)``,
+        and a filtered read takes its system's rows with the filter the
+        store's own methods apply (:func:`~repro.runner.db.system_rows`),
+        so one query per store version serves every filter.  The first read
+        of a newer store version drops every entry: they all hold an older
+        version, which no later read can ask for again.
         """
         wanted = self._validate_system(system)
         with self._reader() as db:
@@ -490,10 +485,8 @@ class PlanningService:
                 rows = query(db)
         if not cached:
             self.read_cache.put(key, rows)
-        if wanted is not None:
-            rows = [row for row in rows if row["system"] == wanted]
         return {
-            "rows": rows,
+            "rows": system_rows(rows, wanted),
             "system": wanted,
             "store_version": {"records": version[0], "runs": version[1]},
             "cached": cached,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.cache import TTLCache
+from repro.serve.cache import MAX_ENTRIES, TTLCache
 
 
 class FakeClock:
@@ -105,21 +105,15 @@ class TestTTLCache:
         assert len(cache) == 2
         assert cache.get("a") == 3
 
-    def test_max_entries_evicts_the_oldest(self, clock):
-        cache = TTLCache(10.0, max_entries=2, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 3)
-        cache.put("c", 4)
-        assert len(cache) == 2
-        assert cache.get("b") is None
-        assert cache.get("a") == 3 and cache.get("c") == 4
-
-    def test_max_entries_below_one_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TTLCache(10.0, max_entries=0)
+    def test_a_write_beyond_max_entries_evicts_the_oldest(self, clock):
+        cache = TTLCache(10.0, clock=clock)
+        for key in range(MAX_ENTRIES):
+            cache.put(key, key)
+        cache.put(0, "again")
+        cache.put("new", 1)
+        assert len(cache) == MAX_ENTRIES
+        assert cache.get(1) is None
+        assert cache.get(0) == "again" and cache.get("new") == 1
 
     def test_negative_ttl_rejected(self):
         from repro.errors import ConfigurationError

@@ -176,7 +176,7 @@ class TestHistory:
 
     def test_filtered_rows_equal_library_sql_filtered(self, service, tmp_path):
         """A filtered read takes its system's rows from the cached rows over
-        every system; they must be what the SQL filtered to it returns."""
+        every system; they must be what the store's filtered read returns."""
         run_small_sweep(
             service,
             schedulers=("greedy", "fastest-completion"),
