@@ -22,6 +22,7 @@ serve ``/healthz`` payload can observe the caching behaviour.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
@@ -128,10 +129,15 @@ class SystemCache:
         return self._cache_dir
 
     @staticmethod
+    @functools.lru_cache(maxsize=256)
     def key(
         system: str, *, flit_width: int = 32, pattern_penalty: int | None = None
     ) -> str:
-        """Content key of one ``(system, flit_width, pattern_penalty)`` build."""
+        """Content key of one ``(system, flit_width, pattern_penalty)`` build.
+
+        Memoised: every lookup derives it, and it is a pure function of its
+        arguments.
+        """
         return content_key(
             {
                 "kind": "system-build",

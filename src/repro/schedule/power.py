@@ -91,18 +91,19 @@ class PowerConstraint:
 class PowerTracker:
     """Tracks the power of currently running jobs against a constraint.
 
-    ``current_power`` is consulted for every candidate the scheduler
-    considers at every event, while the active set only changes when a job
-    starts or finishes — so the total is memoised and recomputed lazily.
-    The recomputation is the exact ``sum()`` over the active dict a
-    non-caching tracker would run (never an incremental add/subtract, which
-    could drift in floating point), so cached and uncached totals are
-    bit-identical.
+    Every total is a :func:`math.fsum`: the correctly rounded exact sum,
+    whatever order the jobs started in.  :meth:`ScheduleResult.power_profile
+    <repro.schedule.result.ScheduleResult.power_profile>` sums the same way,
+    and a profile point sums a subset of the powers some check summed, so a
+    plan whose checks all passed never exceeds its ceiling in the profile.
+    The running powers are kept as a tuple that only a start or a finish
+    rebuilds, since :meth:`can_start` runs for every candidate the
+    scheduler considers at every event.
 
     Attributes:
         constraint: the ceiling every :meth:`can_start` checks against.
-        peak_checked: the largest ``current_power + power`` any
-            :meth:`can_start` compared against the ceiling.  A zero-cycle
+        peak_checked: the largest total (the running powers and the
+            candidate's) any :meth:`can_start` compared against the ceiling.  A zero-cycle
             test counts here while it is registered, although it nets to
             zero in :meth:`ScheduleResult.power_profile
             <repro.schedule.result.ScheduleResult.power_profile>`.
@@ -113,18 +114,16 @@ class PowerTracker:
     peak_checked: float = 0.0
     refused: bool = False
     _active: dict[str, float] = field(default_factory=dict)
-    _cached_total: float | None = field(default=0.0, repr=False)
+    _running: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def current_power(self) -> float:
         """Sum of the power of all currently running jobs."""
-        if self._cached_total is None:
-            self._cached_total = sum(self._active.values())
-        return self._cached_total
+        return math.fsum(self._running)
 
     def can_start(self, job_id: str, power: float) -> bool:
         """True when starting a job drawing ``power`` respects the ceiling."""
-        total = self.current_power + power
+        total = math.fsum((*self._running, power))
         if total > self.peak_checked:
             self.peak_checked = total
         if self.constraint.allows(total):
@@ -142,7 +141,7 @@ class PowerTracker:
                 f"ceiling of {self.constraint.limit:.1f} pu"
             )
         self._active[job_id] = power
-        self._cached_total = None
+        self._running = tuple(self._active.values())
 
     def finish(self, job_id: str) -> None:
         """Unregister a finished job."""
@@ -150,4 +149,4 @@ class PowerTracker:
             del self._active[job_id]
         except KeyError as exc:
             raise ConfigurationError(f"job {job_id!r} is not running") from exc
-        self._cached_total = None
+        self._running = tuple(self._active.values())

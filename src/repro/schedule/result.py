@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from math import fsum
+from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import ScheduleValidationError
@@ -113,31 +114,75 @@ class ScheduleResult:
 
     def peak_power(self) -> float:
         """Largest instantaneous power over the whole schedule."""
-        profile = self.power_profile()
-        return max((power for _, power in profile), default=0.0)
+        return self._power()[1]
 
     def power_profile(self) -> list[tuple[int, float]]:
-        """Piecewise-constant power profile as (time, power-from-then-on) points."""
-        events: dict[int, float] = defaultdict(float)
-        for assignment in self.assignments:
-            events[assignment.start] += assignment.power
-            events[assignment.end] -= assignment.power
-        profile: list[tuple[int, float]] = []
-        current = 0.0
-        for time in sorted(events):
-            current += events[time]
-            # Clamp tiny negative values produced by float accumulation.
-            if abs(current) < 1e-9:
-                current = 0.0
-            profile.append((time, current))
-        return profile
+        """Piecewise-constant power profile as (time, power-from-then-on) points.
+
+        Each point's power is the :func:`math.fsum` of the powers of the
+        tests running from then on: the correctly rounded exact sum, whatever
+        order the tests are in.  The power tracker sums the same way, so a
+        plan that passed every check of its ceiling never exceeds it here.
+        """
+        return list(self._power()[0])
+
+    def _power(self) -> tuple[tuple[tuple[int, float], ...], float]:
+        """The power profile and its peak, derived once per assignment list.
+
+        :func:`validate_schedule` and :meth:`peak_power` share one profile.
+        The memo sits in the instance ``__dict__``, outside the dataclass
+        fields, so it never reaches ``repr``, ``==`` or a record; it keeps
+        the assignments it was derived from, and a changed ``assignments``
+        derives the profile afresh.
+        """
+        assignments = tuple(self.assignments)
+        memo = self.__dict__.get("_power_memo")
+        if memo is None or memo[0] != assignments:
+            profile = _power_profile(assignments)
+            peak = max((power for _, power in profile), default=0.0)
+            memo = self.__dict__["_power_memo"] = (assignments, profile, peak)
+        return memo[1], memo[2]
 
     def average_parallelism(self) -> float:
         """Average number of concurrently running tests over the makespan."""
-        if self.makespan == 0:
+        makespan = self.makespan
+        if makespan == 0:
             return 0.0
-        busy = sum(assignment.duration for assignment in self.assignments)
-        return busy / self.makespan
+        return sum(assignment.job.duration for assignment in self.assignments) / makespan
+
+
+def _power_profile(assignments: Sequence[Assignment]) -> tuple[tuple[int, float], ...]:
+    """The power profile of ``assignments`` (see :meth:`ScheduleResult.power_profile`).
+
+    ``running`` holds the powers summed so far: a start adds its power, and
+    an end takes an equal power out (or, ending before any equal start,
+    adds its negation).  So its ``fsum`` at each time is the exact sum of
+    every change up to then, rounded once.
+    """
+    changes: list[tuple[int, float]] = []
+    for assignment in assignments:
+        power = assignment.job.power
+        changes.append((assignment.start, power))
+        changes.append((assignment.end, -power))
+    changes.sort(key=_TIME)
+    running: list[float] = []
+    profile: list[tuple[int, float]] = []
+    now = None
+    for time, change in changes:
+        if time != now:
+            if now is not None:
+                profile.append((now, fsum(running)))
+            now = time
+        if change < 0 and -change in running:
+            running.remove(-change)
+        else:
+            running.append(change)
+    if now is not None:
+        profile.append((now, fsum(running)))
+    return tuple(profile)
+
+
+_TIME = itemgetter(0)
 
 
 def validate_schedule(
@@ -159,36 +204,42 @@ def validate_schedule(
     6. start/end times are consistent (``end = start + duration``, both
        non-negative).
 
+    This runs once per plan, so it reads each assignment's job once and
+    never through the :class:`Assignment` properties.
+
     Raises:
         ScheduleValidationError: describing the first violated invariant.
     """
+    assignments = result.assignments
     seen_cores: set[str] = set()
-    for assignment in result.assignments:
-        if assignment.start < 0 or assignment.end < assignment.start:
+    for assignment in assignments:
+        job = assignment.job
+        core_id = job.core_id
+        start = assignment.start
+        end = assignment.end
+        if start < 0 or end < start:
             raise ScheduleValidationError(
-                f"core {assignment.core_id!r}: inconsistent times "
-                f"[{assignment.start}, {assignment.end})"
+                f"core {core_id!r}: inconsistent times [{start}, {end})"
             )
-        if assignment.end != assignment.start + assignment.duration:
+        if end != start + job.duration:
             raise ScheduleValidationError(
-                f"core {assignment.core_id!r}: end does not equal start + duration"
+                f"core {core_id!r}: end does not equal start + duration"
             )
-        if assignment.core_id in seen_cores:
-            raise ScheduleValidationError(
-                f"core {assignment.core_id!r} is tested more than once"
-            )
-        seen_cores.add(assignment.core_id)
+        if core_id in seen_cores:
+            raise ScheduleValidationError(f"core {core_id!r} is tested more than once")
+        seen_cores.add(core_id)
 
     if expected_core_ids is not None:
-        missing = set(expected_core_ids) - seen_cores
-        if missing:
+        expected = set(expected_core_ids)
+        if expected != seen_cores:
+            missing = expected - seen_cores
+            if missing:
+                raise ScheduleValidationError(
+                    f"cores never tested: {', '.join(sorted(missing))}"
+                )
             raise ScheduleValidationError(
-                f"cores never tested: {', '.join(sorted(missing))}"
-            )
-        unexpected = seen_cores - set(expected_core_ids)
-        if unexpected:
-            raise ScheduleValidationError(
-                f"unexpected cores in schedule: {', '.join(sorted(unexpected))}"
+                "unexpected cores in schedule: "
+                f"{', '.join(sorted(seen_cores - expected))}"
             )
 
     _check_interface_overlaps(result)
@@ -197,10 +248,33 @@ def validate_schedule(
     _check_power(result)
 
 
+_START = attrgetter("start")
+
+#: Each clashing key's first clash: its holder and the assignment that
+#: overlapped it.
+_Clashes = dict[Hashable, tuple[Assignment, Assignment]]
+
+
 def _check_interface_overlaps(result: ScheduleResult) -> None:
-    overlap = _first_overlap(result, lambda assignment: (assignment.job.interface_id,))
-    if overlap is not None:
-        interface_id, earlier, later = overlap
+    """No interface runs two overlapping assignments (see :func:`_first_clash`)."""
+    holders: dict[str, Assignment] = {}
+    clashes: _Clashes = {}
+    for assignment in sorted(result.assignments, key=_START):
+        key = assignment.job.interface_id
+        holder = holders.get(key)
+        if holder is None:
+            holders[key] = assignment
+            continue
+        end = assignment.end
+        held_until = holder.end
+        if end > held_until:
+            holders[key] = assignment
+        if assignment.start < held_until and holder.start < end and key not in clashes:
+            clashes[key] = (holder, assignment)
+    if clashes:
+        interface_id, earlier, later = _first_clash(
+            result.assignments, clashes, lambda job: (job.interface_id,)
+        )
         raise ScheduleValidationError(
             f"interface {interface_id!r} runs {earlier.core_id!r} and "
             f"{later.core_id!r} at the same time"
@@ -212,70 +286,85 @@ def _check_resource_overlaps(result: ScheduleResult) -> None:
 
     Reads each job's ``resources`` link by link and never its ``mask``: this
     is the independent check of the schedulers, whose link allocator works
-    on the masks alone.
+    on the masks alone.  A link is a tuple of tuples that hashes afresh on
+    every lookup, so each key's holder sits in a one-element list that a
+    new holder replaces without hashing the link again.
     """
-    overlap = _first_overlap(result, lambda assignment: assignment.job.resources)
-    if overlap is not None:
-        resource, earlier, later = overlap
+    holders: dict[Hashable, list[Assignment]] = {}
+    clashes: _Clashes = {}
+    for assignment in sorted(result.assignments, key=_START):
+        start = assignment.start
+        end = assignment.end
+        for key in assignment.job.resources:
+            cell = holders.get(key)
+            if cell is None:
+                holders[key] = [assignment]
+                continue
+            holder = cell[0]
+            held_until = holder.end
+            if end > held_until:
+                cell[0] = assignment
+            if start < held_until and holder.start < end and key not in clashes:
+                clashes[key] = (holder, assignment)
+    if clashes:
+        resource, earlier, later = _first_clash(
+            result.assignments, clashes, attrgetter("resources")
+        )
         raise ScheduleValidationError(
             f"NoC resource {resource} is used simultaneously by "
             f"{earlier.core_id!r} and {later.core_id!r}"
         )
 
 
-def _first_overlap(
-    result: ScheduleResult, keys_of: Callable[[Assignment], Iterable[Hashable]]
-) -> tuple[Hashable, Assignment, Assignment] | None:
-    """The first two assignments that hold one key at the same time.
+def _first_clash(
+    assignments: Sequence[Assignment],
+    clashes: _Clashes,
+    keys_of: Callable[[TestJob], Iterable[Hashable]],
+) -> tuple[Hashable, Assignment, Assignment]:
+    """The clash to report: the first clashing key in schedule order.
 
-    One sweep over the assignments by start time compares each with the
-    key's holder that frees it last, which records a clash on every key
-    that has an overlap.  A key's first clash pairs the earliest
-    assignment that overlaps an earlier one with that holder, and keys are
-    taken in the order the schedule first uses them.
+    Both overlap checks make one sweep over the assignments by start time,
+    comparing each with the key's holder that frees it last, which records
+    a clash on every key that has an overlap.  A key's first clash pairs the
+    earliest assignment that overlaps an earlier one with that holder, and
+    keys are taken in the order the schedule first uses them.
     """
-    holders: dict[Hashable, Assignment] = {}
-    clashes: dict[Hashable, tuple[Assignment, Assignment]] = {}
-    for assignment in sorted(result.assignments, key=attrgetter("start")):
-        start = assignment.start
-        end = assignment.end
-        for key in keys_of(assignment):
-            holder = holders.get(key)
-            if holder is None or end > holder.end:
-                holders[key] = assignment
-            if holder is not None and holder.start < end and start < holder.end:
-                clashes.setdefault(key, (holder, assignment))
-    if not clashes:
-        return None
     return next(
         (key, *clashes[key])
-        for assignment in result.assignments
-        for key in keys_of(assignment)
+        for assignment in assignments
+        for key in keys_of(assignment.job)
         if key in clashes
     )
 
 
 def _check_processor_enablement(result: ScheduleResult) -> None:
-    completion: dict[str, int] = {
-        assignment.core_id: assignment.end for assignment in result.assignments
-    }
     interface_by_id: Mapping[str, TestInterface] = {
         interface.identifier: interface for interface in result.interfaces
     }
+    processor_core_of = {
+        identifier: interface.processor_core_id
+        for identifier, interface in interface_by_id.items()
+        if interface.is_processor
+    }
+    if not processor_core_of:
+        return
+    completion: dict[str, int] = {
+        assignment.job.core_id: assignment.end for assignment in result.assignments
+    }
     for assignment in result.assignments:
-        interface = interface_by_id.get(assignment.interface_id)
-        if interface is None or not interface.is_processor:
+        job = assignment.job
+        identifier = job.interface_id
+        processor_core = processor_core_of.get(identifier)
+        if processor_core is None:
             continue
-        processor_core = interface.processor_core_id
-        assert processor_core is not None
         if processor_core not in completion:
             raise ScheduleValidationError(
-                f"interface {interface.identifier!r} is used but its processor "
+                f"interface {identifier!r} is used but its processor "
                 f"core {processor_core!r} is never tested"
             )
         if assignment.start < completion[processor_core]:
             raise ScheduleValidationError(
-                f"interface {interface.identifier!r} tests {assignment.core_id!r} "
+                f"interface {identifier!r} tests {job.core_id!r} "
                 f"at {assignment.start}, before its processor core finishes at "
                 f"{completion[processor_core]}"
             )
@@ -285,7 +374,10 @@ def _check_power(result: ScheduleResult) -> None:
     constraint = result.power_constraint
     if not constraint.constrained:
         return
-    for time, power in result.power_profile():
+    profile, peak = result._power()
+    if constraint.allows(peak):
+        return
+    for time, power in profile:
         if not constraint.allows(power):
             raise ScheduleValidationError(
                 f"instantaneous power {power:.1f} at cycle {time} exceeds the "

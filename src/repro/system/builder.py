@@ -140,8 +140,27 @@ class SocSystem:
         return interfaces
 
     def interfaces(self, reused_processors: int | None = None) -> list[TestInterface]:
-        """External plus processor interfaces for one planning configuration."""
-        return self.external_interfaces() + self.processor_interfaces(reused_processors)
+        """External plus processor interfaces for one planning configuration.
+
+        Derived once per reuse level: a built system is read-only (the
+        invariant :class:`~repro.runner.cache.SystemCache` relies on), and
+        the interfaces are frozen, so each call copies the memoised list into
+        a fresh one the caller may change.  The memo sits in the instance
+        ``__dict__``, outside the dataclass fields, and :meth:`__getstate__`
+        leaves it out of pickles.
+        """
+        memo = self.__dict__.setdefault("_interfaces_memo", {})
+        interfaces = memo.get(reused_processors)
+        if interfaces is None:
+            interfaces = memo[reused_processors] = tuple(
+                self.external_interfaces() + self.processor_interfaces(reused_processors)
+            )
+        return list(interfaces)
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_interfaces_memo", None)
+        return state
 
     def describe(self) -> str:
         """Multi-line human readable description of the system."""

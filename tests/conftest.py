@@ -19,8 +19,9 @@ from repro.system.builder import SystemBuilder
 from repro.tam.ports import PortDirection
 
 # Test tooling, not a product setting: CI's schedule-oracle job runs the
-# selection oracle (tests/schedule/test_selection_oracle.py) and the
-# resource-mask property (tests/schedule/test_job_masks.py) with
+# selection oracle (tests/schedule/test_selection_oracle.py), the
+# resource-mask property (tests/schedule/test_job_masks.py) and the
+# validation oracle (tests/schedule/test_validation_oracle.py) with
 # `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
 # default example budget.
 settings.register_profile("schedule-oracle", max_examples=500)

@@ -63,6 +63,21 @@ class TestSystemCache:
         assert len(cache) == 0
         assert cache.get("d695_leon") is not first
 
+    def test_key_is_memoised_and_unchanged(self):
+        key = SystemCache.key("d695_leon", flit_width=16)
+        assert key == content_key(
+            {
+                "kind": "system-build",
+                "system": "d695_leon",
+                "flit_width": 16,
+                "pattern_penalty": None,
+            }
+        )
+        hits = SystemCache.key.cache_info().hits
+        assert SystemCache.key("d695_leon", flit_width=16) == key
+        assert SystemCache.key.cache_info().hits == hits + 1
+        assert SystemCache.key("D695_LEON", flit_width=16) == key
+
     def test_stats_as_dict(self):
         cache = SystemCache()
         cache.get("d695_leon")
@@ -107,6 +122,31 @@ class TestSystemCacheDisk:
             "misses": 0,
             "disk_hits": 1,
         }
+
+    def test_round_trip_after_planning_loads_an_equal_system(self, tmp_path):
+        """A system that has planned (and so memoised its interfaces) still
+        persists and loads as the system it was built as."""
+        from repro.schedule.planner import TestPlanner
+
+        built = SystemCache(tmp_path).get("d695_leon")
+        for count in (0, 2, None):
+            TestPlanner(built).plan(reused_processors=count)
+        (record,) = tmp_path.glob("system-build-*.pkl")
+        record.unlink()
+        SystemCache(tmp_path)._persist(SystemCache.key("d695_leon"), built)
+        assert b"_interfaces_memo" not in record.read_bytes()
+
+        loaded_cache = SystemCache(tmp_path)
+        loaded = loaded_cache.get("d695_leon")
+        assert loaded_cache.stats.disk_hits == 1
+        assert "_interfaces_memo" not in loaded.__dict__
+        assert loaded.name == built.name
+        assert loaded.network.config == built.network.config
+        assert loaded.cores == built.cores
+        assert loaded.io_ports == built.io_ports
+        assert loaded.processor_characterizations == built.processor_characterizations
+        for count in (0, 2, None):
+            assert loaded.interfaces(count) == built.interfaces(count)
 
     def test_corrupt_record_rebuilt(self, tmp_path):
         cache = SystemCache(tmp_path)

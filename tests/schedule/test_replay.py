@@ -70,11 +70,21 @@ def stored_plans(network):
 def ceilings(system, peak):
     """Unconstrained, the fraction band, and absolute ceilings at the
     threshold ``peak``, one ulp below it (still within
-    :meth:`PowerConstraint.allows`'s tolerance) and just past that tolerance."""
+    :meth:`PowerConstraint.allows`'s tolerance), on the tolerance's edge
+    (``peak - 1e-9`` and its neighbours, where a one-ulp disagreement between
+    the checks and the validator's profile shows) and just past it."""
     yield PowerConstraint.unconstrained()
     for fraction in FRACTIONS:
         yield PowerConstraint.fraction_of_total(system.total_core_power, fraction)
-    for limit in (peak, math.nextafter(peak, 0.0), peak - 2e-9):
+    edge = peak - 1e-9
+    for limit in (
+        peak,
+        math.nextafter(peak, 0.0),
+        math.nextafter(edge, math.inf),
+        edge,
+        math.nextafter(edge, 0.0),
+        peak - 2e-9,
+    ):
         yield PowerConstraint(limit=limit)
 
 
@@ -186,3 +196,20 @@ def test_zero_cycle_test_counts_in_the_checked_peak_not_the_profile(loop_runs):
         system_name="zero", power_constraint=between, **inputs
     )
     validate_schedule(constrained, expected_core_ids=["z", "b", "c"])
+
+
+def test_a_ceiling_just_below_the_checked_peak_still_validates():
+    """p93791_plasma with 4 reused processors (fastest-completion): the
+    tracker's checked peak and the power profile's peak summed the same
+    powers in different orders, so a ceiling 1e-9 below the checked peak
+    passed every check yet failed validation by one ulp."""
+    system = build_paper_system("p93791_plasma")
+    scheduler = FastestCompletionScheduler()
+    greedy._CLEAN_PLANS.pop(system.network, None)
+    unconstrained = plan(scheduler, system, 4, None)
+    ((peak, _),) = stored_plans(system.network).values()
+    assert unconstrained.peak_power() == peak
+    greedy._CLEAN_PLANS.pop(system.network)
+    edge = plan(scheduler, system, 4, PowerConstraint(limit=peak - 1e-9))
+    validate_schedule(edge, expected_core_ids=system.core_ids)
+    assert edge.assignments == unconstrained.assignments

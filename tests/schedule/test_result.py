@@ -1,5 +1,6 @@
 """Tests of the schedule result container and its invariant checker."""
 
+import dataclasses
 import re
 
 import pytest
@@ -102,6 +103,55 @@ class TestScheduleResult:
         assert profile[50] == pytest.approx(25.0)
         assert profile[100] == pytest.approx(15.0)
         assert profile[150] == pytest.approx(0.0)
+
+    def test_power_profile_sums_in_any_order_to_the_same_value(self):
+        """Each point is the correctly rounded exact sum of the running
+        powers: 0.1 + 0.2 + 0.3 is 0.6000000000000001 summed left to right
+        and 0.6 summed right to left; the profile says 0.6 either way."""
+        powers = (0.1, 0.2, 0.3)
+        for order in (powers, powers[::-1]):
+            result = make_result(
+                [
+                    Assignment(job(f"c{i}", f"ext{i}", power=power), 0, 100)
+                    for i, power in enumerate(order)
+                ]
+            )
+            assert result.power_profile() == [(0, 0.6), (100, 0.0)]
+            assert result.peak_power() == 0.6
+
+    def test_peak_power_follows_a_changed_assignment_list(self):
+        result = make_result([Assignment(job("a", "ext0", power=10.0), 0, 100)])
+        assert result.peak_power() == 10.0
+        result.assignments.append(
+            Assignment(job("b", "ext1", power=5.0, resources=(PORT_B,)), 50, 150)
+        )
+        assert result.peak_power() == 15.0
+        assert dict(result.power_profile())[150] == 0.0
+        result.assignments[1] = Assignment(
+            job("b", "ext1", power=7.0, resources=(PORT_B,)), 50, 150
+        )
+        assert result.peak_power() == 17.0
+        result.assignments = [Assignment(job("c", "ext0", power=3.0), 0, 10)]
+        assert result.peak_power() == 3.0
+        assert result.power_profile() == [(0, 3.0), (10, 0.0)]
+
+    def test_power_profile_is_a_fresh_list(self):
+        result = make_result([Assignment(job("a", "ext0", power=10.0), 0, 100)])
+        result.power_profile().append((200, 99.0))
+        assert result.power_profile() == [(0, 10.0), (100, 0.0)]
+        assert result.peak_power() == 10.0
+
+    def test_power_memo_stays_out_of_repr_and_equality(self):
+        assignments = [Assignment(job("a", "ext0", power=10.0), 0, 100)]
+        derived = make_result(list(assignments))
+        plain = make_result(list(assignments))
+        before = repr(derived)
+        derived.peak_power()
+        assert "_power_memo" in derived.__dict__
+        assert repr(derived) == before == repr(plain)
+        assert derived == plain
+        assert dataclasses.replace(derived) == plain
+        assert "_power_memo" not in dataclasses.replace(derived).__dict__
 
     def test_average_parallelism(self):
         result = make_result(

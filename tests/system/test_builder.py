@@ -1,5 +1,8 @@
 """Tests of the system builder and SocSystem container."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import ConfigurationError, ResourceError
@@ -129,6 +132,36 @@ class TestSocSystemInterfaces:
 
     def test_interfaces_combined(self, toy_system):
         assert len(toy_system.interfaces(2)) == 3
+
+    def test_interfaces_are_a_fresh_list_per_call(self, toy_system):
+        """The memoised interfaces come back as a new list every time, so a
+        caller that changes its list cannot change the next answer."""
+        first = toy_system.interfaces(1)
+        expected = list(first)
+        first.append(first[0])
+        first.reverse()
+        second = toy_system.interfaces(1)
+        assert second == expected
+        assert second is not toy_system.interfaces(1)
+        second.clear()
+        assert toy_system.interfaces(1) == expected
+        assert toy_system.interfaces(None) == toy_system.interfaces(2)
+
+    def test_an_invalid_reuse_level_still_raises_every_time(self, toy_system):
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                toy_system.interfaces(5)
+
+    def test_interfaces_memo_stays_out_of_repr_equality_and_pickles(self, toy_system):
+        before = repr(toy_system)
+        toy_system.interfaces(2)
+        assert repr(toy_system) == before
+        copied = copy.copy(toy_system)
+        assert "_interfaces_memo" in toy_system.__dict__
+        assert "_interfaces_memo" not in copied.__dict__
+        assert copied == toy_system
+        assert b"_interfaces_memo" not in pickle.dumps(toy_system)
+        assert pickle.loads(pickle.dumps(toy_system)).interfaces(2) == toy_system.interfaces(2)
 
     def test_describe_mentions_counts(self, toy_system):
         text = toy_system.describe()
