@@ -113,8 +113,21 @@ class ScheduleResult:
         }
 
     def peak_power(self) -> float:
-        """Largest instantaneous power over the whole schedule."""
-        return self._power()[1]
+        """Largest instantaneous power over the whole schedule.
+
+        Derived once per assignment list: :func:`validate_schedule`'s power
+        check and later callers share one derivation of the profile.  The
+        memo sits in the instance ``__dict__``, outside the dataclass fields,
+        so it never reaches ``repr``, ``==`` or a record; it keeps the
+        assignments it was derived from, and a changed ``assignments``
+        derives the peak afresh.
+        """
+        assignments = tuple(self.assignments)
+        memo = self.__dict__.get("_peak_memo")
+        if memo is None or memo[0] != assignments:
+            peak = max((power for _, power in _power_profile(assignments)), default=0.0)
+            memo = self.__dict__["_peak_memo"] = (assignments, peak)
+        return memo[1]
 
     def power_profile(self) -> list[tuple[int, float]]:
         """Piecewise-constant power profile as (time, power-from-then-on) points.
@@ -124,24 +137,7 @@ class ScheduleResult:
         order the tests are in.  The power tracker sums the same way, so a
         plan that passed every check of its ceiling never exceeds it here.
         """
-        return list(self._power()[0])
-
-    def _power(self) -> tuple[tuple[tuple[int, float], ...], float]:
-        """The power profile and its peak, derived once per assignment list.
-
-        :func:`validate_schedule` and :meth:`peak_power` share one profile.
-        The memo sits in the instance ``__dict__``, outside the dataclass
-        fields, so it never reaches ``repr``, ``==`` or a record; it keeps
-        the assignments it was derived from, and a changed ``assignments``
-        derives the profile afresh.
-        """
-        assignments = tuple(self.assignments)
-        memo = self.__dict__.get("_power_memo")
-        if memo is None or memo[0] != assignments:
-            profile = _power_profile(assignments)
-            peak = max((power for _, power in profile), default=0.0)
-            memo = self.__dict__["_power_memo"] = (assignments, profile, peak)
-        return memo[1], memo[2]
+        return _power_profile(self.assignments)
 
     def average_parallelism(self) -> float:
         """Average number of concurrently running tests over the makespan."""
@@ -151,7 +147,7 @@ class ScheduleResult:
         return sum(assignment.job.duration for assignment in self.assignments) / makespan
 
 
-def _power_profile(assignments: Sequence[Assignment]) -> tuple[tuple[int, float], ...]:
+def _power_profile(assignments: Sequence[Assignment]) -> list[tuple[int, float]]:
     """The power profile of ``assignments`` (see :meth:`ScheduleResult.power_profile`).
 
     ``running`` holds the powers summed so far: a start adds its power, and
@@ -179,7 +175,7 @@ def _power_profile(assignments: Sequence[Assignment]) -> tuple[tuple[int, float]
             running.append(change)
     if now is not None:
         profile.append((now, fsum(running)))
-    return tuple(profile)
+    return profile
 
 
 _TIME = itemgetter(0)
@@ -374,10 +370,9 @@ def _check_power(result: ScheduleResult) -> None:
     constraint = result.power_constraint
     if not constraint.constrained:
         return
-    profile, peak = result._power()
-    if constraint.allows(peak):
+    if constraint.allows(result.peak_power()):
         return
-    for time, power in profile:
+    for time, power in result.power_profile():
         if not constraint.allows(power):
             raise ScheduleValidationError(
                 f"instantaneous power {power:.1f} at cycle {time} exceeds the "

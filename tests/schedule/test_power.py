@@ -44,6 +44,19 @@ class TestPowerTracker:
         assert tracker.can_start("b", 300.0)
         assert not tracker.can_start("c", 301.0)
 
+    def test_totals_do_not_depend_on_start_order(self):
+        """Left to right, 0.1 + 0.2 + 0.3 is 0.6000000000000001; the exact
+        sum rounds to 0.6, which the tracker checks in either start order,
+        as the power profile sums it."""
+        for first, second in ((0.1, 0.2), (0.2, 0.1)):
+            tracker = PowerTracker(PowerConstraint(limit=0.6 - 1e-9))
+            tracker.start("a", first)
+            tracker.start("b", second)
+            assert tracker.can_start("c", 0.3)
+            assert tracker.peak_checked == 0.6
+        tracker.finish("a")
+        assert tracker.current_power == 0.1
+
     def test_start_over_limit_raises(self):
         tracker = PowerTracker(PowerConstraint(limit=100.0))
         with pytest.raises(PowerBudgetError):

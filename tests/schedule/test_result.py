@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ScheduleValidationError
 from repro.noc.links import resource_mask
+from repro.schedule import result as result_module
 from repro.schedule.job import TestJob
 from repro.schedule.power import PowerConstraint
 from repro.schedule.result import (
@@ -135,23 +136,34 @@ class TestScheduleResult:
         assert result.peak_power() == 3.0
         assert result.power_profile() == [(0, 3.0), (10, 0.0)]
 
-    def test_power_profile_is_a_fresh_list(self):
-        result = make_result([Assignment(job("a", "ext0", power=10.0), 0, 100)])
-        result.power_profile().append((200, 99.0))
-        assert result.power_profile() == [(0, 10.0), (100, 0.0)]
-        assert result.peak_power() == 10.0
+    def test_a_valid_plan_derives_its_profile_once(self, monkeypatch):
+        derived = []
+        original = result_module._power_profile
 
-    def test_power_memo_stays_out_of_repr_and_equality(self):
+        def counted(assignments):
+            derived.append(len(assignments))
+            return original(assignments)
+
+        monkeypatch.setattr(result_module, "_power_profile", counted)
+        result = make_result(
+            [Assignment(job("a", "ext0", power=10.0), 0, 100)],
+            constraint=PowerConstraint(limit=20.0),
+        )
+        validate_schedule(result, expected_core_ids=["a"])
+        assert result.peak_power() == 10.0
+        assert derived == [1]
+
+    def test_peak_memo_stays_out_of_repr_and_equality(self):
         assignments = [Assignment(job("a", "ext0", power=10.0), 0, 100)]
         derived = make_result(list(assignments))
         plain = make_result(list(assignments))
         before = repr(derived)
         derived.peak_power()
-        assert "_power_memo" in derived.__dict__
+        assert "_peak_memo" in derived.__dict__
         assert repr(derived) == before == repr(plain)
         assert derived == plain
         assert dataclasses.replace(derived) == plain
-        assert "_power_memo" not in dataclasses.replace(derived).__dict__
+        assert "_peak_memo" not in dataclasses.replace(derived).__dict__
 
     def test_average_parallelism(self):
         result = make_result(

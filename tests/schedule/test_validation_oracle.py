@@ -35,8 +35,8 @@ from tests.schedule.test_result import PORT_A, PORT_B, LINK, external, job, proc
 def verdict(validate, result, expected_core_ids):
     """``None`` when ``validate`` passes, else its error's type and message.
 
-    Each validator gets its own copy of ``result``, so neither reads a power
-    profile the other derived.
+    Each validator gets its own copy of ``result``, so neither reads a peak
+    power the other derived.
     """
     try:
         validate(dataclasses.replace(result), expected_core_ids=expected_core_ids)
