@@ -103,9 +103,9 @@ class PowerTracker:
     Attributes:
         constraint: the ceiling every :meth:`can_start` checks against.
         peak_checked: the largest total (the running powers and the
-            candidate's) any :meth:`can_start` compared against the ceiling.  A zero-cycle
-            test counts here while it is registered, although it nets to
-            zero in :meth:`ScheduleResult.power_profile
+            candidate's) any :meth:`can_start` compared against the ceiling.
+            A zero-cycle test counts here while it is registered, although
+            it nets to zero in :meth:`ScheduleResult.power_profile
             <repro.schedule.result.ScheduleResult.power_profile>`.
         refused: whether any :meth:`can_start` answered no.
     """
