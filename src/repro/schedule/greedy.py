@@ -24,27 +24,41 @@ interface whose scan found no startable core is never scanned again in that
 event.  A test of zero cycles leaves its interface available at the same
 instant; the pass then starts over, as a loop without a memo would.
 
-A plan whose power checks all passed is replayed, not re-run.  The tracker
-records the largest total it checked (``peak_checked``) and whether any check
-failed (``refused``).  A plan with no refusal is the unconstrained plan: by
-induction over the loop's decisions, both runs take the same decisions from
-the same state, so they ask the same power questions, and every answer is
-yes in both.  :meth:`EventDrivenScheduler.schedule` stores such a plan's
-``peak_checked`` and assignments per policy class, core ids and interfaces.
-A later plan for the same key under a ceiling that allows ``peak_checked``
-(every unconstrained plan among them) would again pass every check, each of
-which asks about a total no larger than ``peak_checked``; so it is that same
-plan, and the stored assignments are returned without building job rows,
-priorities or running the loop.  Any other plan runs the loop.  The compared
-peak is the tracker's, not :meth:`ScheduleResult.peak_power`: a zero-cycle
-test counts in the checks but nets to zero in the power profile.
+A completed plan is replayed, not re-run, under any ceiling that answers
+its power checks the same way.  The tracker records the largest total a
+check allowed (``max_allowed``) and the smallest total a check refused
+(``min_refused``, ``math.inf`` when none was).
+:meth:`EventDrivenScheduler.schedule` stores both with the assignments per
+policy class, core ids and interfaces.  A later plan for the same key under
+a ceiling that allows ``max_allowed`` and refuses ``min_refused`` (any
+ceiling at all when nothing was refused) is that same plan, by induction
+over the loop's decisions: both runs start from the same state; while their
+answers agree they take the same decisions, so their next check asks about
+the same total; and the ceiling allows every total up to ``max_allowed``
+and refuses every total from ``min_refused`` on, so it gives each check the
+stored run's answer.  The stored assignments are then returned without
+building job rows, priorities or running the loop.  The unconstrained plan
+is the one with no refusal, replayed under every ceiling that allows its
+``max_allowed``.  The compared totals are the tracker's, not
+:meth:`ScheduleResult.peak_power`: a zero-cycle test counts in the checks
+but nets to zero in the power profile.
+
+Each ceiling yields exactly one run, so the ceilings that replay two
+distinct plans never overlap, and a key's plans sorted by ``max_allowed``
+are sorted by ceiling too.  The only plan that may hold a ceiling is then
+the last one whose ``max_allowed`` it allows, which bisection finds: every
+plan before it stops at a ceiling below that plan's lowest.  A key keeps at
+most :data:`MAX_PLANS_PER_KEY` plans; storing one more evicts the oldest.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 from weakref import WeakKeyDictionary
 
@@ -60,16 +74,62 @@ from repro.tam.interfaces import TestInterface
 from repro.tam.pool import InterfaceState, ResourcePool
 
 
-#: A plan no power check refused: its tracker's ``peak_checked`` and its
-#: assignments by ``(start, core id)``.
-_CleanPlan = tuple[float, tuple[Assignment, ...]]
+#: Most plans the store keeps per (policy, core ids, interfaces) key; storing
+#: one more evicts the oldest.  A stored plan is its assignment tuple, one
+#: ``Assignment`` and two ``int`` per core: about 3.9 KiB on p93791 (40
+#: cores), so a full key holds about 125 KiB, and p93791's 18 keys (two
+#: policies, nine reuse levels) at most about 2.2 MiB.  2 400 serve-style
+#: points over the paper systems store about 130 plans on 100 keys, at most
+#: 5 on one; a sweep of 2 000 ceilings stores up to 342 on one key.
+MAX_PLANS_PER_KEY = 32
 
-#: Per-network store of clean plans, keyed by policy class, core ids and
-#: interfaces.  It relies on the invariant behind the job table
-#: (:data:`repro.schedule.job._JOB_TABLES`): a built system's cores and
-#: network are read-only, so a plan is a pure function of that key and the
-#: ceiling, and the store lives exactly as long as the network.
-_CLEAN_PLANS: "WeakKeyDictionary[Network, dict[tuple, _CleanPlan]]" = WeakKeyDictionary()
+#: A completed plan: its tracker's ``max_allowed`` and ``min_refused``, when
+#: it was stored, and its assignments by ``(start, core id)``.
+_StoredPlan = tuple[float, float, int, tuple[Assignment, ...]]
+
+#: One network's stored plans by key, each key's sorted by ``max_allowed``.
+_Store = dict[tuple, tuple[_StoredPlan, ...]]
+
+#: Per-network store of completed plans.  It relies on the invariant behind
+#: the job table (:data:`repro.schedule.job._JOB_TABLES`): a built system's
+#: cores and network are read-only, so a plan is a pure function of its key
+#: and the ceiling, and the store lives exactly as long as the network.  A
+#: key's plans are a tuple that a store replaces and never edits, so a
+#: replay needs no lock; a store racing another may drop one of the two
+#: plans, which only costs a later run of the loop.
+_PLANS: "WeakKeyDictionary[Network, _Store]" = WeakKeyDictionary()
+
+#: When each plan was stored, for evicting the oldest.
+_STAMPS = itertools.count()
+
+_MAX_ALLOWED = itemgetter(0)
+_STAMP = itemgetter(2)
+
+
+def _replay(
+    plans: tuple[_StoredPlan, ...], constraint: PowerConstraint
+) -> tuple[Assignment, ...] | None:
+    """The stored assignments whose ceilings include ``constraint``, if any."""
+    index = bisect_right(plans, constraint.highest_allowed, key=_MAX_ALLOWED)
+    if not index:
+        return None
+    _, min_refused, _, assignments = plans[index - 1]
+    if min_refused == math.inf or not constraint.allows(min_refused):
+        return assignments
+    return None
+
+
+def _store(plans: _Store, key: tuple, plan: _StoredPlan) -> None:
+    """Add ``plan`` to ``key``'s sorted plans, evicting the oldest when full."""
+    kept = plans.get(key, ())
+    index = bisect_right(kept, plan[0], key=_MAX_ALLOWED)
+    if index and kept[index - 1][0] == plan[0]:
+        return  # the same plan, stored meanwhile by another thread
+    kept = (*kept[:index], plan, *kept[index:])
+    if len(kept) > MAX_PLANS_PER_KEY:
+        oldest = min(kept, key=_STAMP)
+        kept = tuple(stored for stored in kept if stored is not oldest)
+    plans[key] = kept
 
 
 @dataclass
@@ -162,19 +222,20 @@ class EventDrivenScheduler:
             PowerBudgetError: when a core test alone exceeds the power ceiling.
         """
         power_constraint = power_constraint or PowerConstraint.unconstrained()
-        self._check_inputs(cores, interfaces)
-
-        plans = _CLEAN_PLANS.get(network)
+        plans = _PLANS.get(network)
         if plans is None:
-            plans = _CLEAN_PLANS[network] = {}
+            plans = _PLANS[network] = {}
         key = (type(self), tuple(core.identifier for core in cores), tuple(interfaces))
-        clean = plans.get(key)
-        if clean is not None and power_constraint.allows(clean[0]):
-            assignments = clean[1]
-        else:
+        assignments = _replay(plans.get(key, ()), power_constraint)
+        if assignments is None:
+            # A stored key's inputs passed these checks when it was stored.
+            self._check_inputs(cores, interfaces)
             assignments, tracker = self._run(cores, interfaces, network, power_constraint)
-            if not tracker.refused:
-                plans[key] = (tracker.peak_checked, assignments)
+            _store(
+                plans,
+                key,
+                (tracker.max_allowed, tracker.min_refused, next(_STAMPS), assignments),
+            )
 
         metadata = dict(metadata or {})
         metadata.setdefault("scheduler", self.name)

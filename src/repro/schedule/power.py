@@ -7,10 +7,10 @@ exceed half of the sum of the test power of every core in the system.
 
 :class:`PowerConstraint` captures the limit; :class:`PowerTracker` maintains
 the set of currently running jobs and answers "can this job start now without
-busting the ceiling?".  It also remembers the largest total it was ever asked
-about (``peak_checked``) and whether it ever said no (``refused``): the
-schedulers replay a plan that was never refused under any ceiling that allows
-its ``peak_checked`` (see :mod:`repro.schedule.greedy`).
+busting the ceiling?".  It also remembers the largest total it said yes to
+(``max_allowed``) and the smallest total it said no to (``min_refused``): the
+schedulers replay a plan under any ceiling that allows the first and refuses
+the second (see :mod:`repro.schedule.greedy`).
 """
 
 from __future__ import annotations
@@ -82,6 +82,15 @@ class PowerConstraint:
         """True when a finite ceiling applies."""
         return self.limit is not None
 
+    @property
+    def highest_allowed(self) -> float:
+        """The largest total :meth:`allows`; ``math.inf`` when unconstrained.
+
+        :meth:`allows` answers yes exactly for the totals up to this one, so
+        a sorted list of totals splits at it by bisection.
+        """
+        return math.inf if self.limit is None else self.limit + 1e-9
+
     def allows(self, power: float) -> bool:
         """True when an instantaneous power of ``power`` respects the ceiling."""
         return self.limit is None or power <= self.limit + 1e-9
@@ -102,17 +111,18 @@ class PowerTracker:
 
     Attributes:
         constraint: the ceiling every :meth:`can_start` checks against.
-        peak_checked: the largest total (the running powers and the
-            candidate's) any :meth:`can_start` compared against the ceiling.
+        max_allowed: the largest total (the running powers and the
+            candidate's) any :meth:`can_start` allowed; 0.0 before the first.
             A zero-cycle test counts here while it is registered, although
             it nets to zero in :meth:`ScheduleResult.power_profile
             <repro.schedule.result.ScheduleResult.power_profile>`.
-        refused: whether any :meth:`can_start` answered no.
+        min_refused: the smallest total any :meth:`can_start` refused;
+            ``math.inf`` while none was.
     """
 
     constraint: PowerConstraint
-    peak_checked: float = 0.0
-    refused: bool = False
+    max_allowed: float = 0.0
+    min_refused: float = math.inf
     _active: dict[str, float] = field(default_factory=dict)
     _running: tuple[float, ...] = field(default=(), repr=False)
 
@@ -124,11 +134,12 @@ class PowerTracker:
     def can_start(self, job_id: str, power: float) -> bool:
         """True when starting a job drawing ``power`` respects the ceiling."""
         total = math.fsum((*self._running, power))
-        if total > self.peak_checked:
-            self.peak_checked = total
         if self.constraint.allows(total):
+            if total > self.max_allowed:
+                self.max_allowed = total
             return True
-        self.refused = True
+        if total < self.min_refused:
+            self.min_refused = total
         return False
 
     def start(self, job_id: str, power: float) -> None:

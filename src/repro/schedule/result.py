@@ -9,8 +9,10 @@ returning a result to the caller.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from math import fsum
 from operator import attrgetter, itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -115,12 +117,12 @@ class ScheduleResult:
     def peak_power(self) -> float:
         """Largest instantaneous power over the whole schedule.
 
-        Derived once per assignment list: :func:`validate_schedule`'s power
-        check and later callers share one derivation of the profile.  The
-        memo sits in the instance ``__dict__``, outside the dataclass fields,
-        so it never reaches ``repr``, ``==`` or a record; it keeps the
-        assignments it was derived from, and a changed ``assignments``
-        derives the peak afresh.
+        Derived once per assignment list: :func:`validate_schedule` hands
+        over the exact peak its one pass derives, so a valid plan never
+        derives its profile.  The memo sits in the instance ``__dict__``,
+        outside the dataclass fields, so it never reaches ``repr``, ``==``
+        or a record; it keeps the assignments it was derived from, and a
+        changed ``assignments`` derives the peak afresh.
         """
         assignments = tuple(self.assignments)
         memo = self.__dict__.get("_peak_memo")
@@ -200,12 +202,23 @@ def validate_schedule(
     6. start/end times are consistent (``end = start + duration``, both
        non-negative).
 
-    This runs once per plan, so it reads each assignment's job once and
-    never through the :class:`Assignment` properties.
+    One sweep by start time (:func:`_proven_peak`) first tries to prove all
+    six and to derive the exact peak power, which it hands to
+    :meth:`ScheduleResult.peak_power`.  Only when that sweep finds a
+    violation, or cannot rule one out, do the checks below run, in this
+    order, to name the first violated invariant.  They read each
+    assignment's job once and never through the :class:`Assignment`
+    properties.
 
     Raises:
         ScheduleValidationError: describing the first violated invariant.
     """
+    snapshot = tuple(result.assignments)
+    peak = _proven_peak(result, snapshot, expected_core_ids)
+    if peak is not None:
+        result.__dict__["_peak_memo"] = (snapshot, peak)
+        return
+
     assignments = result.assignments
     seen_cores: set[str] = set()
     for assignment in assignments:
@@ -242,6 +255,153 @@ def validate_schedule(
     _check_resource_overlaps(result)
     _check_processor_enablement(result)
     _check_power(result)
+
+
+#: Most jobs the one-pass validator memoises; the next one starts a fresh
+#: :class:`_HoldTable`.  An entry is about 0.2 KiB, and it keeps its job
+#: (about 0.3 KiB more once the job's network is gone), so a full table is
+#: at most about 2 MiB.  The six paper systems have 1 548 jobs.
+MAX_MEMO_JOBS = 4096
+
+#: The one pass sums powers exactly, as integers in units of
+#: ``1 / _POWER_UNIT``; a power that is negative, not finite, or finer than
+#: that unit is left to the power profile.
+_POWER_UNIT = 1 << 128
+
+
+class _HoldTable:
+    """The one-pass validator's own numbering of what a test holds.
+
+    ``bits`` numbers every interface id and NoC link the validator has met,
+    read from ``job.interface_id`` and ``job.resources`` and never from the
+    schedulers' ``mask`` (it is the independent check of their allocator).
+    ``jobs`` memoises, by the job's identity, ``(job, holds, units)``: the
+    job itself, so no other job can ever own that identity while the entry
+    lives; the bitset of its interface and links, or ``None`` when a link
+    repeats within the job; and its power in units of ``1 / _POWER_UNIT``,
+    or ``None`` when not exact.
+
+    A table is only ever added to; a full one is replaced, never cleared,
+    so a sweep that took the old table keeps one numbering throughout.  Two
+    threads numbering at once may give two keys one bit, which can only
+    make the sweep see a clash that is not there and defer to the checks.
+    """
+
+    __slots__ = ("bits", "jobs")
+
+    def __init__(self) -> None:
+        self.bits: dict[Hashable, int] = {}
+        self.jobs: dict[int, tuple[TestJob, int | None, int | None]] = {}
+
+    def entry(self, job: TestJob) -> tuple[TestJob, int | None, int | None]:
+        """``job``'s memo entry, derived on its first sweep."""
+        bits = self.bits
+        holds: int | None = 0
+        try:
+            for key in (job.interface_id, *job.resources):
+                bit = bits.get(key)
+                if bit is None:
+                    bit = bits.setdefault(key, 1 << len(bits))
+                if holds & bit:
+                    holds = None
+                    break
+                holds |= bit
+        except TypeError:  # an unhashable resource: the checks report it
+            holds = None
+        power = job.power
+        units = None
+        if 0.0 <= power < math.inf:
+            numerator, denominator = power.as_integer_ratio()
+            if denominator <= _POWER_UNIT:
+                units = numerator * (_POWER_UNIT // denominator)
+        entry = self.jobs[id(job)] = (job, holds, units)
+        return entry
+
+
+_TABLE = _HoldTable()
+
+
+def _proven_peak(
+    result: ScheduleResult,
+    assignments: tuple[Assignment, ...],
+    expected_core_ids: Sequence[str] | None,
+) -> float | None:
+    """The peak power of a schedule one sweep proves valid; else ``None``.
+
+    The sweep visits the assignments by start time, releasing the holds and
+    power of every test that ends by the current start.  A test is refused
+    when its times are inconsistent, its core was seen before, or any bit
+    of its holds is held: two tests that overlap on an interface or a link
+    always meet so, since the one that starts first still holds the key
+    when the other starts.  (Two tests starting together, one of zero
+    cycles, do not overlap; the sweep defers such a pair to the checks.)  A
+    zero-cycle test holds nothing.  After the sweep the expected cores and
+    the processor enablement are compared with each test's end.
+
+    The running power is the exact sum of the running tests' powers as an
+    integer, so after the last start at a time it is exactly the sum behind
+    the power profile's point there, and the largest such sum rounds to the
+    profile's peak: a point's :func:`math.fsum` and ``int / int`` both round
+    the exact value correctly, rounding keeps order, and a point at which
+    tests only end sums fewer non-negative powers than the point before it.
+    """
+    global _TABLE
+    table = _TABLE
+    if len(table.jobs) >= MAX_MEMO_JOBS:
+        table = _TABLE = _HoldTable()
+    memo = table.jobs
+
+    processor_core_of = {
+        interface.identifier: interface.processor_core_id if interface.is_processor else None
+        for interface in result.interfaces
+    }
+    ends: dict[str, int] = {}
+    enabled_by: list[tuple[int, str]] = []
+    running: list[tuple[int, int, int]] = []
+    busy = 0
+    total = 0
+    peak = 0
+    for assignment in sorted(assignments, key=_START):
+        job = assignment.job
+        start = assignment.start
+        end = assignment.end
+        if start < 0 or end < start or end != start + job.duration:
+            return None
+        core_id = job.core_id
+        if core_id in ends:
+            return None
+        ends[core_id] = end
+        entry = memo.get(id(job)) or table.entry(job)
+        holds = entry[1]
+        units = entry[2]
+        if holds is None or units is None:
+            return None
+        while running and running[0][0] <= start:
+            _, released, released_units = heappop(running)
+            busy ^= released
+            total -= released_units
+        if busy & holds:
+            return None
+        processor_core = processor_core_of.get(job.interface_id)
+        if processor_core is not None:
+            enabled_by.append((start, processor_core))
+        if end > start:
+            heappush(running, (end, holds, units))
+            busy |= holds
+            total += units
+            if total > peak:
+                peak = total
+
+    if expected_core_ids is not None and ends.keys() != set(expected_core_ids):
+        return None
+    for start, processor_core in enabled_by:
+        finished = ends.get(processor_core)
+        if finished is None or start < finished:
+            return None
+    peak_power = peak / _POWER_UNIT
+    if not result.power_constraint.allows(peak_power):
+        return None
+    return peak_power
 
 
 _START = attrgetter("start")

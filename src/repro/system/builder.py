@@ -33,6 +33,10 @@ from repro.tam.interfaces import (
 from repro.tam.ports import IoPort, PortDirection, pair_external_interfaces
 
 
+#: The derivations a :class:`SocSystem` memoises in its ``__dict__``.
+_MEMOS = ("_interfaces_memo", "_total_core_power_memo", "_core_ids_memo")
+
+
 @dataclass
 class SocSystem:
     """A fully assembled system ready for test planning.
@@ -71,13 +75,27 @@ class SocSystem:
 
     @property
     def total_core_power(self) -> float:
-        """Sum of the test power of all cores — the paper's power-limit base."""
-        return total_power(self.cores)
+        """Sum of the test power of all cores — the paper's power-limit base.
+
+        Derived once, as :meth:`interfaces` is.
+        """
+        total = self.__dict__.get("_total_core_power_memo")
+        if total is None:
+            total = self.__dict__["_total_core_power_memo"] = total_power(self.cores)
+        return total
 
     @property
     def core_ids(self) -> list[str]:
-        """Identifiers of every core in the system."""
-        return [core.identifier for core in self.cores]
+        """Identifiers of every core in the system, as a fresh list.
+
+        Derived once, as :meth:`interfaces` is.
+        """
+        identifiers = self.__dict__.get("_core_ids_memo")
+        if identifiers is None:
+            identifiers = self.__dict__["_core_ids_memo"] = tuple(
+                core.identifier for core in self.cores
+            )
+        return list(identifiers)
 
     def core(self, identifier: str) -> CoreUnderTest:
         """The core called ``identifier``.
@@ -147,7 +165,8 @@ class SocSystem:
         the interfaces are frozen, so each call copies the memoised list into
         a fresh one the caller may change.  The memo sits in the instance
         ``__dict__``, outside the dataclass fields, and :meth:`__getstate__`
-        leaves it out of pickles.
+        leaves it out of pickles, as it does the memos of
+        :attr:`total_core_power` and :attr:`core_ids`.
         """
         memo = self.__dict__.setdefault("_interfaces_memo", {})
         interfaces = memo.get(reused_processors)
@@ -159,7 +178,8 @@ class SocSystem:
 
     def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
-        state.pop("_interfaces_memo", None)
+        for memo in _MEMOS:
+            state.pop(memo, None)
         return state
 
     def describe(self) -> str:

@@ -82,6 +82,37 @@ class TestInterface:
                 "processor core"
             )
 
+    def __hash__(self) -> int:
+        """The hash of the fields, derived once per interface.
+
+        Interfaces key the job tables and the plan store on every plan, and
+        a frozen value hashes the same every time.  The hash sits in the
+        instance ``__dict__``, outside the fields, so it takes no part in
+        ``repr`` or ``==``; :meth:`__getstate__` leaves it out of pickles,
+        since a string's hash differs from process to process.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                (
+                    self.identifier,
+                    self.kind,
+                    self.source_node,
+                    self.sink_node,
+                    self.cycles_per_pattern,
+                    self.active_power,
+                    self.processor_core_id,
+                    self.memory_bytes,
+                )
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @property
     def is_external(self) -> bool:
         """True for ATE-connected interfaces."""

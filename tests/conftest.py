@@ -20,8 +20,10 @@ from repro.tam.ports import PortDirection
 
 # Test tooling, not a product setting: CI's schedule-oracle job runs the
 # selection oracle (tests/schedule/test_selection_oracle.py), the
-# resource-mask property (tests/schedule/test_job_masks.py) and the
-# validation oracle (tests/schedule/test_validation_oracle.py) with
+# resource-mask property (tests/schedule/test_job_masks.py), the
+# validation oracle (tests/schedule/test_validation_oracle.py), the
+# interval-replay property (tests/schedule/test_replay.py) and the one-pass
+# peak property (tests/schedule/test_result.py::TestOnePassPeak) with
 # `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
 # default example budget.
 settings.register_profile("schedule-oracle", max_examples=500)

@@ -1,5 +1,7 @@
 """Tests of the power constraint and tracker."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, PowerBudgetError
@@ -19,6 +21,13 @@ class TestPowerConstraint:
         assert "50%" in constraint.description
         assert constraint.allows(5_000.0)
         assert not constraint.allows(5_000.1)
+
+    def test_highest_allowed_splits_what_allows_answers(self):
+        constraint = PowerConstraint(limit=100.0)
+        highest = constraint.highest_allowed
+        assert constraint.allows(highest)
+        assert not constraint.allows(math.nextafter(highest, math.inf))
+        assert PowerConstraint.unconstrained().highest_allowed == math.inf
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -53,9 +62,19 @@ class TestPowerTracker:
             tracker.start("a", first)
             tracker.start("b", second)
             assert tracker.can_start("c", 0.3)
-            assert tracker.peak_checked == 0.6
+            assert tracker.max_allowed == 0.6
         tracker.finish("a")
         assert tracker.current_power == 0.1
+
+    def test_records_the_largest_allowed_and_smallest_refused_totals(self):
+        tracker = PowerTracker(PowerConstraint(limit=100.0))
+        assert (tracker.max_allowed, tracker.min_refused) == (0.0, math.inf)
+        tracker.start("a", 60.0)
+        assert not tracker.can_start("b", 50.0)
+        assert not tracker.can_start("c", 45.0)
+        assert tracker.can_start("d", 30.0)
+        assert not tracker.can_start("e", 70.0)
+        assert (tracker.max_allowed, tracker.min_refused) == (90.0, 105.0)
 
     def test_start_over_limit_raises(self):
         tracker = PowerTracker(PowerConstraint(limit=100.0))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,8 @@ from repro.schedule.result import (
     validate_schedule,
 )
 from repro.tam.interfaces import InterfaceKind, TestInterface
+
+from tests.schedule import reference_validation
 
 PORT_A = ((0, 0), (0, 0))
 PORT_B = ((1, 1), (1, 1))
@@ -58,6 +62,15 @@ def processor(identifier="proc0", core_id="cpu"):
         sink_node=(2, 2),
         processor_core_id=core_id,
     )
+
+
+def verdict_of(result, validator=result_module):
+    """``None`` when ``validator`` passes ``result``, else its message."""
+    try:
+        validator.validate_schedule(dataclasses.replace(result))
+    except ScheduleValidationError as exc:
+        return str(exc)
+    return None
 
 
 def make_result(assignments, interfaces=None, constraint=None):
@@ -136,7 +149,9 @@ class TestScheduleResult:
         assert result.peak_power() == 3.0
         assert result.power_profile() == [(0, 3.0), (10, 0.0)]
 
-    def test_a_valid_plan_derives_its_profile_once(self, monkeypatch):
+    def test_a_valid_plan_derives_no_profile(self, monkeypatch):
+        """The one sweep proves the plan valid and hands its exact peak to
+        ``peak_power()``; no power profile is derived."""
         derived = []
         original = result_module._power_profile
 
@@ -151,7 +166,7 @@ class TestScheduleResult:
         )
         validate_schedule(result, expected_core_ids=["a"])
         assert result.peak_power() == 10.0
-        assert derived == [1]
+        assert derived == []
 
     def test_peak_memo_stays_out_of_repr_and_equality(self):
         assignments = [Assignment(job("a", "ext0", power=10.0), 0, 100)]
@@ -251,7 +266,8 @@ class TestValidateSchedule:
             validate_schedule(result)
 
     def test_resource_overlap_detected_without_masks(self):
-        """Validation checks ``resources``, never the allocator's masks."""
+        """Validation checks ``resources``, never the allocator's masks: the
+        one sweep numbers the links itself."""
         result = make_result(
             [
                 Assignment(job("a", "ext0", resources=(LINK,), mask=0), 0, 100),
@@ -259,7 +275,86 @@ class TestValidateSchedule:
             ],
             interfaces=[external(), processor()],
         )
-        with pytest.raises(ScheduleValidationError, match="used simultaneously"):
+        with pytest.raises(
+            ScheduleValidationError,
+            match=(
+                r"^NoC resource \(\(0, 0\), \(1, 0\)\) is used simultaneously "
+                r"by 'a' and 'b'$"
+            ),
+        ):
+            validate_schedule(result)
+
+    def test_a_memo_entry_is_never_read_for_another_job(self):
+        """The memo holds each job it keys by identity, so a job that dies
+        cannot hand its identity, and its holds, to a later job."""
+        for _ in range(50):
+            lone = job("a", "ext0", resources=(PORT_A,))
+            validate_schedule(make_result([Assignment(lone, 0, 100)]))
+            entry = result_module._TABLE.jobs[id(lone)]
+            assert entry[0] is lone
+            del lone, entry
+            first = job("b", "ext0", resources=(LINK,))
+            second = job("c", "ext1", resources=(LINK,))
+            result = make_result(
+                [Assignment(first, 0, 100), Assignment(second, 50, 150)],
+                interfaces=[external(), external("ext1")],
+            )
+            with pytest.raises(ScheduleValidationError, match="used simultaneously"):
+                validate_schedule(result)
+
+    def test_equal_jobs_keep_their_own_entries(self):
+        twin = job("a", "ext0")
+        other = job("a", "ext0")
+        assert twin == other and twin is not other
+        for each in (twin, other):
+            validate_schedule(make_result([Assignment(each, 0, 100)]))
+        assert result_module._TABLE.jobs[id(twin)][0] is twin
+        assert result_module._TABLE.jobs[id(other)][0] is other
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(result_module, "MAX_MEMO_JOBS", 8)
+        monkeypatch.setattr(result_module, "_TABLE", result_module._HoldTable())
+        for index in range(40):
+            validate_schedule(make_result([Assignment(job(f"c{index}", "ext0"), 0, 100)]))
+            assert len(result_module._TABLE.jobs) <= 8
+
+    def test_a_zero_cycle_test_beside_a_start_on_its_link_is_valid(self):
+        """The sweep cannot rule out a clash between two tests that start
+        together when one takes no time; the checks then find none."""
+        result = make_result(
+            [
+                Assignment(job("a", "ext0", duration=10, resources=(LINK,)), 0, 10),
+                Assignment(job("z", "ext1", duration=0, resources=(LINK,)), 0, 0),
+            ],
+            interfaces=[external(), external("ext1")],
+            constraint=PowerConstraint(limit=10.0),
+        )
+        validate_schedule(result, expected_core_ids=["a", "z"])
+        assert result.peak_power() == 10.0
+
+    @pytest.mark.parametrize("interface, resources", [("ext1", (LINK,)), ("ext0", (PORT_B,))])
+    def test_a_zero_cycle_test_inside_a_window_clashes(self, interface, resources):
+        """A test of zero cycles holds nothing, yet clashes with a test that
+        holds its interface or link across its instant."""
+        result = make_result(
+            [
+                Assignment(job("a", "ext0", duration=10, resources=(LINK,)), 0, 10),
+                Assignment(job("z", interface, duration=0, resources=resources), 5, 5),
+            ],
+            interfaces=[external(), external("ext1")],
+        )
+        expected = (
+            "NoC resource ((0, 0), (1, 0)) is used simultaneously by 'a' and 'z'"
+            if resources == (LINK,)
+            else "interface 'ext0' runs 'a' and 'z' at the same time"
+        )
+        assert verdict_of(result) == verdict_of(result, reference_validation) == expected
+
+    def test_a_link_repeated_within_a_job_clashes_with_itself(self):
+        repeated = job("a", "ext0", duration=10, resources=(LINK, LINK))
+        result = make_result([Assignment(repeated, 0, 10)])
+        assert verdict_of(result) == verdict_of(result, reference_validation)
+        with pytest.raises(ScheduleValidationError, match="by 'a' and 'a'$"):
             validate_schedule(result)
 
     def test_processor_used_before_tested_detected(self):
@@ -394,3 +489,99 @@ class TestOverlapSweep:
         assert scan_overlaps(result.assignments, lambda a: a.job.resources) is None
         with pytest.raises(ScheduleValidationError, match="by 'a' and 'c'$"):
             _check_resource_overlaps(result)
+
+
+#: Powers whose sums round differently in different orders, repeated.
+POWERS = [0.1, 0.2, 0.3, 0.7, 1 / 3, 10.0, 123.456, 1e-3, 0.0]
+
+
+@st.composite
+def running_schedules(draw):
+    """Valid schedules of up to twelve tests, each on its own interface and
+    link, with tied starts and ends, zero-cycle tests and repeated powers."""
+    assignments = []
+    for index in range(draw(st.integers(min_value=0, max_value=12))):
+        start = draw(st.integers(min_value=0, max_value=8))
+        duration = draw(st.integers(min_value=0, max_value=5))
+        power = draw(
+            st.one_of(
+                st.sampled_from(POWERS),
+                st.floats(min_value=0.0, max_value=1e6, allow_subnormal=False),
+            )
+        )
+        link = ((index, 0), (index, 1))
+        assignments.append(
+            Assignment(
+                job(f"c{index}", f"ext{index}", duration, power, resources=(link,)),
+                start,
+                start + duration,
+            )
+        )
+    return assignments
+
+
+class TestOnePassPeak:
+    """The one sweep's peak against the power profile's."""
+
+    @given(assignments=running_schedules())
+    def test_the_sweep_peak_is_the_profile_peak_bit_for_bit(self, assignments):
+        profile_peak = max(
+            (power for _, power in result_module._power_profile(assignments)), default=0.0
+        )
+        result = make_result(
+            assignments,
+            interfaces=[external(f"ext{i}") for i in range(len(assignments))],
+        )
+        swept = result_module._proven_peak(result, tuple(assignments), None)
+        if swept is None:
+            # Only a power finer than the sweep's unit is left to the profile.
+            unit = 1 / result_module._POWER_UNIT
+            assert any(a.power % unit for a in assignments)
+        else:
+            assert swept.hex() == profile_peak.hex()
+        validate_schedule(result)
+        assert result.peak_power().hex() == profile_peak.hex()
+
+
+def test_threads_validating_through_a_replaced_memo_get_the_reference_verdicts(
+    monkeypatch,
+):
+    """Eight threads on two cores, switching every microsecond, validate
+    valid and clashing plans of fresh jobs while a tiny bound keeps
+    replacing the memo's table: every verdict is the reference's."""
+    monkeypatch.setattr(result_module, "MAX_MEMO_JOBS", 3)
+    monkeypatch.setattr(result_module, "_TABLE", result_module._HoldTable())
+    wrong = []
+
+    def worker(offset):
+        for index in range(200):
+            link = ((offset, index % 5), (offset, index % 5 + 1))
+            other = ((offset, 9), (offset, 10))
+            clash = index % 2 == 0
+            result = make_result(
+                [
+                    Assignment(job("a", "ext0", duration=10, resources=(link,)), 0, 10),
+                    Assignment(
+                        job("b", "ext1", duration=10, resources=(link if clash else other,)),
+                        5,
+                        15,
+                    ),
+                ],
+                interfaces=[external(), external("ext1")],
+            )
+            lean = verdict_of(result)
+            if lean != verdict_of(result, reference_validation) or (lean is None) == clash:
+                wrong.append((offset, index, lean))
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -163,6 +163,22 @@ class TestSocSystemInterfaces:
         assert b"_interfaces_memo" not in pickle.dumps(toy_system)
         assert pickle.loads(pickle.dumps(toy_system)).interfaces(2) == toy_system.interfaces(2)
 
+    def test_power_and_core_ids_are_derived_once_and_stay_out_of_pickles(self, toy_system):
+        ids = toy_system.core_ids
+        ids.append("ghost")
+        assert "ghost" not in toy_system.core_ids
+        assert toy_system.core_ids == [core.identifier for core in toy_system.cores]
+        total = toy_system.total_core_power
+        assert total == sum(core.power for core in toy_system.cores)
+        assert toy_system.total_core_power is total
+        for memo in ("_core_ids_memo", "_total_core_power_memo"):
+            assert memo in toy_system.__dict__
+            assert memo not in copy.copy(toy_system).__dict__
+            assert memo.encode() not in pickle.dumps(toy_system)
+        loaded = pickle.loads(pickle.dumps(toy_system))
+        assert loaded.core_ids == toy_system.core_ids
+        assert loaded.total_core_power == total
+
     def test_describe_mentions_counts(self, toy_system):
         text = toy_system.describe()
         assert "toy_plasma" in text

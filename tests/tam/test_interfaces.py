@@ -1,5 +1,9 @@
 """Tests of test interface construction and validation."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ResourceError
@@ -80,3 +84,44 @@ class TestProcessorInterface:
                 source_node=(0, 0),
                 sink_node=(0, 0),
             )
+
+
+class TestInterfaceHash:
+    def test_the_hash_is_derived_once_and_stays_out_of_repr_equality_and_pickles(self):
+        interface = TestInterface(
+            identifier="ext0",
+            kind=InterfaceKind.EXTERNAL,
+            source_node=(0, 0),
+            sink_node=(1, 1),
+        )
+        before = repr(interface)
+        value = hash(interface)
+        assert interface.__dict__["_hash"] == value == hash(interface)
+        assert repr(interface) == before
+        twin = dataclasses.replace(interface)
+        assert twin == interface and hash(twin) == value
+        assert "_hash" not in copy.copy(interface).__dict__
+        assert b"_hash" not in pickle.dumps(interface)
+        loaded = pickle.loads(pickle.dumps(interface))
+        assert loaded == interface and hash(loaded) == value
+        assert {interface: 1}[loaded] == 1
+
+    def test_interfaces_that_differ_in_any_field_are_apart(self):
+        base = TestInterface(
+            identifier="p",
+            kind=InterfaceKind.PROCESSOR,
+            source_node=(0, 0),
+            sink_node=(0, 0),
+            processor_core_id="x",
+        )
+        variants = [
+            dataclasses.replace(base, identifier="q"),
+            dataclasses.replace(base, source_node=(0, 1)),
+            dataclasses.replace(base, sink_node=(1, 0)),
+            dataclasses.replace(base, cycles_per_pattern=3),
+            dataclasses.replace(base, active_power=1.5),
+            dataclasses.replace(base, processor_core_id="y"),
+            dataclasses.replace(base, memory_bytes=64),
+        ]
+        table = {base: "base"}
+        assert all(variant != base and variant not in table for variant in variants)
