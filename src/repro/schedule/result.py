@@ -257,10 +257,12 @@ def validate_schedule(
     _check_power(result)
 
 
-#: Most jobs the one-pass validator memoises; the next one starts a fresh
-#: :class:`_HoldTable`.  An entry is about 0.2 KiB, and it keeps its job
-#: (about 0.3 KiB more once the job's network is gone), so a full table is
-#: at most about 2 MiB.  The six paper systems have 1 548 jobs.
+#: Jobs the one-pass validator memoises before it starts afresh: a sweep
+#: that finds its :class:`_HoldTable` holding this many starts a new one,
+#: so a table holds at most this many plus the jobs of the plans being
+#: validated.  An entry is about 0.2 KiB, and it keeps its job (about
+#: 0.3 KiB more once the job's network is gone), so a full table is at
+#: most about 2 MiB.  The six paper systems have 1 548 jobs.
 MAX_MEMO_JOBS = 4096
 
 #: The one pass sums powers exactly, as integers in units of
