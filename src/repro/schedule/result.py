@@ -205,10 +205,11 @@ def validate_schedule(
     One sweep by start time (:func:`_proven_peak`) first tries to prove all
     six and to derive the exact peak power, which it hands to
     :meth:`ScheduleResult.peak_power`.  Only when that sweep finds a
-    violation, or cannot rule one out, do the checks below run, in this
-    order, to name the first violated invariant.  They read each
-    assignment's job once and never through the :class:`Assignment`
-    properties.
+    violation, or cannot rule one out, do the checks below run: times and
+    duplicates, expected cores, interface overlaps, resource overlaps,
+    processor enablement, power, raising at the first violation.  They
+    read each assignment's job once and never through the
+    :class:`Assignment` properties.
 
     Raises:
         ScheduleValidationError: describing the first violated invariant.
