@@ -22,24 +22,22 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   ``--load``), a durable
   sqlite store with incremental re-runs (``--store``, ``--resume``),
   sliced execution of an explicit point list of each grid (``--points``,
-  for distributing a sweep across hosts or CI jobs), chunked commits
+  for distributing a sweep across processes or CI jobs), chunked commits
   (``--checkpoint``, so a killed worker's completed points survive for
   ``--resume``) and grids taken straight from a spec file
   (``--spec-json``, how orchestration workers are driven).
-* ``orchestrate [SYSTEM...]`` — the multi-host flow, and the one command
-  that fans grids out over shard workers: send every grid out in one
+* ``orchestrate [SYSTEM...]`` — the one command that fans grids out over
+  local shard workers: send every grid out in one
   dispatch round over N ``repro sweep --points`` subprocess workers
   (``--workers``, ``--workdir``), each running its point list of every
   grid, balanced by the points' measured costs in ``--store``, into its
   own sqlite store (``--resume`` plans only the points the store lacks),
-  supervise them
-  through per-worker heartbeat files and a worker state machine, retry/requeue failed, hung or lost shards
+  supervise them through per-worker heartbeat files and a worker state
+  machine, retry failed, hung or lost shards
   (``--max-retries``/``--retry-backoff``/``--heartbeat-timeout``), then
   auto-merge the shard stores into ``--store`` with per-shard run history
   carried; the merged export (``--export-json``) is byte-identical to a
-  serial run's.  With ``--hosts``/``--hosts-file`` the workers are
-  dispatched through a launcher (``ssh`` by default) onto a host pool —
-  see docs/operations.md.
+  serial run's — see docs/operations.md.
 * ``merge OUT SHARD...`` — fold sharded sqlite stores back into one
   database with every shard run carried, the same history ``orchestrate``
   leaves; merging every shard of a grid yields a store whose exported
@@ -72,7 +70,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.analysis.sweeps import records_table, stored_sweep_summary
 from repro.errors import ConfigurationError, ReproError, ResultStoreError
-from repro.runner.launch import LAUNCHERS, beat_heartbeat
+from repro.runner.launch import beat_heartbeat
 from repro.runner.spec import SCHEDULER_NAMES, SweepSpec, power_series_label
 from repro.runner.store import load_sweeps, save_stored_sweeps, save_sweeps
 from repro.system.paper import PAPER_POWER_SERIES, PAPER_PROCESSOR_COUNTS, PAPER_SYSTEMS
@@ -411,45 +409,6 @@ def _sweep_title(spec: SweepSpec) -> str:
     return spec.systems[0] if len(spec.systems) == 1 else spec.name
 
 
-def _parse_host_list(
-    hosts: str | None, hosts_file: str | None = None, *, flag: str = "--hosts"
-) -> list[str] | None:
-    """Resolve a comma host list (``flag``) or a hosts file into hosts.
-
-    ``None`` when neither is given.  A hosts file names one host per line;
-    blank lines and ``#`` comments are skipped.
-
-    Raises:
-        ConfigurationError: when both sources are given, the file cannot be
-            read, or the given source names no hosts (an empty ``--hosts ''``
-            from an unset variable must not fall back to local workers).
-    """
-    if hosts is not None and hosts_file is not None:
-        raise ConfigurationError(
-            "--hosts and --hosts-file are two sources for the same host "
-            "list; pass one"
-        )
-    if hosts is not None:
-        names = [token.strip() for token in hosts.split(",") if token.strip()]
-        if not names:
-            raise ConfigurationError(f"{flag} names no hosts")
-        return names
-    if hosts_file is not None:
-        try:
-            text = Path(hosts_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read hosts file {hosts_file}: {exc}") from exc
-        names = [
-            line.strip()
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        if not names:
-            raise ConfigurationError(f"hosts file {hosts_file} names no hosts")
-        return names
-    return None
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.runner.engine import SweepRunner
 
@@ -610,22 +569,12 @@ def _cmd_orchestrate(args: argparse.Namespace) -> int:
     from repro.runner.backends import ShardWorkerBackend
     from repro.runner.db import SweepDatabase
 
-    hosts = _parse_host_list(args.hosts, args.hosts_file)
-    if args.launcher is not None and hosts is None:
-        raise ConfigurationError(
-            "--launcher picks how remote workers are spawned; it needs a "
-            "host list (--hosts h1,h2,... or --hosts-file)"
-        )
-    # Unset flags stay None: the backend derives them (host-pool defaults
-    # with hosts).
     backend = ShardWorkerBackend(
         workers=args.workers,
         timeout=args.worker_timeout,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
         heartbeat_timeout=args.heartbeat_timeout,
-        hosts=hosts,
-        launcher=args.launcher,
         checkpoint_every=args.checkpoint,
     )
     specs = _build_sweep_specs(args)
@@ -773,7 +722,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import create_server
 
-    dispatch_hosts = _parse_host_list(args.dispatch_hosts, flag="--dispatch-hosts")
     server = create_server(
         args.store,
         host=args.host,
@@ -785,8 +733,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         auth_token=args.auth_token,
         max_queue=args.max_queue,
         max_body_bytes=args.max_body_bytes,
-        dispatch_hosts=dispatch_hosts,
-        dispatch_launcher=args.dispatch_launcher,
     )
     auth = "token auth" if args.auth_token else "open access"
     print(
@@ -1055,8 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
         "into its own sqlite store), monitor them, and auto-merge the shard "
         "stores into OUT_DB with per-shard run history carried.  The merged "
         "store's --export-json document is "
-        "byte-identical to a serial full run's — the local stand-in for "
-        "SSH/CI fan-out.",
+        "byte-identical to a serial full run's.",
     )
     _add_grid_arguments(orchestrate)
     orchestrate.add_argument(
@@ -1075,11 +1020,10 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=2,
         metavar="N",
-        help="shard workers shared by every grid of the run (default: 2, or "
-        "one per host with --hosts/--hosts-file); a worker that would hold "
-        "no points is not spawned",
+        help="shard workers shared by every grid of the run (default: 2); a "
+        "worker that would hold no points is not spawned",
     )
     orchestrate.add_argument(
         "--resume",
@@ -1098,10 +1042,10 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument(
         "--max-retries",
         type=int,
-        default=None,
+        default=0,
         metavar="N",
         help="re-dispatch a failed, timed-out or lost shard up to N times "
-        "(default: 0, or 2 with --hosts/--hosts-file)",
+        "(default: 0)",
     )
     orchestrate.add_argument(
         "--retry-backoff",
@@ -1120,34 +1064,13 @@ def build_parser() -> argparse.ArgumentParser:
         "this long (default: 30)",
     )
     orchestrate.add_argument(
-        "--hosts",
-        default=None,
-        metavar="H1,H2,...",
-        help="dispatch workers onto these hosts (switches to the host-pool "
-        "defaults; the workdir must be shared across hosts)",
-    )
-    orchestrate.add_argument(
-        "--hosts-file",
-        default=None,
-        metavar="FILE",
-        help="file naming one host per line (blank lines and # comments "
-        "are skipped); switches to the host-pool defaults",
-    )
-    orchestrate.add_argument(
-        "--launcher",
-        choices=sorted(LAUNCHERS),
-        default=None,
-        help="how remote workers are spawned (default: ssh; local spawns "
-        "plain subprocesses, for tests and CI)",
-    )
-    orchestrate.add_argument(
         "--checkpoint",
         type=int,
         default=None,
         metavar="N",
         help="make workers commit every N points so a killed worker's "
         "completed points survive for --resume (default: one commit per "
-        "shard, or every point with --hosts/--hosts-file)",
+        "shard)",
     )
     orchestrate.add_argument(
         "--export-json",
@@ -1287,19 +1210,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="largest accepted request body; larger ones are answered 413 "
         "(default: 1000000)",
-    )
-    serve.add_argument(
-        "--dispatch-hosts",
-        default=None,
-        metavar="H1,H2,...",
-        help="host list offered to sweep jobs that ask for the remote "
-        "backend (default: remote jobs are rejected)",
-    )
-    serve.add_argument(
-        "--dispatch-launcher",
-        choices=sorted(LAUNCHERS),
-        default=None,
-        help="launcher for remote sweep jobs (default: ssh)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

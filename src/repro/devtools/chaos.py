@@ -1,8 +1,8 @@
 """Deterministic fault injection for exercising the dispatch layer.
 
 Every failure transition of the worker state machine
-(:mod:`repro.runner.dispatch`) must be testable in CI without real remote
-hosts or real crashes.  This module injects faults into shard workers,
+(:mod:`repro.runner.dispatch`) must be testable in CI without a machine
+really dying or hanging.  This module injects faults into shard workers,
 triggered purely by environment variables so the orchestrator under test
 stays completely unmodified:
 

@@ -1,8 +1,10 @@
 """Structural validation of parsed or generated benchmarks.
 
 :func:`validate_benchmark` checks the invariants that the rest of the library
-assumes.  It is used by the CLI when loading user-supplied ``.soc`` files and
-by the test suite as a cross-check on the embedded library.
+assumes.  It is public API (exported from :mod:`repro.itc02`) for callers
+that load their own benchmarks; no CLI path calls it.  In the repo only the
+test suite does, as a cross-check on the embedded library and on
+generated benchmarks.
 """
 
 from __future__ import annotations

@@ -64,6 +64,12 @@ class Network:
     reservation resource lists — are memoised on first query, and the
     scheduler memoises test jobs against the network instance.
 
+    Equality is identity on purpose: the scheduler's plan store
+    (``schedule/greedy.py:_PLANS``) and job table
+    (``schedule/job.py:_JOB_TABLES``) are ``WeakKeyDictionary`` objects
+    keyed on the instance, so value equality would make two networks share
+    one plan store and one job table.
+
     Args:
         config: the user-facing NoC configuration.
     """

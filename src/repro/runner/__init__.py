@@ -9,11 +9,11 @@ outcome as schema-versioned JSON with :func:`save_sweeps` /
 :meth:`SweepRunner.run_stored`).  Grids also execute sharded: any list of
 point indices runs anywhere via :meth:`SweepRunner.run_points` into its own
 store, and :meth:`SweepDatabase.merge_all` folds the shard stores back into
-one database record-identical to a single-host run —
+one database record-identical to a single-process run —
 :meth:`ShardWorkerBackend.orchestrate` (``repro orchestrate`` on the
 command line) automates that dispatch-monitor-merge cycle for a whole batch
-of grids in one round of subprocess workers, with a launcher hook for
-remote fan-out; it is the one way to plan on several processes.  The
+of grids in one round of local subprocess workers; it is the one way to
+plan on several processes.  The
 paper's experiment drivers (:mod:`repro.experiments`) and the ``repro
 sweep``/``repro orchestrate`` CLI are thin layers over this package.
 

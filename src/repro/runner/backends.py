@@ -19,12 +19,10 @@ dispatch layer (:mod:`repro.runner.dispatch`: worker state machine,
 heartbeats, retry/requeue with resume), and folds the shard stores into
 the target store with :meth:`SweepDatabase.merge_all
 <repro.runner.db.SweepDatabase.merge_all>`, which carries every shard run
-so per-worker run trajectories survive the merge.  Without hosts the workers
-are local subprocesses; given a host pool (``hosts``) it derives
-remote-leaning defaults — one worker per host, the ``ssh`` launcher,
-retries and per-point checkpoints.  The *launcher* hook
-maps each worker's command line to the spawned command, which is where a
-custom dispatcher (a CI job submitter) slots in.
+so per-worker run trajectories survive the merge.  The workers are local
+subprocesses; the *launcher* hook maps each worker's command line to the
+spawned command, which is where tests put a fake command in place of the
+worker's.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
-from repro.runner.launch import Launcher, beat_heartbeat, make_launcher
+from repro.runner.launch import beat_heartbeat
 from repro.runner.spec import SweepPoint, SweepSpec
 
 # Imported lazily at runtime: db imports the store layer, the dispatch
@@ -51,7 +49,7 @@ from repro.runner.spec import SweepPoint, SweepSpec
 if TYPE_CHECKING:
     from repro.runner.cache import SystemCache
     from repro.runner.db import MergeReport, SweepDatabase
-    from repro.runner.dispatch import ShardOutcome
+    from repro.runner.dispatch import Launcher, ShardOutcome
     from repro.schedule.greedy import EventDrivenScheduler
     from repro.schedule.planner import TestPlanner
     from repro.schedule.result import ScheduleResult
@@ -138,9 +136,8 @@ class WorkerPlan:
         store_path: sqlite store the worker writes its points into.
         log_path: file capturing the worker's stdout/stderr.
         argv: the worker's ``repro sweep --points`` command line.  The
-            backend's launcher maps it, with the attempt's host and dispatch
-            environment, to the command actually spawned (e.g. ``ssh host
-            ...``) — the dispatch seam for remote fan-out.
+            backend's launcher maps it, with the attempt's dispatch
+            environment, to the command actually spawned.
         heartbeat_path: file the worker touches to prove progress (the
             supervisor's liveness signal; defaults next to the log file).
     """
@@ -259,83 +256,51 @@ class ShardWorkerBackend:
     merged store's export is byte-identical to a serial run's while
     ``repro history`` still sees one run per worker per grid.
 
-    Without ``hosts`` the workers run as local subprocesses.  Given a host
-    pool the settings left at ``None`` are derived for real fan-out: one
-    worker per host, the ``ssh`` launcher, two retries and a checkpoint
-    every point so a killed host loses at most one point's
-    work.  The workdir must then be reachable by every host (a shared
-    filesystem) — the same assumption the merge step already makes about
-    shard stores.
-
     Args:
         workers: number of shards (and at most that many worker
-            processes) per batch (default: 2, or one per host).
+            processes) per batch.
         timeout: wall-clock budget per worker *attempt*; an attempt still
             running after this long is killed and marked ``TimedOut``
             (``None`` waits forever).
         poll_interval: seconds between liveness polls.
         max_retries: extra attempts a failed/timed-out/lost shard may get
-            before the orchestration fails (default: 0, fail fast; 2 with
-            hosts).  Retries resume the partial shard store instead of
-            discarding it.
+            before the orchestration fails (0: fail fast).  Retries resume
+            the partial shard store instead of discarding it.
         retry_backoff: base delay before the first retry; doubles per
             further retry, with deterministic jitter
             (:meth:`DispatchPolicy.backoff_delay
             <repro.runner.dispatch.DispatchPolicy.backoff_delay>`).
         heartbeat_timeout: seconds after a worker's last observed heartbeat
             before it is declared ``Lost`` and killed.
-        hosts: host-pool slot names to schedule attempts on; blank names are
-            dropped (``None``: synthetic ``local/<i>`` slots, one per
-            worker).
-        launcher: launcher name from :data:`~repro.runner.launch.LAUNCHERS`
-            or a launcher callable; maps ``(host, argv, env)`` to the
-            spawned command (default: ``"local"``, or ``"ssh"`` with hosts).
+        launcher: test seam that maps ``(argv, env)`` to the spawned
+            command (default: the worker's own command line).
         checkpoint_every: forwarded to workers as ``--checkpoint``: commit
             every N points so a killed attempt leaves its completed work
-            resumable (default: single-transaction shard commits, or every
-            point with hosts).
+            resumable (``None``: single-transaction shard commits).
 
     The timeout, poll interval and retry settings live only in
     :attr:`policy`, the :class:`~repro.runner.dispatch.DispatchPolicy` the
     supervisor reads.
 
     Raises:
-        ConfigurationError: for a host list without a host, a non-positive
-            worker count, an unknown launcher, a non-positive
+        ConfigurationError: for a non-positive worker count, a non-positive
             ``checkpoint_every``, or invalid retry/heartbeat parameters.
     """
 
     def __init__(
         self,
-        workers: int | None = None,
+        workers: int = 2,
         *,
         timeout: float | None = None,
         poll_interval: float = 0.05,
-        max_retries: int | None = None,
+        max_retries: int = 0,
         retry_backoff: float = 0.5,
         heartbeat_timeout: float = 30.0,
-        hosts: Sequence[str] | None = None,
-        launcher: str | Launcher | None = None,
+        launcher: Launcher | None = None,
         checkpoint_every: int | None = None,
     ) -> None:
-        from repro.runner.dispatch import DispatchPolicy
+        from repro.runner.dispatch import DispatchPolicy, local_launcher
 
-        pool = hosts is not None
-        if pool:
-            hosts = [host.strip() for host in hosts if host and host.strip()]
-            if not hosts:
-                raise ConfigurationError(
-                    "a host pool needs at least one host "
-                    "(--hosts h1,h2,... or --hosts-file)"
-                )
-        if workers is None:
-            workers = len(hosts) if pool else 2
-        if max_retries is None:
-            max_retries = 2 if pool else 0
-        if checkpoint_every is None and pool:
-            checkpoint_every = 1
-        if launcher is None:
-            launcher = "ssh" if pool else "local"
         if workers < 1:
             raise ConfigurationError("shard workers must be a positive worker count")
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -352,8 +317,7 @@ class ShardWorkerBackend:
             attempt_timeout=timeout,
             poll_interval=poll_interval,
         )
-        self.hosts = hosts
-        self.launcher = launcher if callable(launcher) else make_launcher(launcher)
+        self.launcher = launcher if launcher is not None else local_launcher
         self.checkpoint_every = checkpoint_every
 
     # ------------------------------------------------------------------
@@ -604,12 +568,6 @@ class ShardWorkerBackend:
             workdir=workdir if workdir.exists() else None,
         )
 
-    def _dispatch_hosts(self) -> list[str]:
-        """The host-pool slots attempts are scheduled on."""
-        if self.hosts:
-            return list(self.hosts)
-        return [f"local/{index}" for index in range(self.workers)]
-
     def _worker_env(self) -> dict[str, str]:
         """Environment for spawned workers (repro importable sans install)."""
         env = os.environ.copy()
@@ -628,7 +586,6 @@ class ShardWorkerBackend:
 
         supervisor = WorkerSupervisor(
             plans,
-            hosts=self._dispatch_hosts(),
             policy=self.policy,
             launcher=self.launcher,
             base_env=self._worker_env(),

@@ -27,9 +27,6 @@ driven by :class:`WorkerSupervisor`:
   transitions stay monotonic) after an exponential, deterministically
   jittered delay (:meth:`DispatchPolicy.backoff_delay`), up to
   :attr:`DispatchPolicy.max_retries` retries.
-* **Requeue onto surviving hosts.**  Attempts are scheduled onto a host
-  pool; a host that keeps failing is quarantined (as long as another
-  healthy host remains) so retries land on surviving workers.
 * **Resume, not discard.**  Retry attempts pass ``--resume``: the partial
   shard store a killed attempt committed is picked up where it stopped, and
   the idempotent :meth:`SweepDatabase.merge_all
@@ -45,14 +42,11 @@ calling orchestrator decides how to report them
 (:func:`failure_detail` builds the diagnosable message: exit code, last
 heartbeat age, log tail).
 
-Remote dispatch plugs in through *launchers*: a launcher maps ``(host,
-argv, env)`` to the command actually spawned.  :data:`LAUNCHERS` ships
-``local`` (plain subprocess — tests, CI) and ``ssh`` (BatchMode ssh with
-the dispatch environment inlined; assumes the workdir is on a shared
-filesystem, like the shard stores the merge step reads).  The launchers
-and the heartbeat environment live in :mod:`repro.runner.launch` (and are
-re-exported here), so workers and the CLI parser use them without
-importing this module.
+Every worker is a local subprocess.  A *launcher* maps ``(argv, env)`` to
+the command actually spawned; the default, :func:`local_launcher`, runs the
+worker's own command line, and tests put a fake command in its place.  The
+heartbeat environment lives in :mod:`repro.runner.launch` (and is
+re-exported here), so workers use it without importing this module.
 """
 
 from __future__ import annotations
@@ -65,21 +59,11 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.errors import ConfigurationError, OrchestrationError
 from repro.runner.atomic import atomic_write_text
-from repro.runner.launch import (
-    ATTEMPT_ENV,
-    HEARTBEAT_ENV,
-    LAUNCHERS,
-    SHARD_ENV,
-    Launcher,
-    beat_heartbeat,
-    local_launcher,
-    make_launcher,
-    ssh_launcher,
-)
+from repro.runner.launch import ATTEMPT_ENV, HEARTBEAT_ENV, SHARD_ENV, beat_heartbeat
 
 if TYPE_CHECKING:  # imported lazily at runtime (backends imports this module)
     from repro.runner.backends import WorkerPlan
@@ -89,7 +73,7 @@ __all__ = [
     "AttemptRecord",
     "DispatchPolicy",
     "HEARTBEAT_ENV",
-    "LAUNCHERS",
+    "Launcher",
     "SHARD_ENV",
     "ShardOutcome",
     "WorkerState",
@@ -99,9 +83,16 @@ __all__ = [
     "failure_detail",
     "local_launcher",
     "log_tail",
-    "make_launcher",
-    "ssh_launcher",
 ]
+
+
+#: A launcher maps ``(argv, dispatch_env)`` to the command to spawn.
+Launcher = Callable[[Sequence[str], Mapping[str, str]], "list[str]"]
+
+
+def local_launcher(argv: Sequence[str], env: Mapping[str, str]) -> list[str]:
+    """Run the worker's own command line (``env`` rides via Popen)."""
+    return list(argv)
 
 
 class WorkerState(enum.Enum):
@@ -164,7 +155,7 @@ WORKER_TRANSITIONS: dict[WorkerState, frozenset[WorkerState]] = {
 
 @dataclass(frozen=True)
 class DispatchPolicy:
-    """Retry, heartbeat and scheduling parameters of one dispatch.
+    """Retry and heartbeat parameters of one dispatch.
 
     Attributes:
         max_retries: additional attempts a failed/timed-out/lost shard may
@@ -178,15 +169,12 @@ class DispatchPolicy:
         heartbeat_timeout: seconds after the last observed heartbeat before
             a worker is declared ``Lost`` and killed.  Staleness only
             applies once a first beat was seen — a command that never beats
-            (e.g. a custom launcher's) is governed solely by
+            (e.g. a test's fake command) is governed solely by
             ``attempt_timeout``.
         attempt_timeout: wall-clock budget per attempt; an attempt still
             running after this long is killed and marked ``TimedOut``
             (``None`` waits forever).
         poll_interval: seconds between supervisor liveness polls.
-        host_quarantine_after: consecutive failures on one host before it
-            stops receiving work — as long as another healthy host remains,
-            so the pool can never quarantine itself empty.
 
     Raises:
         ConfigurationError: for negative or non-sensical parameters.
@@ -198,7 +186,6 @@ class DispatchPolicy:
     heartbeat_timeout: float = 30.0
     attempt_timeout: float | None = None
     poll_interval: float = 0.05
-    host_quarantine_after: int = 2
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -213,8 +200,6 @@ class DispatchPolicy:
             raise ConfigurationError("attempt_timeout must be > 0 seconds (or None)")
         if self.poll_interval <= 0:
             raise ConfigurationError("poll_interval must be > 0 seconds")
-        if self.host_quarantine_after < 1:
-            raise ConfigurationError("host_quarantine_after must be >= 1")
 
     def backoff_delay(self, shard_index: int, attempt: int) -> float:
         """Delay before ``attempt`` (2-based: the first retry) of a shard.
@@ -236,7 +221,6 @@ class AttemptRecord:
     Attributes:
         shard_index: the shard this attempt executed.
         attempt: 1-based attempt number.
-        host: host-pool slot the attempt ran on.
         state: the attempt's terminal :class:`WorkerState`.
         returncode: the process exit code (``None`` if it never spawned).
         duration: seconds from spawn to the terminal state.
@@ -247,7 +231,6 @@ class AttemptRecord:
 
     shard_index: int
     attempt: int
-    host: str
     state: WorkerState
     returncode: int | None
     duration: float
@@ -256,7 +239,7 @@ class AttemptRecord:
 
     def describe(self) -> str:
         """One-line human summary (what ``repro orchestrate`` prints)."""
-        detail = f"{self.state.value} in {self.duration:.2f}s on {self.host}"
+        detail = f"{self.state.value} in {self.duration:.2f}s"
         if self.returncode not in (None, 0):
             detail += f", exit {self.returncode}"
         if self.last_heartbeat_age is not None and not self.state.is_success:
@@ -335,10 +318,9 @@ def failure_detail(outcome: ShardOutcome, *, attempt_timeout: float | None = Non
 class _Attempt:
     """Mutable tracker of one live attempt — the state machine's single owner."""
 
-    def __init__(self, plan: "WorkerPlan", number: int, host: str) -> None:
+    def __init__(self, plan: "WorkerPlan", number: int) -> None:
         self.plan = plan
         self.number = number
-        self.host = host
         self._state = WorkerState.NOT_READY
         self.process: subprocess.Popen | None = None
         self.log_file = None
@@ -399,7 +381,6 @@ class _Attempt:
         return AttemptRecord(
             shard_index=self.plan.shard_index,
             attempt=self.number,
-            host=self.host,
             state=self._state,
             returncode=self.process.returncode if self.process is not None else None,
             duration=max(self.ended_at - self.spawned_at, 0.0),
@@ -422,39 +403,37 @@ class _Task:
 
 
 class WorkerSupervisor:
-    """Drives a set of worker plans to completion with retry and requeue.
+    """Drives a set of worker plans to completion with retry.
+
+    Each plan holds at most one live attempt, and every ready attempt is
+    started at once: the plans are already capped at the backend's worker
+    count, so there is no slot pool to wait for.
 
     Args:
         plans: the shard workers to run (see
             :meth:`ShardWorkerBackend.plan_workers
             <repro.runner.backends.ShardWorkerBackend.plan_workers>`).
-        hosts: host-pool slot names; pool size bounds concurrency.  Local
-            dispatch passes synthetic ``local/<i>`` slots.
-        policy: retry/heartbeat/scheduling parameters.
-        launcher: maps ``(host, argv, dispatch_env)`` to the spawned
-            command (default: plain local subprocess).
+        policy: retry/heartbeat parameters.
+        launcher: maps ``(argv, dispatch_env)`` to the spawned command
+            (default: the worker's own command line).
         base_env: environment for spawned workers (default: a copy of this
             process's, with the dispatch variables layered on top).
 
     Raises:
-        ConfigurationError: for an empty plan list or host pool.
+        ConfigurationError: for an empty plan list.
     """
 
     def __init__(
         self,
         plans: Sequence["WorkerPlan"],
         *,
-        hosts: Sequence[str],
         policy: DispatchPolicy | None = None,
         launcher: Launcher = local_launcher,
         base_env: Mapping[str, str] | None = None,
     ) -> None:
         if not plans:
             raise ConfigurationError("nothing to dispatch: the plan list is empty")
-        if not hosts:
-            raise ConfigurationError("cannot dispatch without hosts")
         self.plans = list(plans)
-        self.hosts = list(hosts)
         self.policy = policy if policy is not None else DispatchPolicy()
         self.launcher = launcher
         self.base_env = dict(base_env) if base_env is not None else os.environ.copy()
@@ -475,16 +454,10 @@ class WorkerSupervisor:
         active: list[_Attempt] = []
         self._tasks = {task.plan.shard_index: task for task in pending}
         outcomes: dict[int, ShardOutcome] = {}
-        free_hosts: list[str] = list(self.hosts)
-        strikes: dict[str, int] = {host: 0 for host in self.hosts}
-        quarantined: set[str] = set()
         try:
             while pending or active:
-                now = time.monotonic()
-                started = self._start_ready(pending, active, free_hosts, now)
-                settled = self._settle_terminal(
-                    pending, active, free_hosts, strikes, quarantined, outcomes
-                )
+                started = self._start_ready(pending, active, time.monotonic())
+                settled = self._settle_terminal(pending, active, outcomes)
                 if (pending or active) and not (started or settled):
                     time.sleep(self.policy.poll_interval)
         except BaseException:
@@ -498,33 +471,18 @@ class WorkerSupervisor:
         self._cleanup_heartbeats()
         return [outcomes[plan.shard_index] for plan in self.plans]
 
-    def _start_ready(
-        self,
-        pending: list[_Task],
-        active: list[_Attempt],
-        free_hosts: list[str],
-        now: float,
-    ) -> bool:
-        """Spawn queued tasks whose backoff elapsed onto free hosts."""
-        started = False
-        for task in list(pending):
-            if not free_hosts:
-                break
-            if task.ready_at > now:
-                continue
+    def _start_ready(self, pending: list[_Task], active: list[_Attempt], now: float) -> bool:
+        """Spawn every queued task whose backoff elapsed."""
+        ready = [task for task in pending if task.ready_at <= now]
+        for task in ready:
             pending.remove(task)
-            host = free_hosts.pop(0)
-            active.append(self._spawn(task, host))
-            started = True
-        return started
+            active.append(self._spawn(task))
+        return bool(ready)
 
     def _settle_terminal(
         self,
         pending: list[_Task],
         active: list[_Attempt],
-        free_hosts: list[str],
-        strikes: dict[str, int],
-        quarantined: set[str],
         outcomes: dict[int, ShardOutcome],
     ) -> bool:
         """Observe active attempts and settle the ones that ended."""
@@ -542,16 +500,8 @@ class WorkerSupervisor:
             task = self._tasks[attempt.plan.shard_index]
             task.attempts.append(record)
             if attempt.state.is_success:
-                strikes[attempt.host] = 0
-                free_hosts.append(attempt.host)
                 outcomes[record.shard_index] = self._outcome(task, record)
                 continue
-            strikes[attempt.host] += 1
-            healthy = len(self.hosts) - len(quarantined)
-            if strikes[attempt.host] >= self.policy.host_quarantine_after and healthy > 1:
-                quarantined.add(attempt.host)
-            else:
-                free_hosts.append(attempt.host)
             if len(task.attempts) <= self.policy.max_retries:
                 task.ready_at = time.monotonic() + self.policy.backoff_delay(
                     record.shard_index, len(task.attempts) + 1
@@ -565,9 +515,9 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # Spawning and observing attempts.
     # ------------------------------------------------------------------
-    def _spawn(self, task: _Task, host: str) -> _Attempt:
+    def _spawn(self, task: _Task) -> _Attempt:
         number = len(task.attempts) + 1
-        attempt = _Attempt(task.plan, number, host)
+        attempt = _Attempt(task.plan, number)
         self._reset_corrupt_store(task.plan, number)
         argv = self._attempt_argv(task.plan, number)
         dispatch_env = {
@@ -575,7 +525,7 @@ class WorkerSupervisor:
             SHARD_ENV: str(task.plan.shard_index),
             ATTEMPT_ENV: str(number),
         }
-        command = self.launcher(host, argv, dispatch_env)
+        command = self.launcher(argv, dispatch_env)
         env = dict(self.base_env)
         env.update(dispatch_env)
         attempt.snapshot_heartbeat()
@@ -583,7 +533,7 @@ class WorkerSupervisor:
         # apply to a file written while the worker runs.  Append mode keeps
         # one log per shard across attempts.
         log_file = open(task.plan.log_path, "ab")  # repro-lint: disable=RL003
-        log_file.write(f"=== attempt {number} on {host} ===\n".encode("utf-8"))
+        log_file.write(f"=== attempt {number} ===\n".encode("utf-8"))
         log_file.flush()
         attempt.log_file = log_file
         attempt.process = subprocess.Popen(
@@ -648,7 +598,7 @@ class WorkerSupervisor:
         )
 
     def _reset_corrupt_store(self, plan: "WorkerPlan", number: int) -> None:
-        """Quarantine a shard store that no longer validates before retrying.
+        """Set aside a shard store that no longer validates before retrying.
 
         A store sqlite itself refuses (torn beyond WAL crash safety) would
         fail the resumed attempt and the final merge; it is renamed to a

@@ -22,7 +22,7 @@ import logging
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ApiError, ConfigurationError, ReproError
@@ -381,8 +381,6 @@ def create_server(
     auth_token: str | None = None,
     max_queue: int = 0,
     max_body_bytes: int = MAX_BODY_BYTES,
-    dispatch_hosts: Sequence[str] | None = None,
-    dispatch_launcher: str | None = None,
 ) -> PlanningServer:
     """Build a ready-to-serve daemon (bound, not yet serving).
 
@@ -403,10 +401,6 @@ def create_server(
         max_queue: sweep jobs allowed to wait in the queue before
             submissions are answered 503 (0 = unbounded).
         max_body_bytes: request bodies above this are rejected with 413.
-        dispatch_hosts: host list offered to sweep jobs that ask for the
-            remote backend (default: ``None`` — such jobs are rejected).
-        dispatch_launcher: launcher name for remote sweep jobs (default
-            ``None`` keeps the remote backend's ssh default).
 
     Raises:
         ConfigurationError: for an invalid TTL, token, queue bound or
@@ -422,8 +416,6 @@ def create_server(
         packet_count=packet_count,
         cache_dir=cache_dir,
         max_queue=max_queue,
-        dispatch_hosts=dispatch_hosts,
-        dispatch_launcher=dispatch_launcher,
     )
     try:
         return PlanningServer(

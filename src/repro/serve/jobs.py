@@ -29,12 +29,11 @@ Jobs carry no planning logic of their own: a job is a
 names.  ``serial`` runs on the worker thread via
 :meth:`SweepRunner.run_stored <repro.runner.engine.SweepRunner.run_stored>`,
 with the run recorded under source ``serve:<job id>`` so ``repro history``
-attributes API-submitted runs; ``shard-workers`` and ``remote`` are mapped here to a
+attributes API-submitted runs; ``shard-workers`` is mapped here to a
 :class:`~repro.runner.backends.ShardWorkerBackend` whose
 :meth:`~repro.runner.backends.ShardWorkerBackend.orchestrate` runs the job
-(local workers, or the daemon's host pool).  Jobs may only ask for
-``remote`` when the daemon was started with a host list
-(``--dispatch-hosts``); without one such submissions are rejected with 400.
+on local workers.  Any other name is rejected with 400; rows an older
+daemon stored under a retired backend name are still read back unchanged.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ApiError, ConfigurationError, ReproError
 from repro.runner.backends import ShardWorkerBackend
@@ -69,9 +68,8 @@ JOB_STATES: tuple[str, ...] = (
 RETRY_AFTER_SECONDS = 2
 
 #: The ``backend`` names ``POST /sweeps`` accepts: in-process ``serial``,
-#: then the two that orchestrate shard workers (``remote`` over the
-#: daemon's ``--dispatch-hosts``).
-JOB_BACKENDS: tuple[str, ...] = ("serial", "shard-workers", "remote")
+#: then ``shard-workers``, which orchestrates local shard workers.
+JOB_BACKENDS: tuple[str, ...] = ("serial", "shard-workers")
 
 
 def _utcnow() -> str:
@@ -170,11 +168,6 @@ class SweepJobQueue:
             jobs; defaults to a fresh cache persisted under ``cache_dir``.
         workdir: directory for the shard-worker backend's stores and logs
             (default: ``<store>.workers`` next to the store).
-        dispatch_hosts: host list offered to jobs that ask for the remote
-            backend (default: ``None`` — such jobs are rejected with 400).
-        dispatch_launcher: launcher name for remote jobs (a
-            :data:`~repro.runner.launch.LAUNCHERS` key; default ``None``
-            keeps the remote backend's ssh default).
         max_queue: jobs allowed to wait in the queue; a submission beyond
             that fails with 503 + ``Retry-After`` (0 = unbounded).
         on_finished: test/observability hook called with each job after it
@@ -195,8 +188,6 @@ class SweepJobQueue:
         system_cache: SystemCache | None = None,
         characterization_cache: CharacterizationCache | None = None,
         workdir: str | Path | None = None,
-        dispatch_hosts: Sequence[str] | None = None,
-        dispatch_launcher: str | None = None,
         max_queue: int = 0,
         on_finished: Callable[[SweepJob], None] | None = None,
     ) -> None:
@@ -217,8 +208,6 @@ class SweepJobQueue:
             if workdir is not None
             else self.store_path.with_name(self.store_path.name + ".workers")
         )
-        self.dispatch_hosts = list(dispatch_hosts) if dispatch_hosts else None
-        self.dispatch_launcher = dispatch_launcher
         self.max_queue = max_queue
         self._on_finished = on_finished
         # Create (and validate/migrate) the store before the daemon opens
@@ -257,17 +246,16 @@ class SweepJobQueue:
         Args:
             spec: the grid to execute.
             backend: execution backend name (a :data:`JOB_BACKENDS`
-                entry; ``shard-workers`` and ``remote`` orchestrate,
-                ``serial`` runs in-process on the worker thread).
+                entry; ``shard-workers`` orchestrates, ``serial`` runs
+                in-process on the worker thread).
             resume: skip points the store already holds compatible records
                 for (see :meth:`SweepRunner.run_stored
                 <repro.runner.engine.SweepRunner.run_stored>`).
 
         Raises:
-            ApiError: for an unknown backend name (400), the remote
-                backend without configured dispatch hosts (400), a full
-                queue (503 with ``Retry-After``), or a queue that is
-                shutting down (503).
+            ApiError: for an unknown backend name (400), a full queue
+                (503 with ``Retry-After``), or a queue that is shutting
+                down (503).
         """
         # Built once here only to validate, so a job the worker thread
         # could never run is refused before anything is queued or persisted.
@@ -381,33 +369,18 @@ class SweepJobQueue:
         """The orchestrator a job named ``name`` runs on.
 
         ``None`` for ``serial``, which runs in-process on the worker thread;
-        the two orchestrating names map to a :class:`ShardWorkerBackend` —
-        remote jobs dispatch onto the daemon's ``--dispatch-hosts`` through
-        its ``--dispatch-launcher``.
+        ``shard-workers`` maps to a default :class:`ShardWorkerBackend`.
 
         Raises:
-            ApiError: (400) for an unknown backend name (``pool`` among
-                them) or the remote backend without configured dispatch
-                hosts.
+            ApiError: (400) for an unknown backend name, the retired
+                ``pool`` among them.
         """
         if name not in JOB_BACKENDS:
             known = ", ".join(sorted(JOB_BACKENDS))
             raise ApiError(f"unknown backend {name!r}; known backends: {known}")
-        if name == "remote" and not self.dispatch_hosts:
-            raise ApiError(
-                "the remote backend needs a host list; start the daemon "
-                "with --dispatch-hosts"
-            )
         if name == "serial":
             return None
-        try:
-            if name == "remote":
-                return ShardWorkerBackend(
-                    hosts=self.dispatch_hosts, launcher=self.dispatch_launcher
-                )
-            return ShardWorkerBackend()
-        except ConfigurationError as error:
-            raise ApiError(str(error)) from error
+        return ShardWorkerBackend()
 
     def _execute(self, job: SweepJob, store: SweepDatabase) -> None:
         """Run one job against the writer connection and record its outcome."""

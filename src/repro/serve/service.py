@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro import __version__
 from repro.analysis.export import schedule_to_rows
@@ -99,10 +99,6 @@ class PlanningService:
             reloads system builds from it instead of rebuilding.
         max_queue: sweep jobs allowed to wait in the queue before
             submissions are answered 503 (0 = unbounded).
-        dispatch_hosts: host list offered to sweep jobs that ask for the
-            remote backend (default: ``None`` — such jobs are rejected).
-        dispatch_launcher: launcher name for remote sweep jobs (default
-            ``None`` keeps the remote backend's ssh default).
 
     Raises:
         ResultStoreError: when ``store_path`` exists but is not a sweep
@@ -118,8 +114,6 @@ class PlanningService:
         packet_count: int = 200,
         cache_dir: str | Path | None = None,
         max_queue: int = 0,
-        dispatch_hosts: Sequence[str] | None = None,
-        dispatch_launcher: str | None = None,
     ) -> None:
         self.store_path = Path(store_path)
         # Disk-backed when a cache directory is configured: a restarted
@@ -144,8 +138,6 @@ class PlanningService:
             system_cache=self.system_cache,
             characterization_cache=self.characterization_cache,
             max_queue=max_queue,
-            dispatch_hosts=dispatch_hosts,
-            dispatch_launcher=dispatch_launcher,
         )
         self._started_at = time.monotonic()
 

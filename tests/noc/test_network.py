@@ -56,6 +56,22 @@ class TestNetwork:
         assert "XY" in network.describe()
 
 
+class TestIdentity:
+    def test_networks_of_one_config_keep_their_own_job_tables(self):
+        """Equality is identity: two networks built from one config compare
+        unequal, so each keys its own job table (and plan store)."""
+        from repro.schedule.job import _JOB_TABLES, job_rows
+
+        system = build_paper_system("d695_leon")
+        first, second = (Network(system.network.config) for _ in range(2))
+        assert first != second
+        interfaces = system.interfaces(0)
+        rows = [job_rows(system.cores, interfaces, network) for network in (first, second)]
+        assert _JOB_TABLES[first] is not _JOB_TABLES[second]
+        for interface in interfaces:
+            assert rows[0][interface.identifier] is not rows[1][interface.identifier]
+
+
 class TestReservationsEqualNaive:
     """The reservation table is pure memoisation: every answer equals the
     resource list derived from the naive route, on the first call and on a

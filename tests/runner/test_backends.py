@@ -15,10 +15,10 @@ from repro.runner.backends import (
 )
 from repro.runner.db import SweepDatabase
 from repro.runner.engine import SweepRunner
-from repro.runner.launch import local_launcher, ssh_launcher
+from repro.runner.dispatch import local_launcher
+from repro.runner.launch import SHARD_ENV
 from repro.runner.spec import SweepSpec
 from repro.runner.store import save_sweeps
-from repro.serve.jobs import SweepJobQueue
 
 
 @pytest.fixture(scope="module")
@@ -66,112 +66,18 @@ def orchestrated_batch(batch_specs, tmp_path_factory):
 
 
 class TestRegistry:
-    """What the shard-worker orchestrator refuses to be built with."""
-
-    def test_host_pool_needs_a_host(self):
-        for hosts in ([], ["  ", ""]):
-            with pytest.raises(ConfigurationError, match="at least one host"):
-                ShardWorkerBackend(hosts=hosts)
+    """What the shard-worker orchestrator is built with, and what it refuses."""
 
     def test_shard_worker_validation(self):
         with pytest.raises(ConfigurationError, match="positive"):
             ShardWorkerBackend(workers=0)
 
-
-#: The host pool every host-pool test dispatches onto.
-POOL_HOSTS = ["h1", "h2", "h3"]
-
-#: What a host pool derives for each setting left unset.
-POOL_DEFAULTS = {
-    "workers": 3,
-    "launcher": ssh_launcher,
-    "max_retries": 2,
-    "checkpoint_every": 1,
-}
-
-
-def resolved_settings(backend):
-    """The settings a host pool derives, as the backend resolved them."""
-    return {
-        "workers": backend.workers,
-        "launcher": backend.launcher,
-        "max_retries": backend.policy.max_retries,
-        "checkpoint_every": backend.checkpoint_every,
-    }
-
-
-def serve_remote_backend(tmp_path, **queue_options):
-    """The backend a ``"backend": "remote"`` serve job runs on."""
-    queue = SweepJobQueue(tmp_path / "jobs.db", dispatch_hosts=POOL_HOSTS, **queue_options)
-    try:
-        return queue._orchestrator("remote")
-    finally:
-        queue.close()
-
-
-class TestHostPoolDefaults:
-    """One place derives the host-pool defaults, whichever path builds it."""
-
-    @pytest.mark.parametrize(
-        "build, overrides",
-        [
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS),
-                {},
-                id="constructor",
-            ),
-            pytest.param(serve_remote_backend, {}, id="serve"),
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(workers=5, hosts=POOL_HOSTS),
-                {"workers": 5},
-                id="constructor-workers",
-            ),
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(workers=1, hosts=POOL_HOSTS),
-                {"workers": 1},
-                id="constructor-fewer-workers",
-            ),
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, launcher="local"),
-                {"launcher": local_launcher},
-                id="constructor-launcher",
-            ),
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, max_retries=0),
-                {"max_retries": 0},
-                id="constructor-max_retries",
-            ),
-            pytest.param(
-                lambda tmp_path: ShardWorkerBackend(hosts=POOL_HOSTS, checkpoint_every=4),
-                {"checkpoint_every": 4},
-                id="constructor-checkpoint_every",
-            ),
-            pytest.param(
-                lambda tmp_path: serve_remote_backend(tmp_path, dispatch_launcher="local"),
-                {"launcher": local_launcher},
-                id="serve-launcher",
-            ),
-        ],
-    )
-    def test_resolved_settings(self, build, overrides, tmp_path):
-        backend = build(tmp_path)
-        assert backend.hosts == POOL_HOSTS
-        assert resolved_settings(backend) == {**POOL_DEFAULTS, **overrides}
-
-    def test_host_names_are_cleaned(self):
-        backend = ShardWorkerBackend(hosts=[" h1 ", "", "h2"])
-        assert backend.hosts == ["h1", "h2"]
-        assert backend.workers == 2
-
-    def test_without_hosts_the_local_defaults_stay(self):
+    def test_plain_defaults(self):
         backend = ShardWorkerBackend()
-        assert backend.hosts is None
-        assert resolved_settings(backend) == {
-            "workers": 2,
-            "launcher": local_launcher,
-            "max_retries": 0,
-            "checkpoint_every": None,
-        }
+        assert backend.workers == 2
+        assert backend.launcher is local_launcher
+        assert backend.policy.max_retries == 0
+        assert backend.checkpoint_every is None
 
 
 class TestBackendEquivalence:
@@ -288,13 +194,13 @@ class TestShardWorkerOrchestration:
         assert exported.read_bytes() == serial.read_bytes()
 
     def test_launcher_hook_sees_every_worker(self, small_spec, tmp_path):
-        """The dispatch seam: the launcher receives each worker's host and
-        default argv and decides the spawned command — here a pass-through,
-        in real deployments an ssh/CI wrapper."""
+        """The test seam: the launcher receives each worker's default argv
+        and dispatch environment and decides the spawned command — here a
+        pass-through."""
         seen = []
 
-        def passthrough(host, argv, env):
-            seen.append((host, argv))
+        def passthrough(argv, env):
+            seen.append((env[SHARD_ENV], argv))
             return list(argv)
 
         backend = ShardWorkerBackend(workers=2, launcher=passthrough)
@@ -305,11 +211,11 @@ class TestShardWorkerOrchestration:
         for _, argv in seen:
             assert_points_argv(argv)
         assert sorted(argv[argv.index("--points") + 1] for _, argv in seen) == ["0", "1"]
-        assert sorted(host for host, _ in seen) == ["local/0", "local/1"]
+        assert sorted(shard for shard, _ in seen) == ["0", "1"]
         assert all(argv[0] == sys.executable for _, argv in seen)
 
     def test_failing_worker_raises_with_log_tail(self, small_spec, tmp_path):
-        def broken(host, argv, env):
+        def broken(argv, env):
             return [
                 sys.executable,
                 "-c",
@@ -328,7 +234,7 @@ class TestShardWorkerOrchestration:
         assert "shard exploded" in log_path.read_text()
 
     def test_hung_worker_killed_after_timeout(self, small_spec, tmp_path):
-        def hang(host, argv, env):
+        def hang(argv, env):
             return [sys.executable, "-c", "import time; time.sleep(60)"]
 
         backend = ShardWorkerBackend(workers=2, launcher=hang, timeout=0.3)
@@ -356,7 +262,7 @@ class TestShardWorkerOrchestration:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         (tmp_path / "tmp").mkdir()
 
-        def broken(host, argv, env):
+        def broken(argv, env):
             return [sys.executable, "-c", "import sys; sys.exit(3)"]
 
         backend = ShardWorkerBackend(workers=2, launcher=broken)
@@ -545,7 +451,7 @@ class TestCostBasedSharding:
                 costs[spec] = measured.point_cost_rows(spec.content_key())
         seen = []
 
-        def passthrough(host, argv, env):
+        def passthrough(argv, env):
             seen.append(argv)
             return list(argv)
 
@@ -577,7 +483,7 @@ class TestResumedOrchestration:
         no point, carries no run and leaves the export as serial's."""
         spawned = []
 
-        def passthrough(host, argv, env):
+        def passthrough(argv, env):
             spawned.append(argv)
             return list(argv)
 
@@ -619,7 +525,7 @@ class TestResumedOrchestration:
         ).read_bytes()
         spawned = []
 
-        def passthrough(host, argv, env):
+        def passthrough(argv, env):
             spawned.append(argv[argv.index("--points") + 1])
             return list(argv)
 

@@ -1,5 +1,5 @@
 """Tests of the fault-tolerant dispatch layer (state machine, heartbeats,
-retry/requeue, launchers) underneath the shard-worker backend."""
+retry, the launcher seam) underneath the shard-worker backend."""
 
 import dataclasses
 import sys
@@ -12,7 +12,6 @@ from repro.runner.backends import WorkerPlan
 from repro.runner.dispatch import (
     ATTEMPT_ENV,
     HEARTBEAT_ENV,
-    LAUNCHERS,
     SHARD_ENV,
     DispatchPolicy,
     WORKER_TRANSITIONS,
@@ -25,8 +24,6 @@ from repro.runner.dispatch import (
     failure_detail,
     local_launcher,
     log_tail,
-    make_launcher,
-    ssh_launcher,
 )
 
 
@@ -72,7 +69,7 @@ class TestStateMachine:
             assert not state.is_terminal
 
     def test_legal_walk(self, tmp_path):
-        attempt = _Attempt(make_plan(tmp_path), 1, "local/0")
+        attempt = _Attempt(make_plan(tmp_path), 1)
         assert attempt.state is WorkerState.NOT_READY
         attempt.advance(WorkerState.READY)
         attempt.advance(WorkerState.RUNNING)
@@ -80,7 +77,7 @@ class TestStateMachine:
         assert attempt.state.is_terminal
 
     def test_illegal_transition_raises(self, tmp_path):
-        attempt = _Attempt(make_plan(tmp_path), 1, "local/0")
+        attempt = _Attempt(make_plan(tmp_path), 1)
         with pytest.raises(OrchestrationError, match="illegal worker state transition"):
             attempt.advance(WorkerState.RUNNING)  # skips Ready
         attempt.advance(WorkerState.READY)
@@ -95,7 +92,6 @@ class TestStateMachine:
         record = AttemptRecord(
             shard_index=0,
             attempt=1,
-            host="local/0",
             state=WorkerState.FINISHED,
             returncode=0,
             duration=0.1,
@@ -124,7 +120,6 @@ class TestDispatchPolicy:
             ({"heartbeat_timeout": 0}, "heartbeat_timeout"),
             ({"attempt_timeout": 0}, "attempt_timeout"),
             ({"poll_interval": 0}, "poll_interval"),
-            ({"host_quarantine_after": 0}, "host_quarantine_after"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -149,35 +144,9 @@ class TestDispatchPolicy:
 
 
 class TestLaunchers:
-    def test_registry(self):
-        assert set(LAUNCHERS) == {"local", "ssh"}
-        assert make_launcher("local") is local_launcher
-        assert make_launcher("ssh") is ssh_launcher
-
-    def test_unknown_launcher_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown launcher"):
-            make_launcher("teleport")
-
     def test_local_launcher_passes_argv_through(self):
         argv = ["python", "-m", "repro.cli", "sweep"]
-        assert local_launcher("local/0", argv, {"K": "V"}) == argv
-
-    def test_ssh_launcher_wraps_and_inlines_env(self):
-        command = ssh_launcher(
-            "node-1",
-            ["python", "-m", "repro.cli"],
-            {HEARTBEAT_ENV: "/tmp/a b.heartbeat", SHARD_ENV: "0"},
-        )
-        assert command[:3] == ["ssh", "-o", "BatchMode=yes"]
-        assert command[3] == "node-1"
-        remote = command[4]
-        # env K=V sorted, shell-quoted, then the worker argv.
-        assert remote.startswith("env ")
-        assert f"{SHARD_ENV}=0" in remote
-        assert f"'{HEARTBEAT_ENV}=/tmp/a b.heartbeat'" in remote
-        # sorted env: DISPATCH_SHARD before HEARTBEAT_FILE
-        assert remote.index(SHARD_ENV) < remote.index(HEARTBEAT_ENV)
-        assert remote.endswith("python -m repro.cli")
+        assert local_launcher(argv, {"K": "V"}) == argv
 
 
 class TestHeartbeat:
@@ -205,7 +174,6 @@ class TestFailureDetail:
         record = AttemptRecord(
             shard_index=0,
             attempt=1,
-            host="local/0",
             state=state,
             returncode=returncode,
             duration=0.5,
@@ -254,17 +222,14 @@ class TestFailureDetail:
 
 
 class TestSupervisor:
-    def test_rejects_empty_plans_and_hosts(self, tmp_path):
+    def test_rejects_empty_plans(self):
         with pytest.raises(ConfigurationError, match="plan list is empty"):
-            WorkerSupervisor([], hosts=["h"])
-        with pytest.raises(ConfigurationError, match="without hosts"):
-            WorkerSupervisor([make_plan(tmp_path)], hosts=[])
+            WorkerSupervisor([])
 
     def test_successful_worker_finishes_with_one_attempt(self, tmp_path):
         plan = make_plan(tmp_path, argv=python_command("print('done')"))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
         )
         (outcome,) = supervisor.run()
@@ -289,7 +254,6 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(max_retries=2, **FAST),
         )
         (outcome,) = supervisor.run()
@@ -301,15 +265,14 @@ class TestSupervisor:
         ]
         assert outcome.attempts[0].returncode == 3
         log = plan.log_path.read_text(encoding="utf-8")
-        assert "=== attempt 1 on local/0 ===" in log
-        assert "=== attempt 2 on local/0 ===" in log
+        assert "=== attempt 1 ===" in log
+        assert "=== attempt 2 ===" in log
 
     def test_exhausted_retries_label_the_orphaned_store(self, tmp_path):
         plan = make_plan(tmp_path, argv=python_command("raise SystemExit(7)"))
         plan.store_path.write_bytes(b"partial shard bytes")
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(max_retries=1, **FAST),
         )
         (outcome,) = supervisor.run()
@@ -327,7 +290,6 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command("import time; time.sleep(60)"))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(attempt_timeout=0.3, **FAST),
         )
         (outcome,) = supervisor.run()
@@ -343,7 +305,6 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.3, **FAST),
         )
         (outcome,) = supervisor.run()
@@ -357,41 +318,36 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command("import time; time.sleep(0.4)"))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(heartbeat_timeout=0.05, **FAST),
         )
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.FINISHED
 
-    def test_requeue_lands_on_the_surviving_host(self, tmp_path):
-        """A host that keeps failing is quarantined; the retry runs on the
-        other slot."""
-        bad_marker = tmp_path / "bad-ran"
-        body = f"""
-            import pathlib, sys
-            if "WORKER_HOST_SLOT" == "bad":
-                pathlib.Path({str(bad_marker)!r}).touch()
-                raise SystemExit(9)
-            sys.stdout.write("ok")
+    def test_every_plan_starts_at_once(self, tmp_path):
+        """There is no slot pool: each worker waits for the other's marker,
+        so the pair finishes only if both run at the same time."""
+        body = """
+            import pathlib, sys, time
+            mine, theirs = (pathlib.Path(name) for name in sys.argv[1:])
+            mine.touch()
+            deadline = time.monotonic() + 10
+            while not theirs.exists():
+                if time.monotonic() > deadline:
+                    raise SystemExit(5)
+                time.sleep(0.01)
         """
-
-        def launcher(host, argv, env):
-            # The launcher is the one place that knows the host: it bakes
-            # the slot name into the worker command.
-            return [argv[0], "-c", argv[2].replace("WORKER_HOST_SLOT", host)]
-
-        plan = make_plan(tmp_path, argv=python_command(body))
-        supervisor = WorkerSupervisor(
-            [plan],
-            hosts=["bad", "good"],
-            policy=DispatchPolicy(max_retries=3, host_quarantine_after=1, **FAST),
-            launcher=launcher,
-        )
-        (outcome,) = supervisor.run()
-        assert outcome.state is WorkerState.FINISHED
-        hosts = [attempt.host for attempt in outcome.attempts]
-        assert hosts[0] == "bad"
-        assert hosts[-1] == "good"
+        markers = [str(tmp_path / "ran-0"), str(tmp_path / "ran-1")]
+        plans = [
+            make_plan(
+                tmp_path,
+                index,
+                2,
+                argv=(*python_command(body), markers[index], markers[1 - index]),
+            )
+            for index in range(2)
+        ]
+        outcomes = WorkerSupervisor(plans, policy=DispatchPolicy(**FAST)).run()
+        assert [outcome.state for outcome in outcomes] == [WorkerState.FINISHED] * 2
 
     def test_dispatch_env_reaches_the_worker(self, tmp_path):
         out_file = tmp_path / "env.txt"
@@ -405,7 +361,6 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
         )
         (outcome,) = supervisor.run()
@@ -420,7 +375,6 @@ class TestSupervisor:
         plan = make_plan(tmp_path, argv=python_command(body))
         supervisor = WorkerSupervisor(
             [plan],
-            hosts=["local/0"],
             policy=DispatchPolicy(**FAST),
         )
         (outcome,) = supervisor.run()
@@ -429,7 +383,7 @@ class TestSupervisor:
 
     def test_retry_argv_appends_resume(self, tmp_path):
         plan = make_plan(tmp_path, argv=("python", "-m", "repro.cli", "sweep"))
-        supervisor = WorkerSupervisor([plan], hosts=["local/0"])
+        supervisor = WorkerSupervisor([plan])
         assert supervisor._attempt_argv(plan, 1) == list(plan.argv)
         assert supervisor._attempt_argv(plan, 2) == [*plan.argv, "--resume"]
         resumed = make_plan(tmp_path, argv=("repro", "--resume"))
@@ -438,7 +392,7 @@ class TestSupervisor:
     def test_corrupt_store_is_quarantined_before_a_retry(self, tmp_path):
         plan = make_plan(tmp_path)
         plan.store_path.write_bytes(b"this is not a sqlite database at all")
-        supervisor = WorkerSupervisor([plan], hosts=["local/0"])
+        supervisor = WorkerSupervisor([plan])
         supervisor._reset_corrupt_store(plan, 2)
         assert not plan.store_path.exists()
         quarantined = plan.store_path.with_name(

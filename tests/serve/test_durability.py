@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -154,6 +155,58 @@ class TestQueueRestart:
             queue.close()
         with SweepDatabase(path) as db:
             assert db.job_row(fresh["job_id"])["pool_jobs"] == 1
+
+
+class TestRetiredBackendRows:
+    def test_an_older_daemons_remote_job_still_reads_back_over_http(self, tmp_path):
+        """Daemons that still dispatched onto a host pool stored jobs under
+        backend ``remote``.  Such a finished row is served unchanged, while a
+        new submission naming ``remote`` is an unknown backend (400) that
+        queues and persists nothing."""
+        path = tmp_path / "remote.db"
+        row = job_row("job-5-cccccccc", 5, status="finished")
+        row.update(
+            backend="remote",
+            started_at="2026-08-08T00:00:01+00:00",
+            finished_at="2026-08-08T00:00:09+00:00",
+            executed_points=4,
+            skipped_points=0,
+        )
+        with SweepDatabase(path) as db:
+            db.upsert_job(row, spec_json="{}")
+        server = create_server(path, port=0, characterize=False)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+
+        def status():
+            with urllib.request.urlopen(
+                server.url + "/sweeps/job-5-cccccccc", timeout=30
+            ) as response:
+                return json.loads(response.read())["job"]
+
+        try:
+            assert status() == row
+            body = json.dumps({"spec": small_spec().to_dict(), "backend": "remote"})
+            request = urllib.request.Request(
+                server.url + "/sweeps",
+                data=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert "unknown backend 'remote'" in error
+            assert "known backends: serial, shard-workers" in error
+            assert status() == row
+            assert server.service.jobs.job_count() == 1
+        finally:
+            server.shutdown()
+            server.close()
+            thread.join(timeout=10)
+        with SweepDatabase(path) as db:
+            assert db.job_count() == 1
 
 
 DAEMON_SCRIPT = """

@@ -160,12 +160,12 @@ class TestValidation:
 
     def test_unknown_backend_lists_every_api_name(self, queue_factory):
         """The 400 names every backend the API accepts: in-process serial
-        and the two orchestrating ones."""
+        and the orchestrating one."""
         queue = queue_factory()
         with pytest.raises(ApiError) as excinfo:
             queue.submit(small_spec(), backend="quantum")
         assert excinfo.value.status == 400
-        assert "known backends: remote, serial, shard-workers" in str(excinfo.value)
+        assert "known backends: serial, shard-workers" in str(excinfo.value)
 
     def test_pool_backend_is_rejected_before_anything_is_persisted(
         self, queue_factory, tmp_path
@@ -178,6 +178,18 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "'pool'" in str(excinfo.value)
         assert "serial" in str(excinfo.value) and "shard-workers" in str(excinfo.value)
+        assert queue.job_count() == 0
+        with SweepDatabase(tmp_path / "jobs.db") as db:
+            assert db.job_count() == 0
+
+    def test_remote_backend_is_unknown(self, queue_factory, tmp_path):
+        """Workers are local subprocesses only: ``remote`` is an unknown
+        backend like any other, refused before anything is persisted."""
+        queue = queue_factory()
+        with pytest.raises(ApiError) as excinfo:
+            queue.submit(small_spec(), backend="remote")
+        assert excinfo.value.status == 400
+        assert "unknown backend 'remote'" in str(excinfo.value)
         assert queue.job_count() == 0
         with SweepDatabase(tmp_path / "jobs.db") as db:
             assert db.job_count() == 0
@@ -213,34 +225,6 @@ class TestSnapshots:
         assert snapshot["status"] in JOB_STATES
         assert snapshot["spec_name"] == "serve-jobs"
         assert snapshot["point_count"] == 2
-
-
-class TestRemoteDispatch:
-    def test_remote_backend_needs_configured_hosts(self, queue_factory):
-        """A remote job on a daemon started without --dispatch-hosts is a
-        client error, not a doomed background job."""
-        queue = queue_factory()
-        with pytest.raises(ApiError) as excinfo:
-            queue.submit(small_spec(), backend="remote")
-        assert excinfo.value.status == 400
-        assert "--dispatch-hosts" in str(excinfo.value)
-
-    def test_remote_job_runs_on_the_configured_hosts(
-        self, queue_factory, waiter, tmp_path
-    ):
-        """With hosts configured (local launcher stand-ins), a remote job
-        orchestrates and stores the same records as an inline run."""
-        queue = queue_factory(
-            dispatch_hosts=["local/0", "local/1"],
-            dispatch_launcher="local",
-            workdir=tmp_path / "work",
-        )
-        spec = small_spec("remote-job")
-        queue.submit(spec, backend="remote")
-        finished = waiter.wait()
-        assert finished.status == "finished", finished.error
-        with SweepDatabase(tmp_path / "jobs.db") as db:
-            assert db.record_count(spec.content_key()) == spec.point_count
 
     def test_a_finished_job_is_read_back_from_the_store(self, queue_factory, waiter):
         """Only queued and running jobs stay in memory; an ended one is

@@ -713,8 +713,7 @@ class TestOrchestrateCommand:
         assert list((tmp_path / "tmp").iterdir()) == []
 
     def test_orchestrate_defaults_to_two_workers(self, capsys, tmp_path):
-        """Without --workers or hosts the CLI leaves the worker count to the
-        backend, whose default is 2."""
+        """Without --workers the grid runs on 2 shard workers."""
         store = str(tmp_path / "s.db")
         assert main(["orchestrate", "d695_leon", "--no-characterize", "--store", store]) == 0
         assert "orchestrated on 2 shard worker(s)" in capsys.readouterr().out
@@ -979,133 +978,17 @@ class TestPointSelectionFlags:
         assert "one list per spec" in capsys.readouterr().err
 
 
-class TestRemoteDispatchFlags:
-    def test_orchestrate_rejects_both_host_sources(self, capsys, tmp_path):
-        hosts_file = tmp_path / "hosts.txt"
-        hosts_file.write_text("h1\n", encoding="utf-8")
-        assert (
-            main(
-                [
-                    "orchestrate",
-                    "d695_leon",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--hosts",
-                    "h1",
-                    "--hosts-file",
-                    str(hosts_file),
-                ]
-            )
-            == 1
-        )
-        assert "--hosts" in capsys.readouterr().err
-
-    def test_orchestrate_rejects_unreadable_hosts_file(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "orchestrate",
-                    "d695_leon",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--hosts-file",
-                    str(tmp_path / "missing.txt"),
-                ]
-            )
-            == 1
-        )
-        assert "cannot read hosts file" in capsys.readouterr().err
-
-    def test_orchestrate_rejects_empty_hosts_file(self, capsys, tmp_path):
-        hosts_file = tmp_path / "hosts.txt"
-        hosts_file.write_text("# a comment\n\n", encoding="utf-8")
-        assert (
-            main(
-                [
-                    "orchestrate",
-                    "d695_leon",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--hosts-file",
-                    str(hosts_file),
-                ]
-            )
-            == 1
-        )
-        assert "names no hosts" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("hosts", ["", " , "], ids=["empty", "blank"])
-    def test_orchestrate_rejects_hosts_naming_no_host(self, capsys, tmp_path, hosts):
-        """An empty --hosts (say, an unset $HOSTS) is an error, like an empty
-        hosts file, instead of a silent run on local workers."""
-        store = tmp_path / "s.db"
-        grid = ["--counts", "0", "--power-limits", "none", "--no-characterize"]
-        assert (
-            main(["orchestrate", "d695_leon", *grid, "--hosts", hosts, "--store", str(store)])
-            == 1
-        )
-        assert "--hosts names no hosts" in capsys.readouterr().err
-        assert not store.exists()
-
-    @pytest.mark.parametrize("hosts", ["", " , "], ids=["empty", "blank"])
-    def test_serve_rejects_dispatch_hosts_naming_no_host(
-        self, capsys, tmp_path, monkeypatch, hosts
-    ):
-        """`serve --dispatch-hosts` goes through the same host-list parser."""
-        import repro.serve.http
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the daemon must not start")
-
-        monkeypatch.setattr(repro.serve.http, "create_server", refuse)
-        store = tmp_path / "s.db"
-        assert main(["serve", "--store", str(store), "--dispatch-hosts", hosts]) == 1
-        assert "--dispatch-hosts names no hosts" in capsys.readouterr().err
-
-    def test_launcher_requires_hosts(self, capsys, tmp_path):
-        assert (
-            main(
-                [
-                    "orchestrate",
-                    "d695_leon",
-                    "--store",
-                    str(tmp_path / "s.db"),
-                    "--launcher",
-                    "local",
-                ]
-            )
-            == 1
-        )
-        assert "host" in capsys.readouterr().err
-
-    def test_hosts_file_drives_remote_orchestration(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """End to end over a host pool (local launcher stand-ins) with an
-        injected crash: the orchestration retries, prints the attempt
-        history, and the export matches a serial run byte for byte."""
+class TestOrchestrateRetries:
+    def test_crashed_worker_retries_and_matches_serial(self, capsys, tmp_path, monkeypatch):
+        """End to end with per-point checkpoints, retries and an injected
+        crash: the orchestration retries, prints the attempt history, and
+        the export matches a serial run byte for byte."""
         import json
 
+        grid = ["d695_leon", "--counts", "0,2", "--power-limits", "none", "--no-characterize"]
         serial = tmp_path / "serial.json"
-        assert (
-            main(
-                [
-                    "sweep",
-                    "d695_leon",
-                    "--counts",
-                    "0,2",
-                    "--power-limits",
-                    "none",
-                    "--no-characterize",
-                    "--out",
-                    str(serial),
-                ]
-            )
-            == 0
-        )
+        assert main(["sweep", *grid, "--out", str(serial)]) == 0
         capsys.readouterr()
-        hosts_file = tmp_path / "hosts.txt"
-        hosts_file.write_text("# local stand-ins\nnode-a\nnode-b\n", encoding="utf-8")
         monkeypatch.setenv(
             "REPRO_CHAOS",
             json.dumps([{"kind": "crash", "shard": 0, "attempt": 1}]),
@@ -1115,16 +998,13 @@ class TestRemoteDispatchFlags:
             main(
                 [
                     "orchestrate",
-                    "d695_leon",
-                    "--counts",
-                    "0,2",
-                    "--power-limits",
-                    "none",
-                    "--no-characterize",
-                    "--hosts-file",
-                    str(hosts_file),
-                    "--launcher",
-                    "local",
+                    *grid,
+                    "--workers",
+                    "2",
+                    "--checkpoint",
+                    "1",
+                    "--max-retries",
+                    "2",
                     "--retry-backoff",
                     "0.05",
                     "--store",
@@ -1143,3 +1023,28 @@ class TestRemoteDispatchFlags:
         assert "attempt 2:" in out
         assert "Finished" in out
         assert exported.read_bytes() == serial.read_bytes()
+
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            ["orchestrate", "d695_leon", "--hosts", "h1"],
+            ["orchestrate", "d695_leon", "--hosts-file", "F"],
+            ["orchestrate", "d695_leon", "--launcher", "local"],
+            ["serve", "--dispatch-hosts", "h1"],
+            ["serve", "--dispatch-launcher", "local"],
+        ],
+        ids=[
+            "orchestrate-hosts",
+            "orchestrate-hosts-file",
+            "orchestrate-launcher",
+            "serve-dispatch-hosts",
+            "serve-dispatch-launcher",
+        ],
+    )
+    def test_retired_host_pool_flags_are_parse_errors(self, capsys, tmp_path, retired):
+        """Workers are local subprocesses only: the host-pool flags are
+        gone, and naming one is an argparse error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*retired, "--store", str(tmp_path / "s.db")])
+        assert excinfo.value.code == 2
+        assert retired[-2] in capsys.readouterr().err
