@@ -3,7 +3,7 @@
 Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
 ``python -m repro.cli``.  Sub-commands:
 
-* ``benchmarks`` — list the embedded ITC'02 benchmarks and their summaries.
+* ``benchmarks`` — list the ITC'02 benchmarks in the bundled .soc files.
 * ``describe SYSTEM`` — show one of the paper's systems (cores, placement,
   NoC, ports).
 * ``plan SYSTEM`` — plan the test of a paper system for a given number of
@@ -50,7 +50,7 @@ Installed as ``repro-noctest`` (see ``pyproject.toml``) and runnable as
   ``GET /history/...`` reads) on top of one sqlite store
   (``--store``, ``--host``/``--port``, ``--cache-ttl``); the full wire
   format is documented in ``docs/api.md``.
-* ``export-soc DIRECTORY`` — write the embedded benchmarks as ``.soc`` files.
+* ``export-soc DIRECTORY`` — write the bundled .soc files to a directory.
 * ``lint [PATH...]`` — run the repo-specific AST invariant checker
   (rule catalogue in ``docs/devtools.md``).
 * ``profile [SYSTEM...]`` — run a sweep grid serially under cProfile and
@@ -882,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    benchmarks = subparsers.add_parser("benchmarks", help="list embedded benchmarks")
+    benchmarks = subparsers.add_parser("benchmarks", help="list the bundled .soc files")
     benchmarks.set_defaults(handler=_cmd_benchmarks)
 
     describe = subparsers.add_parser("describe", help="describe a paper system")
@@ -1224,7 +1224,7 @@ def build_parser() -> argparse.ArgumentParser:
     characterize.set_defaults(handler=_cmd_characterize)
 
     export_soc = subparsers.add_parser(
-        "export-soc", help="write the embedded benchmarks as .soc files"
+        "export-soc", help="write the bundled .soc files to DIRECTORY"
     )
     export_soc.add_argument("directory")
     export_soc.set_defaults(handler=_cmd_export_soc)

@@ -27,7 +27,7 @@ class BenchmarkValidationError(ReproError):
 
 
 class UnknownBenchmarkError(ReproError):
-    """Raised when a benchmark name is not present in the embedded library."""
+    """Raised when a benchmark name names none of the bundled .soc files."""
 
 
 class TopologyError(ReproError):

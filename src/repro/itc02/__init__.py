@@ -9,12 +9,13 @@ from that benchmark set:
   :class:`~repro.itc02.model.Module`, :class:`~repro.itc02.model.ScanChain`),
 * a parser and writer for a line-oriented ``.soc`` dialect
   (:mod:`repro.itc02.parser`, :mod:`repro.itc02.writer`),
-* an embedded benchmark library (:mod:`repro.itc02.library`) with the three
-  circuits used by the paper,
-* a deterministic synthetic generator (:mod:`repro.itc02.synth`) used to
-  reconstruct the two large industrial benchmarks whose original files are not
-  redistributable,
-* structural validation (:mod:`repro.itc02.validate`).
+* a benchmark library (:mod:`repro.itc02.library`) that loads the three
+  circuits used by the paper from bundled .soc files,
+* structural validation (:mod:`repro.itc02.validate`), run on every load,
+* the deterministic synthetic generator (:mod:`repro.itc02.synth`) that
+  reconstructed the bundled files of the two large industrial benchmarks,
+  whose original files are not redistributable; the tests keep it as the
+  reference for those files.
 """
 
 from repro._lazy import lazy_exports

@@ -6,9 +6,11 @@ test planning each module is fully described by its test interface:
 * functional terminal counts (inputs, outputs, bidirectionals),
 * internal scan chains (count and individual lengths),
 * number of test patterns of its (single, external) test set,
-* an optional per-core test power figure (the original ITC'02 files carry no
-  power information; power-aware follow-up work attaches synthetic values, and
-  so does this library — see :mod:`repro.cores.power`).
+* an optional per-core test power figure, non-negative and finite (the
+  original ITC'02 files carry no power information; power-aware follow-up
+  work attaches synthetic values, and so do this library's bundled .soc
+  files; :mod:`repro.cores.power` fills in figures for a benchmark that has
+  none).
 
 The model intentionally flattens the ITC'02 hierarchy levels: the paper's
 tool, like most test-scheduling work on these benchmarks, treats every module
@@ -17,6 +19,7 @@ as an independently testable core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -84,9 +87,10 @@ class Module:
                 raise BenchmarkValidationError(
                     f"module {self.name!r}: {attr} must be non-negative, got {value}"
                 )
-        if self.power < 0:
+        if not 0 <= self.power < math.inf:
             raise BenchmarkValidationError(
-                f"module {self.name!r}: power must be non-negative, got {self.power}"
+                f"module {self.name!r}: power must be non-negative and finite, "
+                f"got {self.power}"
             )
 
     # ------------------------------------------------------------------

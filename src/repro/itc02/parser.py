@@ -37,11 +37,14 @@ Rules:
   to 0, ``ScanChains`` defaults to 0.
 * ``ScanChainLengths`` is mandatory when ``ScanChains`` is positive and must
   list exactly that many positive integers.
+* Counts are non-negative integers; ``Power`` is a non-negative, finite
+  number (``nan``, ``inf`` and values that overflow to it are refused).
 * ``#`` starts a comment anywhere on a line; blank lines are ignored.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable
 
@@ -81,9 +84,9 @@ def _parse_float(token: str, keyword: str, line_number: int) -> float:
         raise BenchmarkFormatError(
             f"{keyword} expects a number, got {token!r}", line_number
         ) from exc
-    if value < 0:
+    if not 0 <= value < math.inf:
         raise BenchmarkFormatError(
-            f"{keyword} must be non-negative, got {value}", line_number
+            f"{keyword} must be non-negative and finite, got {token!r}", line_number
         )
     return value
 

@@ -14,8 +14,12 @@ characteristics of the originals:
   same order of magnitude as the paper's Figure 1 axes.
 
 The generator is fully deterministic: the same :class:`SyntheticSocSpec`
-always produces the same benchmark, bit for bit.  This matters because the
-experiment drivers and the regression tests both rely on stable numbers.
+always produces the same benchmark, bit for bit.  :data:`P22810_SPEC` and
+:data:`P93791_SPEC` generated the bundled ``data/p22810.soc`` and
+``data/p93791.soc`` files (written with :mod:`repro.itc02.writer`).  The
+program loads those bundled .soc files and never imports this module; it
+stays as their documented generator and as the tests' oracle that the files
+still equal what the specs produce.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Structural validation of parsed or generated benchmarks.
 
 :func:`validate_benchmark` checks the invariants that the rest of the library
-assumes.  It is public API (exported from :mod:`repro.itc02`) for callers
-that load their own benchmarks; no CLI path calls it.  In the repo only the
-test suite does, as a cross-check on the embedded library and on
-generated benchmarks.
+assumes.  :func:`~repro.itc02.library.load_benchmark` runs it, power
+required, on every bundled .soc file it loads; it is also public API
+(exported from :mod:`repro.itc02`) for callers that load their own
+benchmarks.
 """
 
 from __future__ import annotations

@@ -55,6 +55,7 @@ import contextlib
 import enum
 import os
 import random
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -315,6 +316,17 @@ def failure_detail(outcome: ShardOutcome, *, attempt_timeout: float | None = Non
     )
 
 
+def _kill_group(process: subprocess.Popen) -> None:
+    """Kill a worker's whole process group, then reap the worker.
+
+    Workers start in their own session, so their group id is their pid and
+    the group holds any child they spawned.
+    """
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(process.pid, signal.SIGKILL)
+    process.wait()
+
+
 class _Attempt:
     """Mutable tracker of one live attempt — the state machine's single owner."""
 
@@ -463,8 +475,7 @@ class WorkerSupervisor:
         except BaseException:
             for attempt in active:
                 if attempt.process is not None and attempt.process.poll() is None:
-                    attempt.process.kill()
-                    attempt.process.wait()
+                    _kill_group(attempt.process)
                 if attempt.log_file is not None:
                     attempt.log_file.close()
             raise
@@ -571,8 +582,7 @@ class WorkerSupervisor:
             return
         timeout = self.policy.attempt_timeout
         if timeout is not None and now - attempt.spawned_at > timeout:
-            process.kill()
-            process.wait()
+            _kill_group(process)
             attempt.ended_at = time.monotonic()
             attempt.advance(WorkerState.TIMED_OUT)
             return
@@ -580,8 +590,7 @@ class WorkerSupervisor:
             attempt.last_beat_at is not None
             and now - attempt.last_beat_at > self.policy.heartbeat_timeout
         ):
-            process.kill()
-            process.wait()
+            _kill_group(process)
             attempt.ended_at = time.monotonic()
             attempt.advance(WorkerState.LOST)
 

@@ -27,7 +27,6 @@ I/O pads live; the positions can be overridden through
 
 from __future__ import annotations
 
-from repro.cores.power import PowerModel, assign_power
 from repro.errors import ConfigurationError
 from repro.itc02.library import load_benchmark
 from repro.noc.network import NocConfig
@@ -93,7 +92,7 @@ def build_paper_system(
         )
     spec = PAPER_SYSTEMS[key]
 
-    benchmark = assign_power(load_benchmark(spec.benchmark), PowerModel())
+    benchmark = load_benchmark(spec.benchmark)
     prototype = processor or processor_prototype(spec.processor_model)
 
     noc = NocConfig(

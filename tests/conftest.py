@@ -79,7 +79,7 @@ def toy_benchmark() -> SocBenchmark:
 
 @pytest.fixture
 def d695() -> SocBenchmark:
-    """The embedded d695 benchmark."""
+    """The bundled d695 benchmark."""
     return load_benchmark("d695")
 
 

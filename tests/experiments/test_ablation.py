@@ -6,7 +6,6 @@ port-pair study also on p93791."""
 
 import pytest
 
-from repro.cores.power import PowerModel, assign_power
 from repro.experiments.figure1 import PAPER_PROCESSOR_COUNTS
 from repro.itc02.library import load_benchmark
 from repro.noc.network import NocConfig
@@ -125,7 +124,7 @@ def system_with_port_pairs(name, pairs):
     spec = PAPER_SYSTEMS[name]
     builder = (
         SystemBuilder(f"{name}_x{pairs}ext", NocConfig(spec.grid_width, spec.grid_height))
-        .add_benchmark(assign_power(load_benchmark(spec.benchmark), PowerModel()))
+        .add_benchmark(load_benchmark(spec.benchmark))
         .add_processors(processor_prototype(spec.processor_model), spec.processor_count)
     )
     stride = max(1, spec.grid_width // pairs)

@@ -1,16 +1,61 @@
-"""Tests of the embedded benchmark library and bundled data files."""
+"""Tests of the benchmark library and the bundled .soc files it loads."""
 
 import pytest
 
 from repro.errors import UnknownBenchmarkError
+from repro.itc02 import library
 from repro.itc02.library import (
     available_benchmarks,
     data_directory,
     export_benchmarks,
     load_benchmark,
 )
+from repro.itc02.model import Module, ScanChain
 from repro.itc02.parser import parse_soc_file
+from repro.itc02.synth import P22810_SPEC, P93791_SPEC, generate_benchmark
 from repro.itc02.validate import validate_benchmark
+from repro.itc02.writer import write_soc
+
+#: The published per-core rows of d695, the reference for its bundled file.
+#: Columns: name, inputs, outputs, bidirs, scan chain lengths, pattern count,
+#: test power (the synthetic values used by power-constrained test
+#: scheduling papers on d695).
+D695_ROWS = (
+    ("c6288", 32, 32, 0, (), 12, 660.0),
+    ("c7552", 207, 108, 0, (), 73, 602.0),
+    ("s838", 34, 1, 0, (32,), 75, 823.0),
+    ("s9234", 36, 39, 0, (54, 53, 52, 52), 105, 275.0),
+    ("s38584", 38, 304, 0, (45,) * 18 + (44,) * 14, 110, 690.0),
+    ("s13207", 62, 152, 0, (40,) * 14 + (39,) * 2, 234, 354.0),
+    ("s15850", 77, 150, 0, (34,) * 6 + (33,) * 10, 95, 530.0),
+    ("s5378", 35, 49, 0, (46, 45, 44, 44), 97, 753.0),
+    ("s35932", 35, 320, 0, (54,) * 32, 12, 641.0),
+    ("s38417", 28, 106, 0, (52,) * 4 + (51,) * 28, 68, 1144.0),
+)
+
+
+def reference_modules(name):
+    """The modules a bundled file must hold, from its independent source."""
+    if name == "d695":
+        return [
+            Module(
+                number=number,
+                name=core,
+                inputs=inputs,
+                outputs=outputs,
+                bidirs=bidirs,
+                scan_chains=tuple(
+                    ScanChain(index=i, length=length) for i, length in enumerate(chains)
+                ),
+                patterns=patterns,
+                power=power,
+            )
+            for number, (core, inputs, outputs, bidirs, chains, patterns, power) in enumerate(
+                D695_ROWS, start=1
+            )
+        ]
+    spec = {"p22810": P22810_SPEC, "p93791": P93791_SPEC}[name]
+    return generate_benchmark(spec).modules
 
 
 class TestLibrary:
@@ -20,6 +65,16 @@ class TestLibrary:
     def test_unknown_benchmark_raises(self):
         with pytest.raises(UnknownBenchmarkError, match="available benchmarks"):
             load_benchmark("p12345")
+
+    @pytest.mark.parametrize(
+        "name", ["../x", "../data/d695", "d695.soc", "/etc/passwd", "data/d695", ""]
+    )
+    def test_path_like_name_is_refused_before_any_file_is_opened(self, monkeypatch, name):
+        opened = []
+        monkeypatch.setattr(library, "parse_soc_file", opened.append)
+        with pytest.raises(UnknownBenchmarkError, match="available benchmarks"):
+            load_benchmark(name)
+        assert opened == []
 
     def test_load_is_case_insensitive(self):
         assert load_benchmark("D695") is load_benchmark("d695")
@@ -69,10 +124,13 @@ class TestLibrary:
 class TestBundledDataFiles:
     @pytest.mark.parametrize("name", ["d695", "p22810", "p93791"])
     def test_bundled_soc_files_match_library(self, name):
+        """d695's file holds its published rows; the two reconstructed
+        files hold exactly what their synth specs generate."""
+        loaded = load_benchmark(name)
+        assert loaded.name == name
+        assert loaded.modules == reference_modules(name)
+
+    @pytest.mark.parametrize("name", ["d695", "p22810", "p93791"])
+    def test_writer_reproduces_the_bundled_file(self, name):
         path = data_directory() / f"{name}.soc"
-        assert path.exists(), "bundled .soc files should ship with the package"
-        parsed = parse_soc_file(path)
-        embedded = load_benchmark(name)
-        assert parsed.module_count == embedded.module_count
-        for a, b in zip(parsed.modules, embedded.modules):
-            assert a == b
+        assert write_soc(load_benchmark(name)).encode("utf-8") == path.read_bytes()

@@ -1,5 +1,7 @@
 """Unit tests for the ITC'02 benchmark data model."""
 
+import math
+
 import pytest
 
 from repro.errors import BenchmarkValidationError
@@ -51,6 +53,11 @@ class TestModule:
     def test_negative_counts_rejected(self):
         with pytest.raises(BenchmarkValidationError):
             Module(number=1, name="m", inputs=-1, outputs=0, patterns=1)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(BenchmarkValidationError, match="finite"):
+            make_module(power=power)
 
     def test_module_number_must_be_positive(self):
         with pytest.raises(BenchmarkValidationError):

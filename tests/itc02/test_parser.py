@@ -118,6 +118,14 @@ class TestParseErrors:
         with pytest.raises(BenchmarkFormatError, match="non-negative"):
             parse_soc(text)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "NaN", "Infinity"])
+    def test_non_finite_power_is_refused_at_its_line(self, token):
+        text = VALID.replace("Power 33.5", f"Power {token}")
+        line_number = text.splitlines().index(f"  Power {token}") + 1
+        with pytest.raises(BenchmarkFormatError, match="finite") as excinfo:
+            parse_soc(text)
+        assert excinfo.value.line_number == line_number
+
     def test_error_carries_line_number(self):
         text = VALID.replace("Inputs 4", "Inputs four")
         with pytest.raises(BenchmarkFormatError) as excinfo:

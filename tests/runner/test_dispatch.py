@@ -4,6 +4,8 @@ retry, the launcher seam) underneath the shard-worker backend."""
 import dataclasses
 import sys
 import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +297,31 @@ class TestSupervisor:
         (outcome,) = supervisor.run()
         assert outcome.state is WorkerState.TIMED_OUT
         assert len(outcome.attempts) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_timed_out_worker_takes_its_child_down(self, tmp_path):
+        """The kill reaches the worker's process group: a child the worker
+        spawned is gone, or a zombie waiting for its reaper, soon after."""
+        pid_file = tmp_path / "child.pid"
+        script = 'sleep 30 & echo $! > "$1"; wait'
+        plan = make_plan(tmp_path, argv=("sh", "-c", script, "sh", str(pid_file)))
+        supervisor = WorkerSupervisor(
+            [plan],
+            policy=DispatchPolicy(attempt_timeout=0.5, **FAST),
+        )
+        (outcome,) = supervisor.run()
+        assert outcome.state is WorkerState.TIMED_OUT
+        stat = Path(f"/proc/{int(pid_file.read_text())}/stat")
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                state = stat.read_text().rpartition(")")[2].split()[0]
+            except FileNotFoundError:
+                break
+            if state == "Z":
+                break
+            assert time.monotonic() < deadline, f"child still alive in state {state}"
+            time.sleep(0.05)
 
     def test_stale_heartbeat_declares_the_worker_lost(self, tmp_path):
         body = f"""

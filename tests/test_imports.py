@@ -3,10 +3,10 @@
 Package ``__init__`` modules re-export their names lazily (PEP 562) and the
 CLI imports what a single subcommand needs inside that subcommand's
 handler, so a plain sweep never loads the HTTP daemon, the lint analyzer,
-the profiler, ``multiprocessing`` or the dispatch supervisor.  The serve,
-lint, profile and orchestrate tests prove those paths still import what
-they need, and the deprecated ``--backend pool`` spelling proves it plans
-in-process.
+the profiler, ``multiprocessing``, the dispatch supervisor or the synthetic
+benchmark generator.  The serve, lint, profile and orchestrate tests prove
+those paths still import what they need, and the deprecated ``--backend
+pool`` spelling proves it plans in-process.
 
 The data side (specs, paper names, the JSON and sqlite stores, the CLI and
 its parser) never loads the planning core at module level either: a
@@ -41,6 +41,9 @@ HEAVY_MODULES = (
     "repro.serve",
     "repro.devtools",
     "repro.runner.dispatch",
+    # Benchmarks load from the bundled .soc files; the generator that
+    # reconstructed two of them is for tests only.
+    "repro.itc02.synth",
 )
 
 def _planning_core() -> tuple[str, ...]:
