@@ -27,7 +27,8 @@ class BenchmarkValidationError(ReproError):
 
 
 class UnknownBenchmarkError(ReproError):
-    """Raised when a benchmark name names none of the bundled .soc files."""
+    """Raised when a benchmark name names none of the bundled .soc files,
+    or when no .soc file is bundled at all."""
 
 
 class TopologyError(ReproError):

@@ -36,8 +36,19 @@ def data_directory() -> Path:
 
 @lru_cache(maxsize=None)
 def available_benchmarks() -> tuple[str, ...]:
-    """Names of the bundled benchmarks: the sorted stems of ``data/*.soc``."""
-    return tuple(sorted(path.stem for path in data_directory().glob("*.soc")))
+    """Names of the bundled benchmarks: the sorted stems of ``data/*.soc``.
+
+    Raises:
+        UnknownBenchmarkError: when the directory holds no ``.soc`` file (a
+            build that did not ship the package data); the message names
+            the directory.  A raise is not cached, so a later call looks
+            again.
+    """
+    directory = data_directory()
+    names = tuple(sorted(path.stem for path in directory.glob("*.soc")))
+    if not names:
+        raise UnknownBenchmarkError(f"no .soc file found in {directory}")
+    return names
 
 
 @lru_cache(maxsize=None)

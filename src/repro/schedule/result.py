@@ -211,12 +211,36 @@ def validate_schedule(
     read each assignment's job once and never through the
     :class:`Assignment` properties.
 
+    A proven plan is memoised (:class:`_HoldTable`'s ``proofs``): a later
+    plan whose assignments, interfaces and expected cores equal it skips
+    the sweep, and only its peak is checked against this result's ceiling.
+    Every value the sweep reads takes part in the equality of
+    :class:`Assignment`, :class:`~repro.schedule.job.TestJob` or
+    :class:`~repro.tam.interfaces.TestInterface`, and the sweep never reads
+    ``mask``, so an equal plan gets the same verdict and the same peak.  A
+    plan that differs, or whose ceiling is below the stored peak, runs the
+    sweep and the checks as above.
+
     Raises:
         ScheduleValidationError: describing the first violated invariant.
     """
     snapshot = tuple(result.assignments)
-    peak = _proven_peak(result, snapshot, expected_core_ids)
+    expected_ids = None if expected_core_ids is None else tuple(expected_core_ids)
+    proofs = _memo_table().proofs
+    if snapshot:
+        proof = (snapshot, tuple(result.interfaces), expected_ids)
+        entry = proofs.get(id(snapshot[0]))
+        if (
+            entry is not None
+            and entry[0] == proof
+            and result.power_constraint.allows(entry[1])
+        ):
+            result.__dict__["_peak_memo"] = (snapshot, entry[1])
+            return
+    peak = _proven_peak(result, snapshot, expected_ids)
     if peak is not None:
+        if snapshot:
+            proofs[id(snapshot[0])] = (proof, peak)
         result.__dict__["_peak_memo"] = (snapshot, peak)
         return
 
@@ -266,10 +290,24 @@ def validate_schedule(
 #: most about 2 MiB.  The six paper systems have 1 548 jobs.
 MAX_MEMO_JOBS = 4096
 
+#: Proven plans the validator memoises before it starts afresh: a call
+#: that finds its :class:`_HoldTable` holding this many starts a new one.
+#: An entry keeps its plan's assignment tuple, interface tuple and
+#: expected core ids: about 1.1 KiB on p93791 (40 tests), plus 2.2 KiB for
+#: the assignments themselves once no stored plan
+#: (:data:`repro.schedule.greedy.MAX_PLANS_PER_KEY`) holds them, so a full
+#: table is at most about 1.6 MiB (measured with ``tracemalloc``).  The
+#: jobs it keeps are in the same table's job memo already.
+MAX_MEMO_PROOFS = 512
+
 #: The one pass sums powers exactly, as integers in units of
 #: ``1 / _POWER_UNIT``; a power that is negative, not finite, or finer than
 #: that unit is left to the power profile.
 _POWER_UNIT = 1 << 128
+
+#: What a proven plan is compared by: its assignments, its interfaces and
+#: its expected core ids (``None`` when none were given).
+_ProofKey = tuple[tuple[Assignment, ...], tuple[TestInterface, ...], tuple[str, ...] | None]
 
 
 class _HoldTable:
@@ -284,17 +322,26 @@ class _HoldTable:
     repeats within the job; and its power in units of ``1 / _POWER_UNIT``,
     or ``None`` when not exact.
 
+    ``proofs`` memoises, by the identity of a proven plan's first
+    assignment, ``((assignments, interfaces, expected core ids), peak)``:
+    the key :func:`validate_schedule` compares a later plan with, holding
+    the first assignment so that no other object can take over its
+    identity, and the exact peak power the sweep derived.  Only plans the
+    sweep proved are stored; their peak is checked against each caller's
+    own ceiling.
+
     A table is only ever added to; a full one is replaced, never cleared,
     so a sweep that took the old table keeps one numbering throughout.  Two
     threads numbering at once may give two keys one bit, which can only
     make the sweep see a clash that is not there and defer to the checks.
     """
 
-    __slots__ = ("bits", "jobs")
+    __slots__ = ("bits", "jobs", "proofs")
 
     def __init__(self) -> None:
         self.bits: dict[Hashable, int] = {}
         self.jobs: dict[int, tuple[TestJob, int | None, int | None]] = {}
+        self.proofs: dict[int, tuple[_ProofKey, float]] = {}
 
     def entry(self, job: TestJob) -> tuple[TestJob, int | None, int | None]:
         """``job``'s memo entry, derived on its first sweep."""
@@ -324,6 +371,15 @@ class _HoldTable:
 _TABLE = _HoldTable()
 
 
+def _memo_table() -> _HoldTable:
+    """The current :class:`_HoldTable`, replaced first when it is full."""
+    global _TABLE
+    table = _TABLE
+    if len(table.jobs) >= MAX_MEMO_JOBS or len(table.proofs) >= MAX_MEMO_PROOFS:
+        table = _TABLE = _HoldTable()
+    return table
+
+
 def _proven_peak(
     result: ScheduleResult,
     assignments: tuple[Assignment, ...],
@@ -348,10 +404,7 @@ def _proven_peak(
     the exact value correctly, rounding keeps order, and a point at which
     tests only end sums fewer non-negative powers than the point before it.
     """
-    global _TABLE
-    table = _TABLE
-    if len(table.jobs) >= MAX_MEMO_JOBS:
-        table = _TABLE = _HoldTable()
+    table = _memo_table()
     memo = table.jobs
 
     processor_core_of = {

@@ -22,8 +22,9 @@ from repro.tam.ports import PortDirection
 # selection oracle (tests/schedule/test_selection_oracle.py), the
 # resource-mask property (tests/schedule/test_job_masks.py), the
 # validation oracle (tests/schedule/test_validation_oracle.py), the
-# interval-replay property (tests/schedule/test_replay.py) and the one-pass
-# peak property (tests/schedule/test_result.py::TestOnePassPeak) with
+# interval-replay property (tests/schedule/test_replay.py), the one-pass
+# peak property (tests/schedule/test_result.py::TestOnePassPeak) and the
+# proof-memo property (tests/schedule/test_result.py::TestProofMemo) with
 # `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
 # default example budget.
 settings.register_profile("schedule-oracle", max_examples=500)

@@ -1,7 +1,10 @@
 """Tests of the benchmark library and the bundled .soc files it loads."""
 
+import re
+
 import pytest
 
+from repro.cli import main
 from repro.errors import UnknownBenchmarkError
 from repro.itc02 import library
 from repro.itc02.library import (
@@ -78,6 +81,25 @@ class TestLibrary:
 
     def test_load_is_case_insensitive(self):
         assert load_benchmark("D695") is load_benchmark("d695")
+
+    def test_missing_package_data_is_an_error(self, monkeypatch, tmp_path, capsys):
+        """A build without ``data/*.soc`` has no benchmark to list: the
+        library and ``repro benchmarks`` say so, naming the directory."""
+        monkeypatch.setattr(library, "data_directory", lambda: tmp_path)
+        available_benchmarks.cache_clear()
+        message = f"no .soc file found in {tmp_path}"
+        try:
+            with pytest.raises(UnknownBenchmarkError) as raised:
+                available_benchmarks()
+            assert str(raised.value) == message
+            with pytest.raises(UnknownBenchmarkError, match=re.escape(message)):
+                load_benchmark("d695")
+            assert main(["benchmarks"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        finally:
+            available_benchmarks.cache_clear()
 
     def test_load_is_cached(self):
         assert load_benchmark("p22810") is load_benchmark("p22810")

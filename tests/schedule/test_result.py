@@ -1,17 +1,20 @@
 """Tests of the schedule result container and its invariant checker."""
 
 import dataclasses
+import math
 import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from repro.errors import ScheduleValidationError
+from repro.errors import ReproError, ScheduleValidationError
 from repro.noc.links import resource_mask
 from repro.schedule import result as result_module
+from repro.schedule.greedy import GreedyScheduler
 from repro.schedule.job import TestJob
+from repro.schedule.planner import TestPlanner
 from repro.schedule.power import PowerConstraint
 from repro.schedule.result import (
     Assignment,
@@ -20,8 +23,11 @@ from repro.schedule.result import (
     _check_resource_overlaps,
     validate_schedule,
 )
+from repro.schedule.variants import FastestCompletionScheduler
+from repro.system.presets import build_paper_system
 from repro.tam.interfaces import InterfaceKind, TestInterface
 
+from tests.properties.test_schedule_properties import random_system
 from tests.schedule import reference_validation
 
 PORT_A = ((0, 0), (0, 0))
@@ -585,3 +591,242 @@ def test_threads_validating_through_a_replaced_memo_get_the_reference_verdicts(
         sys.setswitchinterval(switch_interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+@st.composite
+def faulted_copies_sharing_the_first_assignment(draw, oracle):
+    """A real plan of a random small system, validated clean, and a copy
+    with up to two of the validation ``oracle``'s faults that keeps the
+    plan's first ``Assignment`` object first: the proof memo's key then
+    finds the clean plan's entry, and only the comparison tells the two
+    apart."""
+    system = draw(random_system(min_terminals=0, min_patterns=0))
+    scheduler = draw(st.sampled_from([GreedyScheduler, FastestCompletionScheduler]))()
+    count = draw(st.integers(0, len(system.processor_cores)))
+    try:
+        plan = TestPlanner(system, scheduler).plan(reused_processors=count)
+    except ReproError:
+        assume(False)
+    assume(plan.assignments)
+    first = plan.assignments[0]
+    assignments = list(plan.assignments)
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(oracle.FAULTS + (oracle.early_processor_use,)))
+        if fault is oracle.early_processor_use:
+            fault(draw, assignments, plan.interfaces)
+        else:
+            fault(draw, assignments)
+    # A fault that replaced or dropped the first assignment leaves a plan
+    # with the first assignment added back in front: another faulted plan.
+    assignments = [first, *(a for a in assignments if a is not first)]
+    copy = dataclasses.replace(plan, assignments=assignments)
+    copy.power_constraint = draw(oracle.ceilings(copy))
+    return plan, system.core_ids, copy, draw(oracle.expected_ids(system.core_ids))
+
+
+class TestProofMemo:
+    """The validator's memo of proven plans: a plan equal to a proven one
+    skips the sweep, checks its own ceiling, and gets the sweep's verdict."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """The validation oracle's module, which imports this one."""
+        from tests.schedule import test_validation_oracle
+
+        return test_validation_oracle
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The assignment tuples ``_proven_peak`` swept, on a fresh memo."""
+        monkeypatch.setattr(result_module, "_TABLE", result_module._HoldTable())
+        swept = []
+        original = result_module._proven_peak
+
+        def counted(result, assignments, expected_core_ids):
+            swept.append(assignments)
+            return original(result, assignments, expected_core_ids)
+
+        monkeypatch.setattr(result_module, "_proven_peak", counted)
+        return swept
+
+    @staticmethod
+    def plan():
+        """Three tests at once on two external interfaces and a processor
+        one, peaking at 0.6 (0.1 + 0.2 + 0.3, which rounds by order)."""
+        return make_result(
+            [
+                Assignment(job("cpu", "ext0", duration=10, power=0.1), 0, 10),
+                Assignment(job("a", "ext1", power=0.2, resources=(PORT_B,)), 0, 100),
+                Assignment(job("b", "proc0", power=0.3, resources=(LINK,)), 10, 110),
+                Assignment(job("c", "ext0", power=0.1), 10, 110),
+            ],
+            interfaces=[external(), external("ext1"), processor()],
+        )
+
+    @settings(
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_a_faulted_copy_of_a_proven_plan_gets_the_reference_verdict(
+        self, oracle, data
+    ):
+        plan, core_ids, copy, expected_core_ids = data.draw(
+            faulted_copies_sharing_the_first_assignment(oracle)
+        )
+        validate_schedule(plan, expected_core_ids=core_ids)
+        first = plan.assignments[0]
+        assert result_module._TABLE.proofs[id(first)][0][0][0] is first
+        assert copy.assignments[0] is first
+        oracle.note(oracle.assert_agrees(copy, expected_core_ids))
+
+    def test_an_equal_plan_runs_no_sweep(self, sweeps):
+        result = self.plan()
+        validate_schedule(result, expected_core_ids=["a", "b", "c", "cpu"])
+        assert len(sweeps) == 1
+        for equal in (
+            dataclasses.replace(result),
+            dataclasses.replace(result, assignments=list(result.assignments)),
+        ):
+            validate_schedule(equal, expected_core_ids=("a", "b", "c", "cpu"))
+            assert equal.__dict__["_peak_memo"][1] == 0.6
+        assert len(sweeps) == 1
+        # The key is the first assignment's identity: equal copies of every
+        # assignment are proven afresh.
+        copied = dataclasses.replace(
+            result, assignments=[dataclasses.replace(a) for a in result.assignments]
+        )
+        validate_schedule(copied)
+        assert len(sweeps) == 2
+
+    def test_a_replayed_plan_runs_no_sweep(self, sweeps):
+        """The planner's replay hands back the stored assignments, so its
+        validation is a memo hit."""
+        planner = TestPlanner(build_paper_system("d695_leon"))
+        fresh = planner.plan(reused_processors=2, power_limit_fraction=0.5)
+        replayed = planner.plan(reused_processors=2, power_limit_fraction=0.5)
+        assert replayed.assignments[0] is fresh.assignments[0]
+        assert len(sweeps) == 1
+        assert replayed.peak_power() == fresh.peak_power()
+
+    def test_a_hit_checks_its_own_ceiling(self, sweeps, monkeypatch):
+        """At the proven peak, one ulp below it and around the tolerance of
+        :meth:`PowerConstraint.allows`, a hit gives the verdict of a cold
+        validation, and a ceiling the peak breaks sweeps and fails."""
+        result = self.plan()
+        validate_schedule(result)
+        peak = result.peak_power()
+        assert peak == 0.6
+        edge = peak - 1e-9
+        limits = [
+            peak,
+            math.nextafter(peak, 0.0),
+            math.nextafter(edge, math.inf),
+            edge,
+            math.nextafter(edge, 0.0),
+            peak - 2e-9,
+            peak * 0.9,
+        ]
+        outcomes = []
+        for limit in limits:
+            constrained = dataclasses.replace(
+                result, power_constraint=PowerConstraint(limit=limit, description="test")
+            )
+            before = len(sweeps)
+            memoised = verdict_of(constrained)
+            outcomes.append((memoised, len(sweeps) - before))
+            monkeypatch.setattr(result_module, "_TABLE", result_module._HoldTable())
+            assert memoised == verdict_of(constrained)
+            validate_schedule(result)  # proven again, in the fresh table
+        assert outcomes[0] == outcomes[1] == (None, 0)
+        assert outcomes[-1][1] == 1
+        assert outcomes[-1][0].startswith("instantaneous power 0.6 at cycle 10 exceeds")
+        for verdict, swept in outcomes:
+            assert swept == (verdict is not None)
+
+    def test_other_interfaces_miss(self, sweeps):
+        """``ext1`` turned into a processor interface of core ``cpu``: the
+        same assignments now use it before ``cpu`` finishes."""
+        result = self.plan()
+        validate_schedule(result)
+        widened = dataclasses.replace(
+            result, interfaces=[*result.interfaces, external("ext2")]
+        )
+        validate_schedule(widened)
+        assert len(sweeps) == 2
+        retyped = dataclasses.replace(
+            result, interfaces=[external(), processor("ext1", "cpu"), processor()]
+        )
+        with pytest.raises(
+            ScheduleValidationError,
+            match=r"^interface 'ext1' tests 'a' at 0, before its processor core finishes",
+        ):
+            validate_schedule(retyped)
+        assert len(sweeps) == 3
+
+    def test_other_expected_cores_miss(self, sweeps):
+        result = self.plan()
+        validate_schedule(result, expected_core_ids=["a", "b", "c", "cpu"])
+        validate_schedule(result)
+        assert len(sweeps) == 2
+        with pytest.raises(ScheduleValidationError, match="^cores never tested: d$"):
+            validate_schedule(result, expected_core_ids=["a", "b", "c", "cpu", "d"])
+        with pytest.raises(ScheduleValidationError, match="^unexpected cores in schedule: c$"):
+            validate_schedule(result, expected_core_ids=["a", "b", "cpu"])
+        assert len(sweeps) == 4
+
+    def test_a_full_table_is_replaced(self, sweeps, monkeypatch):
+        monkeypatch.setattr(result_module, "MAX_MEMO_PROOFS", 2)
+        plans = [self.plan() for _ in range(3)]
+        full = result_module._TABLE
+        for result in plans[:2]:
+            validate_schedule(result)
+        assert result_module._TABLE is full and len(full.proofs) == 2
+        validate_schedule(plans[2])
+        assert result_module._TABLE is not full
+        assert len(full.proofs) == 2  # replaced, not cleared
+        assert list(result_module._TABLE.proofs) == [id(plans[2].assignments[0])]
+        validate_schedule(plans[0])
+        assert len(sweeps) == 4
+
+    def test_threads_sharing_proven_plans_get_the_reference_verdicts(self, monkeypatch):
+        """Eight threads on two cores, switching every microsecond, validate
+        shared plans and clashing copies that keep their first assignment,
+        under three ceilings, while a bound of two proofs keeps replacing
+        the table: every verdict is the reference's."""
+        monkeypatch.setattr(result_module, "MAX_MEMO_PROOFS", 2)
+        monkeypatch.setattr(result_module, "_TABLE", result_module._HoldTable())
+        cases = []
+        for offset in range(4):
+            link = ((offset, 0), (offset, 1))
+            first = Assignment(job("a", "ext0", duration=10, resources=(link,)), 0, 10)
+            for resources in ((((offset, 9), (offset, 10)),), (link,)):
+                second = Assignment(job("b", "ext1", duration=10, resources=resources), 5, 15)
+                for constraint in (None, PowerConstraint(limit=20.0), PowerConstraint(limit=15.0)):
+                    result = make_result(
+                        [first, second],
+                        interfaces=[external(), external("ext1")],
+                        constraint=constraint,
+                    )
+                    cases.append((result, verdict_of(result, reference_validation)))
+        assert {expected is None for _, expected in cases} == {True, False}
+        wrong = []
+
+        def worker(offset):
+            for index in range(300):
+                result, expected = cases[(offset * 5 + index) % len(cases)]
+                if verdict_of(result) != expected:
+                    wrong.append((offset, index))
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
