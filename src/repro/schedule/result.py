@@ -82,6 +82,9 @@ class ScheduleResult:
     @property
     def makespan(self) -> int:
         """Total system test time in cycles (completion of the last test)."""
+        summary = self._summary()
+        if summary is not None:
+            return summary[2]
         return max((assignment.end for assignment in self.assignments), default=0)
 
     @property
@@ -119,17 +122,35 @@ class ScheduleResult:
 
         Derived once per assignment list: :func:`validate_schedule` hands
         over the exact peak its one pass derives, so a valid plan never
-        derives its profile.  The memo sits in the instance ``__dict__``,
-        outside the dataclass fields, so it never reaches ``repr``, ``==``
-        or a record; it keeps the assignments it was derived from, and a
-        changed ``assignments`` derives the peak afresh.
+        derives its profile.  The memo (see :meth:`_summary`) sits in the
+        instance ``__dict__``, outside the dataclass fields, so it never
+        reaches ``repr``, ``==`` or a record; it keeps the assignments it
+        was derived from, and a changed ``assignments`` derives the peak
+        afresh.
         """
-        assignments = tuple(self.assignments)
-        memo = self.__dict__.get("_peak_memo")
-        if memo is None or memo[0] != assignments:
+        summary = self._summary()
+        if summary is None:
+            assignments = tuple(self.assignments)
             peak = max((power for _, power in _power_profile(assignments)), default=0.0)
-            memo = self.__dict__["_peak_memo"] = (assignments, peak)
-        return memo[1]
+            summary = self.__dict__["_peak_memo"] = (
+                assignments,
+                peak,
+                max((assignment.end for assignment in assignments), default=0),
+                sum(assignment.job.duration for assignment in assignments),
+            )
+        return summary[1]
+
+    def _summary(self) -> tuple[tuple[Assignment, ...], float, int, int] | None:
+        """``(assignments, peak power, makespan, busy cycles)`` while it still holds.
+
+        :func:`validate_schedule` (or :meth:`peak_power`) stores it; it
+        holds while :attr:`assignments` compares equal to the tuple it was
+        derived from, else ``None``.
+        """
+        memo = self.__dict__.get("_peak_memo")
+        if memo is not None and memo[0] == tuple(self.assignments):
+            return memo
+        return None
 
     def power_profile(self) -> list[tuple[int, float]]:
         """Piecewise-constant power profile as (time, power-from-then-on) points.
@@ -143,10 +164,15 @@ class ScheduleResult:
 
     def average_parallelism(self) -> float:
         """Average number of concurrently running tests over the makespan."""
-        makespan = self.makespan
+        summary = self._summary()
+        if summary is not None:
+            makespan, busy = summary[2], summary[3]
+        else:
+            makespan = self.makespan
+            busy = sum(assignment.job.duration for assignment in self.assignments)
         if makespan == 0:
             return 0.0
-        return sum(assignment.job.duration for assignment in self.assignments) / makespan
+        return busy / makespan
 
 
 def _power_profile(assignments: Sequence[Assignment]) -> list[tuple[int, float]]:
@@ -203,8 +229,10 @@ def validate_schedule(
        non-negative).
 
     One sweep by start time (:func:`_proven_peak`) first tries to prove all
-    six and to derive the exact peak power, which it hands to
-    :meth:`ScheduleResult.peak_power`.  Only when that sweep finds a
+    six and to derive the exact peak power, the makespan and the busy
+    cycles, which it hands to :meth:`ScheduleResult.peak_power`,
+    :attr:`~ScheduleResult.makespan` and
+    :meth:`~ScheduleResult.average_parallelism`.  Only when that sweep finds a
     violation, or cannot rule one out, do the checks below run: times and
     duplicates, expected cores, interface overlaps, resource overlaps,
     processor enablement, power, raising at the first violation.  They
@@ -213,7 +241,8 @@ def validate_schedule(
 
     A proven plan is memoised (:class:`_HoldTable`'s ``proofs``): a later
     plan whose assignments, interfaces and expected cores equal it skips
-    the sweep, and only its peak is checked against this result's ceiling.
+    the sweep and takes over its summary, and only its peak is checked
+    against this result's ceiling.
     Every value the sweep reads takes part in the equality of
     :class:`Assignment`, :class:`~repro.schedule.job.TestJob` or
     :class:`~repro.tam.interfaces.TestInterface`, and the sweep never reads
@@ -233,15 +262,15 @@ def validate_schedule(
         if (
             entry is not None
             and entry[0] == proof
-            and result.power_constraint.allows(entry[1])
+            and result.power_constraint.allows(entry[1][0])
         ):
-            result.__dict__["_peak_memo"] = (snapshot, entry[1])
+            result.__dict__["_peak_memo"] = (snapshot, *entry[1])
             return
-    peak = _proven_peak(result, snapshot, expected_ids)
-    if peak is not None:
+    summary = _proven_peak(result, snapshot, expected_ids)
+    if summary is not None:
         if snapshot:
-            proofs[id(snapshot[0])] = (proof, peak)
-        result.__dict__["_peak_memo"] = (snapshot, peak)
+            proofs[id(snapshot[0])] = (proof, summary)
+        result.__dict__["_peak_memo"] = (snapshot, *summary)
         return
 
     assignments = result.assignments
@@ -309,6 +338,11 @@ _POWER_UNIT = 1 << 128
 #: its expected core ids (``None`` when none were given).
 _ProofKey = tuple[tuple[Assignment, ...], tuple[TestInterface, ...], tuple[str, ...] | None]
 
+#: What the one pass derives of a plan it proves: the exact peak power,
+#: the makespan (the largest end) and the busy cycles (the sum of the
+#: durations).
+_Summary = tuple[float, int, int]
+
 
 class _HoldTable:
     """The one-pass validator's own numbering of what a test holds.
@@ -323,10 +357,10 @@ class _HoldTable:
     or ``None`` when not exact.
 
     ``proofs`` memoises, by the identity of a proven plan's first
-    assignment, ``((assignments, interfaces, expected core ids), peak)``:
-    the key :func:`validate_schedule` compares a later plan with, holding
-    the first assignment so that no other object can take over its
-    identity, and the exact peak power the sweep derived.  Only plans the
+    assignment, ``((assignments, interfaces, expected core ids), (peak,
+    makespan, busy cycles))``: the key :func:`validate_schedule` compares
+    a later plan with, holding the first assignment so that no other
+    object can take over its identity, and the summary the sweep derived.  Only plans the
     sweep proved are stored; their peak is checked against each caller's
     own ceiling.
 
@@ -341,7 +375,7 @@ class _HoldTable:
     def __init__(self) -> None:
         self.bits: dict[Hashable, int] = {}
         self.jobs: dict[int, tuple[TestJob, int | None, int | None]] = {}
-        self.proofs: dict[int, tuple[_ProofKey, float]] = {}
+        self.proofs: dict[int, tuple[_ProofKey, _Summary]] = {}
 
     def entry(self, job: TestJob) -> tuple[TestJob, int | None, int | None]:
         """``job``'s memo entry, derived on its first sweep."""
@@ -384,8 +418,11 @@ def _proven_peak(
     result: ScheduleResult,
     assignments: tuple[Assignment, ...],
     expected_core_ids: Sequence[str] | None,
-) -> float | None:
-    """The peak power of a schedule one sweep proves valid; else ``None``.
+) -> _Summary | None:
+    """The summary of a schedule one sweep proves valid; else ``None``.
+
+    The summary is ``(peak power, makespan, busy cycles)``: the largest
+    end and the sum of the durations come with the sweep.
 
     The sweep visits the assignments by start time, releasing the holds and
     power of every test that ends by the current start.  A test is refused
@@ -417,12 +454,17 @@ def _proven_peak(
     busy = 0
     total = 0
     peak = 0
+    makespan = 0
+    cycles = 0
     for assignment in sorted(assignments, key=_START):
         job = assignment.job
         start = assignment.start
         end = assignment.end
         if start < 0 or end < start or end != start + job.duration:
             return None
+        if end > makespan:
+            makespan = end
+        cycles += end - start
         core_id = job.core_id
         if core_id in ends:
             return None
@@ -457,7 +499,7 @@ def _proven_peak(
     peak_power = peak / _POWER_UNIT
     if not result.power_constraint.allows(peak_power):
         return None
-    return peak_power
+    return peak_power, makespan, cycles
 
 
 _START = attrgetter("start")

@@ -12,6 +12,11 @@ The daemon is a :class:`http.server.ThreadingHTTPServer`: one thread per
 in-flight request, which is exactly what the store's concurrency model
 expects — many WAL reader connections (one per read request) around the job
 queue's single writer thread.
+
+The handler reads the request head itself (:meth:`PlanningRequestHandler.parse_request`):
+the stdlib's request-line rules and limits, a plain split of each header
+line into a case-insensitive :class:`RequestHeaders`, and open refusals of
+the header forms the daemon cannot honour (see ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -19,10 +24,12 @@ from __future__ import annotations
 import hmac
 import json
 import logging
+import re
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ApiError, ConfigurationError, ReproError
@@ -40,6 +47,50 @@ MAX_BODY_BYTES = 1_000_000
 #: Paths served without authentication even when a token is configured.
 #: Health probes (load balancers, orchestrators) must not need credentials.
 AUTH_EXEMPT: frozenset[str] = frozenset({"/healthz"})
+
+#: Longest request or header line in bytes, as in :mod:`http.client`: a
+#: longer request line is 414, a longer header line 431.
+MAX_LINE_BYTES = 65_536
+
+#: Most lines of a request head after the request line, the empty line
+#: that ends it included (so at most 99 header fields), as in
+#: :mod:`http.client`; more is 431.
+MAX_HEAD_LINES = 100
+
+#: One header line: a field name of the characters :mod:`email` accepts
+#: (visible ASCII except ``:``), the colon, optional blanks, and a value
+#: without a CR.  Anything else (an obs-fold continuation, whitespace
+#: before the colon, a line without a name or colon) is refused with 400.
+_FIELD_LINE = re.compile(r"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n?")
+
+
+class RequestHeaders(Mapping[str, str]):
+    """A request's header fields by case-insensitive name.
+
+    The first value of a repeated field wins, as with
+    :meth:`email.message.Message.get`; values keep everything after the
+    blanks that follow the colon.
+    """
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: dict[str, str]) -> None:
+        self._fields = fields  # keyed by the lower-cased field name
+
+    def __getitem__(self, name: str) -> str:
+        return self._fields[name.lower()]
+
+    def get(  # type: ignore[override]
+        self, name: str, default: str | None = None
+    ) -> str | None:
+        """The first value of field ``name`` in any case, else ``default``."""
+        return self._fields.get(name.lower(), default)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._fields)
+
+    def __len__(self) -> int:
+        return len(self._fields)
 
 
 @dataclass(frozen=True)
@@ -151,14 +202,149 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     with 404, matched paths under the wrong method with 405 (plus an
     ``Allow`` header), missing or wrong credentials with 401 (plus a
     ``WWW-Authenticate`` challenge), oversized or undecodable bodies with
-    413/400, and anything unexpected with 500.
+    413/400, and anything unexpected with 500.  A request head the front
+    refuses (:meth:`parse_request`) is answered with the stdlib's HTML
+    error page: 400, 414, 431, 501 or 505.
     """
 
     protocol_version = "HTTP/1.1"
-    # Headers and body are two writes; without TCP_NODELAY Nagle holds the
-    # body back until the client ACKs the headers (~40 ms per request).
+    # A JSON response is one write, but the stdlib's error pages (and the
+    # interim 100 Continue) write their head and body apart; without
+    # TCP_NODELAY Nagle would hold the second write back until the client
+    # ACKs the first (~40 ms).
     disable_nagle_algorithm = True
     server: "PlanningServer"
+    headers: RequestHeaders  # type: ignore[assignment]
+
+    #: Bytes of the request body no handler has read yet: a response sent
+    #: with some left closes the connection, which would otherwise parse
+    #: them as the next request.
+    _unread_body = 0
+
+    # ------------------------------------------------------------------
+    # The request head.
+    # ------------------------------------------------------------------
+    def parse_request(self) -> bool:
+        """Parse the request line and headers; answer and return ``False`` on error.
+
+        The request line follows :meth:`BaseHTTPRequestHandler.parse_request`
+        rule for rule (400 for bad syntax or version, 505 from HTTP/2.0,
+        HTTP/0.9 for a bare ``GET``), as do the keep-alive, ``Connection``
+        and ``Expect: 100-continue`` handling; the 414 for a long request
+        line comes from ``handle_one_request``.  One difference: a refused
+        request line is answered with a status line and headers, where the
+        stdlib, still taking the request for HTTP/0.9, sends a bare body.
+        The headers are read by :meth:`_read_headers` instead of
+        :mod:`email`.
+        """
+        self.command = None
+        self.request_version = version = self.protocol_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+            self.request_version = self.default_request_version
+        self.command = command
+        # As the stdlib: a leading '//' could read as a scheme-less URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        if not self._read_headers():
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> bool:
+        """Read the header lines into :attr:`headers`; answer and return ``False`` on error.
+
+        431 for a line over :data:`MAX_LINE_BYTES` or more than
+        :data:`MAX_HEAD_LINES` lines, as the stdlib.  Refused outright, and
+        the connection closed: a line that is not ``name: value`` (400), a
+        ``Transfer-Encoding`` field (501: only ``Content-Length`` bodies
+        are read), and a ``Content-Length`` that is not a decimal number or
+        disagrees with an earlier one (400).
+        """
+        readline = self.rfile.readline
+        fields: dict[str, str] = {}
+        length: int | None = None
+        malformed = False
+        for _ in range(MAX_HEAD_LINES):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"header line longer than {MAX_LINE_BYTES} bytes",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if malformed:
+                continue  # read on, so that 431 still wins as with the stdlib
+            match = _FIELD_LINE.fullmatch(line.decode("iso-8859-1"))
+            if match is None:
+                malformed = True
+                continue
+            name, value = match.groups()
+            name = name.lower()
+            if name == "content-length":
+                number = _content_length(value)
+                if number is None or (length is not None and number != length):
+                    malformed = True
+                    continue
+                length = number
+            fields.setdefault(name, value)
+        else:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                "Too many headers",
+                f"more than {MAX_HEAD_LINES} header lines",
+            )
+            return False
+        if malformed:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+            return False
+        self.headers = RequestHeaders(fields)
+        if "transfer-encoding" in fields:
+            self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Transfer-Encoding is not supported")
+            return False
+        self._unread_body = length or 0
+        return True
 
     # ------------------------------------------------------------------
     # Entry points.
@@ -236,10 +422,6 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             presented.strip().encode("utf-8"), token.encode("utf-8")
         ):
             return
-        if (self.headers.get("Content-Length") or "0").strip() != "0":
-            # The body is never read on this path; a keep-alive client
-            # would desync parsing the unread bytes as the next request.
-            self.close_connection = True
         raise ApiError(
             "missing or invalid bearer token"
             if header
@@ -262,11 +444,6 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             if route.method == method:
                 return route, params
             allowed.append(route.method)
-        if (self.headers.get("Content-Length") or "0").strip() != "0":
-            # The request body is never read on these error paths; a
-            # keep-alive client would desync parsing the unread bytes as
-            # the next request line.
-            self.close_connection = True
         if allowed:
             self._send_json(
                 405,
@@ -290,17 +467,14 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
             ApiError: for a missing/oversized body (411/413), undecodable
                 JSON (400), or a body that is not a JSON object (400).
         """
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
+        if "Content-Length" not in self.headers:
             raise ApiError("a JSON request body is required", status=411)
-        try:
-            length = int(length_header)
-        except ValueError as exc:
-            raise ApiError("invalid Content-Length header") from exc
+        length = self._unread_body
         limit = self.server.max_body_bytes
         if length > limit:
             raise ApiError(f"request body exceeds {limit} bytes", status=413)
         raw = self.rfile.read(length)
+        self._unread_body = 0
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -315,20 +489,53 @@ class PlanningRequestHandler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, *, headers: Mapping[str, str] | None = None
     ) -> None:
-        """Write one JSON response with an explicit Content-Length."""
+        """Write one JSON response, head and body in a single write.
+
+        A request body left unread closes the connection (and says so).
+        """
         encoded = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        if self.request_version == "HTTP/0.9":  # no head at all
+            self.log_request(status, len(encoded))
+            self.wfile.write(encoded)
+            return
         self.send_response(status)
         self.send_header("Content-Type", JSON_CONTENT_TYPE)
         self.send_header("Content-Length", str(len(encoded)))
         if headers:
             for name, value in headers.items():
                 self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(encoded)
+        if self._unread_body:
+            self.send_header("Connection", "close")
+        self._headers_buffer.append(b"\r\n" + encoded)
+        self.flush_headers()
 
     def log_message(self, format: str, *args: object) -> None:
         """Route http.server's per-request lines to the module logger."""
-        logger.debug("%s %s", self.address_string(), format % args)
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
+
+
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as two integers, by the stdlib's rules; else ``None``."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(
+        part.isascii() and part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
+def _content_length(value: str) -> int | None:
+    """A ``Content-Length`` value as a number; ``None`` unless plain decimal digits."""
+    digits = value.rstrip(" \t")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 class PlanningServer(ThreadingHTTPServer):

@@ -25,8 +25,10 @@ from repro.tam.ports import PortDirection
 # interval-replay property (tests/schedule/test_replay.py), the one-pass
 # peak property (tests/schedule/test_result.py::TestOnePassPeak) and the
 # proof-memo property (tests/schedule/test_result.py::TestProofMemo) with
-# `--hypothesis-profile schedule-oracle`; every other run keeps hypothesis's
-# default example budget.
+# `--hypothesis-profile schedule-oracle`, and CI's serve-smoke job runs the
+# request-front properties and raw-bytes fuzz
+# (tests/serve/test_request_front.py) with it too; every other run keeps
+# hypothesis's default example budget.
 settings.register_profile("schedule-oracle", max_examples=500)
 
 

@@ -174,6 +174,26 @@ class TestScheduleResult:
         assert result.peak_power() == 10.0
         assert derived == []
 
+    def test_validation_hands_over_makespan_and_busy_cycles(self, monkeypatch):
+        """A validated plan reads its makespan and parallelism from the
+        sweep's summary; a changed assignment list derives them afresh."""
+        result = make_result(
+            [
+                Assignment(job("a", "ext0", duration=100), 0, 100),
+                Assignment(job("b", "ext1", duration=60, resources=(PORT_B,)), 20, 80),
+            ],
+            interfaces=[external(), external("ext1")],
+        )
+        validate_schedule(result, expected_core_ids=["a", "b"])
+        assert result.__dict__["_peak_memo"][1:] == (20.0, 100, 160)
+        monkeypatch.setattr(result_module, "max", lambda *a, **k: 0, raising=False)
+        assert result.makespan == 100
+        assert result.average_parallelism() == 1.6
+        monkeypatch.undo()
+        result.assignments.append(Assignment(job("c", "ext0", duration=50), 100, 150))
+        assert result.makespan == 150
+        assert result.average_parallelism() == 210 / 150
+
     def test_peak_memo_stays_out_of_repr_and_equality(self):
         assignments = [Assignment(job("a", "ext0", power=10.0), 0, 100)]
         derived = make_result(list(assignments))
@@ -538,15 +558,22 @@ class TestOnePassPeak:
             assignments,
             interfaces=[external(f"ext{i}") for i in range(len(assignments))],
         )
+        makespan = max((a.end for a in assignments), default=0)
+        busy = sum(a.duration for a in assignments)
         swept = result_module._proven_peak(result, tuple(assignments), None)
         if swept is None:
             # Only a power finer than the sweep's unit is left to the profile.
             unit = 1 / result_module._POWER_UNIT
             assert any(a.power % unit for a in assignments)
         else:
-            assert swept.hex() == profile_peak.hex()
+            peak, swept_makespan, swept_busy = swept
+            assert peak.hex() == profile_peak.hex()
+            assert (swept_makespan, swept_busy) == (makespan, busy)
         validate_schedule(result)
         assert result.peak_power().hex() == profile_peak.hex()
+        assert result.makespan == makespan
+        parallelism = busy / makespan if makespan else 0.0
+        assert result.average_parallelism() == parallelism
 
 
 def test_threads_validating_through_a_replaced_memo_get_the_reference_verdicts(
