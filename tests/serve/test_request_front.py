@@ -411,7 +411,9 @@ class TestPinnedExchanges:
             sock.settimeout(1.0)  # well below a client's usual 2 s wait
             interim = b""
             while not interim.endswith(b"\r\n\r\n"):
-                interim += sock.recv(1)
+                byte = sock.recv(1)
+                assert byte, f"closed after {interim!r}"
+                interim += byte
             assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
             sock.sendall(PLAN)
             sock.shutdown(socket.SHUT_WR)
